@@ -12,24 +12,20 @@ non-membership, or unreadable input; 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from dataclasses import asdict, replace
 
 from ._version import __version__
-from .linalg import frobenius, log_det, phase_angle
 from .matio import read_matrix
-from .report import Report, emit_report, render_text
-from .suites import SUITE_IDS, default_suite_spec, run_suite, _bounds, _passes
+from .report import Report, emit_report
+from .suites import SUITE_IDS, conj_formula_check, default_suite_spec, run_suite
 from .symplectic import (
     DEFAULT_TOLERANCES,
     FormulaInconclusiveError,
     GroupKind,
     MembershipError,
     certify_symplectic,
-    conj_symplectic_det,
-    conj_symplectic_residual,
 )
 
 _MODES = {
@@ -59,6 +55,20 @@ def _parse_half_dims(text: str) -> tuple[int, ...]:
             f"bad half-dimension spec {text!r}; use N, LO:HI, or N1,N2,...") from None
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as a usage error
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    value = float(text)
+    if not value >= 0.0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sympdet",
@@ -69,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-        p.add_argument("--tol", type=float, default=None,
+        p.add_argument("--tol", type=_nonnegative_float, default=None,
                        help="membership residual tolerance, scaled by ||A||_F^2 "
                             f"(default {DEFAULT_TOLERANCES.membership:g})")
         p.add_argument("--format", choices=("text", "json"), default="text",
@@ -82,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help=f"one or more of: {', '.join(SUITE_IDS)}, all")
     p_suite.add_argument("--n", type=_parse_half_dims, default=None,
                          help="half-dimensions, e.g. 8 or 1:8 or 1,2,4,8,10")
-    p_suite.add_argument("--trials", type=int, default=None,
+    p_suite.add_argument("--trials", type=_positive_int, default=None,
                          help="trial count (default depends on the suite)")
     common(p_suite)
 
@@ -149,22 +159,19 @@ def _certificate_lines(cert) -> str:
 
 
 def _conj_report_body(a, tol):
-    """(residuals, human text) for the conjugate phase formula on matrix a."""
-    oracle = log_det(a)
-    residuals = {
-        "membership": conj_symplectic_residual(a) / frobenius(a) ** 2,
-        "detModulusOne": abs(math.expm1(oracle.log_magnitude)),
-    }
-    formula_phase = conj_symplectic_det(a, tol)  # may raise
-    residuals["phaseAgreement"] = phase_angle(formula_phase, oracle.phase)
+    """(residuals, passed, human text) for the conjugate phase formula on
+    matrix a; raises as conj_formula_check does."""
+    result, formula_phase, oracle_phase = conj_formula_check(a, tol)
+    residuals = result.residuals
     human = "\n".join([
         "conjugate symplectic determinant phase",
         f"  subblock formula: {formula_phase.real:.12f}{formula_phase.imag:+.12f}j",
-        f"  lu oracle:        {oracle.phase.real:.12f}{oracle.phase.imag:+.12f}j",
+        f"  lu oracle:        {oracle_phase.real:.12f}{oracle_phase.imag:+.12f}j",
         f"  angular gap:      {residuals['phaseAgreement']:.3e}",
         f"  | |det| - 1 |:    {residuals['detModulusOne']:.3e}",
+        f"verdict: {'pass' if result.passed else 'fail'}",
     ])
-    return residuals, human
+    return residuals, result.passed, human
 
 
 def _single_report(suite: str, config: dict, residuals: dict, passed: bool,
@@ -187,9 +194,7 @@ def _cmd_certify(args) -> int:
     config = {"path": args.path, "mode": args.mode, "tolerances": asdict(tol)}
     try:
         if mode is GroupKind.CONJUGATE_SYMPLECTIC:
-            residuals, human = _conj_report_body(a, tol)
-            passed = _passes(residuals, _bounds("conj-formula", tol))
-            human += f"\nverdict: {'pass' if passed else 'fail'}"
+            residuals, passed, human = _conj_report_body(a, tol)
         else:
             cert = certify_symplectic(a, mode, tol)
             residuals = cert.residuals
@@ -219,15 +224,13 @@ def _cmd_formula(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     try:
-        residuals, human = _conj_report_body(a, tol)
+        residuals, passed, human = _conj_report_body(a, tol)
     except MembershipError as e:
         print(f"rejected: {e}", file=sys.stderr)
         return 1
     except (FormulaInconclusiveError, ValueError) as e:
         print(f"inconclusive: {e}", file=sys.stderr)
         return 1
-    passed = _passes(residuals, _bounds("conj-formula", tol))
-    human += f"\nverdict: {'pass' if passed else 'fail'}"
     config = {"path": args.path, "tolerances": asdict(tol)}
     report = _single_report("formula", config, residuals, passed,
                             a.shape[0] // 2, time.perf_counter() - t0)

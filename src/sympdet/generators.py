@@ -18,14 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    SingularMatrixError,
+    as_square,
     frobenius,
     identity,
-    as_square,
     kind_of,
-    lu_decompose,
     random_gaussian,
     rng_from_seed,
-    solve,
     zeros,
 )
 from .symplectic import (
@@ -102,7 +101,10 @@ def diag_block(p, target: GroupKind = GroupKind.REAL_SYMPLECTIC) -> np.ndarray:
     p = as_square(p)
     n = p.shape[0]
     k = kind_of(p)
-    pinv = solve(lu_decompose(p), identity(n, k))
+    try:
+        pinv = np.linalg.inv(p)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("diag_block needs an invertible P") from None
     br = pinv.conj().T if target is GroupKind.CONJUGATE_SYMPLECTIC else pinv.T
     return np.block([[p, zeros(n, k)], [zeros(n, k), br.copy()]])
 

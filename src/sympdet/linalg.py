@@ -1,4 +1,9 @@
-"""Dense real/complex linear algebra kernels: LU, log-scaled determinants, solves.
+"""Dense real/complex linear algebra helpers: log-scaled determinants and seeds.
+
+Determinants come from LAPACK's LU with partial pivoting (``getrf``) through
+:func:`numpy.linalg.slogdet`, which is backward stable (Higham, *Accuracy and
+Stability of Numerical Algorithms*, ch. 9); :class:`LogDet` keeps them finite
+over large dimensions.
 
 Matrices are plain numpy arrays, square, in one of two kinds: "R" (float64)
 or "C" (complex128).  Every function has value semantics: arguments are never
@@ -19,7 +24,7 @@ _SEED_MASK = (1 << 64) - 1
 
 
 class SingularMatrixError(ArithmeticError):
-    """A factorization or solve required an invertible matrix."""
+    """An operation required an invertible matrix."""
 
 
 def kind_of(a: np.ndarray) -> str:
@@ -36,7 +41,7 @@ def as_square(a, kind: str | None = None) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     dtype = np.complex128 if np.iscomplexobj(m) else np.float64
-    m = m.astype(dtype)
+    m = m.astype(dtype, copy=False)  # np.array above already copied
     if kind is not None and kind_of(m) != kind:
         raise ValueError(f"expected a matrix of kind {kind}, got {kind_of(m)}")
     return m
@@ -52,38 +57,6 @@ def zeros(n: int, kind: str = "R") -> np.ndarray:
 
 def frobenius(a) -> float:
     return float(np.linalg.norm(a))
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product; dimensions and scalar kinds must agree."""
-    a = as_square(a)
-    b = as_square(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    if kind_of(a) != kind_of(b):
-        raise ValueError(f"kind mismatch: {kind_of(a)} vs {kind_of(b)}")
-    return a @ b
-
-
-def add_scaled(a, b, alpha) -> np.ndarray:
-    """a + alpha*b; promotes to complex when alpha or b is complex."""
-    a = as_square(a)
-    b = as_square(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a + alpha * b
-
-
-def transpose(a) -> np.ndarray:
-    return as_square(a).T.copy()
-
-
-def conjugate(a) -> np.ndarray:
-    return np.conj(as_square(a))
-
-
-def conj_transpose(a) -> np.ndarray:
-    return as_square(a).conj().T.copy()
 
 
 def phase_angle(p, q) -> float:
@@ -119,14 +92,6 @@ class LogDet:
         p /= abs(p)
         return LogDet(self.log_magnitude + other.log_magnitude, p)
 
-    def __pow__(self, k: int) -> "LogDet":
-        if k < 0:
-            raise ValueError("negative powers not supported")
-        out = LogDet(0.0, 1 + 0j)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def conjugated(self) -> "LogDet":
         return LogDet(self.log_magnitude, self.phase.conjugate())
 
@@ -148,101 +113,17 @@ class LogDet:
         return abs(math.exp(dl) * self.phase * other.phase.conjugate() - 1.0)
 
 
-@dataclass(frozen=True)
-class LuFactorization:
-    """Packed LU with partial pivoting: a[perm] == lower @ upper.
-
-    ``packed`` holds the strict unit-lower multipliers below the diagonal and
-    the upper factor on and above it.  ``swap_count`` tracks the parity of the
-    row permutation.  A factorization of a singular matrix is kept (with zero
-    pivots left in place) and flagged rather than raising, so determinants of
-    singular inputs come out as log-magnitude -inf.
-    """
-
-    packed: np.ndarray
-    perm: np.ndarray
-    swap_count: int
-    singular: bool
-
-    @property
-    def lower(self) -> np.ndarray:
-        n = self.packed.shape[0]
-        return np.tril(self.packed, -1) + identity(n, kind_of(self.packed))
-
-    @property
-    def upper(self) -> np.ndarray:
-        return np.triu(self.packed)
-
-    def log_det(self) -> LogDet:
-        d = np.diagonal(self.packed)
-        mags = np.abs(d)
-        if np.any(mags == 0.0):
-            return LogDet(-math.inf, 1 + 0j)
-        lm = float(np.sum(np.log(mags)))
-        p = complex(-1.0 if self.swap_count % 2 else 1.0)
-        for u, m in zip(d, mags):
-            p *= complex(u) / float(m)
-            p /= abs(p)
-        return LogDet(lm, p)
-
-
-def lu_decompose(a) -> LuFactorization:
-    """LU with partial pivoting by largest modulus, ties to the lowest row.
-
-    Reconstruction satisfies ||a[perm] - lower @ upper||_F <= 8 n eps ||a||_F
-    (the constant 8n is what the test suite enforces).  Singular inputs are
-    allowed: an exactly-zero pivot column marks the factorization singular and
-    elimination continues on later columns.
-    """
-    m = as_square(a)
-    n = m.shape[0]
-    perm = np.arange(n)
-    swaps = 0
-    singular = False
-    for k in range(n):
-        col = np.abs(m[k:, k])
-        p = k + int(np.argmax(col))  # argmax takes the first of tied maxima
-        if col[p - k] == 0.0:
-            singular = True
-            continue
-        if p != k:
-            m[[k, p]] = m[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-            swaps += 1
-        m[k + 1:, k] /= m[k, k]
-        m[k + 1:, k + 1:] -= np.outer(m[k + 1:, k], m[k, k + 1:])
-    return LuFactorization(packed=m, perm=perm, swap_count=swaps, singular=singular)
-
-
-def solve(fac: LuFactorization, rhs) -> np.ndarray:
-    """Solve A @ X = RHS from an LU factorization of A (square RHS).
-
-    The residual satisfies ||A X - RHS||_F <= 8 n eps ||A||_F ||X||_F.
-    """
-    if fac.singular:
-        raise SingularMatrixError("cannot solve with a singular factorization")
-    b = as_square(rhs)
-    n = fac.packed.shape[0]
-    if b.shape[0] != n:
-        raise ValueError(f"dimension mismatch: {n} vs {b.shape[0]}")
-    lu = fac.packed
-    x = b[fac.perm].astype(np.result_type(lu, b))
-    for i in range(1, n):
-        x[i] -= lu[i, :i] @ x[:i]
-    for i in range(n - 1, -1, -1):
-        x[i] -= lu[i, i + 1:] @ x[i + 1:]
-        x[i] /= lu[i, i]
-    return x
-
-
-def inverse(a) -> np.ndarray:
-    m = as_square(a)
-    return solve(lu_decompose(m), identity(m.shape[0], kind_of(m)))
-
-
 def log_det(a) -> LogDet:
-    """Determinant in log-scaled form via LU with partial pivoting."""
-    return lu_decompose(a).log_det()
+    """Determinant in log-scaled form via LAPACK's LU (numpy.linalg.slogdet).
+
+    A singular input gives (-inf, 1); the phase is renormalized onto the unit
+    circle.
+    """
+    sign, logabs = np.linalg.slogdet(as_square(a))
+    if sign == 0:
+        return LogDet(-math.inf, 1 + 0j)
+    p = complex(sign)
+    return LogDet(float(logabs), p / abs(p))
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:

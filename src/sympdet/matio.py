@@ -2,8 +2,9 @@
 
 Format: a header line ``"n kind"`` with kind R or C, then n rows of n
 whitespace-separated entries.  Real entries are decimal floats; complex
-entries are ``re,im`` pairs.  Floats are written with repr (shortest
-round-trip form), so write -> read is exact and locale-independent.
+entries are ``re,im`` pairs; nan and inf are rejected.  Floats are written
+with repr (shortest round-trip form), so write -> read is exact and
+locale-independent.
 """
 
 from __future__ import annotations
@@ -65,6 +66,11 @@ def parse_matrix(text: str) -> np.ndarray:
                     out[r, c] = complex(float(re), float(im))
             except ValueError:
                 raise ValueError(f"line {lineno}: bad {kind}-kind entry {tok!r}") from None
+    bad = np.argwhere(~np.isfinite(out))
+    if bad.size:
+        r, c = bad[0]
+        lineno, ln = rows[r]
+        raise ValueError(f"line {lineno}: non-finite entry {ln.split()[c]!r}")
     return out
 
 

@@ -13,17 +13,18 @@ import math
 import time
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from ._version import __version__
 from .generators import GeneratorConfig, elementary_factor, embed_orthogonal_pair, generate
 from .linalg import (
-    log_det,
-    lu_decompose,
+    LogDet,
     frobenius,
     identity,
+    log_det,
     phase_angle,
     random_gaussian,
     rng_from_seed,
-    solve,
     split_seed,
     zeros,
 )
@@ -43,6 +44,7 @@ from .symplectic import (
     conj_symplectic_det,
     conj_symplectic_residual,
     membership_residual,
+    sign_slacks,
     symplectic_form,
     unitary_split_det,
 )
@@ -171,15 +173,6 @@ def _passes(residuals: dict, bounds: dict) -> bool:
     return all(v <= bounds[k] for k, v in residuals.items())
 
 
-def _sign_slacks(dd, tol: ToleranceConfig) -> tuple[float, float]:
-    """(imag, -real) violations of det >= 0, with the absolute floor applied."""
-    if dd.log_magnitude == -math.inf:
-        return 0.0, 0.0
-    allowance = tol.nonneg_abs * math.exp(min(-dd.log_magnitude, 700.0))
-    return (max(0.0, abs(dd.phase.imag) - allowance),
-            max(0.0, -dd.phase.real - allowance))
-
-
 def _trial_form_identities(n: int, seed: int, tol: ToleranceConfig) -> dict:
     j = symplectic_form(n)
     eye = identity(2 * n)
@@ -222,14 +215,13 @@ def _lemma_inputs(n: int, seed: int):
 def _trial_lemma(n: int, seed: int, tol: ToleranceConfig) -> dict:
     c, d, _ = _lemma_inputs(n, seed)
     dd = conj_block_det(c, d)
-    im_slack, re_slack = _sign_slacks(dd, tol)
+    im_slack, re_slack = sign_slacks(dd, tol)
     residuals = {"imagSlack": im_slack, "realSlack": re_slack}
 
-    fac = lu_decompose(c)
-    well_conditioned = False
-    if not fac.singular:
-        cond = frobenius(c) * frobenius(solve(fac, identity(n, "C")))
-        well_conditioned = cond <= tol.condition_gate
+    try:
+        well_conditioned = frobenius(c) * frobenius(np.linalg.inv(c)) <= tol.condition_gate
+    except np.linalg.LinAlgError:
+        well_conditioned = False
     if well_conditioned:
         probe = conj_block_reduction(c, d, tol)
         residuals.update(probe.residuals)
@@ -241,7 +233,7 @@ def _trial_ineq_real(n: int, seed: int, tol: ToleranceConfig) -> dict:
     c = random_gaussian(rng, n, "R")
     d = random_gaussian(rng, n, "R")
     dd = log_det(embed_orthogonal_pair(c, d))
-    im_slack, re_slack = _sign_slacks(dd, tol)
+    im_slack, re_slack = sign_slacks(dd, tol)
     d_plus, d_minus = unitary_split_det(BlockPair(c, d, GroupKind.REAL_SYMPLECTIC))
     return {
         "imagSlack": im_slack,
@@ -251,18 +243,37 @@ def _trial_ineq_real(n: int, seed: int, tol: ToleranceConfig) -> dict:
     }
 
 
+def _conj_oracle_residuals(a) -> tuple[dict, LogDet]:
+    oracle = log_det(a)
+    return {"membership": conj_symplectic_residual(a) / frobenius(a) ** 2,
+            "detModulusOne": abs(math.expm1(oracle.log_magnitude))}, oracle
+
+
+def conj_formula_check(a, tol: ToleranceConfig = DEFAULT_TOLERANCES
+                       ) -> tuple[TrialResult, complex, complex]:
+    """The conj-formula suite's check on one matrix.
+
+    Returns the result (residuals membership, detModulusOne and
+    phaseAgreement, judged against the suite's bounds), the subblock formula
+    phase, and the log_det phase it was compared with.  Raises
+    MembershipError or FormulaInconclusiveError from conj_symplectic_det.
+    """
+    residuals, oracle = _conj_oracle_residuals(a)
+    formula_phase = conj_symplectic_det(a, tol)
+    residuals["phaseAgreement"] = phase_angle(formula_phase, oracle.phase)
+    passed = _passes(residuals, _bounds("conj-formula", tol))
+    return TrialResult(residuals, passed), formula_phase, oracle.phase
+
+
 def _trial_conj_formula(n: int, seed: int, tol: ToleranceConfig) -> dict:
     cfg = GeneratorConfig(half_dim=n, target=GroupKind.CONJUGATE_SYMPLECTIC, seed=seed)
     a = generate(cfg, tol=tol)
-    residuals = {"membership": conj_symplectic_residual(a) / frobenius(a) ** 2}
-    oracle = log_det(a)
-    residuals["detModulusOne"] = abs(math.expm1(oracle.log_magnitude))
     try:
-        formula_phase = conj_symplectic_det(a, tol)
-        residuals["phaseAgreement"] = phase_angle(formula_phase, oracle.phase)
+        return conj_formula_check(a, tol)[0].residuals
     except (MembershipError, FormulaInconclusiveError):
+        residuals, _ = _conj_oracle_residuals(a)
         residuals["phaseAgreement"] = math.inf
-    return residuals
+        return residuals
 
 
 def _trial_generator_sanity(n: int, seed: int, tol: ToleranceConfig) -> dict:

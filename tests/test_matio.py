@@ -60,3 +60,10 @@ def test_entry_errors():
         parse_matrix("1 R\n1.0,2.0\n")
     with pytest.raises(ValueError, match="line 3: bad C-kind"):
         parse_matrix("2 C\n1,0 0,0\n0,0 nope\n")
+
+
+@pytest.mark.parametrize("text", ["2 R\n1.0 0.0\n\n0.0 nan\n", "2 C\n1,0 0,0\n\n0,0 1,-inf\n"],
+                         ids=["R-nan", "C-inf"])
+def test_non_finite_entries_rejected(text):
+    with pytest.raises(ValueError, match="line 4: non-finite entry"):
+        parse_matrix(text)

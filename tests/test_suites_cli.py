@@ -170,6 +170,16 @@ def test_cli_bad_dim_spec():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["suite", "lemma", "--trials", "0"],
+                                  ["suite", "lemma", "--tol", "-0.001"],
+                                  ["certify", "m.txt", "--tol", "nan"]])
+def test_cli_bad_trials_and_tol_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
 def test_cli_certify_form(tmp_path, capsys):
     path = _write(tmp_path, "j.txt", sd.symplectic_form(2))
     rc = main(["certify", path, "--mode", "real"])
@@ -219,6 +229,14 @@ def test_cli_certify_parse_failure(tmp_path, capsys):
     rc = main(["certify", str(p)])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_certify_non_finite_entry(tmp_path, capsys):
+    p = tmp_path / "nan.txt"
+    p.write_text("2 R\n0.0 1.0\n-1.0 nan\n")
+    rc = main(["certify", str(p)])
+    assert rc == 1
+    assert "line 3: non-finite entry" in capsys.readouterr().err
 
 
 def test_cli_certify_missing_file(capsys):

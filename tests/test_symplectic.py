@@ -11,7 +11,6 @@ from sympdet.generators import GeneratorConfig, generate
 from sympdet.linalg import (
     frobenius,
     identity,
-    inverse,
     log_det,
     random_gaussian,
     rng_from_seed,
@@ -355,12 +354,22 @@ def test_certificate_rejects_non_members_and_bad_kinds():
         certify_symplectic(identity(4), GroupKind.CONJUGATE_SYMPLECTIC)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in A^T J A
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_certificate_rejects_non_finite_input(bad):
+    for group, kind in ((GroupKind.REAL_SYMPLECTIC, "R"), (GroupKind.COMPLEX_SYMPLECTIC, "C")):
+        a = symplectic_form(2, kind)
+        a[0, 1] = bad
+        with pytest.raises(MembershipError):
+            certify_symplectic(a, group)
+
+
 def test_membership_closure_products_and_inverses():
     # members at residual <= 1e-12 stay members at <= 1e-9 under * and ^-1
     tol = ToleranceConfig(product_residual=1e-12)
     a = generate(GeneratorConfig(half_dim=4, seed=79, num_factors=3), tol=tol)
     b = generate(GeneratorConfig(half_dim=4, seed=83, num_factors=3), tol=tol)
-    for m in (a @ b, inverse(a)):
+    for m in (a @ b, np.linalg.inv(a)):
         assert symplectic_residual(m) <= 1e-9 * frobenius(m) ** 2
 
 
@@ -400,6 +409,15 @@ def test_conj_det_matches_lu_oracle():
 def test_conj_det_rejects_non_members():
     with pytest.raises(MembershipError):
         conj_symplectic_det(np.diag([2.0 + 0j, 2.0]))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in A^T J A
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_conj_det_rejects_non_finite_input(bad):
+    a = symplectic_form(2, "C")
+    a[3, 0] = bad
+    with pytest.raises(MembershipError):
+        conj_symplectic_det(a)
 
 
 def test_conj_det_inconclusive_guard_is_distinct():
