@@ -17,18 +17,20 @@ for n in range(1, 5):
           f"   ||J^T + J|| = {sd.frobenius(j.T + j)}"
           f"   det(J) = {sd.log_det(j).value.real}")
 
-# membership is a scaled residual test: ||A^T J A - J||_F / ||J||_F against
-# tol * ||A||_F^2
+# membership is one scaled residual, ||A^T J A - J||_F / (||J||_F ||A||_F^2),
+# compared against a ToleranceConfig bound
+real = sd.GroupKind.REAL_SYMPLECTIC
+tol = sd.DEFAULT_TOLERANCES.membership
 j = sd.symplectic_form(2)
-print("\nresidual(J)       =", sd.symplectic_residual(j))
-print("residual(diag(2)) =", sd.symplectic_residual(np.diag([2.0, 2.0, 2.0, 2.0])))
+print("\nresidual(J)       =", sd.membership_residual(j, real))
+print("residual(diag(2)) =", sd.membership_residual(np.diag([2.0, 2.0, 2.0, 2.0]), real))
 
 a = sd.generate(sd.GeneratorConfig(half_dim=2, seed=5))
-print("residual(generated member) =", sd.symplectic_residual(a))
-print("passes:", sd.passes_membership(a, sd.GroupKind.REAL_SYMPLECTIC))
+print("residual(generated member) =", sd.membership_residual(a, real))
+print("passes:", sd.membership_residual(a, real) <= tol)
 
 # perturb one entry: the residual jumps by ~the perturbation size
 b = a.copy()
 b[0, 0] += 1e-4
-print("residual(perturbed)        =", sd.symplectic_residual(b))
-print("passes:", sd.passes_membership(b, sd.GroupKind.REAL_SYMPLECTIC))
+print("residual(perturbed)        =", sd.membership_residual(b, real))
+print("passes:", sd.membership_residual(b, real) <= tol)

@@ -24,8 +24,9 @@ worst_sign, worst_split = 0.0, 0.0
 for _ in range(200):
     c = random_gaussian(rng, 4)
     d = random_gaussian(rng, 4)
-    dd = sd.log_det(sd.embed_orthogonal_pair(c, d))
-    d_plus, _ = sd.unitary_split_det(sd.BlockPair(c, d, sd.GroupKind.REAL_SYMPLECTIC))
+    pair = sd.BlockPair(c, d, sd.GroupKind.REAL_SYMPLECTIC)
+    dd = sd.log_det(sd.embed_pair(pair))
+    d_plus, _ = sd.unitary_split_det(pair)
     worst_sign = max(worst_sign, -dd.phase.real)
     worst_split = max(worst_split, dd.rel_diff(d_plus.abs_squared()))
 print(f"real pairs (200 draws):  worst -Re(phase) = {worst_sign:.3e}, "

@@ -37,7 +37,6 @@ from .linalg import (
 from .matio import format_matrix, parse_matrix, read_matrix, write_matrix
 from .symplectic import (
     BlockPair,
-    BlockQuad,
     Certificate,
     DEFAULT_TOLERANCES,
     FormulaInconclusiveError,
@@ -46,23 +45,18 @@ from .symplectic import (
     MembershipError,
     ReductionProbe,
     ToleranceConfig,
-    assemble_blocks,
     block_pair,
     certify_symplectic,
     conj_block_det,
     conj_block_reduction,
     conj_symplectic_det,
-    conj_symplectic_residual,
     embed_pair,
     half_dim,
     j_conjugate,
     membership_residual,
     nonneg_slack,
-    passes_membership,
     sign_slacks,
-    split_blocks,
     symplectic_form,
-    symplectic_residual,
     unitary_split_det,
 )
 from .generators import (
@@ -71,7 +65,6 @@ from .generators import (
     GeneratorConfig,
     diag_block,
     elementary_factor,
-    embed_orthogonal_pair,
     generate,
     phase_factor,
     shear_lower,
@@ -90,16 +83,16 @@ __all__ = [
     # matio
     "format_matrix", "parse_matrix", "read_matrix", "write_matrix",
     # symplectic
-    "BlockPair", "BlockQuad", "Certificate", "DEFAULT_TOLERANCES",
+    "BlockPair", "Certificate", "DEFAULT_TOLERANCES",
     "FormulaInconclusiveError", "GroupKind", "IdentityCheck", "MembershipError",
-    "ReductionProbe", "ToleranceConfig", "assemble_blocks", "block_pair",
+    "ReductionProbe", "ToleranceConfig", "block_pair",
     "certify_symplectic", "conj_block_det", "conj_block_reduction",
-    "conj_symplectic_det", "conj_symplectic_residual", "embed_pair", "half_dim",
-    "j_conjugate", "membership_residual", "nonneg_slack", "passes_membership",
-    "sign_slacks", "split_blocks", "symplectic_form", "symplectic_residual", "unitary_split_det",
+    "conj_symplectic_det", "embed_pair", "half_dim",
+    "j_conjugate", "membership_residual", "nonneg_slack",
+    "sign_slacks", "symplectic_form", "unitary_split_det",
     # generators
     "FACTOR_KINDS", "GenerationError", "GeneratorConfig", "diag_block",
-    "elementary_factor", "embed_orthogonal_pair", "generate", "phase_factor",
+    "elementary_factor", "generate", "phase_factor",
     "shear_lower", "shear_upper",
     # report + suites
     "Report", "emit_report", "render_json", "render_text",

@@ -5,8 +5,10 @@ Subcommands:
   certify  certify a matrix file as (conjugate) symplectic with determinant detail
   formula  evaluate the subblock determinant-phase formula for a matrix file
 
-Exit status is 0 only when every requested check passed; 1 on failed checks,
-non-membership, or unreadable input; 2 on usage errors.
+certify and formula share one path; formula is the conjugate mode reported
+under the suite name "formula".  Exit status is 0 only when every requested
+check passed; 1 on failed checks, non-membership, or unreadable input; 2 on
+usage errors.
 """
 
 from __future__ import annotations
@@ -27,13 +29,6 @@ from .symplectic import (
     MembershipError,
     certify_symplectic,
 )
-
-_MODES = {
-    "real": GroupKind.REAL_SYMPLECTIC,
-    "complex": GroupKind.COMPLEX_SYMPLECTIC,
-    "conjugate": GroupKind.CONJUGATE_SYMPLECTIC,
-}
-
 
 def _parse_half_dims(text: str) -> tuple[int, ...]:
     """Accept "8", "1:8", or "1,2,4,8,10" as half-dimension selections."""
@@ -98,13 +93,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cert = sub.add_parser("certify", help="certify a matrix file")
     p_cert.add_argument("path", help="matrix file ('n kind' header, then rows)")
-    p_cert.add_argument("--mode", choices=tuple(_MODES), default="real",
+    p_cert.add_argument("--mode", choices=tuple(g.value for g in GroupKind), default="real",
                         help="group to certify against (default real)")
     common(p_cert)
 
     p_formula = sub.add_parser("formula",
                                help="determinant phase of a conjugate symplectic matrix file")
     p_formula.add_argument("path", help="matrix file ('n kind' header, then rows)")
+    p_formula.set_defaults(mode=GroupKind.CONJUGATE_SYMPLECTIC.value)
     common(p_formula)
     return parser
 
@@ -121,12 +117,10 @@ def _emit(reports, args, human: str | None) -> None:
         stream = sys.stderr if (args.format == "json" and args.out is None) else sys.stdout
         print(human, file=stream)
     text = emit_report(reports, args.format, args.out)
-    if args.out is None and args.format == "json":
-        print(text, end="")
-    elif args.out is None and human is None:
-        print(text, end="")
-    elif args.out is not None:
+    if args.out is not None:
         print(f"wrote {args.out}")
+    elif args.format == "json" or human is None:
+        print(text, end="")
 
 
 def _cmd_suite(args) -> int:
@@ -137,33 +131,28 @@ def _cmd_suite(args) -> int:
         spec = default_suite_spec(sid, seed=args.seed, trials=args.trials,
                                   half_dims=args.n, tolerances=tol)
         reports.append(run_suite(spec))
-    payload = reports[0] if len(reports) == 1 else reports
-    if args.format == "text" and args.out is None:
-        print(emit_report(payload, "text"), end="")
-    else:
-        _emit(payload, args, human=None)
-        if args.out is not None:
-            for r in reports:
-                print(f"{r.suite}: {r.passes}/{r.trials} passed")
+    _emit(reports[0] if len(reports) == 1 else reports, args, human=None)
+    if args.out is not None:
+        for r in reports:
+            print(f"{r.suite}: {r.passes}/{r.trials} passed")
     return 0 if all(r.all_passed for r in reports) else 1
 
 
-def _certificate_lines(cert) -> str:
-    lines = [f"certificate: {cert.group.value} symplectic"]
-    for chk in cert.narrative:
-        mark = "pass" if chk.passed else "FAIL"
-        lines.append(f"  [{mark}] {chk.label}")
-        lines.append(f"         lhs={chk.lhs}  rhs={chk.rhs}  residual={chk.residual:.3e}")
-    lines.append(f"verdict: {cert.verdict}")
-    return "\n".join(lines)
-
-
-def _conj_report_body(a, tol):
-    """(residuals, passed, human text) for the conjugate phase formula on
-    matrix a; raises as conj_formula_check does."""
+def _run_check(a, mode: GroupKind, tol) -> tuple[dict, bool, str]:
+    """(residuals, passed, human text) of the certificate, or for the
+    conjugate group of the phase formula; raises as those checks do."""
+    if mode is not GroupKind.CONJUGATE_SYMPLECTIC:
+        cert = certify_symplectic(a, mode, tol)
+        lines = [f"certificate: {cert.group.value} symplectic"]
+        for chk in cert.narrative:
+            mark = "pass" if chk.passed else "FAIL"
+            lines.append(f"  [{mark}] {chk.label}")
+            lines.append(f"         lhs={chk.lhs}  rhs={chk.rhs}  residual={chk.residual:.3e}")
+        lines.append(f"verdict: {cert.verdict}")
+        return cert.residuals, cert.verdict == "pass", "\n".join(lines)
     result, formula_phase, oracle_phase = conj_formula_check(a, tol)
     residuals = result.residuals
-    human = "\n".join([
+    return residuals, result.passed, "\n".join([
         "conjugate symplectic determinant phase",
         f"  subblock formula: {formula_phase.real:.12f}{formula_phase.imag:+.12f}j",
         f"  lu oracle:        {oracle_phase.real:.12f}{oracle_phase.imag:+.12f}j",
@@ -171,18 +160,11 @@ def _conj_report_body(a, tol):
         f"  | |det| - 1 |:    {residuals['detModulusOne']:.3e}",
         f"verdict: {'pass' if result.passed else 'fail'}",
     ])
-    return residuals, result.passed, human
 
 
-def _single_report(suite: str, config: dict, residuals: dict, passed: bool,
-                   half_dim: int, elapsed: float) -> Report:
-    failures = [] if passed else [{"seed": 0, "halfDim": half_dim, "residuals": residuals}]
-    return Report(tool=f"sympdet {__version__}", suite=suite, config=config,
-                  trials=1, passes=int(passed), failures=failures,
-                  worst_residuals=residuals, elapsed_seconds=elapsed)
-
-
-def _cmd_certify(args) -> int:
+def _cmd_check(args) -> int:
+    """certify and formula: read the matrix file, run the check for
+    args.mode, map errors to messages, and report."""
     tol = _tolerances(args)
     t0 = time.perf_counter()
     try:
@@ -190,16 +172,8 @@ def _cmd_certify(args) -> int:
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    mode = _MODES[args.mode]
-    config = {"path": args.path, "mode": args.mode, "tolerances": asdict(tol)}
     try:
-        if mode is GroupKind.CONJUGATE_SYMPLECTIC:
-            residuals, passed, human = _conj_report_body(a, tol)
-        else:
-            cert = certify_symplectic(a, mode, tol)
-            residuals = cert.residuals
-            passed = cert.verdict == "pass"
-            human = _certificate_lines(cert)
+        residuals, passed, human = _run_check(a, GroupKind(args.mode), tol)
     except MembershipError as e:
         print(f"rejected: {e}", file=sys.stderr)
         return 1
@@ -209,42 +183,22 @@ def _cmd_certify(args) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    report = _single_report(f"certify-{args.mode}", config, residuals, passed,
-                            a.shape[0] // 2, time.perf_counter() - t0)
-    _emit(report, args, human)
-    return 0 if passed else 1
-
-
-def _cmd_formula(args) -> int:
-    tol = _tolerances(args)
-    t0 = time.perf_counter()
-    try:
-        a = read_matrix(args.path)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    try:
-        residuals, passed, human = _conj_report_body(a, tol)
-    except MembershipError as e:
-        print(f"rejected: {e}", file=sys.stderr)
-        return 1
-    except (FormulaInconclusiveError, ValueError) as e:
-        print(f"inconclusive: {e}", file=sys.stderr)
-        return 1
-    config = {"path": args.path, "tolerances": asdict(tol)}
-    report = _single_report("formula", config, residuals, passed,
-                            a.shape[0] // 2, time.perf_counter() - t0)
-    _emit(report, args, human)
+    if args.command == "certify":
+        suite = f"certify-{args.mode}"
+        config = {"path": args.path, "mode": args.mode, "tolerances": asdict(tol)}
+    else:
+        suite = "formula"
+        config = {"path": args.path, "tolerances": asdict(tol)}
+    failures = [] if passed else [{"seed": 0, "halfDim": a.shape[0] // 2, "residuals": residuals}]
+    _emit(Report(tool=f"sympdet {__version__}", suite=suite, config=config, trials=1,
+                 passes=int(passed), failures=failures, worst_residuals=residuals,
+                 elapsed_seconds=time.perf_counter() - t0), args, human)
     return 0 if passed else 1
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "suite":
-        return _cmd_suite(args)
-    if args.command == "certify":
-        return _cmd_certify(args)
-    return _cmd_formula(args)
+    return _cmd_suite(args) if args.command == "suite" else _cmd_check(args)
 
 
 if __name__ == "__main__":

@@ -151,8 +151,8 @@ def generate(config: GeneratorConfig, rng: np.random.Generator | None = None,
 
     Factor kinds are drawn uniformly (phases only for the conjugate group);
     ``factors`` forces an explicit sequence of kind names instead.  The result
-    is checked against the group residual at tol.product_residual * ||A||_F^2
-    and regeneration is attempted a bounded number of times before failing.
+    is checked against the group residual at tol.product_residual and
+    regeneration is attempted a bounded number of times before failing.
     Deterministic given (config, seed): the default rng derives from
     config.seed.
     """
@@ -172,18 +172,10 @@ def generate(config: GeneratorConfig, rng: np.random.Generator | None = None,
         a = identity(2 * config.half_dim, kind)
         for name in seq:
             a = a @ elementary_factor(name, config, rng)
-        if membership_residual(a, config.target) <= tol.product_residual * frobenius(a) ** 2:
+        if membership_residual(a, config.target) <= tol.product_residual:
             return a
         if factors is not None:
             break
     raise GenerationError(
         f"no {config.target.value} product within residual after {_MAX_ATTEMPTS} attempts")
 
-
-def embed_orthogonal_pair(c, d) -> np.ndarray:
-    """[[C, D], [-D, C]] for generic real C, D (no group membership implied)."""
-    c = as_square(c, kind="R")
-    d = as_square(d, kind="R")
-    if c.shape != d.shape:
-        raise ValueError(f"dimension mismatch: {c.shape[0]} vs {d.shape[0]}")
-    return np.block([[c, d], [-d, c]])

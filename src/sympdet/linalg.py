@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _SEED_MASK = (1 << 64) - 1
+_LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)  # exp() overflows above this
 
 
 class SingularMatrixError(ArithmeticError):
@@ -80,10 +81,15 @@ class LogDet:
 
     @property
     def value(self) -> complex:
-        """exp(log_magnitude) * phase; inf/0 when the magnitude is out of range."""
+        """exp(log_magnitude) * phase; 0j for a zero determinant.  Beyond float
+        range each nonzero part of the phase becomes +-inf and a zero part
+        stays 0 (never nan)."""
         if self.log_magnitude == -math.inf:
             return 0j
-        return self.phase * math.exp(min(self.log_magnitude, 709.78))
+        if self.log_magnitude > _LOG_FLOAT_MAX:
+            return complex(*(math.copysign(math.inf, x) if x else 0.0
+                             for x in (self.phase.real, self.phase.imag)))
+        return self.phase * math.exp(self.log_magnitude)
 
     def __mul__(self, other: "LogDet") -> "LogDet":
         if self.log_magnitude == -math.inf or other.log_magnitude == -math.inf:

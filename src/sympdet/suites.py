@@ -1,10 +1,12 @@
 """Property suites tying the structure checks together.
 
 Each suite maps a trial index to a deterministic child seed, runs one
-independent check, and aggregates pass counts, worst residuals, and
-reproducible failure records into a :class:`~sympdet.report.Report`.  Trials
-touch no shared state, so they can be executed in any order or in parallel;
-results are merged by trial index and do not depend on scheduling.
+independent check, judges its residuals with the bound table
+:data:`~sympdet.symplectic.RESIDUAL_BOUNDS`, and aggregates pass counts,
+worst residuals, and reproducible failure records into a
+:class:`~sympdet.report.Report`.  Trials touch no shared state, so they can be
+executed in any order or in parallel; results are merged by trial index and
+do not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._version import __version__
-from .generators import GeneratorConfig, elementary_factor, embed_orthogonal_pair, generate
+from .generators import GeneratorConfig, elementary_factor, generate
 from .linalg import (
     LogDet,
     frobenius,
@@ -42,11 +44,12 @@ from .symplectic import (
     conj_block_det,
     conj_block_reduction,
     conj_symplectic_det,
-    conj_symplectic_residual,
+    embed_pair,
     membership_residual,
     sign_slacks,
     symplectic_form,
     unitary_split_det,
+    within_bounds,
 )
 
 SUITE_IDS = (
@@ -119,60 +122,6 @@ class TrialResult:
     passed: bool
 
 
-def _bounds(suite_id: str, tol: ToleranceConfig) -> dict:
-    common_cert = {
-        "membership": tol.membership,
-        "detPhaseSign": tol.det_one,
-        "gramPositive": 0.0,
-        "gramReal": tol.phase,
-        "factorIdentity": tol.identity_rel,
-        "blockNonneg": tol.nonneg,
-        "splitIdentity": tol.identity_rel,
-        "splitConjugate": tol.identity_rel,
-        "detOne": tol.det_one,
-    }
-    return {
-        "form-identities": {
-            "formSquare": tol.exact_residual,
-            "formSkew": tol.exact_residual,
-            "formInverse": tol.exact_residual,
-            "detOne": tol.exact_residual,
-        },
-        "real-theorem": common_cert,
-        "complex-theorem": common_cert,
-        "lemma": {
-            "imagSlack": tol.nonneg,
-            "realSlack": tol.nonneg,
-            "solve": tol.identity_rel,
-            "reduction": tol.identity_rel,
-            "commuting": tol.identity_rel,
-            "eeNonneg": tol.nonneg,
-        },
-        "ineq-real": {
-            "imagSlack": tol.ineq_real,
-            "realSlack": tol.ineq_real,
-            "splitAgreement": tol.ineq_real,
-            "splitConjugate": tol.identity_rel,
-        },
-        "conj-formula": {
-            "membership": tol.membership,
-            "detModulusOne": tol.det_one,
-            "phaseAgreement": tol.phase,
-        },
-        "generator-sanity": {
-            "factorResidual": tol.factor_residual,
-            "productResidual": tol.product_residual,
-            "detOne": tol.det_one,
-            "detUnitModulus": tol.det_one,
-            "determinism": 0.0,
-        },
-    }[suite_id]
-
-
-def _passes(residuals: dict, bounds: dict) -> bool:
-    return all(v <= bounds[k] for k, v in residuals.items())
-
-
 def _trial_form_identities(n: int, seed: int, tol: ToleranceConfig) -> dict:
     j = symplectic_form(n)
     eye = identity(2 * n)
@@ -232,9 +181,10 @@ def _trial_ineq_real(n: int, seed: int, tol: ToleranceConfig) -> dict:
     rng = rng_from_seed(seed)
     c = random_gaussian(rng, n, "R")
     d = random_gaussian(rng, n, "R")
-    dd = log_det(embed_orthogonal_pair(c, d))
+    pair = BlockPair(c, d, GroupKind.REAL_SYMPLECTIC)
+    dd = log_det(embed_pair(pair))
     im_slack, re_slack = sign_slacks(dd, tol)
-    d_plus, d_minus = unitary_split_det(BlockPair(c, d, GroupKind.REAL_SYMPLECTIC))
+    d_plus, d_minus = unitary_split_det(pair)
     return {
         "imagSlack": im_slack,
         "realSlack": re_slack,
@@ -245,7 +195,7 @@ def _trial_ineq_real(n: int, seed: int, tol: ToleranceConfig) -> dict:
 
 def _conj_oracle_residuals(a) -> tuple[dict, LogDet]:
     oracle = log_det(a)
-    return {"membership": conj_symplectic_residual(a) / frobenius(a) ** 2,
+    return {"membership": membership_residual(a, GroupKind.CONJUGATE_SYMPLECTIC),
             "detModulusOne": abs(math.expm1(oracle.log_magnitude))}, oracle
 
 
@@ -254,14 +204,14 @@ def conj_formula_check(a, tol: ToleranceConfig = DEFAULT_TOLERANCES
     """The conj-formula suite's check on one matrix.
 
     Returns the result (residuals membership, detModulusOne and
-    phaseAgreement, judged against the suite's bounds), the subblock formula
-    phase, and the log_det phase it was compared with.  Raises
+    phaseAgreement, judged against ``RESIDUAL_BOUNDS["conj-formula"]``), the
+    subblock formula phase, and the log_det phase it was compared with.  Raises
     MembershipError or FormulaInconclusiveError from conj_symplectic_det.
     """
     residuals, oracle = _conj_oracle_residuals(a)
     formula_phase = conj_symplectic_det(a, tol)
     residuals["phaseAgreement"] = phase_angle(formula_phase, oracle.phase)
-    passed = _passes(residuals, _bounds("conj-formula", tol))
+    passed = within_bounds("conj-formula", residuals, tol)
     return TrialResult(residuals, passed), formula_phase, oracle.phase
 
 
@@ -288,13 +238,12 @@ def _trial_generator_sanity(n: int, seed: int, tol: ToleranceConfig) -> dict:
     worst_factor = 0.0
     for name in names:
         f = elementary_factor(name, cfg, rng)
-        worst_factor = max(worst_factor,
-                           membership_residual(f, target) / frobenius(f) ** 2)
+        worst_factor = max(worst_factor, membership_residual(f, target))
 
     a = generate(cfg, tol=tol)
     residuals = {
         "factorResidual": worst_factor,
-        "productResidual": membership_residual(a, target) / frobenius(a) ** 2,
+        "productResidual": membership_residual(a, target),
     }
     dd = log_det(a)
     if target is GroupKind.CONJUGATE_SYMPLECTIC:
@@ -304,6 +253,9 @@ def _trial_generator_sanity(n: int, seed: int, tol: ToleranceConfig) -> dict:
     residuals["determinism"] = 0.0 if format_matrix(generate(cfg, tol=tol)) == format_matrix(a) else 1.0
     return residuals
 
+
+# The RESIDUAL_BOUNDS family of each suite that is not its own.
+_BOUND_FAMILY = {"real-theorem": "certificate", "complex-theorem": "certificate"}
 
 _TRIALS = {
     "form-identities": _trial_form_identities,
@@ -323,7 +275,8 @@ def run_trial(suite_id: str, n_half: int, seed: int,
     if suite_id not in SUITE_IDS:
         raise ValueError(f"unknown suite {suite_id!r}; known: {', '.join(SUITE_IDS)}")
     residuals = _TRIALS[suite_id](n_half, seed, tol)
-    return TrialResult(residuals=residuals, passed=_passes(residuals, _bounds(suite_id, tol)))
+    family = _BOUND_FAMILY.get(suite_id, suite_id)
+    return TrialResult(residuals=residuals, passed=within_bounds(family, residuals, tol))
 
 
 def run_suite(spec: SuiteSpec) -> Report:

@@ -1,6 +1,6 @@
-"""Symplectic structure: the standard skew form, membership residuals, block
-machinery, determinant certificates, and the conjugate-symplectic determinant
-formula.
+"""Symplectic structure: the standard skew form, the membership residual, the
+residual bound table, block machinery, determinant certificates, and the
+conjugate-symplectic determinant formula.
 
 A 2N x 2N matrix A is symplectic when A^T J A = J for the standard form
 J = [[0, I], [-I, 0]], and conjugate symplectic when A^* J A = J.  Symplectic
@@ -59,12 +59,14 @@ class ToleranceConfig:
     """Residual and comparison thresholds shared by predicates, certificates,
     and suites.
 
-    ``membership`` is relative: the defect is compared against
-    membership * ||A||_F^2.  Nonnegativity slacks are relative to |det| with
-    an absolute floor ``nonneg_abs`` so exact zeros pass.
+    ``membership``, ``factor_residual`` and ``product_residual`` bound
+    :func:`membership_residual`, which is already scaled by ||A||_F^2.
+    Nonnegativity slacks are relative to |det| with an absolute floor
+    ``nonneg_abs`` so exact zeros pass.  :data:`RESIDUAL_BOUNDS` says which
+    field bounds each reported residual.
     """
 
-    membership: float = 1e-8        # residual bound, scaled by ||A||_F^2
+    membership: float = 1e-8        # membership_residual bound for checked input
     identity_rel: float = 1e-9      # relative bound on determinant identities
     phase: float = 1e-8             # angular bound for unit-circle comparisons
     det_one: float = 1e-8           # |det(A) - 1| bound for certified matrices
@@ -81,6 +83,64 @@ class ToleranceConfig:
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()
+
+# Each check family's residual names, mapped to the ToleranceConfig field that
+# bounds them or to a fixed bound.  The real-theorem and complex-theorem
+# suites report certificate residuals.
+RESIDUAL_BOUNDS = {
+    "certificate": {
+        "membership": "membership",
+        "detPhaseSign": "det_one",
+        "gramPositive": 0.0,
+        "gramReal": "phase",
+        "factorIdentity": "identity_rel",
+        "blockNonneg": "nonneg",
+        "splitIdentity": "identity_rel",
+        "splitConjugate": "identity_rel",
+        "detOne": "det_one",
+    },
+    "form-identities": {
+        "formSquare": "exact_residual",
+        "formSkew": "exact_residual",
+        "formInverse": "exact_residual",
+        "detOne": "exact_residual",
+    },
+    "lemma": {
+        "imagSlack": "nonneg",
+        "realSlack": "nonneg",
+        "solve": "identity_rel",
+        "reduction": "identity_rel",
+        "commuting": "identity_rel",
+        "eeNonneg": "nonneg",
+    },
+    "ineq-real": {
+        "imagSlack": "ineq_real",
+        "realSlack": "ineq_real",
+        "splitAgreement": "ineq_real",
+        "splitConjugate": "identity_rel",
+    },
+    "conj-formula": {
+        "membership": "membership",
+        "detModulusOne": "det_one",
+        "phaseAgreement": "phase",
+    },
+    "generator-sanity": {
+        "factorResidual": "factor_residual",
+        "productResidual": "product_residual",
+        "detOne": "det_one",
+        "detUnitModulus": "det_one",
+        "determinism": 0.0,
+    },
+}
+
+
+def within_bounds(family: str, residuals: dict,
+                  tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
+    """True when each residual is <= its bound in RESIDUAL_BOUNDS[family]
+    (so a NaN residual never passes)."""
+    bounds = RESIDUAL_BOUNDS[family]
+    return all(v <= (getattr(tol, bounds[k]) if isinstance(bounds[k], str) else bounds[k])
+               for k, v in residuals.items())
 
 
 def half_dim(a: np.ndarray) -> int:
@@ -101,72 +161,34 @@ def symplectic_form(n_half: int, kind: str = "R") -> np.ndarray:
     return j
 
 
-def symplectic_residual(a) -> float:
-    """||A^T J A - J||_F / ||J||_F."""
-    a = as_square(a)
-    n = half_dim(a)
-    j = symplectic_form(n, kind_of(a))
-    return frobenius(a.T @ j @ a - j) / frobenius(j)
-
-
-def conj_symplectic_residual(a) -> float:
-    """||A^* J A - J||_F / ||J||_F."""
-    a = as_square(a)
-    n = half_dim(a)
-    j = symplectic_form(n, kind_of(a))
-    return frobenius(a.conj().T @ j @ a - j) / frobenius(j)
-
-
 def membership_residual(a, group: GroupKind) -> float:
-    a = as_square(a)
-    if group is GroupKind.REAL_SYMPLECTIC:
-        if kind_of(a) != "R":
-            raise ValueError("real symplectic membership needs a real matrix")
-        return symplectic_residual(a)
-    if group is GroupKind.COMPLEX_SYMPLECTIC:
-        return symplectic_residual(a)
-    return conj_symplectic_residual(a)
+    """Scaled membership defect ||A^# J A - J||_F / (||J||_F ||A||_F^2).
 
-
-def passes_membership(a, group: GroupKind, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-    """Residual-based group test at tol.membership * ||A||_F^2."""
+    A^# is A^T for the real and complex groups and A^* for the conjugate
+    group.  Gates compare the result against a ToleranceConfig field
+    (membership, factor_residual, product_residual).  An all-zero matrix
+    gives inf; a NaN or Inf entry gives nan, which fails every gate.
+    """
     a = as_square(a)
-    return membership_residual(a, group) <= tol.membership * frobenius(a) ** 2
+    if group is GroupKind.REAL_SYMPLECTIC and kind_of(a) != "R":
+        raise ValueError("real symplectic membership needs a real matrix")
+    j = symplectic_form(half_dim(a), kind_of(a))
+    adj = a.conj().T if group is GroupKind.CONJUGATE_SYMPLECTIC else a.T
+    scale = frobenius(a) ** 2
+    if scale == 0.0:
+        return math.inf
+    return frobenius(adj @ j @ a - j) / frobenius(j) / scale
 
 
 # ---------------------------------------------------------------------------
 # Block machinery
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BlockQuad:
-    """The four N x N subblocks of a 2N x 2N matrix."""
-
-    a11: np.ndarray
-    a12: np.ndarray
-    a21: np.ndarray
-    a22: np.ndarray
-
-
-def split_blocks(a) -> BlockQuad:
-    a = as_square(a)
-    n = half_dim(a)
-    return BlockQuad(
-        a11=a[:n, :n].copy(),
-        a12=a[:n, n:].copy(),
-        a21=a[n:, :n].copy(),
-        a22=a[n:, n:].copy(),
-    )
-
-
-def assemble_blocks(q: BlockQuad) -> np.ndarray:
-    return np.block([[q.a11, q.a12], [q.a21, q.a22]])
-
-
 def j_conjugate(a) -> np.ndarray:
     """J A J^{-1}, computed blockwise as [[A22, -A21], [-A12, A11]]."""
-    q = split_blocks(a)
-    return np.block([[q.a22, -q.a21], [-q.a12, q.a11]])
+    a = as_square(a)
+    n = half_dim(a)
+    return np.block([[a[n:, n:], -a[n:, :n]], [-a[:n, n:], a[:n, :n]]])
 
 
 @dataclass(frozen=True)
@@ -188,12 +210,13 @@ def block_pair(a, group: GroupKind) -> BlockPair:
     [[C, D], [-conj(D), conj(C)]]).
     """
     a = as_square(a)
-    q = split_blocks(a)
+    n = half_dim(a)
+    a11, a12, a21, a22 = a[:n, :n], a[:n, n:], a[n:, :n], a[n:, n:]
     if group is GroupKind.COMPLEX_SYMPLECTIC:
         if kind_of(a) != "C":
             raise ValueError("the conjugated block pair needs a complex matrix")
-        return BlockPair(c=q.a11 + q.a22.conj(), d=q.a12 - q.a21.conj(), group=group)
-    return BlockPair(c=q.a11 + q.a22, d=q.a12 - q.a21, group=group)
+        return BlockPair(c=a11 + a22.conj(), d=a12 - a21.conj(), group=group)
+    return BlockPair(c=a11 + a22, d=a12 - a21, group=group)
 
 
 def embed_pair(p: BlockPair) -> np.ndarray:
@@ -231,7 +254,7 @@ def conj_block_det(c, d) -> LogDet:
     d = as_square(d).astype(np.complex128)
     if c.shape != d.shape:
         raise ValueError(f"dimension mismatch: {c.shape[0]} vs {d.shape[0]}")
-    return log_det(np.block([[c, d], [-d.conj(), c.conj()]]))
+    return log_det(embed_pair(BlockPair(c, d, GroupKind.COMPLEX_SYMPLECTIC)))
 
 
 @dataclass(frozen=True)
@@ -276,8 +299,7 @@ def conj_block_reduction(c, d, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Red
                               pair_det=None, embed_det=None, singular_c=True)
     eye = identity(n, "C")
     pair = log_det(e.conj() @ e + eye)
-    embedded = np.block([[eye, e], [-e.conj(), eye]])
-    embed = log_det(embedded)
+    embed = log_det(embed_pair(BlockPair(eye, e, GroupKind.COMPLEX_SYMPLECTIC)))
     rhs = log_det(c) * log_det(c.conj()) * embed
     residuals = {
         "solve": frobenius(c @ e - d) / (frobenius(c) * frobenius(e) + frobenius(d) + 1e-300),
@@ -361,8 +383,10 @@ def certify_symplectic(a, group: GroupKind = GroupKind.REAL_SYMPLECTIC,
     recorded with its residual; the sign conclusion rests on the factorization
     identities, not on the positivity check alone.
 
-    Raises MembershipError if A fails the group residual test, ValueError if
-    the group/kind combination is invalid.
+    Each check passes when its residuals are within their bounds in
+    ``RESIDUAL_BOUNDS["certificate"]``; the verdict is "pass" when all are.
+    Raises MembershipError if A fails the group residual test (an all-zero A
+    included), ValueError if the group/kind combination is invalid.
     """
     a = as_square(a)
     if group is GroupKind.CONJUGATE_SYMPLECTIC:
@@ -372,8 +396,7 @@ def certify_symplectic(a, group: GroupKind = GroupKind.REAL_SYMPLECTIC,
     if kind_of(a) != want_kind:
         raise ValueError(f"{group.value} certification needs a {want_kind}-kind matrix")
 
-    scale = frobenius(a) ** 2
-    res_mem = symplectic_residual(a) / scale
+    res_mem = membership_residual(a, group)
     if not res_mem <= tol.membership:  # a NaN residual must not pass
         raise MembershipError(
             f"not symplectic: scaled residual {res_mem:.3e} exceeds {tol.membership:.3e}")
@@ -395,54 +418,33 @@ def certify_symplectic(a, group: GroupKind = GroupKind.REAL_SYMPLECTIC,
     checks: list[IdentityCheck] = []
     residuals: dict = {"membership": res_mem}
 
+    def check(label: str, lhs_text: str, rhs_text: str, **res: float) -> None:
+        """Record one identity; its first residual is the one shown."""
+        residuals.update(res)
+        checks.append(IdentityCheck(label, lhs_text, rhs_text, next(iter(res.values())),
+                                    within_bounds("certificate", res, tol)))
+
     val = det_a.value
-    res_sign = min(abs(val - 1.0), abs(val + 1.0))
-    residuals["detPhaseSign"] = res_sign
-    checks.append(IdentityCheck("det(A) is +-1", _fmt_logdet(det_a), "+-1",
-                                res_sign, res_sign <= tol.det_one))
-
-    res_pos = max(0.0, -lhs.log_magnitude)
-    res_real = abs(lhs.phase - 1.0)
-    residuals["gramPositive"] = res_pos
-    residuals["gramReal"] = res_real
-    checks.append(IdentityCheck(f"{gram_label} > 1", _fmt_logdet(lhs), "> 1",
-                                res_pos, res_pos == 0.0 and res_real <= tol.phase))
-
+    check("det(A) is +-1", _fmt_logdet(det_a), "+-1",
+          detPhaseSign=min(abs(val - 1.0), abs(val + 1.0)))
+    check(f"{gram_label} > 1", _fmt_logdet(lhs), "> 1",
+          gramPositive=max(0.0, -lhs.log_magnitude), gramReal=abs(lhs.phase - 1.0))
     factor_rhs = adj_det * aux
-    res_factor = lhs.rel_diff(factor_rhs)
-    residuals["factorIdentity"] = res_factor
-    checks.append(IdentityCheck(
-        f"{gram_label} = det(A^adj) * det(block pair embedding)",
-        _fmt_logdet(lhs), _fmt_logdet(factor_rhs),
-        res_factor, res_factor <= tol.identity_rel))
-
-    res_block = nonneg_slack(aux, tol)
-    residuals["blockNonneg"] = res_block
-    checks.append(IdentityCheck("block pair determinant >= 0", _fmt_logdet(aux),
-                                ">= 0", res_block, res_block <= tol.nonneg))
-
+    check(f"{gram_label} = det(A^adj) * det(block pair embedding)",
+          _fmt_logdet(lhs), _fmt_logdet(factor_rhs), factorIdentity=lhs.rel_diff(factor_rhs))
+    check("block pair determinant >= 0", _fmt_logdet(aux), ">= 0",
+          blockNonneg=nonneg_slack(aux, tol))
     if group is GroupKind.REAL_SYMPLECTIC:
         d_plus, d_minus = unitary_split_det(pair)
         split_rhs = det_a * d_plus.abs_squared()
-        res_split = lhs.rel_diff(split_rhs)
-        residuals["splitIdentity"] = res_split
-        checks.append(IdentityCheck(
-            "det(A^T A + I) = det(A) * |det(C + iD)|^2",
-            _fmt_logdet(lhs), _fmt_logdet(split_rhs),
-            res_split, res_split <= tol.identity_rel))
-        res_conj = d_minus.rel_diff(d_plus.conjugated())
-        residuals["splitConjugate"] = res_conj
-        checks.append(IdentityCheck(
-            "det(C - iD) = conj(det(C + iD))",
-            _fmt_logdet(d_minus), _fmt_logdet(d_plus.conjugated()),
-            res_conj, res_conj <= tol.identity_rel))
+        check("det(A^T A + I) = det(A) * |det(C + iD)|^2",
+              _fmt_logdet(lhs), _fmt_logdet(split_rhs), splitIdentity=lhs.rel_diff(split_rhs))
+        check("det(C - iD) = conj(det(C + iD))",
+              _fmt_logdet(d_minus), _fmt_logdet(d_plus.conjugated()),
+              splitConjugate=d_minus.rel_diff(d_plus.conjugated()))
+    check("det(A) = 1", _fmt_logdet(det_a), "1", detOne=abs(val - 1.0))
 
-    res_one = abs(val - 1.0)
-    residuals["detOne"] = res_one
-    checks.append(IdentityCheck("det(A) = 1", _fmt_logdet(det_a), "1",
-                                res_one, res_one <= tol.det_one))
-
-    verdict = "pass" if all(c.passed for c in checks) else "fail"
+    verdict = "pass" if within_bounds("certificate", residuals, tol) else "fail"
     return Certificate(group=group, det_a=det_a, lhs_det=lhs, auxiliary_det=aux,
                        residuals=residuals, verdict=verdict, narrative=tuple(checks))
 
@@ -462,8 +464,7 @@ def conj_symplectic_det(a, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> complex
     the configured floor.
     """
     a = as_square(a)
-    scale = frobenius(a) ** 2
-    res_mem = conj_symplectic_residual(a) / scale
+    res_mem = membership_residual(a, GroupKind.CONJUGATE_SYMPLECTIC)
     if not res_mem <= tol.membership:  # a NaN residual must not pass
         raise MembershipError(
             f"not conjugate symplectic: scaled residual {res_mem:.3e} "

@@ -11,7 +11,6 @@ from sympdet.generators import (
     GeneratorConfig,
     diag_block,
     elementary_factor,
-    embed_orthogonal_pair,
     generate,
     phase_factor,
     shear_lower,
@@ -19,7 +18,6 @@ from sympdet.generators import (
 )
 from sympdet.linalg import (
     SingularMatrixError,
-    frobenius,
     identity,
     log_det,
     random_gaussian,
@@ -29,20 +27,15 @@ from sympdet.linalg import (
 )
 from sympdet.matio import format_matrix
 from sympdet.symplectic import (
+    BlockPair,
     GroupKind,
+    embed_pair,
     membership_residual,
     symplectic_form,
-    symplectic_residual,
-    unitary_split_det,
-    BlockPair,
 )
 
-ALL_TARGETS = (GroupKind.REAL_SYMPLECTIC, GroupKind.COMPLEX_SYMPLECTIC,
-               GroupKind.CONJUGATE_SYMPLECTIC)
-
-
-def _scaled_residual(a, target):
-    return membership_residual(a, target) / frobenius(a) ** 2
+REAL = GroupKind.REAL_SYMPLECTIC
+ALL_TARGETS = (REAL, GroupKind.COMPLEX_SYMPLECTIC, GroupKind.CONJUGATE_SYMPLECTIC)
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +50,7 @@ def test_shear_of_zero_is_identity():
 def test_shear_scalar_hand_check():
     a = shear_lower(np.array([[3.0]]))
     assert_allclose(a, [[1.0, 0.0], [3.0, 1.0]])
-    assert symplectic_residual(a) == 0.0
+    assert membership_residual(a, REAL) == 0.0
     assert abs(log_det(a).value - 1.0) == 0.0
 
 
@@ -66,18 +59,18 @@ def test_shear_symmetrizes_input():
     s = random_gaussian(rng, 3)          # not symmetric
     a = shear_upper(s)
     assert_allclose(a[:3, 3:], (s + s.T) / 2)
-    assert symplectic_residual(a) <= 1e-12 * frobenius(a) ** 2
+    assert membership_residual(a, REAL) <= 1e-12
     h = random_gaussian(rng, 3, "C")     # Hermitian for the conjugate group
     b = shear_lower(h, GroupKind.CONJUGATE_SYMPLECTIC)
     assert_allclose(b[3:, :3], (h + h.conj().T) / 2)
-    assert _scaled_residual(b, GroupKind.CONJUGATE_SYMPLECTIC) <= 1e-12
+    assert membership_residual(b, GroupKind.CONJUGATE_SYMPLECTIC) <= 1e-12
 
 
 def test_diag_block_trivials():
     assert_allclose(diag_block(identity(3)), identity(6))
     a = diag_block(np.array([[2.0]]))
     assert_allclose(a, np.diag([2.0, 0.5]))
-    assert symplectic_residual(a) <= 1e-15
+    assert membership_residual(a, REAL) <= 1e-15
     assert abs(log_det(a).value - 1.0) <= 1e-15
 
 
@@ -85,7 +78,7 @@ def test_diag_block_conjugate_uses_conjugate_inverse():
     p = random_gaussian(rng_from_seed(5), 2, "C")
     a = diag_block(p, GroupKind.CONJUGATE_SYMPLECTIC)
     assert_allclose(a[2:, 2:] @ p.conj().T, identity(2, "C"), atol=1e-13)
-    assert _scaled_residual(a, GroupKind.CONJUGATE_SYMPLECTIC) <= 1e-12
+    assert membership_residual(a, GroupKind.CONJUGATE_SYMPLECTIC) <= 1e-12
 
 
 def test_diag_block_random_clamped_residual():
@@ -93,7 +86,7 @@ def test_diag_block_random_clamped_residual():
     cfg = GeneratorConfig(half_dim=5, seed=0)
     for _ in range(10):
         f = elementary_factor("diag_block", cfg, rng)
-        assert symplectic_residual(f) <= 1e-10 * frobenius(f) ** 2
+        assert membership_residual(f, REAL) <= 1e-10
 
 
 def test_diag_block_singular_raises():
@@ -127,13 +120,26 @@ def test_every_factor_passes_its_residual():
             names.append("phase")
         for name in names:
             f = elementary_factor(name, cfg, rng)
-            assert _scaled_residual(f, target) <= 1e-12, (target, name)
+            assert membership_residual(f, target) <= 1e-12, (target, name)
 
 
 def test_unknown_factor_name():
     cfg = GeneratorConfig(half_dim=2)
     with pytest.raises(ValueError, match="unknown factor"):
         elementary_factor("rotation", cfg, rng_from_seed(0))
+
+
+def test_embed_orthogonal_pair_trivials():
+    # [[C, D], [-D, C]]: the orthogonal-group layout of an unconjugated pair
+    assert_allclose(embed_pair(BlockPair(identity(2), zeros(2), REAL)), identity(4))
+    assert_allclose(embed_pair(BlockPair(zeros(2), identity(2), REAL)), symplectic_form(2))
+    c = random_gaussian(rng_from_seed(43), 2, "C")
+    d = random_gaussian(rng_from_seed(47), 2, "C")
+    m = embed_pair(BlockPair(c, d, GroupKind.CONJUGATE_SYMPLECTIC))
+    assert_allclose(m[2:, :2], -d)      # no conjugation outside the complex group
+    assert_allclose(m[2:, 2:], c)
+    with pytest.raises(ValueError, match="dimension"):
+        embed_pair(BlockPair(identity(2), zeros(3), REAL))
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +164,7 @@ def test_generate_forced_form_factor_is_the_form():
 
 def test_generate_real_default_bounds():
     a = generate(GeneratorConfig(half_dim=4, seed=13))
-    assert symplectic_residual(a) <= 1e-9 * frobenius(a) ** 2
+    assert membership_residual(a, REAL) <= 1e-9
     assert abs(log_det(a).value - 1.0) <= 1e-9
 
 
@@ -172,7 +178,7 @@ def test_generate_membership_across_targets(target):
     for t in range(6):
         cfg = GeneratorConfig(half_dim=3, target=target, seed=split_seed(19, t))
         a = generate(cfg)
-        assert _scaled_residual(a, target) <= 1e-9
+        assert membership_residual(a, target) <= 1e-9
 
 
 def test_generate_many_factors_large_dim():
@@ -180,7 +186,7 @@ def test_generate_many_factors_large_dim():
     for target in ALL_TARGETS:
         cfg = GeneratorConfig(half_dim=16, target=target, num_factors=40, seed=23)
         a = generate(cfg)
-        assert _scaled_residual(a, target) <= 1e-9
+        assert membership_residual(a, target) <= 1e-9
         dd = log_det(a)
         if target is GroupKind.CONJUGATE_SYMPLECTIC:
             assert abs(math.expm1(dd.log_magnitude)) <= 1e-8
@@ -211,7 +217,7 @@ def test_generate_conjugate_phases_cover_the_circle():
 
 def test_generate_huge_factor_scale_still_clamped():
     a = generate(GeneratorConfig(half_dim=4, seed=37, factor_scale=100.0))
-    assert symplectic_residual(a) <= 1e-9 * frobenius(a) ** 2
+    assert membership_residual(a, REAL) <= 1e-9
     assert abs(log_det(a).value - 1.0) <= 1e-8
 
 
@@ -220,25 +226,3 @@ def test_generate_forced_bad_sequence_fails_loudly():
     with pytest.raises(ValueError, match="conjugate"):
         generate(cfg, factors=["phase"])   # phase factor outside its group
 
-
-# ---------------------------------------------------------------------------
-# embed_orthogonal_pair
-# ---------------------------------------------------------------------------
-
-def test_embed_orthogonal_pair_trivials():
-    assert_allclose(embed_orthogonal_pair(identity(2), zeros(2)), identity(4))
-    assert_allclose(embed_orthogonal_pair(zeros(2), identity(2)), symplectic_form(2))
-    with pytest.raises(ValueError, match="kind"):
-        embed_orthogonal_pair(identity(2, "C"), zeros(2, "C"))
-    with pytest.raises(ValueError, match="dimension"):
-        embed_orthogonal_pair(identity(2), zeros(3))
-
-
-def test_embed_orthogonal_pair_det_nonnegative():
-    rng = rng_from_seed(41)
-    c = random_gaussian(rng, 3)
-    d = random_gaussian(rng, 3)
-    dd = log_det(embed_orthogonal_pair(c, d))
-    assert dd.phase.real >= -1e-10
-    dp, dm = unitary_split_det(BlockPair(c, d, GroupKind.REAL_SYMPLECTIC))
-    assert dd.rel_diff(dp.abs_squared()) <= 1e-10

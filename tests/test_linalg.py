@@ -182,7 +182,7 @@ def test_logdet_scaled_identity_power_overflows_safely():
         acc = acc * base
     assert_allclose(acc.log_magnitude, 4000 * math.log(2.0), rtol=1e-12)
     assert acc.phase == 1
-    assert math.exp(min(acc.log_magnitude, 709.78)) == pytest.approx(math.exp(709.78))
+    assert acc.value == complex(math.inf, 0.0)
 
 
 def test_logdet_phase_stays_unit_under_accumulation():
@@ -202,6 +202,21 @@ def test_logdet_value_and_rel_diff_edges():
     assert LogDet(1000.0, 1 + 0j).rel_diff(one) == math.inf
     assert one.rel_diff(LogDet(1000.0, 1 + 0j)) == pytest.approx(1.0)
     assert one.rel_diff(LogDet(0.0, -1 + 0j)) == pytest.approx(2.0)
+
+
+def test_logdet_value_beyond_float_range():
+    # det = 1e600 is past float range: inf, as the docstring says, not 1.8e308
+    assert log_det(np.diag([1e300, 1e300])).value == complex(math.inf, 0.0)
+    assert log_det(np.diag([-1e300, 1e300])).value == complex(-math.inf, 0.0)
+    # a nonzero phase part becomes +-inf, a zero part stays 0, never nan
+    for phase, expected in ((1j, (0.0, math.inf)), (-1j, (0.0, -math.inf)),
+                            (complex(-0.6, 0.8), (-math.inf, math.inf))):
+        for log_magnitude in (710.0, 1e4, math.inf):
+            v = LogDet(log_magnitude, phase).value
+            assert (v.real, v.imag) == expected
+    # the largest finite magnitude still comes out finite
+    assert LogDet(math.log(np.finfo(np.float64).max), 1 + 0j).value.real < math.inf
+    assert log_det(np.zeros((2, 2))).value == 0j
 
 
 @pytest.mark.parametrize("kind", ["R", "C"])

@@ -1,5 +1,6 @@
 """Suite runner, report schema/rendering, and the command-line harness."""
 
+import dataclasses
 import json
 import math
 import re
@@ -10,8 +11,9 @@ import pytest
 import sympdet as sd
 from sympdet.cli import main
 from sympdet.report import Report, emit_report, render_json, render_text
-from sympdet.suites import SUITE_IDS, SuiteSpec, default_suite_spec, run_suite, run_trial
-from sympdet.symplectic import DEFAULT_TOLERANCES, ToleranceConfig
+from sympdet.suites import (SUITE_IDS, SuiteSpec, _BOUND_FAMILY, _DEFAULT_HALF_DIMS,
+                            default_suite_spec, run_suite, run_trial)
+from sympdet.symplectic import DEFAULT_TOLERANCES, RESIDUAL_BOUNDS, ToleranceConfig
 
 
 def _small_spec(suite_id, seed=5, trials=6):
@@ -26,6 +28,22 @@ def test_every_suite_passes_small(suite_id):
     assert rep.failures == []
     assert rep.suite == suite_id
     assert rep.all_passed
+
+
+@pytest.mark.parametrize("suite_id", SUITE_IDS)
+def test_every_trial_residual_has_a_table_bound(suite_id):
+    bounds = RESIDUAL_BOUNDS[_BOUND_FAMILY.get(suite_id, suite_id)]
+    for n in _DEFAULT_HALF_DIMS[suite_id]:
+        result = run_trial(suite_id, n, sd.split_seed(3, n))
+        assert set(result.residuals) <= set(bounds), (suite_id, n)
+        assert result.passed
+
+
+def test_bound_table_names_tolerance_fields():
+    fields = {f.name for f in dataclasses.fields(ToleranceConfig)}
+    for family, bounds in RESIDUAL_BOUNDS.items():
+        for name, bound in bounds.items():
+            assert bound in fields if isinstance(bound, str) else bound == 0.0, (family, name)
 
 
 def test_suite_spec_validation():
@@ -259,6 +277,26 @@ def test_cli_formula_rejects_non_member(tmp_path, capsys):
     rc = main(["formula", path])
     assert rc == 1
     assert "rejected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["certify", "--mode", "real"],
+                                  ["certify", "--mode", "complex"],
+                                  ["certify", "--mode", "conjugate"],
+                                  ["formula"]])
+def test_cli_rejects_all_zero_matrix(argv, tmp_path, capsys):
+    kind = "R" if argv[-1] == "real" else "C"
+    path = _write(tmp_path, "z.txt", sd.zeros(4, kind))
+    rc = main([argv[0], path, *argv[1:]])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("rejected:") and "inf" in err
+
+
+def test_cli_formula_odd_dimension_is_an_error(tmp_path, capsys):
+    path = _write(tmp_path, "odd.txt", sd.identity(3, "C"))
+    rc = main(["formula", path])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: expected an even dimension, got 3\n"
 
 
 def test_cli_seed_changes_draws_but_not_verdict(capsys):

@@ -1,6 +1,7 @@
 """Form identities, block machinery, paired-block determinants, certificates,
 and the conjugate-symplectic determinant formula."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,28 +19,29 @@ from sympdet.linalg import (
     zeros,
 )
 from sympdet.symplectic import (
+    DEFAULT_TOLERANCES,
+    RESIDUAL_BOUNDS,
     BlockPair,
     FormulaInconclusiveError,
     GroupKind,
     MembershipError,
     ToleranceConfig,
-    assemble_blocks,
     block_pair,
     certify_symplectic,
     conj_block_det,
     conj_block_reduction,
     conj_symplectic_det,
-    conj_symplectic_residual,
     embed_pair,
     j_conjugate,
     membership_residual,
     nonneg_slack,
-    passes_membership,
-    split_blocks,
     symplectic_form,
-    symplectic_residual,
     unitary_split_det,
+    within_bounds,
 )
+
+REAL = GroupKind.REAL_SYMPLECTIC
+CONJ = GroupKind.CONJUGATE_SYMPLECTIC
 
 from oracles import cofactor_det
 
@@ -63,58 +65,52 @@ def test_form_identities(n):
 
 
 def test_residual_of_members_is_zero():
-    assert symplectic_residual(symplectic_form(3)) == 0.0
-    assert symplectic_residual(identity(4)) == 0.0
+    assert membership_residual(symplectic_form(3), REAL) == 0.0
+    assert membership_residual(identity(4), REAL) == 0.0
 
 
 def test_residual_of_scaled_identity_hand_value():
-    # A = diag(2, 2), N = 1: A^T J A = 4J, so ||4J - J||_F / ||J||_F = 3
-    a = np.diag([2.0, 2.0])
-    j = symplectic_form(1)
-    by_hand = frobenius(a.T @ j @ a - j) / frobenius(j)
-    assert by_hand == pytest.approx(3.0, rel=1e-15)
-    assert symplectic_residual(a) == pytest.approx(3.0, rel=1e-15)
+    # A = 2 I_4, N = 2: A^T J A = 4J, so ||4J - J||_F / ||J||_F = 3, and
+    # ||A||_F^2 = 4 * 2^2 = 16 scales it to 3/16
+    a = 2.0 * identity(4)
+    j = symplectic_form(2)
+    assert frobenius(a.T @ j @ a - j) / frobenius(j) == pytest.approx(3.0, rel=1e-15)
+    assert membership_residual(a, REAL) == pytest.approx(3.0 / 16.0, rel=1e-15)
+
+
+def test_residual_of_all_zero_matrix_is_inf():
+    for group, kind in ((REAL, "R"), (GroupKind.COMPLEX_SYMPLECTIC, "C"), (CONJ, "C")):
+        assert membership_residual(zeros(4, kind), group) == math.inf
 
 
 def test_conj_residual_scalar_phase_cancels():
     a = np.exp(0.7j) * identity(4, "C")
-    assert conj_symplectic_residual(a) <= 1e-16
-    assert conj_symplectic_residual(symplectic_form(2)) == 0.0
-    assert conj_symplectic_residual(random_gaussian(rng_from_seed(5), 4, "C")) > 0.01
+    assert membership_residual(a, CONJ) <= 1e-16
+    assert membership_residual(symplectic_form(2), CONJ) == 0.0
+    assert membership_residual(random_gaussian(rng_from_seed(5), 4, "C"), CONJ) > 0.01
 
 
 def test_residual_rejects_odd_dimension():
     with pytest.raises(ValueError, match="even"):
-        symplectic_residual(identity(3))
+        membership_residual(identity(3), REAL)
     with pytest.raises(ValueError, match="even"):
-        conj_symplectic_residual(identity(3, "C"))
+        membership_residual(identity(3, "C"), CONJ)
 
 
 def test_membership_dispatch():
     j = symplectic_form(2)
-    assert passes_membership(j, GroupKind.REAL_SYMPLECTIC)
-    assert passes_membership(j.astype(complex), GroupKind.COMPLEX_SYMPLECTIC)
-    assert passes_membership(j.astype(complex), GroupKind.CONJUGATE_SYMPLECTIC)
+    tol = DEFAULT_TOLERANCES.membership
+    assert membership_residual(j, REAL) <= tol
+    assert membership_residual(j.astype(complex), GroupKind.COMPLEX_SYMPLECTIC) <= tol
+    assert membership_residual(j.astype(complex), CONJ) <= tol
     with pytest.raises(ValueError, match="real"):
-        membership_residual(j.astype(complex), GroupKind.REAL_SYMPLECTIC)
-    assert not passes_membership(np.diag([3.0, 3.0]), GroupKind.REAL_SYMPLECTIC)
+        membership_residual(j.astype(complex), REAL)
+    assert not membership_residual(np.diag([3.0, 3.0]), REAL) <= tol
 
 
 # ---------------------------------------------------------------------------
 # Blocks
 # ---------------------------------------------------------------------------
-
-def test_split_blocks_of_form_and_identity():
-    q = split_blocks(symplectic_form(3))
-    assert_allclose(q.a12, identity(3))
-    assert_allclose(q.a21, -identity(3))
-    assert_allclose(split_blocks(identity(6)).a12, zeros(3))
-
-
-def test_split_assemble_round_trip():
-    a = random_gaussian(rng_from_seed(17), 8, "C")
-    assert np.array_equal(assemble_blocks(split_blocks(a)), a)
-
 
 def test_j_conjugate_trivials():
     assert_allclose(j_conjugate(identity(4)), identity(4))
@@ -145,10 +141,9 @@ def test_block_pair_trivials():
 
 def test_block_pair_conjugated_variant():
     a = random_gaussian(rng_from_seed(23), 6, "C")
-    q = split_blocks(a)
     p = block_pair(a, GroupKind.COMPLEX_SYMPLECTIC)
-    assert_allclose(p.c, q.a11 + q.a22.conj())
-    assert_allclose(p.d, q.a12 - q.a21.conj())
+    assert_allclose(p.c, a[:3, :3] + a[3:, 3:].conj())
+    assert_allclose(p.d, a[:3, 3:] - a[3:, :3].conj())
     with pytest.raises(ValueError, match="complex"):
         block_pair(random_gaussian(rng_from_seed(23), 6, "R"), GroupKind.COMPLEX_SYMPLECTIC)
 
@@ -174,6 +169,17 @@ def test_embed_pair_conjugated_layout():
     assert_allclose(m[:2, :2], c)
     assert_allclose(m[2:, :2], -d.conj())
     assert_allclose(m[2:, 2:], c.conj())
+
+
+def test_embed_pair_real_det_nonnegative():
+    rng = rng_from_seed(41)
+    c = random_gaussian(rng, 3)
+    d = random_gaussian(rng, 3)
+    pair = BlockPair(c, d, GroupKind.REAL_SYMPLECTIC)
+    dd = log_det(embed_pair(pair))
+    assert dd.phase.real >= -1e-10
+    dp, dm = unitary_split_det(pair)
+    assert dd.rel_diff(dp.abs_squared()) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +252,7 @@ def test_conj_block_det_matches_cofactor_oracle():
     rng = rng_from_seed(53)
     c = random_gaussian(rng, 2, "C")
     d = random_gaussian(rng, 2, "C")
-    emb = np.block([[c, d], [-d.conj(), c.conj()]])
-    expected = cofactor_det(emb)
+    expected = cofactor_det(embed_pair(BlockPair(c, d, GroupKind.COMPLEX_SYMPLECTIC)))
     assert abs(conj_block_det(c, d).value - expected) <= 1e-12 * abs(expected)
 
 
@@ -346,6 +351,10 @@ def test_certificate_phase_is_plus_minus_one_then_plus_one():
 def test_certificate_rejects_non_members_and_bad_kinds():
     with pytest.raises(MembershipError, match="residual"):
         certify_symplectic(np.diag([3.0, 3.0]))
+    with pytest.raises(MembershipError, match="inf"):       # all-zero input
+        certify_symplectic(zeros(4))
+    with pytest.raises(MembershipError, match="inf"):
+        certify_symplectic(zeros(4, "C"), GroupKind.COMPLEX_SYMPLECTIC)
     with pytest.raises(ValueError, match="R-kind"):
         certify_symplectic(identity(4, "C"), GroupKind.REAL_SYMPLECTIC)
     with pytest.raises(ValueError, match="C-kind"):
@@ -364,13 +373,30 @@ def test_certificate_rejects_non_finite_input(bad):
             certify_symplectic(a, group)
 
 
+def test_certificate_checks_follow_the_bound_table():
+    # det_one = 0 fails detOne and detPhaseSign (|det - 1| is rounding, not
+    # zero); every other check stays within its bound
+    a = generate(GeneratorConfig(half_dim=3, seed=101))
+    tol = dataclasses.replace(DEFAULT_TOLERANCES, det_one=0.0)
+    cert = certify_symplectic(a, tol=tol)
+    assert cert.residuals["detOne"] > 0.0
+    assert cert.verdict == "fail"
+    assert (cert.verdict == "pass") == within_bounds("certificate", cert.residuals, tol)
+    assert set(cert.residuals) <= set(RESIDUAL_BOUNDS["certificate"])
+    failed = {name for name, value in cert.residuals.items()
+              if not within_bounds("certificate", {name: value}, tol)}
+    assert failed == {"detOne", "detPhaseSign"}
+    marked = {chk.label for chk in cert.narrative if not chk.passed}
+    assert marked == {"det(A) = 1", "det(A) is +-1"}
+
+
 def test_membership_closure_products_and_inverses():
     # members at residual <= 1e-12 stay members at <= 1e-9 under * and ^-1
     tol = ToleranceConfig(product_residual=1e-12)
     a = generate(GeneratorConfig(half_dim=4, seed=79, num_factors=3), tol=tol)
     b = generate(GeneratorConfig(half_dim=4, seed=83, num_factors=3), tol=tol)
     for m in (a @ b, np.linalg.inv(a)):
-        assert symplectic_residual(m) <= 1e-9 * frobenius(m) ** 2
+        assert membership_residual(m, REAL) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +435,9 @@ def test_conj_det_matches_lu_oracle():
 def test_conj_det_rejects_non_members():
     with pytest.raises(MembershipError):
         conj_symplectic_det(np.diag([2.0 + 0j, 2.0]))
+    for kind in ("R", "C"):                                 # all-zero input
+        with pytest.raises(MembershipError, match="inf"):
+            conj_symplectic_det(zeros(4, kind))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in A^T J A
