@@ -7,8 +7,8 @@ Subcommands:
 
 certify and formula share one path; formula is the conjugate mode reported
 under the suite name "formula".  Exit status is 0 only when every requested
-check passed; 1 on failed checks, non-membership, or unreadable input; 2 on
-usage errors.
+check passed; 1 on failed checks, non-membership, unreadable input, or an
+unwritable --out; 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -111,16 +111,22 @@ def _tolerances(args) -> "ToleranceConfig":
     return replace(DEFAULT_TOLERANCES, membership=args.tol)
 
 
-def _emit(reports, args, human: str | None) -> None:
-    """Human detail to one stream, the schema report to --out or stdout."""
+def _emit(reports, args, human: str | None) -> bool:
+    """Human detail to one stream, the schema report to --out or stdout.
+    False, with the error on stderr, when --out cannot be written."""
     if human:
         stream = sys.stderr if (args.format == "json" and args.out is None) else sys.stdout
         print(human, file=stream)
-    text = emit_report(reports, args.format, args.out)
+    try:
+        text = emit_report(reports, args.format, args.out)
+    except OSError as e:
+        print(f"error: cannot write report: {e}", file=sys.stderr)
+        return False
     if args.out is not None:
         print(f"wrote {args.out}")
     elif args.format == "json" or human is None:
         print(text, end="")
+    return True
 
 
 def _cmd_suite(args) -> int:
@@ -131,7 +137,8 @@ def _cmd_suite(args) -> int:
         spec = default_suite_spec(sid, seed=args.seed, trials=args.trials,
                                   half_dims=args.n, tolerances=tol)
         reports.append(run_suite(spec))
-    _emit(reports[0] if len(reports) == 1 else reports, args, human=None)
+    if not _emit(reports[0] if len(reports) == 1 else reports, args, human=None):
+        return 1
     if args.out is not None:
         for r in reports:
             print(f"{r.suite}: {r.passes}/{r.trials} passed")
@@ -190,10 +197,11 @@ def _cmd_check(args) -> int:
         suite = "formula"
         config = {"path": args.path, "tolerances": asdict(tol)}
     failures = [] if passed else [{"seed": 0, "halfDim": a.shape[0] // 2, "residuals": residuals}]
-    _emit(Report(tool=f"sympdet {__version__}", suite=suite, config=config, trials=1,
-                 passes=int(passed), failures=failures, worst_residuals=residuals,
-                 elapsed_seconds=time.perf_counter() - t0), args, human)
-    return 0 if passed else 1
+    written = _emit(Report(tool=f"sympdet {__version__}", suite=suite, config=config,
+                           trials=1, passes=int(passed), failures=failures,
+                           worst_residuals=residuals,
+                           elapsed_seconds=time.perf_counter() - t0), args, human)
+    return 0 if passed and written else 1
 
 
 def main(argv=None) -> int:

@@ -84,29 +84,32 @@ def shear_lower(s, target: GroupKind = GroupKind.REAL_SYMPLECTIC) -> np.ndarray:
     """[[I, 0], [S, I]] with S symmetrized (Hermitian for the conjugate group)."""
     s = _symmetrized(as_square(s), target is GroupKind.CONJUGATE_SYMPLECTIC)
     n = s.shape[0]
-    eye = identity(n, kind_of(s))
-    return np.block([[eye, zeros(n, kind_of(s))], [s, eye]])
+    out = identity(2 * n, kind_of(s))
+    out[n:, :n] = s
+    return out
 
 
 def shear_upper(s, target: GroupKind = GroupKind.REAL_SYMPLECTIC) -> np.ndarray:
     """[[I, S], [0, I]] with S symmetrized (Hermitian for the conjugate group)."""
     s = _symmetrized(as_square(s), target is GroupKind.CONJUGATE_SYMPLECTIC)
     n = s.shape[0]
-    eye = identity(n, kind_of(s))
-    return np.block([[eye, s], [zeros(n, kind_of(s)), eye]])
+    out = identity(2 * n, kind_of(s))
+    out[:n, n:] = s
+    return out
 
 
 def diag_block(p, target: GroupKind = GroupKind.REAL_SYMPLECTIC) -> np.ndarray:
     """[[P, 0], [0, P^{-T}]] (P^{-*} for the conjugate group); P must be invertible."""
     p = as_square(p)
     n = p.shape[0]
-    k = kind_of(p)
     try:
         pinv = np.linalg.inv(p)
     except np.linalg.LinAlgError:
         raise SingularMatrixError("diag_block needs an invertible P") from None
-    br = pinv.conj().T if target is GroupKind.CONJUGATE_SYMPLECTIC else pinv.T
-    return np.block([[p, zeros(n, k)], [zeros(n, k), br.copy()]])
+    out = zeros(2 * n, kind_of(p))
+    out[:n, :n] = p
+    out[n:, n:] = pinv.conj().T if target is GroupKind.CONJUGATE_SYMPLECTIC else pinv.T
+    return out
 
 
 def phase_factor(theta: float, n_half: int) -> np.ndarray:
@@ -170,7 +173,7 @@ def generate(config: GeneratorConfig, rng: np.random.Generator | None = None,
         else:
             seq = list(factors)
         a = identity(2 * config.half_dim, kind)
-        for name in seq:
+        for name in seq:  # a full product: a structured update would round differently
             a = a @ elementary_factor(name, config, rng)
         if membership_residual(a, config.target) <= tol.product_residual:
             return a

@@ -298,7 +298,8 @@ def run_suite(spec: SuiteSpec) -> Report:
         else:
             failures.append({"seed": child, "halfDim": n, "residuals": result.residuals})
         for k, v in result.residuals.items():
-            worst[k] = max(worst.get(k, 0.0), v)
+            prev = worst.get(k, 0.0)
+            worst[k] = prev if math.isnan(prev) or v <= prev else v  # NaN wins
     elapsed = time.perf_counter() - t0
     return Report(
         tool=f"sympdet {__version__}",

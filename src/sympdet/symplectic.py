@@ -184,11 +184,26 @@ def membership_residual(a, group: GroupKind) -> float:
 # Block machinery
 # ---------------------------------------------------------------------------
 
+def _quadrants(tl, tr, bl, br) -> np.ndarray:
+    """[[tl, tr], [bl, br]] for four equal-shape blocks, copied into one fresh
+    array of their common numpy result type (the dtype concatenation gives)."""
+    if not tl.shape == tr.shape == bl.shape == br.shape:
+        raise ValueError(f"block dimension mismatch: {tl.shape}, {tr.shape}, "
+                         f"{bl.shape}, {br.shape}")
+    r, c = tl.shape
+    out = np.empty((2 * r, 2 * c), dtype=np.result_type(tl, tr, bl, br))
+    out[:r, :c] = tl
+    out[:r, c:] = tr
+    out[r:, :c] = bl
+    out[r:, c:] = br
+    return out
+
+
 def j_conjugate(a) -> np.ndarray:
     """J A J^{-1}, computed blockwise as [[A22, -A21], [-A12, A11]]."""
     a = as_square(a)
     n = half_dim(a)
-    return np.block([[a[n:, n:], -a[n:, :n]], [-a[:n, n:], a[:n, :n]]])
+    return _quadrants(a[n:, n:], -a[n:, :n], -a[:n, n:], a[:n, :n])
 
 
 @dataclass(frozen=True)
@@ -222,8 +237,8 @@ def block_pair(a, group: GroupKind) -> BlockPair:
 def embed_pair(p: BlockPair) -> np.ndarray:
     """Reassemble the 2N x 2N matrix a block pair came from."""
     if p.group is GroupKind.COMPLEX_SYMPLECTIC:
-        return np.block([[p.c, p.d], [-p.d.conj(), p.c.conj()]])
-    return np.block([[p.c, p.d], [-p.d, p.c]])
+        return _quadrants(p.c, p.d, -p.d.conj(), p.c.conj())
+    return _quadrants(p.c, p.d, -p.d, p.c)
 
 
 def unitary_split_det(p: BlockPair) -> tuple[LogDet, LogDet]:

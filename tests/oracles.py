@@ -3,7 +3,9 @@
 Everything here is deliberately naive and separate from the library code
 paths it checks: a pure-Python LU with partial pivoting (the reference for
 ``sympdet.log_det``, which runs LAPACK through numpy), a cofactor-expansion
-determinant, and an inversion-counting permutation sign.
+determinant, an inversion-counting permutation sign, and ``np.block``
+assemblies of the structured 2N x 2N matrices (the bitwise reference for the
+library's in-place block fills).
 """
 
 import math
@@ -121,3 +123,45 @@ def permutation_sign(perm):
             if perm[i] > perm[j]:
                 sign = -sign
     return sign
+
+
+# ---------------------------------------------------------------------------
+# Structured block assembly by np.block: the bitwise reference for the
+# in-place fills of the generators and the block machinery
+# ---------------------------------------------------------------------------
+
+def _symmetrized(s, hermitian):
+    return (s + s.conj().T) / 2 if hermitian else (s + s.T) / 2
+
+
+def block_shear_lower(s, hermitian=False):
+    s = _symmetrized(as_square(s), hermitian)
+    n = s.shape[0]
+    eye = identity(n, kind_of(s))
+    return np.block([[eye, np.zeros_like(s)], [s, eye]])
+
+
+def block_shear_upper(s, hermitian=False):
+    s = _symmetrized(as_square(s), hermitian)
+    n = s.shape[0]
+    eye = identity(n, kind_of(s))
+    return np.block([[eye, s], [np.zeros_like(s), eye]])
+
+
+def block_diag_block(p, conjugate=False):
+    p = as_square(p)
+    pinv = np.linalg.inv(p)
+    br = pinv.conj().T if conjugate else pinv.T
+    return np.block([[p, np.zeros_like(p)], [np.zeros_like(p), br.copy()]])
+
+
+def block_embed_pair(c, d, conjugated=False):
+    if conjugated:
+        return np.block([[c, d], [-d.conj(), c.conj()]])
+    return np.block([[c, d], [-d, c]])
+
+
+def block_j_conjugate(a):
+    a = as_square(a)
+    n = a.shape[0] // 2
+    return np.block([[a[n:, n:], -a[n:, :n]], [-a[:n, n:], a[:n, :n]]])

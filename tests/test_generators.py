@@ -30,8 +30,17 @@ from sympdet.symplectic import (
     BlockPair,
     GroupKind,
     embed_pair,
+    j_conjugate,
     membership_residual,
     symplectic_form,
+)
+
+from oracles import (
+    block_diag_block,
+    block_embed_pair,
+    block_j_conjugate,
+    block_shear_lower,
+    block_shear_upper,
 )
 
 REAL = GroupKind.REAL_SYMPLECTIC
@@ -140,6 +149,32 @@ def test_embed_orthogonal_pair_trivials():
     assert_allclose(m[2:, 2:], c)
     with pytest.raises(ValueError, match="dimension"):
         embed_pair(BlockPair(identity(2), zeros(3), REAL))
+
+
+def _assert_bitwise(got, ref):
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert np.array_equal(got, ref) and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("kind", ["R", "C"])
+def test_structured_builders_match_block_reference(kind, n):
+    # every element copied, none recomputed: equal to np.block bit for bit
+    rng = rng_from_seed(1000 * n + (kind == "C"))
+    s = random_gaussian(rng, n, kind)
+    p = identity(n, kind) + 0.3 * random_gaussian(rng, n, kind)
+    c, d = random_gaussian(rng, n, kind), random_gaussian(rng, n, kind)
+    for target in ALL_TARGETS:
+        conj = target is GroupKind.CONJUGATE_SYMPLECTIC
+        _assert_bitwise(shear_lower(s, target), block_shear_lower(s, conj))
+        _assert_bitwise(shear_upper(s, target), block_shear_upper(s, conj))
+        _assert_bitwise(diag_block(p, target), block_diag_block(p, conj))
+        _assert_bitwise(embed_pair(BlockPair(c, d, target)),
+                        block_embed_pair(c, d, target is GroupKind.COMPLEX_SYMPLECTIC))
+    # mixed kinds take numpy's common result type
+    _assert_bitwise(embed_pair(BlockPair(c.real, d, REAL)), block_embed_pair(c.real, d))
+    a = random_gaussian(rng, 2 * n, kind)
+    _assert_bitwise(j_conjugate(a), block_j_conjugate(a))
 
 
 # ---------------------------------------------------------------------------

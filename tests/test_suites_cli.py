@@ -11,7 +11,7 @@ import pytest
 import sympdet as sd
 from sympdet.cli import main
 from sympdet.report import Report, emit_report, render_json, render_text
-from sympdet.suites import (SUITE_IDS, SuiteSpec, _BOUND_FAMILY, _DEFAULT_HALF_DIMS,
+from sympdet.suites import (SUITE_IDS, SuiteSpec, _BOUND_FAMILY, _DEFAULT_HALF_DIMS, _TRIALS,
                             default_suite_spec, run_suite, run_trial)
 from sympdet.symplectic import DEFAULT_TOLERANCES, RESIDUAL_BOUNDS, ToleranceConfig
 
@@ -123,6 +123,25 @@ def test_trial_merge_is_by_index_not_by_execution_order():
         for k, v in r.residuals.items():
             worst[k] = max(worst.get(k, 0.0), v)
     assert worst == rep.worst_residuals
+
+
+@pytest.mark.parametrize("nan_at", [0, 1, 2])
+def test_nan_residual_wins_worst_residuals(monkeypatch, nan_at):
+    # max(0.0, nan) is 0.0, so a plain max merge would hide the NaN
+    trial = _TRIALS["ineq-real"]
+    calls = []
+
+    def patched(n, seed, tol):
+        residuals = dict(trial(n, seed, tol))
+        residuals["splitAgreement"] = math.nan if len(calls) == nan_at else 1e-30
+        calls.append(seed)
+        return residuals
+
+    monkeypatch.setitem(_TRIALS, "ineq-real", patched)
+    rep = run_suite(_small_spec("ineq-real", trials=3))
+    assert [f["seed"] for f in rep.failures] == [calls[nan_at]]
+    assert math.isnan(rep.worst_residuals["splitAgreement"])
+    assert not rep.all_passed
 
 
 def test_emit_report_writes_file(tmp_path):
@@ -255,6 +274,20 @@ def test_cli_certify_non_finite_entry(tmp_path, capsys):
     rc = main(["certify", str(p)])
     assert rc == 1
     assert "line 3: non-finite entry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["suite", "certify"])
+def test_cli_unwritable_out_is_an_error(command, tmp_path, capsys):
+    out = str(tmp_path / "no" / "such" / "dir" / "x.json")
+    if command == "suite":
+        argv = ["suite", "lemma", "--trials", "2", "--out", out]
+    else:
+        argv = ["certify", _write(tmp_path, "j.txt", sd.symplectic_form(2)), "--out", out]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: cannot write report:")
+    assert "Traceback" not in err
 
 
 def test_cli_certify_missing_file(capsys):
