@@ -80,22 +80,25 @@ def _norm_clamped(x: np.ndarray, cap: float) -> np.ndarray:
     return x if f <= cap else x * (cap / f)
 
 
-def shear_lower(s, target: GroupKind = GroupKind.REAL_SYMPLECTIC) -> np.ndarray:
-    """[[I, 0], [S, I]] with S symmetrized (Hermitian for the conjugate group)."""
-    s = _symmetrized(as_square(s), target is GroupKind.CONJUGATE_SYMPLECTIC)
+def _shear(s: np.ndarray, lower: bool) -> np.ndarray:
+    """[[I, 0], [S, I]] if lower else [[I, S], [0, I]], for an S already symmetrized."""
     n = s.shape[0]
     out = identity(2 * n, kind_of(s))
-    out[n:, :n] = s
+    if lower:
+        out[n:, :n] = s
+    else:
+        out[:n, n:] = s
     return out
+
+
+def shear_lower(s, target: GroupKind = GroupKind.REAL_SYMPLECTIC) -> np.ndarray:
+    """[[I, 0], [S, I]] with S symmetrized (Hermitian for the conjugate group)."""
+    return _shear(_symmetrized(as_square(s), target is GroupKind.CONJUGATE_SYMPLECTIC), True)
 
 
 def shear_upper(s, target: GroupKind = GroupKind.REAL_SYMPLECTIC) -> np.ndarray:
     """[[I, S], [0, I]] with S symmetrized (Hermitian for the conjugate group)."""
-    s = _symmetrized(as_square(s), target is GroupKind.CONJUGATE_SYMPLECTIC)
-    n = s.shape[0]
-    out = identity(2 * n, kind_of(s))
-    out[:n, n:] = s
-    return out
+    return _shear(_symmetrized(as_square(s), target is GroupKind.CONJUGATE_SYMPLECTIC), False)
 
 
 def diag_block(p, target: GroupKind = GroupKind.REAL_SYMPLECTIC) -> np.ndarray:
@@ -132,8 +135,7 @@ def elementary_factor(name: str, config: GeneratorConfig,
     if name in ("shear_lower", "shear_upper"):
         s = config.factor_scale * random_gaussian(rng, n, kind) / math.sqrt(n)
         s = _symmetrized(s, target is GroupKind.CONJUGATE_SYMPLECTIC)
-        s = _norm_clamped(s, (cap - 1.0) / math.sqrt(cap))
-        return shear_lower(s, target) if name == "shear_lower" else shear_upper(s, target)
+        return _shear(_norm_clamped(s, (cap - 1.0) / math.sqrt(cap)), name == "shear_lower")
     if name == "diag_block":
         g = config.factor_scale * random_gaussian(rng, n, kind) / math.sqrt(n)
         g = _norm_clamped(g, 1.0 - 1.0 / math.sqrt(cap))
@@ -147,8 +149,7 @@ def elementary_factor(name: str, config: GeneratorConfig,
     raise ValueError(f"unknown factor kind {name!r}")
 
 
-def generate(config: GeneratorConfig, rng: np.random.Generator | None = None,
-             factors: list[str] | None = None,
+def generate(config: GeneratorConfig, factors: list[str] | None = None,
              tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     """Sample one matrix of the target group as a product of elementary factors.
 
@@ -156,11 +157,10 @@ def generate(config: GeneratorConfig, rng: np.random.Generator | None = None,
     ``factors`` forces an explicit sequence of kind names instead.  The result
     is checked against the group residual at tol.product_residual and
     regeneration is attempted a bounded number of times before failing.
-    Deterministic given (config, seed): the default rng derives from
+    Deterministic given config: every draw comes from one rng seeded with
     config.seed.
     """
-    if rng is None:
-        rng = rng_from_seed(config.seed)
+    rng = rng_from_seed(config.seed)
     allowed = list(FACTOR_KINDS[:4])
     if config.target is GroupKind.CONJUGATE_SYMPLECTIC:
         allowed.append("phase")

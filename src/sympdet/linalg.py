@@ -33,19 +33,13 @@ def kind_of(a: np.ndarray) -> str:
     return "C" if np.iscomplexobj(a) else "R"
 
 
-def as_square(a, kind: str | None = None) -> np.ndarray:
-    """Coerce to a square float64/complex128 array (always a fresh copy).
-
-    With ``kind`` given, additionally enforces that scalar kind.
-    """
+def as_square(a) -> np.ndarray:
+    """Coerce to a square float64/complex128 array (always a fresh copy)."""
     m = np.array(a)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     dtype = np.complex128 if np.iscomplexobj(m) else np.float64
-    m = m.astype(dtype, copy=False)  # np.array above already copied
-    if kind is not None and kind_of(m) != kind:
-        raise ValueError(f"expected a matrix of kind {kind}, got {kind_of(m)}")
-    return m
+    return m.astype(dtype, copy=False)  # np.array above already copied
 
 
 def identity(n: int, kind: str = "R") -> np.ndarray:

@@ -1,9 +1,12 @@
 """Property suites tying the structure checks together.
 
-Each suite maps a trial index to a deterministic child seed, runs one
-independent check, judges its residuals with the bound table
-:data:`~sympdet.symplectic.RESIDUAL_BOUNDS`, and aggregates pass counts,
-worst residuals, and reproducible failure records into a
+A suite is one row of the suite table ``_SUITES``: its trial function, its
+default trial count and half-dims, and the family of the bound table
+:data:`~sympdet.symplectic.RESIDUAL_BOUNDS` that judges the trial's residuals.
+Adding a suite means adding that row and, if the family is new, its
+``RESIDUAL_BOUNDS`` entry.  Each suite maps a trial index to a deterministic
+child seed, runs one independent check, judges its residuals, and aggregates
+pass counts, worst residuals, and reproducible failure records into a
 :class:`~sympdet.report.Report`.  Trials touch no shared state, so they can be
 executed in any order or in parallel; results are merged by trial index and
 do not depend on scheduling.
@@ -14,6 +17,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -52,37 +57,6 @@ from .symplectic import (
     within_bounds,
 )
 
-SUITE_IDS = (
-    "form-identities",
-    "real-theorem",
-    "complex-theorem",
-    "lemma",
-    "ineq-real",
-    "conj-formula",
-    "generator-sanity",
-)
-
-_DEFAULT_TRIALS = {
-    "form-identities": 8,
-    "real-theorem": 200,
-    "complex-theorem": 200,
-    "lemma": 500,
-    "ineq-real": 500,
-    "conj-formula": 200,
-    "generator-sanity": 60,
-}
-
-_DEFAULT_HALF_DIMS = {
-    "form-identities": tuple(range(1, 9)),
-    "real-theorem": (1, 2, 4, 8, 10),
-    "complex-theorem": (1, 2, 4, 8, 10),
-    "lemma": tuple(range(1, 9)),
-    "ineq-real": tuple(range(1, 9)),
-    "conj-formula": tuple(range(1, 17)),
-    "generator-sanity": (1, 2, 3, 4, 6, 8),
-}
-
-
 @dataclass(frozen=True)
 class SuiteSpec:
     """One suite run: which checks, how many trials, over which sizes."""
@@ -94,8 +68,7 @@ class SuiteSpec:
     tolerances: ToleranceConfig = DEFAULT_TOLERANCES
 
     def __post_init__(self):
-        if self.suite_id not in SUITE_IDS:
-            raise ValueError(f"unknown suite {self.suite_id!r}; known: {', '.join(SUITE_IDS)}")
+        _suite(self.suite_id)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not self.half_dims or any(n < 1 for n in self.half_dims):
@@ -105,12 +78,11 @@ class SuiteSpec:
 def default_suite_spec(suite_id: str, seed: int = 0, trials: int | None = None,
                        half_dims: tuple[int, ...] | None = None,
                        tolerances: ToleranceConfig = DEFAULT_TOLERANCES) -> SuiteSpec:
-    if suite_id not in SUITE_IDS:
-        raise ValueError(f"unknown suite {suite_id!r}; known: {', '.join(SUITE_IDS)}")
+    row = _suite(suite_id)
     return SuiteSpec(
         suite_id=suite_id,
-        trials=trials if trials is not None else _DEFAULT_TRIALS[suite_id],
-        half_dims=tuple(half_dims) if half_dims is not None else _DEFAULT_HALF_DIMS[suite_id],
+        trials=trials if trials is not None else row.trials,
+        half_dims=tuple(half_dims) if half_dims is not None else row.half_dims,
         seed=seed,
         tolerances=tolerances,
     )
@@ -163,18 +135,17 @@ def _lemma_inputs(n: int, seed: int):
 
 def _trial_lemma(n: int, seed: int, tol: ToleranceConfig) -> dict:
     c, d, _ = _lemma_inputs(n, seed)
-    dd = conj_block_det(c, d)
-    im_slack, re_slack = sign_slacks(dd, tol)
-    residuals = {"imagSlack": im_slack, "realSlack": re_slack}
-
     try:
         well_conditioned = frobenius(c) * frobenius(np.linalg.inv(c)) <= tol.condition_gate
     except np.linalg.LinAlgError:
         well_conditioned = False
-    if well_conditioned:
+    if well_conditioned:  # the reduction computes the block determinant itself
         probe = conj_block_reduction(c, d, tol)
-        residuals.update(probe.residuals)
-    return residuals
+        dd, reduction_residuals = probe.block_det, probe.residuals
+    else:
+        dd, reduction_residuals = conj_block_det(c, d), {}
+    im_slack, re_slack = sign_slacks(dd, tol)
+    return {"imagSlack": im_slack, "realSlack": re_slack, **reduction_residuals}
 
 
 def _trial_ineq_real(n: int, seed: int, tol: ToleranceConfig) -> dict:
@@ -254,29 +225,45 @@ def _trial_generator_sanity(n: int, seed: int, tol: ToleranceConfig) -> dict:
     return residuals
 
 
-# The RESIDUAL_BOUNDS family of each suite that is not its own.
-_BOUND_FAMILY = {"real-theorem": "certificate", "complex-theorem": "certificate"}
+class _Suite(NamedTuple):
+    """One property suite: its trial, default trial count and half-dims, and
+    the RESIDUAL_BOUNDS family that judges the trial's residuals."""
 
-_TRIALS = {
-    "form-identities": _trial_form_identities,
-    "real-theorem": lambda n, s, t: _trial_theorem(GroupKind.REAL_SYMPLECTIC, n, s, t),
-    "complex-theorem": lambda n, s, t: _trial_theorem(GroupKind.COMPLEX_SYMPLECTIC, n, s, t),
-    "lemma": _trial_lemma,
-    "ineq-real": _trial_ineq_real,
-    "conj-formula": _trial_conj_formula,
-    "generator-sanity": _trial_generator_sanity,
+    trial: Callable[[int, int, ToleranceConfig], dict]
+    trials: int
+    half_dims: tuple[int, ...]
+    family: str
+
+
+_SUITES = {
+    "form-identities": _Suite(_trial_form_identities, 8, tuple(range(1, 9)), "form-identities"),
+    "real-theorem": _Suite(partial(_trial_theorem, GroupKind.REAL_SYMPLECTIC), 200,
+                           (1, 2, 4, 8, 10), "certificate"),
+    "complex-theorem": _Suite(partial(_trial_theorem, GroupKind.COMPLEX_SYMPLECTIC), 200,
+                              (1, 2, 4, 8, 10), "certificate"),
+    "lemma": _Suite(_trial_lemma, 500, tuple(range(1, 9)), "lemma"),
+    "ineq-real": _Suite(_trial_ineq_real, 500, tuple(range(1, 9)), "ineq-real"),
+    "conj-formula": _Suite(_trial_conj_formula, 200, tuple(range(1, 17)), "conj-formula"),
+    "generator-sanity": _Suite(_trial_generator_sanity, 60, (1, 2, 3, 4, 6, 8),
+                               "generator-sanity"),
 }
+
+SUITE_IDS = tuple(_SUITES)
+
+
+def _suite(suite_id: str) -> _Suite:
+    if suite_id not in SUITE_IDS:
+        raise ValueError(f"unknown suite {suite_id!r}; known: {', '.join(SUITE_IDS)}")
+    return _SUITES[suite_id]
 
 
 def run_trial(suite_id: str, n_half: int, seed: int,
               tol: ToleranceConfig = DEFAULT_TOLERANCES) -> TrialResult:
     """Run one trial in isolation; rerunning a recorded failure seed through
     this function reproduces its residuals exactly."""
-    if suite_id not in SUITE_IDS:
-        raise ValueError(f"unknown suite {suite_id!r}; known: {', '.join(SUITE_IDS)}")
-    residuals = _TRIALS[suite_id](n_half, seed, tol)
-    family = _BOUND_FAMILY.get(suite_id, suite_id)
-    return TrialResult(residuals=residuals, passed=within_bounds(family, residuals, tol))
+    row = _suite(suite_id)
+    residuals = row.trial(n_half, seed, tol)
+    return TrialResult(residuals=residuals, passed=within_bounds(row.family, residuals, tol))
 
 
 def run_suite(spec: SuiteSpec) -> Report:

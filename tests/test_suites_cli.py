@@ -11,8 +11,8 @@ import pytest
 import sympdet as sd
 from sympdet.cli import main
 from sympdet.report import Report, emit_report, render_json, render_text
-from sympdet.suites import (SUITE_IDS, SuiteSpec, _BOUND_FAMILY, _DEFAULT_HALF_DIMS, _TRIALS,
-                            default_suite_spec, run_suite, run_trial)
+from sympdet.suites import (SUITE_IDS, SuiteSpec, _SUITES, default_suite_spec, run_suite,
+                            run_trial)
 from sympdet.symplectic import DEFAULT_TOLERANCES, RESIDUAL_BOUNDS, ToleranceConfig
 
 
@@ -32,11 +32,30 @@ def test_every_suite_passes_small(suite_id):
 
 @pytest.mark.parametrize("suite_id", SUITE_IDS)
 def test_every_trial_residual_has_a_table_bound(suite_id):
-    bounds = RESIDUAL_BOUNDS[_BOUND_FAMILY.get(suite_id, suite_id)]
-    for n in _DEFAULT_HALF_DIMS[suite_id]:
+    row = _SUITES[suite_id]
+    bounds = RESIDUAL_BOUNDS[row.family]
+    for n in row.half_dims:
         result = run_trial(suite_id, n, sd.split_seed(3, n))
         assert set(result.residuals) <= set(bounds), (suite_id, n)
         assert result.passed
+
+
+def test_suite_defaults():
+    # default trials sum to 1668, the trial count of `sympdet suite all`
+    defaults = {
+        "form-identities": (8, tuple(range(1, 9))),
+        "real-theorem": (200, (1, 2, 4, 8, 10)),
+        "complex-theorem": (200, (1, 2, 4, 8, 10)),
+        "lemma": (500, tuple(range(1, 9))),
+        "ineq-real": (500, tuple(range(1, 9))),
+        "conj-formula": (200, tuple(range(1, 17))),
+        "generator-sanity": (60, (1, 2, 3, 4, 6, 8)),
+    }
+    assert SUITE_IDS == tuple(defaults)
+    for sid, (trials, half_dims) in defaults.items():
+        spec = default_suite_spec(sid, seed=4)
+        assert (spec.suite_id, spec.trials, spec.half_dims, spec.seed) == (sid, trials, half_dims, 4)
+    assert sum(default_suite_spec(sid).trials for sid in SUITE_IDS) == 1668
 
 
 def test_bound_table_names_tolerance_fields():
@@ -55,6 +74,8 @@ def test_suite_spec_validation():
         SuiteSpec("lemma", trials=1, half_dims=())
     with pytest.raises(ValueError, match="unknown suite"):
         run_trial("bogus", 1, 0)
+    with pytest.raises(ValueError, match="unknown suite"):
+        SuiteSpec("bogus", trials=1, half_dims=(1,))
 
 
 def test_json_schema_field_names():
@@ -128,16 +149,16 @@ def test_trial_merge_is_by_index_not_by_execution_order():
 @pytest.mark.parametrize("nan_at", [0, 1, 2])
 def test_nan_residual_wins_worst_residuals(monkeypatch, nan_at):
     # max(0.0, nan) is 0.0, so a plain max merge would hide the NaN
-    trial = _TRIALS["ineq-real"]
+    row = _SUITES["ineq-real"]
     calls = []
 
     def patched(n, seed, tol):
-        residuals = dict(trial(n, seed, tol))
+        residuals = dict(row.trial(n, seed, tol))
         residuals["splitAgreement"] = math.nan if len(calls) == nan_at else 1e-30
         calls.append(seed)
         return residuals
 
-    monkeypatch.setitem(_TRIALS, "ineq-real", patched)
+    monkeypatch.setitem(_SUITES, "ineq-real", row._replace(trial=patched))
     rep = run_suite(_small_spec("ineq-real", trials=3))
     assert [f["seed"] for f in rep.failures] == [calls[nan_at]]
     assert math.isnan(rep.worst_residuals["splitAgreement"])
