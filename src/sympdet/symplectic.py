@@ -168,16 +168,34 @@ def membership_residual(a, group: GroupKind) -> float:
     group.  Gates compare the result against a ToleranceConfig field
     (membership, factor_residual, product_residual).  An all-zero matrix
     gives inf; a NaN or Inf entry gives nan, which fails every gate.
+
+    One GEMM, and J is never formed: multiplying by J on the right swaps the
+    two column blocks and negates one, A^# J = [-A^#[:, N:], A^#[:, :N]], so
+    that product is filled exactly without BLAS and only (A^# J) A is
+    multiplied.  Each entry of A^# J is a single +-1 product, so the fill
+    equals the dense product up to the sign of a zero, which the norm squares
+    away.  The fill goes into a fresh C-ordered array, the layout a GEMM
+    result has: BLAS picks its kernel by operand layout, and an F-ordered left
+    operand rounds some sums differently.  The association (A^# J) A is kept
+    for the same reason; A^# (J A) sums in another order.  Subtracting J
+    touches only its 2N nonzero entries, in place, and ||J||_F = sqrt(2N)
+    exactly.
     """
     a = as_square(a)
     if group is GroupKind.REAL_SYMPLECTIC and kind_of(a) != "R":
         raise ValueError("real symplectic membership needs a real matrix")
-    j = symplectic_form(half_dim(a), kind_of(a))
+    n = half_dim(a)
     adj = a.conj().T if group is GroupKind.CONJUGATE_SYMPLECTIC else a.T
     scale = frobenius(a) ** 2
     if scale == 0.0:
         return math.inf
-    return frobenius(adj @ j @ a - j) / frobenius(j) / scale
+    adj_j = np.empty(a.shape, a.dtype)  # C order, as adj @ j would be
+    adj_j[:, :n] = -adj[:, n:]
+    adj_j[:, n:] = adj[:, :n]
+    r = (adj_j @ a).ravel()  # a view: the GEMM result is C-ordered
+    r[n:2 * n * n:2 * n + 1] -= 1.0  # entries (i, N + i), where J is +1
+    r[2 * n * n::2 * n + 1] += 1.0   # entries (N + i, i), where J is -1
+    return frobenius(r) / math.sqrt(2 * n) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +497,12 @@ def conj_symplectic_det(a, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> complex
     the configured floor.
     """
     a = as_square(a)
-    res_mem = membership_residual(a, GroupKind.CONJUGATE_SYMPLECTIC)
+    return _gated_conj_det(a, membership_residual(a, GroupKind.CONJUGATE_SYMPLECTIC), tol)
+
+
+def _gated_conj_det(a, res_mem: float, tol: ToleranceConfig) -> complex:
+    """conj_symplectic_det given A's conjugate membership residual, for a
+    caller that reports that residual too and must not compute it twice."""
     if not res_mem <= tol.membership:  # a NaN residual must not pass
         raise MembershipError(
             f"not conjugate symplectic: scaled residual {res_mem:.3e} "

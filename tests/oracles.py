@@ -3,9 +3,10 @@
 Everything here is deliberately naive and separate from the library code
 paths it checks: a pure-Python LU with partial pivoting (the reference for
 ``sympdet.log_det``, which runs LAPACK through numpy), a cofactor-expansion
-determinant, an inversion-counting permutation sign, and ``np.block``
+determinant, an inversion-counting permutation sign, ``np.block``
 assemblies of the structured 2N x 2N matrices (the bitwise reference for the
-library's in-place block fills).
+library's in-place block fills), and the two-GEMM membership residual (the
+bitwise reference for the library's one-GEMM form).
 """
 
 import math
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sympdet.linalg import LogDet, SingularMatrixError, as_square, identity, kind_of
+from sympdet.symplectic import GroupKind, symplectic_form
 
 
 @dataclass(frozen=True)
@@ -165,3 +167,23 @@ def block_j_conjugate(a):
     a = as_square(a)
     n = a.shape[0] // 2
     return np.block([[a[n:, n:], -a[n:, :n]], [-a[:n, n:], a[:n, :n]]])
+
+
+# ---------------------------------------------------------------------------
+# Membership residual with J as a dense matrix: the bitwise reference for
+# membership_residual, which applies J as a signed column swap and subtracts
+# it in place
+# ---------------------------------------------------------------------------
+
+def dense_membership_residual(a, group):
+    """||A^# J A - J||_F / (||J||_F ||A||_F^2) with both products as GEMMs,
+    associated as (A^# J) A."""
+    a = as_square(a)
+    if group is GroupKind.REAL_SYMPLECTIC and kind_of(a) != "R":
+        raise ValueError("real symplectic membership needs a real matrix")
+    j = symplectic_form(a.shape[0] // 2, kind_of(a))
+    adj = a.conj().T if group is GroupKind.CONJUGATE_SYMPLECTIC else a.T
+    scale = float(np.linalg.norm(a)) ** 2
+    if scale == 0.0:
+        return math.inf
+    return float(np.linalg.norm(adj @ j @ a - j)) / float(np.linalg.norm(j)) / scale

@@ -9,11 +9,16 @@ import numpy as np
 import pytest
 
 import sympdet as sd
+from sympdet import suites, symplectic
 from sympdet.cli import main
 from sympdet.report import Report, emit_report, render_json, render_text
-from sympdet.suites import (SUITE_IDS, SuiteSpec, _SUITES, default_suite_spec, run_suite,
-                            run_trial)
-from sympdet.symplectic import DEFAULT_TOLERANCES, RESIDUAL_BOUNDS, ToleranceConfig
+from sympdet.suites import (SUITE_IDS, SuiteSpec, _SUITES, conj_formula_check,
+                            default_suite_spec, run_suite, run_trial)
+from sympdet.symplectic import (DEFAULT_TOLERANCES, RESIDUAL_BOUNDS, FormulaInconclusiveError,
+                                GroupKind, MembershipError, ToleranceConfig,
+                                conj_symplectic_det, membership_residual)
+
+CONJ = GroupKind.CONJUGATE_SYMPLECTIC
 
 
 def _small_spec(suite_id, seed=5, trials=6):
@@ -163,6 +168,67 @@ def test_nan_residual_wins_worst_residuals(monkeypatch, nan_at):
     assert [f["seed"] for f in rep.failures] == [calls[nan_at]]
     assert math.isnan(rep.worst_residuals["splitAgreement"])
     assert not rep.all_passed
+
+
+def test_conj_formula_check_computes_membership_once(monkeypatch):
+    calls = []
+
+    def counting(a, group):
+        calls.append(group)
+        return membership_residual(a, group)
+
+    monkeypatch.setattr(suites, "membership_residual", counting)
+    monkeypatch.setattr(symplectic, "membership_residual", counting)
+    a = sd.generate(sd.GeneratorConfig(half_dim=3, target=CONJ, seed=5))
+    result, _, _ = conj_formula_check(a)
+    assert calls == [CONJ]
+    assert list(result.residuals) == ["membership", "detModulusOne", "phaseAgreement"]
+    assert result.residuals["membership"] == membership_residual(a, CONJ)
+    assert result.passed
+
+
+def test_conj_formula_check_raises_as_conj_symplectic_det():
+    loose = ToleranceConfig(membership=1e9)
+    for a, tol, error in ((np.diag([2.0 + 0j, 2.0]), DEFAULT_TOLERANCES, MembershipError),
+                          (np.zeros((4, 4)), DEFAULT_TOLERANCES, MembershipError),
+                          (np.array([[1.0 + 0j, 1j], [0j, 0j]]), loose,
+                           FormulaInconclusiveError)):
+        with pytest.raises(error) as direct:
+            conj_symplectic_det(a, tol)
+        with pytest.raises(error) as check:
+            conj_formula_check(a, tol)
+        assert str(check.value) == str(direct.value)
+
+
+def test_conj_formula_trial_records_inf_phase_on_rejection():
+    # a zero membership bound rejects the generated member; the trial keeps
+    # its oracle residuals and records the missing phase as inf
+    tol = ToleranceConfig(membership=0.0)
+    result = run_trial("conj-formula", 2, 13, tol)
+    a = sd.generate(sd.GeneratorConfig(half_dim=2, target=CONJ, seed=13), tol=tol)
+    assert list(result.residuals) == ["membership", "detModulusOne", "phaseAgreement"]
+    assert result.residuals["membership"] == membership_residual(a, CONJ) > 0.0
+    assert result.residuals["phaseAgreement"] == math.inf
+    assert not result.passed
+
+
+def test_generator_sanity_determinism_compares_bytes(monkeypatch):
+    # the second generate call drifts by one ulp in one entry
+    calls = []
+
+    def drifting(cfg, tol):
+        a = sd.generate(cfg, tol=tol)
+        if calls:
+            a.real[0, 0] = np.nextafter(a.real[0, 0], math.inf)
+        calls.append(cfg)
+        return a
+
+    assert run_trial("generator-sanity", 2, 11).residuals["determinism"] == 0.0
+    monkeypatch.setattr(suites, "generate", drifting)
+    result = run_trial("generator-sanity", 2, 11)
+    assert len(calls) == 2
+    assert result.residuals["determinism"] == 1.0
+    assert not result.passed
 
 
 def test_emit_report_writes_file(tmp_path):

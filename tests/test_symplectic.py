@@ -43,7 +43,7 @@ from sympdet.symplectic import (
 REAL = GroupKind.REAL_SYMPLECTIC
 CONJ = GroupKind.CONJUGATE_SYMPLECTIC
 
-from oracles import cofactor_det
+from oracles import cofactor_det, dense_membership_residual
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +106,32 @@ def test_membership_dispatch():
     with pytest.raises(ValueError, match="real"):
         membership_residual(j.astype(complex), REAL)
     assert not membership_residual(np.diag([3.0, 3.0]), REAL) <= tol
+
+
+@pytest.mark.parametrize("group", list(GroupKind))
+@pytest.mark.parametrize("n", [*range(1, 9), 50, 100])
+def test_membership_residual_matches_dense_reference(group, n):
+    # J as a signed column swap, subtracted in place, gives the dense
+    # (A^# J) A - J bit for bit; the F-ordered and transposed inputs reach
+    # BLAS in another layout, and a layout-dependent kernel choice only showed
+    # at N >= 50
+    m = generate(GeneratorConfig(half_dim=n, target=group, seed=split_seed(61, n)))
+    noise = random_gaussian(rng_from_seed(n), 2 * n, "R" if group is REAL else "C")
+    for base in (m, m + 1e-7 * noise, 3.0 * m):
+        for a in (base, np.asfortranarray(base), base.T):
+            assert membership_residual(a, group) == dense_membership_residual(a, group)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in (A^T J) A
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("n", [1, 3])
+def test_residual_of_non_finite_input_is_nan(n, bad):
+    for group in GroupKind:
+        m = generate(GeneratorConfig(half_dim=n, target=group, seed=split_seed(67, n)))
+        for i, k in np.ndindex(m.shape):
+            a = m.copy()
+            a[i, k] = bad
+            assert math.isnan(membership_residual(a, group)), (group, i, k)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +389,7 @@ def test_certificate_rejects_non_members_and_bad_kinds():
         certify_symplectic(identity(4), GroupKind.CONJUGATE_SYMPLECTIC)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in A^T J A
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in (A^T J) A
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_certificate_rejects_non_finite_input(bad):
     for group, kind in ((GroupKind.REAL_SYMPLECTIC, "R"), (GroupKind.COMPLEX_SYMPLECTIC, "C")):
@@ -440,7 +466,7 @@ def test_conj_det_rejects_non_members():
             conj_symplectic_det(zeros(4, kind))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in A^T J A
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in (A^T J) A
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_conj_det_rejects_non_finite_input(bad):
     a = symplectic_form(2, "C")
