@@ -19,7 +19,7 @@ import numpy as np
 
 from .linalg import (
     SingularMatrixError,
-    as_square,
+    _square,
     frobenius,
     identity,
     kind_of,
@@ -93,17 +93,17 @@ def _shear(s: np.ndarray, lower: bool) -> np.ndarray:
 
 def shear_lower(s, target: GroupKind = GroupKind.REAL_SYMPLECTIC) -> np.ndarray:
     """[[I, 0], [S, I]] with S symmetrized (Hermitian for the conjugate group)."""
-    return _shear(_symmetrized(as_square(s), target is GroupKind.CONJUGATE_SYMPLECTIC), True)
+    return _shear(_symmetrized(_square(s), target is GroupKind.CONJUGATE_SYMPLECTIC), True)
 
 
 def shear_upper(s, target: GroupKind = GroupKind.REAL_SYMPLECTIC) -> np.ndarray:
     """[[I, S], [0, I]] with S symmetrized (Hermitian for the conjugate group)."""
-    return _shear(_symmetrized(as_square(s), target is GroupKind.CONJUGATE_SYMPLECTIC), False)
+    return _shear(_symmetrized(_square(s), target is GroupKind.CONJUGATE_SYMPLECTIC), False)
 
 
 def diag_block(p, target: GroupKind = GroupKind.REAL_SYMPLECTIC) -> np.ndarray:
     """[[P, 0], [0, P^{-T}]] (P^{-*} for the conjugate group); P must be invertible."""
-    p = as_square(p)
+    p = _square(p)
     n = p.shape[0]
     try:
         pinv = np.linalg.inv(p)

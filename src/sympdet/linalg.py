@@ -8,7 +8,10 @@ over large dimensions.
 Matrices are plain numpy arrays, square, in one of two kinds: "R" (float64)
 or "C" (complex128).  Every function has value semantics: arguments are never
 mutated and results are freshly allocated, so any matrix may be shared freely
-across threads.  The only stateful object is the numpy Generator returned by
+across threads.  Internal callers that only read their input coerce it with
+the private ``_square``, which passes a contiguous float64/complex128 array
+through without copying; no public result shares memory with an argument.
+The only stateful object is the numpy Generator returned by
 :func:`rng_from_seed`; keep each generator confined to one logical thread and
 derive per-task generators with :func:`split_seed`.
 """
@@ -34,10 +37,27 @@ def kind_of(a: np.ndarray) -> str:
 
 
 def as_square(a) -> np.ndarray:
-    """Coerce to a square float64/complex128 array (always a fresh copy)."""
-    m = np.array(a)
+    """Coerce to a square float64/complex128 array (always a fresh copy).
+
+    Internal code that only reads the matrix uses ``_square`` instead, which
+    skips the copy when there is nothing to convert.
+    """
+    m = _square(a)
+    return np.array(m) if m is a else m
+
+
+def _square(a) -> np.ndarray:
+    """as_square for read-only use: ``a`` itself when it already is an
+    aligned, C- or F-contiguous float64/complex128 ndarray, else the same
+    fresh copy as_square makes (so the layout, and every BLAS rounding that
+    depends on it, is the same either way)."""
+    keep = (type(a) is np.ndarray and a.dtype in (np.float64, np.complex128)
+            and a.flags.aligned and (a.flags.c_contiguous or a.flags.f_contiguous))
+    m = a if keep else np.array(a)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if keep:
+        return m
     dtype = np.complex128 if np.iscomplexobj(m) else np.float64
     return m.astype(dtype, copy=False)  # np.array above already copied
 
@@ -119,7 +139,7 @@ def log_det(a) -> LogDet:
     A singular input gives (-inf, 1); the phase is renormalized onto the unit
     circle.
     """
-    sign, logabs = np.linalg.slogdet(as_square(a))
+    sign, logabs = np.linalg.slogdet(_square(a))
     if sign == 0:
         return LogDet(-math.inf, 1 + 0j)
     p = complex(sign)

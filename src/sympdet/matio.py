@@ -13,11 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import as_square, kind_of
+from .linalg import _square, kind_of
 
 
 def format_matrix(a) -> str:
-    a = as_square(a)
+    a = _square(a)
     n = a.shape[0]
     kind = kind_of(a)
     lines = [f"{n} {kind}"]

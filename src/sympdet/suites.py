@@ -189,12 +189,14 @@ def conj_formula_check(a, tol: ToleranceConfig = DEFAULT_TOLERANCES
 def _trial_conj_formula(n: int, seed: int, tol: ToleranceConfig) -> dict:
     cfg = GeneratorConfig(half_dim=n, target=GroupKind.CONJUGATE_SYMPLECTIC, seed=seed)
     a = generate(cfg, tol=tol)
+    residuals, oracle = _conj_oracle_residuals(a)
     try:
-        return conj_formula_check(a, tol)[0].residuals
+        formula_phase = _gated_conj_det(a, residuals["membership"], tol)
     except (MembershipError, FormulaInconclusiveError):
-        residuals, _ = _conj_oracle_residuals(a)
         residuals["phaseAgreement"] = math.inf
-        return residuals
+    else:
+        residuals["phaseAgreement"] = phase_angle(formula_phase, oracle.phase)
+    return residuals
 
 
 def _trial_generator_sanity(n: int, seed: int, tol: ToleranceConfig) -> dict:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .linalg import (
     LogDet,
-    as_square,
+    _square,
     frobenius,
     identity,
     kind_of,
@@ -171,27 +171,29 @@ def membership_residual(a, group: GroupKind) -> float:
 
     One GEMM, and J is never formed: multiplying by J on the right swaps the
     two column blocks and negates one, A^# J = [-A^#[:, N:], A^#[:, :N]], so
-    that product is filled exactly without BLAS and only (A^# J) A is
-    multiplied.  Each entry of A^# J is a single +-1 product, so the fill
-    equals the dense product up to the sign of a zero, which the norm squares
-    away.  The fill goes into a fresh C-ordered array, the layout a GEMM
-    result has: BLAS picks its kernel by operand layout, and an F-ordered left
-    operand rounds some sums differently.  The association (A^# J) A is kept
-    for the same reason; A^# (J A) sums in another order.  Subtracting J
-    touches only its 2N nonzero entries, in place, and ||J||_F = sqrt(2N)
-    exactly.
+    that product is filled exactly without BLAS (conjugating, for A^*, as it
+    copies) and only (A^# J) A is multiplied.  Each entry of A^# J is a single
+    +-1 product, so the fill equals the dense product up to the sign of a
+    zero, which the norm squares away.  The fill goes into a fresh C-ordered
+    array, the layout a GEMM result has: BLAS picks its kernel by operand
+    layout, and an F-ordered left operand rounds some sums differently.  The
+    association (A^# J) A is kept for the same reason; A^# (J A) sums in
+    another order.  Subtracting J touches only its 2N nonzero entries, in
+    place, and ||J||_F = sqrt(2N) exactly.
     """
-    a = as_square(a)
+    a = _square(a)
     if group is GroupKind.REAL_SYMPLECTIC and kind_of(a) != "R":
         raise ValueError("real symplectic membership needs a real matrix")
     n = half_dim(a)
-    adj = a.conj().T if group is GroupKind.CONJUGATE_SYMPLECTIC else a.T
     scale = frobenius(a) ** 2
     if scale == 0.0:
         return math.inf
+    adjoint = np.conjugate if group is GroupKind.CONJUGATE_SYMPLECTIC else np.positive
     adj_j = np.empty(a.shape, a.dtype)  # C order, as adj @ j would be
-    adj_j[:, :n] = -adj[:, n:]
-    adj_j[:, n:] = adj[:, :n]
+    left, right = adj_j[:, :n], adj_j[:, n:]
+    adjoint(a[n:, :].T, out=left)  # A^#[:, N:], conjugated as it is copied
+    np.negative(left, out=left)
+    adjoint(a[:n, :].T, out=right)  # A^#[:, :N]
     r = (adj_j @ a).ravel()  # a view: the GEMM result is C-ordered
     r[n:2 * n * n:2 * n + 1] -= 1.0  # entries (i, N + i), where J is +1
     r[2 * n * n::2 * n + 1] += 1.0   # entries (N + i, i), where J is -1
@@ -219,7 +221,7 @@ def _quadrants(tl, tr, bl, br) -> np.ndarray:
 
 def j_conjugate(a) -> np.ndarray:
     """J A J^{-1}, computed blockwise as [[A22, -A21], [-A12, A11]]."""
-    a = as_square(a)
+    a = _square(a)
     n = half_dim(a)
     return _quadrants(a[n:, n:], -a[n:, :n], -a[:n, n:], a[:n, :n])
 
@@ -242,7 +244,7 @@ def block_pair(a, group: GroupKind) -> BlockPair:
     conj(A22), D = A12 - conj(A21) (so that A + conj(J A J^{-1}) =
     [[C, D], [-conj(D), conj(C)]]).
     """
-    a = as_square(a)
+    a = _square(a)
     n = half_dim(a)
     a11, a12, a21, a22 = a[:n, :n], a[:n, n:], a[n:, :n], a[n:, n:]
     if group is GroupKind.COMPLEX_SYMPLECTIC:
@@ -268,9 +270,8 @@ def unitary_split_det(p: BlockPair) -> tuple[LogDet, LogDet]:
     """
     if p.group is GroupKind.COMPLEX_SYMPLECTIC:
         raise ValueError("the unitary split applies to unconjugated pairs only")
-    c = p.c.astype(np.complex128)
-    d = p.d.astype(np.complex128)
-    return log_det(c + 1j * d), log_det(c - 1j * d)
+    jd = 1j * p.d
+    return log_det(p.c + jd), log_det(p.c - jd)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +284,8 @@ def conj_block_det(c, d) -> LogDet:
     These embeddings are exactly the complex images of quaternionic matrices;
     their determinant is always real and nonnegative.
     """
-    c = as_square(c).astype(np.complex128)
-    d = as_square(d).astype(np.complex128)
+    c = _square(c).astype(np.complex128, copy=False)
+    d = _square(d).astype(np.complex128, copy=False)
     if c.shape != d.shape:
         raise ValueError(f"dimension mismatch: {c.shape[0]} vs {d.shape[0]}")
     return log_det(embed_pair(BlockPair(c, d, GroupKind.COMPLEX_SYMPLECTIC)))
@@ -319,8 +320,8 @@ def conj_block_reduction(c, d, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Red
       commuting   det([[I, E], [-conj(E), I]]) vs det(conj(E) E + I)
       eeNonneg    sign slack of det(conj(E) E + I)
     """
-    c = as_square(c).astype(np.complex128)
-    d = as_square(d).astype(np.complex128)
+    c = _square(c).astype(np.complex128)  # a copy: the probe keeps C and D
+    d = _square(d).astype(np.complex128)
     if c.shape != d.shape:
         raise ValueError(f"dimension mismatch: {c.shape[0]} vs {d.shape[0]}")
     n = c.shape[0]
@@ -421,7 +422,7 @@ def certify_symplectic(a, group: GroupKind = GroupKind.REAL_SYMPLECTIC,
     Raises MembershipError if A fails the group residual test (an all-zero A
     included), ValueError if the group/kind combination is invalid.
     """
-    a = as_square(a)
+    a = _square(a)
     if group is GroupKind.CONJUGATE_SYMPLECTIC:
         raise ValueError("certificates cover the determinant-one groups; "
                          "use conj_symplectic_det for the conjugate group")
@@ -496,7 +497,7 @@ def conj_symplectic_det(a, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> complex
     FormulaInconclusiveError when |det| of the formula matrix falls below
     the configured floor.
     """
-    a = as_square(a)
+    a = _square(a)
     return _gated_conj_det(a, membership_residual(a, GroupKind.CONJUGATE_SYMPLECTIC), tol)
 
 

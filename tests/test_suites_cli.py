@@ -212,6 +212,31 @@ def test_conj_formula_trial_records_inf_phase_on_rejection():
     assert not result.passed
 
 
+@pytest.mark.parametrize("tol, memberships, log_dets", [
+    (ToleranceConfig(membership=0.0), 1, 1),  # rejected: log_det(A) only
+    (DEFAULT_TOLERANCES, 1, 3),               # accepted: A, C + iD, C - iD
+])
+def test_conj_formula_trial_computes_each_residual_once(monkeypatch, tol, memberships,
+                                                        log_dets):
+    calls = {"membership": 0, "log_det": 0}
+
+    def counting(name, f):
+        def wrapped(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapped
+
+    # generate's own product gate lives in generators and is not counted
+    for module in (suites, symplectic):
+        monkeypatch.setattr(module, "membership_residual",
+                            counting("membership", module.membership_residual))
+        monkeypatch.setattr(module, "log_det", counting("log_det", module.log_det))
+    result = run_trial("conj-formula", 2, 13, tol)
+    assert calls == {"membership": memberships, "log_det": log_dets}
+    assert list(result.residuals) == ["membership", "detModulusOne", "phaseAgreement"]
+    assert result.passed == (tol is DEFAULT_TOLERANCES)
+
+
 def test_generator_sanity_determinism_compares_bytes(monkeypatch):
     # the second generate call drifts by one ulp in one entry
     calls = []
