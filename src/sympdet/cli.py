@@ -9,11 +9,15 @@ certify and formula share one path; formula is the conjugate mode reported
 under the suite name "formula".  Exit status is 0 only when every requested
 check passed; 1 on failed checks, non-membership, unreadable input, or an
 unwritable --out; 2 on usage errors.
+
+main builds its argument parser once per process, on first use, and reuses it
+for every later call; build_parser returns a fresh one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import asdict, replace
@@ -103,6 +107,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_formula.set_defaults(mode=GroupKind.CONJUGATE_SYMPLECTIC.value)
     common(p_formula)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reuses; parse_args leaves it unchanged."""
+    return build_parser()
 
 
 def _tolerances(args) -> "ToleranceConfig":
@@ -205,7 +215,7 @@ def _cmd_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return _cmd_suite(args) if args.command == "suite" else _cmd_check(args)
 
 

@@ -2,8 +2,10 @@
 
 Format: a header line ``"n kind"`` with kind R or C, then n rows of n
 whitespace-separated entries.  Real entries are decimal floats; complex
-entries are ``re,im`` pairs; nan and inf are rejected.  Floats are written
-with repr (shortest round-trip form), so write -> read is exact and
+entries are ``re,im`` pairs.  Every number parses as Python ``float()``;
+nan and inf are rejected.  A malformed file raises ValueError naming the
+line and the first bad entry on it.  Floats are written with repr (shortest
+round-trip form), so write -> read is exact, sign of zero included, and
 locale-independent.
 """
 
@@ -20,13 +22,36 @@ def format_matrix(a) -> str:
     a = _square(a)
     n = a.shape[0]
     kind = kind_of(a)
-    lines = [f"{n} {kind}"]
-    for row in a:
-        if kind == "R":
-            lines.append(" ".join(repr(float(x)) for x in row))
-        else:
-            lines.append(" ".join(f"{float(x.real)!r},{float(x.imag)!r}" for x in row))
-    return "\n".join(lines) + "\n"
+    if kind == "R":
+        entry, values = "%r", a.ravel().tolist()
+    else:  # re, im interleaved in row-major order, whatever the layout of a
+        entry, values = "%r,%r", np.stack((a.real, a.imag), axis=-1).ravel().tolist()
+    row = " ".join([entry] * n)
+    return f"{n} {kind}\n" + "\n".join([row] * n) % tuple(values) + "\n"
+
+
+def _row_floats(ln: str, toks: list[str], kind: str) -> list[float]:
+    """The floats of one line of entries, ``toks = ln.split()``: one per entry
+    for R, re and im interleaved for C.  Raises ValueError if any entry is
+    malformed."""
+    if kind == "R":
+        if "," in ln:
+            raise ValueError
+        return list(map(float, toks))
+    if any(t.count(",") != 1 for t in toks):
+        raise ValueError
+    parts = ln.replace(",", " ").split()
+    if len(parts) != 2 * len(toks):  # an empty re or im, as in "1," or ",2"
+        raise ValueError
+    return list(map(float, parts))
+
+
+def _parses(tok: str, kind: str) -> bool:
+    try:
+        _row_floats(tok, [tok], kind)
+    except ValueError:
+        return False
+    return True
 
 
 def parse_matrix(text: str) -> np.ndarray:
@@ -50,22 +75,19 @@ def parse_matrix(text: str) -> np.ndarray:
     if len(rows) != n:
         raise ValueError(f"expected {n} rows of entries, found {len(rows)}")
 
-    out = np.zeros((n, n), dtype=np.complex128 if kind == "C" else np.float64)
-    for r, (lineno, ln) in enumerate(rows):
+    values = []
+    for lineno, ln in rows:
         toks = ln.split()
         if len(toks) != n:
             raise ValueError(f"line {lineno}: expected {n} entries, got {len(toks)}")
-        for c, tok in enumerate(toks):
-            try:
-                if kind == "R":
-                    if "," in tok:
-                        raise ValueError
-                    out[r, c] = float(tok)
-                else:
-                    re, im = tok.split(",")
-                    out[r, c] = complex(float(re), float(im))
-            except ValueError:
-                raise ValueError(f"line {lineno}: bad {kind}-kind entry {tok!r}") from None
+        try:
+            values.append(_row_floats(ln, toks, kind))
+        except ValueError:  # name the first bad entry
+            tok = next(t for t in toks if not _parses(t, kind))
+            raise ValueError(f"line {lineno}: bad {kind}-kind entry {tok!r}") from None
+    out = np.array(values, dtype=np.float64)
+    if kind == "C":
+        out = out.view(np.complex128)  # bitwise complex(re, im)
     bad = np.argwhere(~np.isfinite(out))
     if bad.size:
         r, c = bad[0]

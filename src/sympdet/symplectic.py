@@ -331,9 +331,10 @@ def conj_block_reduction(c, d, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Red
     except np.linalg.LinAlgError:
         return ReductionProbe(c=c, d=d, e=None, block_det=block,
                               pair_det=None, embed_det=None, singular_c=True)
-    eye = identity(n, "C")
-    pair = log_det(e.conj() @ e + eye)
-    embed = log_det(embed_pair(BlockPair(eye, e, GroupKind.COMPLEX_SYMPLECTIC)))
+    ee = e.conj() @ e
+    ee[np.diag_indices(n)] += 1.0  # + I, in the fresh product
+    pair = log_det(ee)
+    embed = log_det(embed_pair(BlockPair(identity(n, "C"), e, GroupKind.COMPLEX_SYMPLECTIC)))
     rhs = log_det(c) * log_det(c.conj()) * embed
     residuals = {
         "solve": frobenius(c @ e - d) / (frobenius(c) * frobenius(e) + frobenius(d) + 1e-300),
@@ -438,13 +439,14 @@ def certify_symplectic(a, group: GroupKind = GroupKind.REAL_SYMPLECTIC,
     n2 = a.shape[0]
     det_a = log_det(a)
     if group is GroupKind.REAL_SYMPLECTIC:
-        gram = a.T @ a + identity(n2, "R")
+        gram = a.T @ a
         adj_det = det_a                  # det(A^T) = det(A)
         gram_label = "det(A^T A + I)"
     else:
-        gram = a.conj().T @ a + identity(n2, "C")
+        gram = a.conj().T @ a
         adj_det = det_a.conjugated()     # det(A^*) = conj(det(A))
         gram_label = "det(A^* A + I)"
+    gram[np.diag_indices(n2)] += 1.0     # + I, in the fresh product
     lhs = log_det(gram)
     pair = block_pair(a, group)
     aux = log_det(embed_pair(pair))

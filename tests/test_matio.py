@@ -28,6 +28,29 @@ def test_round_trip_is_exact(kind):
     assert np.array_equal(parse_matrix(format_matrix(a)), a)
 
 
+def test_golden_file_text():
+    # the exact bytes written, and read back bit for bit, sign of zero included
+    r = np.array([[-0.0, 5e-324, 1e-05],
+                  [1e16, 0.1, 1.7976931348623157e308],
+                  [-1.5, 0.0, -2.2250738585072014e-308]])
+    c = np.array([[complex(0.1, -0.0), complex(-0.0, 5e-324)],
+                  [complex(1e-05, -1e16), complex(1.7976931348623157e308, 0.0)]])
+    golden = {
+        "3 R\n"
+        "-0.0 5e-324 1e-05\n"
+        "1e+16 0.1 1.7976931348623157e+308\n"
+        "-1.5 0.0 -2.2250738585072014e-308\n": r,
+        "2 C\n"
+        "0.1,-0.0 -0.0,5e-324\n"
+        "1e-05,-1e+16 1.7976931348623157e+308,0.0\n": c,
+    }
+    for text, a in golden.items():
+        assert format_matrix(a) == text
+        back = parse_matrix(text)
+        assert back.dtype == a.dtype
+        assert back.tobytes() == a.tobytes()
+
+
 def test_round_trip_through_files(tmp_path):
     a = random_gaussian(rng_from_seed(9), 3, "C")
     path = tmp_path / "m.txt"
@@ -56,10 +79,23 @@ def test_shape_errors():
 
 
 def test_entry_errors():
-    with pytest.raises(ValueError, match="line 2: bad R-kind"):
-        parse_matrix("1 R\n1.0,2.0\n")
-    with pytest.raises(ValueError, match="line 3: bad C-kind"):
-        parse_matrix("2 C\n1,0 0,0\n0,0 nope\n")
+    # each message names the line and the first bad entry on it
+    cases = {
+        "1 R\n1.0,2.0\n": "line 2: bad R-kind entry '1.0,2.0'",
+        "2 C\n1,0 0,0\n0,0 nope\n": "line 3: bad C-kind entry 'nope'",
+        "1 C\n1,2,3\n": "line 2: bad C-kind entry '1,2,3'",
+        "1 C\n1\n": "line 2: bad C-kind entry '1'",
+        "1 C\n1,\n": "line 2: bad C-kind entry '1,'",
+        "1 C\n,2\n": "line 2: bad C-kind entry ',2'",
+        "2 R\n1.0 2.0\nfoo bar\n": "line 3: bad R-kind entry 'foo'",
+        "3 R\n1 2 3\n4 x 5,6\n7 8 9\n": "line 3: bad R-kind entry 'x'",
+        "2 C\n1,0 1,2,3\n4 0,0\n": "line 2: bad C-kind entry '1,2,3'",
+        "3 C\n1,1 ,3 4,\n1,1 1,1 1,1\n1,1 1,1 1,1\n": "line 2: bad C-kind entry ',3'",
+    }
+    for text, message in cases.items():
+        with pytest.raises(ValueError) as exc:
+            parse_matrix(text)
+        assert str(exc.value) == message, text
 
 
 @pytest.mark.parametrize("text", ["2 R\n1.0 0.0\n\n0.0 nan\n", "2 C\n1,0 0,0\n\n0,0 1,-inf\n"],

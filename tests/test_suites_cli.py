@@ -3,13 +3,17 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sympdet as sd
-from sympdet import suites, symplectic
+from sympdet import cli, suites, symplectic
 from sympdet.cli import main
 from sympdet.report import Report, emit_report, render_json, render_text
 from sympdet.suites import (SUITE_IDS, SuiteSpec, _SUITES, conj_formula_check,
@@ -451,3 +455,45 @@ def test_cli_seed_changes_draws_but_not_verdict(capsys):
     out2 = capsys.readouterr().out
     assert rc1 == rc2 == 0
     assert out1 != out2   # residuals differ by seed
+
+
+def _without_elapsed(text: str) -> str:
+    text = re.sub(r'"elapsedSeconds": \S+', '"elapsedSeconds": _', text)
+    return re.sub(r"elapsedSeconds: \S+", "elapsedSeconds: _", text)
+
+
+def test_cli_reuses_one_parser_with_fresh_process_results(tmp_path, capsys, monkeypatch):
+    # main keeps one parser for the process; every call through it must give
+    # the exit code and output of the same call made first in a fresh process
+    monkeypatch.setenv("COLUMNS", "80")  # the same usage wrapping on both sides
+    paths = {g: _write(tmp_path, f"{g.value}.txt",
+                       sd.generate(sd.GeneratorConfig(half_dim=2, target=g, seed=17)))
+             for g in GroupKind}
+    certify_real = ["certify", paths[GroupKind.REAL_SYMPLECTIC], "--mode", "real"]
+    calls = [certify_real,
+             ["certify", paths[GroupKind.COMPLEX_SYMPLECTIC], "--mode", "complex",
+              "--format", "json"],
+             ["certify", paths[CONJ], "--mode", "conjugate"],
+             ["formula", paths[CONJ], "--format", "json"],
+             ["suite", "lemma", "--trials", "2", "--n", "1"],
+             ["certify", paths[CONJ], "--mode", "bogus"],  # usage error, exit 2
+             certify_real]
+    env = {**os.environ, "PYTHONPATH": str(Path(sd.__file__).parents[1])}
+    fresh = {tuple(argv): subprocess.Popen([sys.executable, "-m", "sympdet", *argv], env=env,
+                                           stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                           text=True)
+             for argv in dict.fromkeys(map(tuple, calls))}
+    for key, proc in fresh.items():
+        out, err = proc.communicate(timeout=120)
+        fresh[key] = (proc.returncode, _without_elapsed(out), _without_elapsed(err))
+    assert fresh[tuple(calls[-2])][0] == 2
+
+    parser = cli._parser()
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        got = capsys.readouterr()
+        assert (code, _without_elapsed(got.out), _without_elapsed(got.err)) == fresh[tuple(argv)], argv
+    assert cli._parser() is parser

@@ -91,6 +91,7 @@ def test_uncopied_input_gives_the_copied_result(group, n):
         y = np.array(x)
         assert sd.membership_residual(x, group) == sd.membership_residual(y, group), layout
         assert sd.log_det(x) == sd.log_det(y), layout
+        assert sd.format_matrix(x) == sd.format_matrix(y), layout
         if group is not CONJ:
             cx, cy = sd.certify_symplectic(x, group), sd.certify_symplectic(y, group)
             assert cx.residuals == cy.residuals, layout
