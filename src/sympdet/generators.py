@@ -8,11 +8,23 @@ conjugate group), the form J itself, and unit scalar phases for the conjugate
 group.  Products therefore stay in the group to rounding, with per-factor
 condition clamps keeping downstream determinant checks meaningful.  The
 sampled distribution is deliberately simple, not uniform over the group.
+
+Members are sampled as stacks: :func:`generate` is the stack of one, and the
+property suites build the members of many trials of one half-dim at once.
+Each member still draws from its own rng exactly what it would draw alone,
+and numpy's stacked arithmetic does to each matrix what it does to that
+matrix alone, so every member is bitwise independent of the stack it was
+built in.  Every factor kind has one fill, over a stack; the public single
+factor builders are its stack of one.  A stack holds at most about 1 MiB of
+members (one member, if that is larger), so memory does not grow with the
+number of members sampled.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,22 +34,20 @@ from .linalg import (
     _square,
     frobenius,
     identity,
-    kind_of,
-    random_gaussian,
     rng_from_seed,
-    zeros,
 )
 from .symplectic import (
     DEFAULT_TOLERANCES,
     GroupKind,
     ToleranceConfig,
+    _forms,
     membership_residual,
-    symplectic_form,
 )
 
 FACTOR_KINDS = ("shear_lower", "shear_upper", "diag_block", "form", "phase")
 
 _MAX_ATTEMPTS = 5
+_STACK_BYTES = 1 << 20  # members built as one stack; larger stacks save little more
 
 
 class GenerationError(RuntimeError):
@@ -50,7 +60,8 @@ class GeneratorConfig:
 
     factor_scale sets the entry scale of shear and perturbation blocks
     (normalized by sqrt(N) so factor norms are dimension-stable);
-    condition_cap clamps each factor's condition number.
+    condition_cap clamps each factor's condition number.  Both must be
+    finite.
     """
 
     half_dim: int
@@ -65,59 +76,118 @@ class GeneratorConfig:
             raise ValueError("half_dim must be >= 1")
         if self.num_factors < 1:
             raise ValueError("num_factors must be >= 1")
-        if not self.factor_scale > 0:
-            raise ValueError("factor_scale must be > 0")
-        if not self.condition_cap > 1:
-            raise ValueError("condition_cap must be > 1")
+        if not 0 < self.factor_scale < math.inf:
+            raise ValueError("factor_scale must be finite and > 0")
+        if not 1 < self.condition_cap < math.inf:
+            raise ValueError("condition_cap must be finite and > 1")
 
 
 def _symmetrized(s: np.ndarray, hermitian: bool) -> np.ndarray:
-    return (s + s.conj().T) / 2 if hermitian else (s + s.T) / 2
+    """(S + S^T) / 2, or (S + S^*) / 2 if hermitian, of each matrix of a stack."""
+    return (s + (s.conj() if hermitian else s).swapaxes(-1, -2)) / 2
 
 
 def _norm_clamped(x: np.ndarray, cap: float) -> np.ndarray:
-    f = frobenius(x)
-    return x if f <= cap else x * (cap / f)
+    """Each matrix of a stack scaled down, in place, to Frobenius norm <= cap."""
+    for i in range(len(x)):
+        f = frobenius(x[i])  # one matrix at a time: a stacked sum would round differently
+        if not f <= cap:
+            x[i] *= cap / f
+    return x
 
 
-def _shear(s: np.ndarray, lower: bool) -> np.ndarray:
-    """[[I, 0], [S, I]] if lower else [[I, S], [0, I]], for an S already symmetrized."""
-    n = s.shape[0]
-    out = identity(2 * n, kind_of(s))
-    if lower:
-        out[n:, :n] = s
-    else:
-        out[:n, n:] = s
+def _identities(k: int, m: int, dtype) -> np.ndarray:
+    """A stack of k m x m identities."""
+    out = np.zeros((k, m, m), dtype)
+    out.reshape(k, m * m)[:, ::m + 1] = 1
     return out
 
 
-def shear_lower(s, target: GroupKind = GroupKind.REAL_SYMPLECTIC) -> np.ndarray:
-    """[[I, 0], [S, I]] with S symmetrized (Hermitian for the conjugate group)."""
-    return _shear(_symmetrized(_square(s), target is GroupKind.CONJUGATE_SYMPLECTIC), True)
+def _shears(s: np.ndarray, lower: bool) -> np.ndarray:
+    """[[I, 0], [S, I]] if lower else [[I, S], [0, I]] for each S of a stack
+    of already symmetrized blocks."""
+    k, n, _ = s.shape
+    out = _identities(k, 2 * n, s.dtype)
+    if lower:
+        out[:, n:, :n] = s
+    else:
+        out[:, :n, n:] = s
+    return out
 
 
-def shear_upper(s, target: GroupKind = GroupKind.REAL_SYMPLECTIC) -> np.ndarray:
-    """[[I, S], [0, I]] with S symmetrized (Hermitian for the conjugate group)."""
-    return _shear(_symmetrized(_square(s), target is GroupKind.CONJUGATE_SYMPLECTIC), False)
-
-
-def diag_block(p, target: GroupKind = GroupKind.REAL_SYMPLECTIC) -> np.ndarray:
-    """[[P, 0], [0, P^{-T}]] (P^{-*} for the conjugate group); P must be invertible."""
-    p = _square(p)
-    n = p.shape[0]
+def _diag_blocks(p: np.ndarray, conjugate: bool) -> np.ndarray:
+    """[[P, 0], [0, P^{-T}]] (P^{-*} if conjugate) for each P of a stack."""
+    k, n, _ = p.shape
     try:
         pinv = np.linalg.inv(p)
     except np.linalg.LinAlgError:
         raise SingularMatrixError("diag_block needs an invertible P") from None
-    out = zeros(2 * n, kind_of(p))
-    out[:n, :n] = p
-    out[n:, n:] = pinv.conj().T if target is GroupKind.CONJUGATE_SYMPLECTIC else pinv.T
+    out = np.zeros((k, 2 * n, 2 * n), p.dtype)
+    out[:, :n, :n] = p
+    out[:, n:, n:] = (pinv.conj() if conjugate else pinv).swapaxes(-1, -2)
     return out
+
+
+def _phases(thetas, n_half: int) -> np.ndarray:
+    """exp(i theta) I_2N for each theta, as a stack."""
+    z = np.array([complex(math.cos(t), math.sin(t)) for t in thetas])
+    return z[:, None, None] * identity(2 * n_half, "C")
+
+
+def shear_lower(s, target: GroupKind = GroupKind.REAL_SYMPLECTIC) -> np.ndarray:
+    """[[I, 0], [S, I]] with S symmetrized (Hermitian for the conjugate group)."""
+    s = _symmetrized(_square(s), target is GroupKind.CONJUGATE_SYMPLECTIC)
+    return _shears(s[None], True)[0]
+
+
+def shear_upper(s, target: GroupKind = GroupKind.REAL_SYMPLECTIC) -> np.ndarray:
+    """[[I, S], [0, I]] with S symmetrized (Hermitian for the conjugate group)."""
+    s = _symmetrized(_square(s), target is GroupKind.CONJUGATE_SYMPLECTIC)
+    return _shears(s[None], False)[0]
+
+
+def diag_block(p, target: GroupKind = GroupKind.REAL_SYMPLECTIC) -> np.ndarray:
+    """[[P, 0], [0, P^{-T}]] (P^{-*} for the conjugate group); P must be invertible."""
+    return _diag_blocks(_square(p)[None], target is GroupKind.CONJUGATE_SYMPLECTIC)[0]
 
 
 def phase_factor(theta: float, n_half: int) -> np.ndarray:
     """exp(i theta) I_2N: conjugate symplectic, det = exp(2 i N theta)."""
-    return complex(math.cos(theta), math.sin(theta)) * identity(2 * n_half, "C")
+    return _phases([theta], n_half)[0]
+
+
+def _gaussians(config: GeneratorConfig, rngs) -> np.ndarray:
+    """factor_scale / sqrt(N) times an N x N standard normal matrix (complex
+    but for the real group) from each rng, as a stack."""
+    n = config.half_dim
+    real = config.target is GroupKind.REAL_SYMPLECTIC
+    w = np.empty((len(rngs), 1 if real else 2, n, n))
+    for i, rng in enumerate(rngs):
+        rng.standard_normal(out=w[i])  # the draw of random_gaussian(rng, n, kind)
+    g = w[:, 0] if real else w[:, 0] + 1j * w[:, 1]
+    return config.factor_scale * g / math.sqrt(n)
+
+
+def _factors(name: str, config: GeneratorConfig, rngs) -> np.ndarray:
+    """Factor kind ``name`` of config's group drawn from each rng, as a stack,
+    clamped as :func:`elementary_factor` describes."""
+    n = config.half_dim
+    kind = "R" if config.target is GroupKind.REAL_SYMPLECTIC else "C"
+    conjugate = config.target is GroupKind.CONJUGATE_SYMPLECTIC
+    cap = config.condition_cap
+    if name in ("shear_lower", "shear_upper"):
+        s = _symmetrized(_gaussians(config, rngs), conjugate)
+        return _shears(_norm_clamped(s, (cap - 1.0) / math.sqrt(cap)), name == "shear_lower")
+    if name == "diag_block":
+        g = _norm_clamped(_gaussians(config, rngs), 1.0 - 1.0 / math.sqrt(cap))
+        return _diag_blocks(identity(n, kind) + g, conjugate)
+    if name == "form":
+        return _forms(len(rngs), n, kind)
+    if name == "phase":
+        if not conjugate:
+            raise ValueError("phase factors exist only in the conjugate group")
+        return _phases([float(rng.uniform(-math.pi, math.pi)) for rng in rngs], n)
+    raise ValueError(f"unknown factor kind {name!r}")
 
 
 def elementary_factor(name: str, config: GeneratorConfig,
@@ -128,25 +198,73 @@ def elementary_factor(name: str, config: GeneratorConfig,
     blocks use P = I + G with ||G||_F <= 1 - 1/sqrt(cap); both bounds give a
     factor condition number of at most cap.
     """
-    n = config.half_dim
-    target = config.target
-    kind = "R" if target is GroupKind.REAL_SYMPLECTIC else "C"
-    cap = config.condition_cap
-    if name in ("shear_lower", "shear_upper"):
-        s = config.factor_scale * random_gaussian(rng, n, kind) / math.sqrt(n)
-        s = _symmetrized(s, target is GroupKind.CONJUGATE_SYMPLECTIC)
-        return _shear(_norm_clamped(s, (cap - 1.0) / math.sqrt(cap)), name == "shear_lower")
-    if name == "diag_block":
-        g = config.factor_scale * random_gaussian(rng, n, kind) / math.sqrt(n)
-        g = _norm_clamped(g, 1.0 - 1.0 / math.sqrt(cap))
-        return diag_block(identity(n, kind) + g, target)
-    if name == "form":
-        return symplectic_form(n, kind)
-    if name == "phase":
-        if target is not GroupKind.CONJUGATE_SYMPLECTIC:
-            raise ValueError("phase factors exist only in the conjugate group")
-        return phase_factor(float(rng.uniform(-math.pi, math.pi)), n)
-    raise ValueError(f"unknown factor kind {name!r}")
+    return _factors(name, config, [rng])[0]
+
+
+def _step(config: GeneratorConfig, rngs, names, dtype) -> np.ndarray:
+    """The factors of one product step as a stack: kind names[i] from rngs[i]."""
+    members: dict[str, list[int]] = {}
+    for i, name in enumerate(names):
+        members.setdefault(name, []).append(i)
+    if len(members) == 1:
+        return _factors(names[0], config, rngs)
+    m = 2 * config.half_dim
+    f = np.empty((len(rngs), m, m), dtype)
+    for name, idx in members.items():
+        f[idx] = _factors(name, config, [rngs[i] for i in idx])
+    return f
+
+
+def _sample(config: GeneratorConfig, seeds: Iterable[int], factors: list[str] | None = None,
+            tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Iterator[np.ndarray]:
+    """Yield, for each seed in turn, what generate gives for config with that
+    seed (config.seed itself is not read).
+
+    The members are built as stacks of up to _STACK_BYTES (one member if it
+    is larger), one stack at a time, so an unbounded ``seeds`` holds at most
+    one stack.  Step t draws factor t of every member from that member's own
+    rng and multiplies the stack of products by the stack of factors; numpy
+    does to each matrix of a stack what it does to that matrix alone, so each
+    member is bitwise the one generate builds for its seed.  Members that
+    fail the residual test are drawn again, as a smaller stack.  Raises
+    GenerationError on reaching a seed whose attempts all failed.
+    """
+    allowed = list(FACTOR_KINDS[:4])
+    if config.target is GroupKind.CONJUGATE_SYMPLECTIC:
+        allowed.append("phase")
+    if factors is not None:
+        factors = list(factors)
+    dtype = np.dtype(np.float64 if config.target is GroupKind.REAL_SYMPLECTIC else np.complex128)
+    m = 2 * config.half_dim
+    per_stack = max(1, _STACK_BYTES // (m * m * dtype.itemsize))
+    seeds = iter(seeds)
+    while block := [rng_from_seed(s) for s in itertools.islice(seeds, per_stack)]:
+        members = [None] * len(block)
+        todo = list(range(len(block)))
+        for _ in range(_MAX_ATTEMPTS):
+            rngs = [block[i] for i in todo]
+            if factors is None:  # each member's kind draws come before its factor draws
+                seqs = [[allowed[int(rng.integers(0, len(allowed)))]
+                         for _ in range(config.num_factors)] for rng in rngs]
+            else:
+                seqs = [factors] * len(rngs)
+            a = _identities(len(rngs), m, dtype)
+            for names in zip(*seqs):  # full products: a structured update would round differently
+                a = a @ _step(config, rngs, names, dtype)
+            retry = []
+            for i, ai in zip(todo, a):
+                if membership_residual(ai, config.target) <= tol.product_residual:
+                    members[i] = ai
+                else:
+                    retry.append(i)
+            todo = retry
+            if not todo or factors is not None:
+                break
+        for ai in members:
+            if ai is None:
+                raise GenerationError(f"no {config.target.value} product within residual "
+                                      f"after {_MAX_ATTEMPTS} attempts")
+            yield ai
 
 
 def generate(config: GeneratorConfig, factors: list[str] | None = None,
@@ -158,27 +276,8 @@ def generate(config: GeneratorConfig, factors: list[str] | None = None,
     is checked against the group residual at tol.product_residual and
     regeneration is attempted a bounded number of times before failing.
     Deterministic given config: every draw comes from one rng seeded with
-    config.seed.
+    config.seed.  This is the stack of one of the sampler the property
+    suites draw their members from, so a suite's member and generate's
+    matrix for the same config are the same bits.
     """
-    rng = rng_from_seed(config.seed)
-    allowed = list(FACTOR_KINDS[:4])
-    if config.target is GroupKind.CONJUGATE_SYMPLECTIC:
-        allowed.append("phase")
-    kind = "R" if config.target is GroupKind.REAL_SYMPLECTIC else "C"
-
-    for _ in range(_MAX_ATTEMPTS):
-        if factors is None:
-            seq = [allowed[int(rng.integers(0, len(allowed)))]
-                   for _ in range(config.num_factors)]
-        else:
-            seq = list(factors)
-        a = identity(2 * config.half_dim, kind)
-        for name in seq:  # a full product: a structured update would round differently
-            a = a @ elementary_factor(name, config, rng)
-        if membership_residual(a, config.target) <= tol.product_residual:
-            return a
-        if factors is not None:
-            break
-    raise GenerationError(
-        f"no {config.target.value} product within residual after {_MAX_ATTEMPTS} attempts")
-
+    return next(_sample(config, [config.seed], factors, tol))

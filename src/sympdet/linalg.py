@@ -161,9 +161,9 @@ def random_gaussian(rng: np.random.Generator, n: int, kind: str = "R") -> np.nda
     """n x n matrix of i.i.d. standard normals per real component."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    z = rng.standard_normal((n, n))
-    if kind == "C":
-        return z + 1j * rng.standard_normal((n, n))
+    if kind == "C":  # one draw: the stream, and the bits, of a real then an imaginary draw
+        z = rng.standard_normal((2, n, n))
+        return z[0] + 1j * z[1]
     if kind != "R":
         raise ValueError(f"unknown kind {kind!r}")
-    return z
+    return rng.standard_normal((n, n))

@@ -30,6 +30,10 @@ def format_matrix(a) -> str:
     return f"{n} {kind}\n" + "\n".join([row] * n) % tuple(values) + "\n"
 
 
+# Every byte but comma and space, for bytes.translate to delete.
+_NON_SEPARATORS = bytes(c for c in range(256) if c not in b", ")
+
+
 def _row_floats(ln: str, toks: list[str], kind: str) -> list[float]:
     """The floats of one line of entries, ``toks = ln.split()``: one per entry
     for R, re and im interleaved for C.  Raises ValueError if any entry is
@@ -38,7 +42,11 @@ def _row_floats(ln: str, toks: list[str], kind: str) -> list[float]:
         if "," in ln:
             raise ValueError
         return list(map(float, toks))
-    if any(t.count(",") != 1 for t in toks):
+    # One comma in each entry: in the entries joined by single spaces, commas
+    # and spaces alternate.  (UTF-8 puts no comma or space byte inside a
+    # multibyte character.)
+    separators = " ".join(toks).encode("utf-8", "surrogatepass").translate(None, _NON_SEPARATORS)
+    if separators != b", " * (len(toks) - 1) + b",":
         raise ValueError
     parts = ln.replace(",", " ").split()
     if len(parts) != 2 * len(toks):  # an empty re or im, as in "1," or ",2"

@@ -1,19 +1,28 @@
 """Property suites tying the structure checks together.
 
 A suite is one row of the suite table ``_SUITES``: its trial function, its
-default trial count and half-dims, and the family of the bound table
-:data:`~sympdet.symplectic.RESIDUAL_BOUNDS` that judges the trial's residuals.
-Adding a suite means adding that row and, if the family is new, its
+default trial count and half-dims, the family of the bound table
+:data:`~sympdet.symplectic.RESIDUAL_BOUNDS` that judges the trial's residuals,
+and, for a suite that checks sampled group members, their group.  Adding a
+suite means adding that row and, if the family is new, its
 ``RESIDUAL_BOUNDS`` entry.  Each suite maps a trial index to a deterministic
 child seed, runs one independent check, judges its residuals, and aggregates
 pass counts, worst residuals, and reproducible failure records into a
 :class:`~sympdet.report.Report`.  Trials touch no shared state, so they can be
 executed in any order or in parallel; results are merged by trial index and
 do not depend on scheduling.
+
+The sampling suites (real-theorem, complex-theorem, conj-formula) draw the
+members of their trials ahead, as stacks of one half-dim each (see
+:mod:`sympdet.generators`), and check each member on its own.  A member is
+the matrix ``generate`` gives for its trial's child seed, bit for bit, so
+:func:`run_trial`, which generates one member alone, replays any trial.  At
+most one stack per half-dim, about 1 MiB, is held at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -23,7 +32,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._version import __version__
-from .generators import GeneratorConfig, elementary_factor, generate
+from .generators import GeneratorConfig, _sample, elementary_factor, generate
 from .linalg import (
     LogDet,
     frobenius,
@@ -104,9 +113,7 @@ def _trial_form_identities(n: int, seed: int, tol: ToleranceConfig) -> dict:
     }
 
 
-def _trial_theorem(group: GroupKind, n: int, seed: int, tol: ToleranceConfig) -> dict:
-    cfg = GeneratorConfig(half_dim=n, target=group, seed=seed)
-    a = generate(cfg, tol=tol)
+def _trial_theorem(group: GroupKind, a: np.ndarray, tol: ToleranceConfig) -> dict:
     try:
         cert = certify_symplectic(a, group, tol)
     except MembershipError:
@@ -186,9 +193,7 @@ def conj_formula_check(a, tol: ToleranceConfig = DEFAULT_TOLERANCES
     return TrialResult(residuals, passed), formula_phase, oracle.phase
 
 
-def _trial_conj_formula(n: int, seed: int, tol: ToleranceConfig) -> dict:
-    cfg = GeneratorConfig(half_dim=n, target=GroupKind.CONJUGATE_SYMPLECTIC, seed=seed)
-    a = generate(cfg, tol=tol)
+def _trial_conj_formula(a: np.ndarray, tol: ToleranceConfig) -> dict:
     residuals, oracle = _conj_oracle_residuals(a)
     try:
         formula_phase = _gated_conj_det(a, residuals["membership"], tol)
@@ -230,24 +235,28 @@ def _trial_generator_sanity(n: int, seed: int, tol: ToleranceConfig) -> dict:
 
 
 class _Suite(NamedTuple):
-    """One property suite: its trial, default trial count and half-dims, and
-    the RESIDUAL_BOUNDS family that judges the trial's residuals."""
+    """One property suite: its trial, default trial count and half-dims, the
+    RESIDUAL_BOUNDS family that judges the trial's residuals, and the group
+    whose generated members it checks.  A trial is called as
+    ``trial(n, seed, tol)``, or as ``trial(member, tol)`` when group is set."""
 
-    trial: Callable[[int, int, ToleranceConfig], dict]
+    trial: Callable[..., dict]
     trials: int
     half_dims: tuple[int, ...]
     family: str
+    group: GroupKind | None = None
 
 
 _SUITES = {
     "form-identities": _Suite(_trial_form_identities, 8, tuple(range(1, 9)), "form-identities"),
     "real-theorem": _Suite(partial(_trial_theorem, GroupKind.REAL_SYMPLECTIC), 200,
-                           (1, 2, 4, 8, 10), "certificate"),
+                           (1, 2, 4, 8, 10), "certificate", GroupKind.REAL_SYMPLECTIC),
     "complex-theorem": _Suite(partial(_trial_theorem, GroupKind.COMPLEX_SYMPLECTIC), 200,
-                              (1, 2, 4, 8, 10), "certificate"),
+                              (1, 2, 4, 8, 10), "certificate", GroupKind.COMPLEX_SYMPLECTIC),
     "lemma": _Suite(_trial_lemma, 500, tuple(range(1, 9)), "lemma"),
     "ineq-real": _Suite(_trial_ineq_real, 500, tuple(range(1, 9)), "ineq-real"),
-    "conj-formula": _Suite(_trial_conj_formula, 200, tuple(range(1, 17)), "conj-formula"),
+    "conj-formula": _Suite(_trial_conj_formula, 200, tuple(range(1, 17)), "conj-formula",
+                           GroupKind.CONJUGATE_SYMPLECTIC),
     "generator-sanity": _Suite(_trial_generator_sanity, 60, (1, 2, 3, 4, 6, 8),
                                "generator-sanity"),
 }
@@ -261,13 +270,41 @@ def _suite(suite_id: str) -> _Suite:
     return _SUITES[suite_id]
 
 
+def _judged(row: _Suite, n_half: int, seed: int, member, tol: ToleranceConfig) -> TrialResult:
+    residuals = row.trial(n_half, seed, tol) if row.group is None else row.trial(member, tol)
+    return TrialResult(residuals=residuals, passed=within_bounds(row.family, residuals, tol))
+
+
 def run_trial(suite_id: str, n_half: int, seed: int,
               tol: ToleranceConfig = DEFAULT_TOLERANCES) -> TrialResult:
     """Run one trial in isolation; rerunning a recorded failure seed through
     this function reproduces its residuals exactly."""
     row = _suite(suite_id)
-    residuals = row.trial(n_half, seed, tol)
-    return TrialResult(residuals=residuals, passed=within_bounds(row.family, residuals, tol))
+    member = None
+    if row.group is not None:
+        member = generate(GeneratorConfig(half_dim=n_half, target=row.group, seed=seed), tol=tol)
+    return _judged(row, n_half, seed, member, tol)
+
+
+def _trial_inputs(spec: SuiteSpec, group: GroupKind | None):
+    """(half-dim, child seed, member) of each trial of spec, in trial order.
+
+    With a group, member is the trial's generated member of it, and each
+    half-dim's members come from one sampler, built a stack at a time;
+    without one, member is None.
+    """
+    dims = spec.half_dims
+    seeds = [(split_seed(spec.seed, t) for t in range(i, spec.trials, len(dims)))
+             for i in range(len(dims))]
+    if group is None:
+        members = [itertools.repeat(None)] * len(dims)
+    else:  # the sampler reads a half-dim's seeds a stack ahead of the trials
+        seeds, ahead = zip(*map(itertools.tee, seeds))
+        members = [_sample(GeneratorConfig(half_dim=n, target=group), s, tol=spec.tolerances)
+                   for n, s in zip(dims, ahead)]
+    for t in range(spec.trials):
+        i = t % len(dims)
+        yield dims[i], next(seeds[i]), next(members[i])
 
 
 def run_suite(spec: SuiteSpec) -> Report:
@@ -277,13 +314,12 @@ def run_suite(spec: SuiteSpec) -> Report:
     spec.seed, so the report is independent of execution order.
     """
     t0 = time.perf_counter()
+    row = _suite(spec.suite_id)
     passes = 0
     failures = []
     worst: dict = {}
-    for t in range(spec.trials):
-        n = spec.half_dims[t % len(spec.half_dims)]
-        child = split_seed(spec.seed, t)
-        result = run_trial(spec.suite_id, n, child, spec.tolerances)
+    for n, child, member in _trial_inputs(spec, row.group):
+        result = _judged(row, n, child, member, spec.tolerances)
         if result.passed:
             passes += 1
         else:

@@ -28,7 +28,6 @@ from .linalg import (
     identity,
     kind_of,
     log_det,
-    zeros,
 )
 
 
@@ -152,12 +151,18 @@ def half_dim(a: np.ndarray) -> int:
 
 def symplectic_form(n_half: int, kind: str = "R") -> np.ndarray:
     """The 2N x 2N form [[0, I], [-I, 0]]."""
+    return _forms(1, n_half, kind)[0]
+
+
+def _forms(k: int, n_half: int, kind: str = "R") -> np.ndarray:
+    """k copies of the form as one (k, 2N, 2N) stack, each block filled in
+    place (the generators draw the form for many members at once)."""
     if n_half < 1:
         raise ValueError("half dimension must be >= 1")
-    j = zeros(2 * n_half, kind)
+    j = np.zeros((k, 2 * n_half, 2 * n_half), np.complex128 if kind == "C" else np.float64)
     eye = identity(n_half, kind)
-    j[:n_half, n_half:] = eye
-    j[n_half:, :n_half] = -eye
+    j[:, :n_half, n_half:] = eye
+    j[:, n_half:, :n_half] = -eye
     return j
 
 
@@ -204,14 +209,16 @@ def membership_residual(a, group: GroupKind) -> float:
 # Block machinery
 # ---------------------------------------------------------------------------
 
-def _quadrants(tl, tr, bl, br) -> np.ndarray:
+def _quadrants(tl, tr, bl, br, out=None) -> np.ndarray:
     """[[tl, tr], [bl, br]] for four equal-shape blocks, copied into one fresh
-    array of their common numpy result type (the dtype concatenation gives)."""
+    array of their common numpy result type (the dtype concatenation gives),
+    or into ``out``, a C-ordered array of that shape and type."""
     if not tl.shape == tr.shape == bl.shape == br.shape:
         raise ValueError(f"block dimension mismatch: {tl.shape}, {tr.shape}, "
                          f"{bl.shape}, {br.shape}")
     r, c = tl.shape
-    out = np.empty((2 * r, 2 * c), dtype=np.result_type(tl, tr, bl, br))
+    if out is None:
+        out = np.empty((2 * r, 2 * c), dtype=np.result_type(tl, tr, bl, br))
     out[:r, :c] = tl
     out[:r, c:] = tr
     out[r:, :c] = bl
@@ -256,9 +263,14 @@ def block_pair(a, group: GroupKind) -> BlockPair:
 
 def embed_pair(p: BlockPair) -> np.ndarray:
     """Reassemble the 2N x 2N matrix a block pair came from."""
+    return _embedded(p)
+
+
+def _embedded(p: BlockPair, out=None) -> np.ndarray:
+    """embed_pair, written into ``out`` when one is given."""
     if p.group is GroupKind.COMPLEX_SYMPLECTIC:
-        return _quadrants(p.c, p.d, -p.d.conj(), p.c.conj())
-    return _quadrants(p.c, p.d, -p.d, p.c)
+        return _quadrants(p.c, p.d, -p.d.conj(), p.c.conj(), out)
+    return _quadrants(p.c, p.d, -p.d, p.c, out)
 
 
 def unitary_split_det(p: BlockPair) -> tuple[LogDet, LogDet]:
@@ -449,7 +461,10 @@ def certify_symplectic(a, group: GroupKind = GroupKind.REAL_SYMPLECTIC,
     gram[np.diag_indices(n2)] += 1.0     # + I, in the fresh product
     lhs = log_det(gram)
     pair = block_pair(a, group)
-    aux = log_det(embed_pair(pair))
+    # The embedding takes the place of the Gram matrix, which is no longer
+    # read: one 2N x 2N array fewer at once, and none allocated anew.
+    aux = log_det(_embedded(pair, gram))
+    del gram  # freed before the unitary split allocates
 
     checks: list[IdentityCheck] = []
     residuals: dict = {"membership": res_mem}

@@ -5,8 +5,10 @@ paths it checks: a pure-Python LU with partial pivoting (the reference for
 ``sympdet.log_det``, which runs LAPACK through numpy), a cofactor-expansion
 determinant, an inversion-counting permutation sign, ``np.block``
 assemblies of the structured 2N x 2N matrices (the bitwise reference for the
-library's in-place block fills), and the two-GEMM membership residual (the
-bitwise reference for the library's one-GEMM form).
+library's in-place block fills), the two-GEMM membership residual (the
+bitwise reference for the library's one-GEMM form), and group sampling one
+matrix and one factor at a time (the bitwise reference for the generators'
+stacked sampling).
 """
 
 import math
@@ -14,8 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sympdet.linalg import LogDet, SingularMatrixError, as_square, identity, kind_of
-from sympdet.symplectic import GroupKind, symplectic_form
+from sympdet.generators import GenerationError
+from sympdet.linalg import (LogDet, SingularMatrixError, as_square, frobenius, identity,
+                            kind_of, rng_from_seed, zeros)
+from sympdet.symplectic import (DEFAULT_TOLERANCES, GroupKind, membership_residual,
+                                symplectic_form)
 
 
 @dataclass(frozen=True)
@@ -187,3 +192,94 @@ def dense_membership_residual(a, group):
     if scale == 0.0:
         return math.inf
     return float(np.linalg.norm(adj @ j @ a - j)) / float(np.linalg.norm(j)) / scale
+
+
+# ---------------------------------------------------------------------------
+# Sampling one matrix at a time, one factor at a time: the bitwise reference
+# for the generators, which build every factor kind, and the products, as
+# stacks.  This is the per-factor loop generate ran before that.
+# ---------------------------------------------------------------------------
+
+_FACTOR_KINDS = ("shear_lower", "shear_upper", "diag_block", "form", "phase")
+_MAX_ATTEMPTS = 5
+
+
+def _loop_gaussian(rng, n, kind):
+    z = rng.standard_normal((n, n))
+    if kind == "C":
+        return z + 1j * rng.standard_normal((n, n))
+    return z
+
+
+def _norm_clamped(x, cap):
+    f = frobenius(x)
+    return x if f <= cap else x * (cap / f)
+
+
+def _loop_shear(s, lower):
+    n = s.shape[0]
+    out = identity(2 * n, kind_of(s))
+    if lower:
+        out[n:, :n] = s
+    else:
+        out[:n, n:] = s
+    return out
+
+
+def _loop_diag_block(p, target):
+    n = p.shape[0]
+    pinv = np.linalg.inv(p)
+    out = zeros(2 * n, kind_of(p))
+    out[:n, :n] = p
+    out[n:, n:] = pinv.conj().T if target is GroupKind.CONJUGATE_SYMPLECTIC else pinv.T
+    return out
+
+
+def _loop_phase_factor(theta, n_half):
+    return complex(math.cos(theta), math.sin(theta)) * identity(2 * n_half, "C")
+
+
+def loop_elementary_factor(name, config, rng):
+    n = config.half_dim
+    target = config.target
+    kind = "R" if target is GroupKind.REAL_SYMPLECTIC else "C"
+    cap = config.condition_cap
+    if name in ("shear_lower", "shear_upper"):
+        s = config.factor_scale * _loop_gaussian(rng, n, kind) / math.sqrt(n)
+        s = _symmetrized(s, target is GroupKind.CONJUGATE_SYMPLECTIC)
+        return _loop_shear(_norm_clamped(s, (cap - 1.0) / math.sqrt(cap)), name == "shear_lower")
+    if name == "diag_block":
+        g = config.factor_scale * _loop_gaussian(rng, n, kind) / math.sqrt(n)
+        g = _norm_clamped(g, 1.0 - 1.0 / math.sqrt(cap))
+        return _loop_diag_block(identity(n, kind) + g, target)
+    if name == "form":
+        return symplectic_form(n, kind)
+    if name == "phase":
+        if target is not GroupKind.CONJUGATE_SYMPLECTIC:
+            raise ValueError("phase factors exist only in the conjugate group")
+        return _loop_phase_factor(float(rng.uniform(-math.pi, math.pi)), n)
+    raise ValueError(f"unknown factor kind {name!r}")
+
+
+def loop_generate(config, factors=None, tol=DEFAULT_TOLERANCES):
+    rng = rng_from_seed(config.seed)
+    allowed = list(_FACTOR_KINDS[:4])
+    if config.target is GroupKind.CONJUGATE_SYMPLECTIC:
+        allowed.append("phase")
+    kind = "R" if config.target is GroupKind.REAL_SYMPLECTIC else "C"
+
+    for _ in range(_MAX_ATTEMPTS):
+        if factors is None:
+            seq = [allowed[int(rng.integers(0, len(allowed)))]
+                   for _ in range(config.num_factors)]
+        else:
+            seq = list(factors)
+        a = identity(2 * config.half_dim, kind)
+        for name in seq:
+            a = a @ loop_elementary_factor(name, config, rng)
+        if membership_residual(a, config.target) <= tol.product_residual:
+            return a
+        if factors is not None:
+            break
+    raise GenerationError(
+        f"no {config.target.value} product within residual after {_MAX_ATTEMPTS} attempts")

@@ -1,6 +1,8 @@
 """Elementary structured factors and seeded group sampling."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from numpy.testing import assert_allclose
 from sympdet.generators import (
     GenerationError,
     GeneratorConfig,
+    _sample,
     diag_block,
     elementary_factor,
     generate,
@@ -29,6 +32,7 @@ from sympdet.matio import format_matrix
 from sympdet.symplectic import (
     BlockPair,
     GroupKind,
+    ToleranceConfig,
     embed_pair,
     j_conjugate,
     membership_residual,
@@ -41,6 +45,7 @@ from oracles import (
     block_j_conjugate,
     block_shear_lower,
     block_shear_upper,
+    loop_generate,
 )
 
 REAL = GroupKind.REAL_SYMPLECTIC
@@ -190,6 +195,11 @@ def test_generate_rejects_bad_configs():
         GeneratorConfig(half_dim=2, factor_scale=0.0)
     with pytest.raises(ValueError):
         GeneratorConfig(half_dim=2, condition_cap=1.0)
+    for value in (math.inf, math.nan):  # an infinite scale or cap leaves nothing to clamp
+        with pytest.raises(ValueError, match="finite"):
+            GeneratorConfig(half_dim=2, factor_scale=value)
+        with pytest.raises(ValueError, match="finite"):
+            GeneratorConfig(half_dim=2, condition_cap=value)
 
 
 def test_generate_forced_form_factor_is_the_form():
@@ -261,3 +271,108 @@ def test_generate_forced_bad_sequence_fails_loudly():
     with pytest.raises(ValueError, match="conjugate"):
         generate(cfg, factors=["phase"])   # phase factor outside its group
 
+
+
+# ---------------------------------------------------------------------------
+# Sampling as stacks against the one-matrix loop (oracles.loop_generate)
+# ---------------------------------------------------------------------------
+
+SAMPLE_DIMS = [*range(1, 17), 32, 50]
+
+
+@pytest.mark.parametrize("n", SAMPLE_DIMS)
+@pytest.mark.parametrize("target", ALL_TARGETS)
+def test_generate_matches_the_loop(target, n):
+    for t in range(3):
+        cfg = GeneratorConfig(half_dim=n, target=target, seed=split_seed(n, t))
+        _assert_bitwise(generate(cfg), loop_generate(cfg))
+
+
+@pytest.mark.parametrize("target", ALL_TARGETS)
+def test_stacks_split_by_size_match_the_loop(target):
+    # 8 members of 100 x 100 make two stacks below the byte budget for C
+    # kinds (6 + 2), one for R; an unbounded seed stream is read lazily
+    base = GeneratorConfig(half_dim=50, target=target)
+    seeds = (split_seed(50, t) for t in range(8))
+    for t, got in enumerate(_sample(base, seeds)):
+        _assert_bitwise(got, loop_generate(dataclasses.replace(base, seed=split_seed(50, t))))
+
+
+FORCED = {
+    "form": ["form"],
+    "phase": ["phase"],
+    "mixed": ["shear_lower", "phase", "diag_block", "form", "shear_upper", "phase"],
+    "no-phase": ["diag_block", "shear_upper", "form", "diag_block", "shear_lower"],
+}
+
+
+@pytest.mark.parametrize("name", FORCED)
+@pytest.mark.parametrize("target", ALL_TARGETS)
+def test_forced_factor_lists_match_the_loop(target, name):
+    factors = FORCED[name]
+    base = GeneratorConfig(half_dim=3, target=target)
+    seeds = [split_seed(41, t) for t in range(5)]
+    if "phase" in factors and target is not GroupKind.CONJUGATE_SYMPLECTIC:
+        for sample in (lambda: generate(base, factors), lambda: list(_sample(base, seeds, factors)),
+                       lambda: loop_generate(base, factors)):
+            with pytest.raises(ValueError, match="conjugate group"):
+                sample()
+        return
+    for seed, got in zip(seeds, _sample(base, seeds, factors)):
+        cfg = dataclasses.replace(base, seed=seed)
+        ref = loop_generate(cfg, factors)
+        _assert_bitwise(got, ref)
+        _assert_bitwise(generate(cfg, factors), ref)
+
+
+def test_unknown_forced_factor_fails_on_every_path():
+    base = GeneratorConfig(half_dim=2)
+    for sample in (lambda: generate(base, ["form", "rotation"]),
+                   lambda: list(_sample(base, range(3), ["form", "rotation"]))):
+        with pytest.raises(ValueError, match="unknown factor kind 'rotation'"):
+            sample()
+
+
+@pytest.mark.parametrize("target", ALL_TARGETS)
+def test_members_that_retry_or_fail_match_the_loop(target):
+    # a product_residual near the median first-attempt residual sends some
+    # members of one stack back for more attempts and fails some outright
+    tol = ToleranceConfig(product_residual=2e-17)
+    base = GeneratorConfig(half_dim=3, target=target)
+    seeds = list(range(40))
+    refs = {}
+    for s in seeds:
+        try:
+            refs[s] = loop_generate(dataclasses.replace(base, seed=s), tol=tol)
+        except GenerationError:
+            refs[s] = None
+    failed = [s for s in seeds if refs[s] is None]
+    passed = [s for s in seeds if refs[s] is not None]
+    retried = [s for s in passed
+               if not np.array_equal(refs[s], loop_generate(dataclasses.replace(base, seed=s)))]
+    assert failed and retried
+    for s, got in zip(passed, _sample(base, passed, tol=tol)):
+        _assert_bitwise(got, refs[s])
+    stream = _sample(base, seeds, tol=tol)
+    for s in seeds[:seeds.index(failed[0])]:
+        _assert_bitwise(next(stream), refs[s])
+    with pytest.raises(GenerationError, match=f"no {target.value} product"):
+        next(stream)  # raised on reaching the first failed member, not before
+    for s in failed:
+        with pytest.raises(GenerationError):
+            generate(dataclasses.replace(base, seed=s), tol=tol)
+
+
+def test_generate_holds_no_more_than_one_product_step():
+    # the product, the factor and their product: 3x the member's bytes, as
+    # the one-matrix loop holds; a stack copy more would give about 4x
+    cfg = GeneratorConfig(half_dim=50, target=GroupKind.COMPLEX_SYMPLECTIC, seed=3)
+    a = generate(cfg)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        generate(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / a.nbytes < 3.5

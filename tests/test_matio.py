@@ -51,6 +51,12 @@ def test_golden_file_text():
         assert back.tobytes() == a.tobytes()
 
 
+def test_complex_rows_with_unusual_whitespace_and_digits():
+    # entries split on any whitespace; float() reads any decimal digits
+    m = parse_matrix("2 C\n 1,2\t\t3,4 \n5,6\u30007,\u0668\n")
+    assert m.tolist() == [[1 + 2j, 3 + 4j], [5 + 6j, 7 + 8j]]
+
+
 def test_round_trip_through_files(tmp_path):
     a = random_gaussian(rng_from_seed(9), 3, "C")
     path = tmp_path / "m.txt"
@@ -91,6 +97,9 @@ def test_entry_errors():
         "3 R\n1 2 3\n4 x 5,6\n7 8 9\n": "line 3: bad R-kind entry 'x'",
         "2 C\n1,0 1,2,3\n4 0,0\n": "line 2: bad C-kind entry '1,2,3'",
         "3 C\n1,1 ,3 4,\n1,1 1,1 1,1\n1,1 1,1 1,1\n": "line 2: bad C-kind entry ',3'",
+        # as many commas as entries, but not one in each
+        "2 C\n0,0 0,0\n1,2,3 4\n": "line 3: bad C-kind entry '1,2,3'",
+        "2 C\n0,0 0,0\n1 2,3,4\n": "line 3: bad C-kind entry '1'",
     }
     for text, message in cases.items():
         with pytest.raises(ValueError) as exc:

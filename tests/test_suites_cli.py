@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,8 @@ from sympdet.suites import (SUITE_IDS, SuiteSpec, _SUITES, conj_formula_check,
 from sympdet.symplectic import (DEFAULT_TOLERANCES, RESIDUAL_BOUNDS, FormulaInconclusiveError,
                                 GroupKind, MembershipError, ToleranceConfig,
                                 conj_symplectic_det, membership_residual)
+
+from oracles import loop_generate
 
 CONJ = GroupKind.CONJUGATE_SYMPLECTIC
 
@@ -115,19 +118,65 @@ def test_text_and_json_numeric_content_match():
     assert f"trials: {rep.trials}" in text
 
 
-def test_failures_carry_seed_and_reproduce():
-    # impossible tolerances force failures; each entry must reproduce exactly
-    impossible = ToleranceConfig(identity_rel=0.0, det_one=0.0, nonneg=0.0)
-    spec = SuiteSpec("real-theorem", trials=5, half_dims=(2,), seed=9,
+SAMPLING_SUITES = ("real-theorem", "complex-theorem", "conj-formula")
+
+
+def _bits(residuals):
+    return {k: float(v).hex() for k, v in residuals.items()}
+
+
+@pytest.mark.parametrize("suite_id", SAMPLING_SUITES)
+def test_failures_carry_seed_and_reproduce(suite_id):
+    # a negative det_one bound fails every trial without changing what it
+    # computes; run_trial, which samples its member alone, must replay each
+    # failure of the stacked run bit for bit
+    impossible = ToleranceConfig(det_one=-1.0)
+    spec = SuiteSpec(suite_id, trials=12, half_dims=(1, 2, 5), seed=9,
                      tolerances=impossible)
     rep = run_suite(spec)
-    assert rep.passes < rep.trials
-    assert rep.failures
+    assert rep.passes == 0
+    assert [f["seed"] for f in rep.failures] == [sd.split_seed(9, t) for t in range(12)]
     for f in rep.failures:
         assert set(f) == {"seed", "halfDim", "residuals"}
-        replay = run_trial("real-theorem", f["halfDim"], f["seed"], impossible)
-        assert replay.residuals == f["residuals"]
+        replay = run_trial(suite_id, f["halfDim"], f["seed"], impossible)
+        assert _bits(replay.residuals) == _bits(f["residuals"])
         assert not replay.passed
+
+
+@pytest.mark.parametrize("suite_id", SAMPLING_SUITES)
+def test_suite_members_match_the_loop(monkeypatch, suite_id):
+    # the members a suite samples as stacks are the one-matrix loop's bits
+    row = _SUITES[suite_id]
+    members = []
+
+    def capture(a, tol):
+        members.append(np.array(a))
+        return row.trial(a, tol)
+
+    monkeypatch.setitem(_SUITES, suite_id, row._replace(trial=capture))
+    dims = (*range(1, 17), 32, 50)
+    spec = default_suite_spec(suite_id, seed=6, trials=3 * len(dims), half_dims=dims)
+    assert run_suite(spec).all_passed
+    assert len(members) == spec.trials
+    for t, a in enumerate(members):
+        ref = loop_generate(sd.GeneratorConfig(half_dim=dims[t % len(dims)], target=row.group,
+                                               seed=sd.split_seed(6, t)))
+        assert a.dtype == ref.dtype and a.tobytes() == ref.tobytes(), t
+
+
+def test_suite_memory_does_not_grow_with_trials():
+    # members are held a stack (about 1 MiB) at a time, whatever the count
+    def peak(trials):
+        spec = default_suite_spec("real-theorem", seed=1, trials=trials, half_dims=(40,))
+        tracemalloc.start()
+        try:
+            run_suite(spec)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(40), peak(100)  # 2 and 5 stacks of 20 members
+    assert large < 1.25 * small
 
 
 def test_suite_rerun_is_identical():
