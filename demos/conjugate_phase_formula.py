@@ -23,7 +23,7 @@ from sympdet.linalg import split_seed
 n = 3
 print("theta      formula phase            analytic e^{2iN theta}")
 for theta in np.linspace(-1.2, 1.2, 7):
-    a = np.exp(1j * theta) * sd.identity(2 * n, "C")
+    a = np.exp(1j * theta) * np.eye(2 * n, dtype=np.complex128)
     got = sd.conj_symplectic_det(a)
     want = np.exp(2j * n * theta)
     print(f"{theta:+.3f}   {got.real:+.6f}{got.imag:+.6f}j   "

@@ -13,7 +13,7 @@ import sympdet as sd
 # the 2N x 2N form [[0, I], [-I, 0]] and its exact identities
 for n in range(1, 5):
     j = sd.symplectic_form(n)
-    print(f"N={n}:  ||J^2 + I|| = {sd.frobenius(j @ j + sd.identity(2 * n))}"
+    print(f"N={n}:  ||J^2 + I|| = {sd.frobenius(j @ j + np.eye(2 * n))}"
           f"   ||J^T + J|| = {sd.frobenius(j.T + j)}"
           f"   det(J) = {sd.log_det(j).value.real}")
 

@@ -38,18 +38,18 @@ for eps in (None, 1e-2, 1e-6):
     worst = 0.0
     for t in range(200):
         rng = rng_from_seed(split_seed(9, t))
-        c = random_gaussian(rng, 4, "C")
-        d = random_gaussian(rng, 4, "C")
+        c = random_gaussian(rng, 4, np.complex128)
+        d = random_gaussian(rng, 4, np.complex128)
         if eps is not None:
             c[:, -1] = c[:, :-1] @ rng.standard_normal(3)   # rank deficient
-            c = eps * sd.identity(4, "C") + c
-        worst = max(worst, sd.nonneg_slack(sd.conj_block_det(c, d), tol))
+            c = eps * np.eye(4, dtype=np.complex128) + c
+        worst = max(worst, *sd.sign_slacks(sd.conj_block_det(c, d), tol))
     label = "generic C" if eps is None else f"C = {eps} I + rank-deficient"
     print(f"complex pairs, {label:28s} worst sign slack = {worst:.3e}")
 
 # the reduction through E = C^{-1} D, all identities checked independently
-probe = sd.conj_block_reduction(random_gaussian(rng_from_seed(3), 5, "C"),
-                                random_gaussian(rng_from_seed(4), 5, "C"))
+probe = sd.conj_block_reduction(random_gaussian(rng_from_seed(3), 5, np.complex128),
+                                random_gaussian(rng_from_seed(4), 5, np.complex128))
 print("\nreduction residuals on a well-conditioned draw:")
 for name, value in probe.residuals.items():
     print(f"  {name:10s} {value:.3e}")

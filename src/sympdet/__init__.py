@@ -25,14 +25,11 @@ from .linalg import (
     SingularMatrixError,
     as_square,
     frobenius,
-    identity,
-    kind_of,
     log_det,
     phase_angle,
     random_gaussian,
     rng_from_seed,
     split_seed,
-    zeros,
 )
 from .matio import format_matrix, parse_matrix, read_matrix, write_matrix
 from .symplectic import (
@@ -52,15 +49,12 @@ from .symplectic import (
     conj_symplectic_det,
     embed_pair,
     half_dim,
-    j_conjugate,
     membership_residual,
-    nonneg_slack,
     sign_slacks,
     symplectic_form,
     unitary_split_det,
 )
 from .generators import (
-    FACTOR_KINDS,
     GenerationError,
     GeneratorConfig,
     diag_block,
@@ -77,9 +71,8 @@ from .suites import (SUITE_IDS, SuiteSpec, TrialResult, conj_formula_check,
 __all__ = [
     "__version__",
     # linalg
-    "LogDet", "SingularMatrixError", "as_square", "frobenius", "identity",
-    "kind_of", "log_det", "phase_angle", "random_gaussian", "rng_from_seed",
-    "split_seed", "zeros",
+    "LogDet", "SingularMatrixError", "as_square", "frobenius", "log_det",
+    "phase_angle", "random_gaussian", "rng_from_seed", "split_seed",
     # matio
     "format_matrix", "parse_matrix", "read_matrix", "write_matrix",
     # symplectic
@@ -88,10 +81,10 @@ __all__ = [
     "ReductionProbe", "ToleranceConfig", "block_pair",
     "certify_symplectic", "conj_block_det", "conj_block_reduction",
     "conj_symplectic_det", "embed_pair", "half_dim",
-    "j_conjugate", "membership_residual", "nonneg_slack",
-    "sign_slacks", "symplectic_form", "unitary_split_det",
+    "membership_residual", "sign_slacks", "symplectic_form",
+    "unitary_split_det",
     # generators
-    "FACTOR_KINDS", "GenerationError", "GeneratorConfig", "diag_block",
+    "GenerationError", "GeneratorConfig", "diag_block",
     "elementary_factor", "generate", "phase_factor",
     "shear_lower", "shear_upper",
     # report + suites

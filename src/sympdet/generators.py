@@ -29,13 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    SingularMatrixError,
-    _square,
-    frobenius,
-    identity,
-    rng_from_seed,
-)
+from .linalg import SingularMatrixError, _square, frobenius, rng_from_seed
 from .symplectic import (
     DEFAULT_TOLERANCES,
     GroupKind,
@@ -131,7 +125,7 @@ def _diag_blocks(p: np.ndarray, conjugate: bool) -> np.ndarray:
 def _phases(thetas, n_half: int) -> np.ndarray:
     """exp(i theta) I_2N for each theta, as a stack."""
     z = np.array([complex(math.cos(t), math.sin(t)) for t in thetas])
-    return z[:, None, None] * identity(2 * n_half, "C")
+    return z[:, None, None] * np.eye(2 * n_half, dtype=np.complex128)
 
 
 def shear_lower(s, target: GroupKind = GroupKind.REAL_SYMPLECTIC) -> np.ndarray:
@@ -163,7 +157,7 @@ def _gaussians(config: GeneratorConfig, rngs) -> np.ndarray:
     real = config.target is GroupKind.REAL_SYMPLECTIC
     w = np.empty((len(rngs), 1 if real else 2, n, n))
     for i, rng in enumerate(rngs):
-        rng.standard_normal(out=w[i])  # the draw of random_gaussian(rng, n, kind)
+        rng.standard_normal(out=w[i])  # the draw of random_gaussian(rng, n, dtype)
     g = w[:, 0] if real else w[:, 0] + 1j * w[:, 1]
     return config.factor_scale * g / math.sqrt(n)
 
@@ -172,7 +166,6 @@ def _factors(name: str, config: GeneratorConfig, rngs) -> np.ndarray:
     """Factor kind ``name`` of config's group drawn from each rng, as a stack,
     clamped as :func:`elementary_factor` describes."""
     n = config.half_dim
-    kind = "R" if config.target is GroupKind.REAL_SYMPLECTIC else "C"
     conjugate = config.target is GroupKind.CONJUGATE_SYMPLECTIC
     cap = config.condition_cap
     if name in ("shear_lower", "shear_upper"):
@@ -180,9 +173,9 @@ def _factors(name: str, config: GeneratorConfig, rngs) -> np.ndarray:
         return _shears(_norm_clamped(s, (cap - 1.0) / math.sqrt(cap)), name == "shear_lower")
     if name == "diag_block":
         g = _norm_clamped(_gaussians(config, rngs), 1.0 - 1.0 / math.sqrt(cap))
-        return _diag_blocks(identity(n, kind) + g, conjugate)
+        return _diag_blocks(np.eye(n, dtype=config.target.dtype) + g, conjugate)
     if name == "form":
-        return _forms(len(rngs), n, kind)
+        return _forms(len(rngs), n, config.target.dtype)
     if name == "phase":
         if not conjugate:
             raise ValueError("phase factors exist only in the conjugate group")
@@ -234,7 +227,7 @@ def _sample(config: GeneratorConfig, seeds: Iterable[int], factors: list[str] | 
         allowed.append("phase")
     if factors is not None:
         factors = list(factors)
-    dtype = np.dtype(np.float64 if config.target is GroupKind.REAL_SYMPLECTIC else np.complex128)
+    dtype = config.target.dtype
     m = 2 * config.half_dim
     per_stack = max(1, _STACK_BYTES // (m * m * dtype.itemsize))
     seeds = iter(seeds)

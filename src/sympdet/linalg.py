@@ -5,8 +5,8 @@ Determinants come from LAPACK's LU with partial pivoting (``getrf``) through
 Stability of Numerical Algorithms*, ch. 9); :class:`LogDet` keeps them finite
 over large dimensions.
 
-Matrices are plain numpy arrays, square, in one of two kinds: "R" (float64)
-or "C" (complex128).  Every function has value semantics: arguments are never
+Matrices are plain numpy arrays, square, of dtype float64 (real) or
+complex128 (complex).  Every function has value semantics: arguments are never
 mutated and results are freshly allocated, so any matrix may be shared freely
 across threads.  Internal callers that only read their input coerce it with
 the private ``_square``, which passes a contiguous float64/complex128 array
@@ -29,11 +29,6 @@ _LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)  # exp() overflows above thi
 
 class SingularMatrixError(ArithmeticError):
     """An operation required an invertible matrix."""
-
-
-def kind_of(a: np.ndarray) -> str:
-    """Return "C" for complex matrices, "R" otherwise."""
-    return "C" if np.iscomplexobj(a) else "R"
 
 
 def as_square(a) -> np.ndarray:
@@ -62,15 +57,13 @@ def _square(a) -> np.ndarray:
     return m.astype(dtype, copy=False)  # np.array above already copied
 
 
-def identity(n: int, kind: str = "R") -> np.ndarray:
-    return np.eye(n, dtype=np.complex128 if kind == "C" else np.float64)
-
-
-def zeros(n: int, kind: str = "R") -> np.ndarray:
-    return np.zeros((n, n), dtype=np.complex128 if kind == "C" else np.float64)
-
-
 def frobenius(a) -> float:
+    """||a||_F as a Python float: the one place a norm leaves numpy.
+
+    Residuals are norms, and each must be a plain float.  A numpy scalar's
+    repr is ``np.float64(x)`` on numpy 2, and text reports print residuals
+    with repr.
+    """
     return float(np.linalg.norm(a))
 
 
@@ -137,9 +130,14 @@ def log_det(a) -> LogDet:
     """Determinant in log-scaled form via LAPACK's LU (numpy.linalg.slogdet).
 
     A singular input gives (-inf, 1); the phase is renormalized onto the unit
-    circle.
+    circle.  An input with a NaN or Inf entry has no determinant and gives
+    (nan, nan + nanj), where LAPACK would call a NaN pivot zero or an Inf
+    one an infinite magnitude with a sign.
     """
-    sign, logabs = np.linalg.slogdet(_square(a))
+    m = _square(a)
+    sign, logabs = np.linalg.slogdet(m)
+    if (sign == 0 or not math.isfinite(logabs)) and not np.isfinite(m).all():
+        return LogDet(math.nan, complex(math.nan, math.nan))
     if sign == 0:
         return LogDet(-math.inf, 1 + 0j)
     p = complex(sign)
@@ -157,13 +155,15 @@ def split_seed(seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def random_gaussian(rng: np.random.Generator, n: int, kind: str = "R") -> np.ndarray:
-    """n x n matrix of i.i.d. standard normals per real component."""
+def random_gaussian(rng: np.random.Generator, n: int, dtype=np.float64) -> np.ndarray:
+    """n x n matrix of i.i.d. standard normals per real component, of dtype
+    float64 or complex128 (any other dtype raises ValueError)."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    if kind == "C":  # one draw: the stream, and the bits, of a real then an imaginary draw
+    if np.dtype(np.complex128) == dtype:
+        # one draw: the stream, and the bits, of a real then an imaginary draw
         z = rng.standard_normal((2, n, n))
         return z[0] + 1j * z[1]
-    if kind != "R":
-        raise ValueError(f"unknown kind {kind!r}")
+    if np.dtype(np.float64) != dtype:
+        raise ValueError(f"unsupported dtype {dtype!r}")
     return rng.standard_normal((n, n))

@@ -15,13 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import _square, kind_of
+from .linalg import _square
 
 
 def format_matrix(a) -> str:
     a = _square(a)
     n = a.shape[0]
-    kind = kind_of(a)
+    kind = "C" if np.iscomplexobj(a) else "R"
     if kind == "R":
         entry, values = "%r", a.ravel().tolist()
     else:  # re, im interleaved in row-major order, whatever the layout of a

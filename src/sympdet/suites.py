@@ -36,13 +36,11 @@ from .generators import GeneratorConfig, _sample, elementary_factor, generate
 from .linalg import (
     LogDet,
     frobenius,
-    identity,
     log_det,
     phase_angle,
     random_gaussian,
     rng_from_seed,
     split_seed,
-    zeros,
 )
 from .report import Report
 from .symplectic import (
@@ -104,7 +102,7 @@ class TrialResult:
 
 def _trial_form_identities(n: int, seed: int, tol: ToleranceConfig) -> dict:
     j = symplectic_form(n)
-    eye = identity(2 * n)
+    eye = np.eye(2 * n)
     return {
         "formSquare": frobenius(j @ j + eye),
         "formSkew": frobenius(j.T + j),
@@ -125,17 +123,17 @@ def _lemma_inputs(n: int, seed: int):
     """(C, D, mode) with mode 0 generic, 1 and 2 near-singular C."""
     rng = rng_from_seed(seed)
     mode = int(rng.integers(0, 3))
-    c = random_gaussian(rng, n, "C")
-    d = random_gaussian(rng, n, "C")
+    c = random_gaussian(rng, n, np.complex128)
+    d = random_gaussian(rng, n, np.complex128)
     if mode:
         eps = 1e-2 if mode == 1 else 1e-6
         if n == 1:
-            rank_deficient = zeros(1, "C")
+            rank_deficient = np.zeros((1, 1), np.complex128)
         else:
-            rank_deficient = random_gaussian(rng, n, "C")
+            rank_deficient = random_gaussian(rng, n, np.complex128)
             coeffs = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
             rank_deficient[:, -1] = rank_deficient[:, :-1] @ coeffs
-        c = eps * identity(n, "C") + rank_deficient
+        c = eps * np.eye(n, dtype=np.complex128) + rank_deficient
     return c, d, mode
 
 
@@ -156,8 +154,8 @@ def _trial_lemma(n: int, seed: int, tol: ToleranceConfig) -> dict:
 
 def _trial_ineq_real(n: int, seed: int, tol: ToleranceConfig) -> dict:
     rng = rng_from_seed(seed)
-    c = random_gaussian(rng, n, "R")
-    d = random_gaussian(rng, n, "R")
+    c = random_gaussian(rng, n)
+    d = random_gaussian(rng, n)
     pair = BlockPair(c, d, GroupKind.REAL_SYMPLECTIC)
     dd = log_det(embed_pair(pair))
     im_slack, re_slack = sign_slacks(dd, tol)

@@ -21,14 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import (
-    LogDet,
-    _square,
-    frobenius,
-    identity,
-    kind_of,
-    log_det,
-)
+from .linalg import LogDet, _square, frobenius, log_det
 
 
 class GroupKind(Enum):
@@ -37,6 +30,12 @@ class GroupKind(Enum):
     REAL_SYMPLECTIC = "real"            # A^T J A = J, real entries
     COMPLEX_SYMPLECTIC = "complex"      # A^T J A = J, complex entries
     CONJUGATE_SYMPLECTIC = "conjugate"  # A^* J A = J
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The storage dtype of the group's matrices: float64 for the real
+        group, complex128 for the other two."""
+        return np.dtype(np.float64 if self is GroupKind.REAL_SYMPLECTIC else np.complex128)
 
 
 class MembershipError(ValueError):
@@ -149,18 +148,19 @@ def half_dim(a: np.ndarray) -> int:
     return n // 2
 
 
-def symplectic_form(n_half: int, kind: str = "R") -> np.ndarray:
-    """The 2N x 2N form [[0, I], [-I, 0]]."""
-    return _forms(1, n_half, kind)[0]
+def symplectic_form(n_half: int, dtype=np.float64) -> np.ndarray:
+    """The 2N x 2N form [[0, I], [-I, 0]] of the given dtype (float64 or
+    complex128)."""
+    return _forms(1, n_half, dtype)[0]
 
 
-def _forms(k: int, n_half: int, kind: str = "R") -> np.ndarray:
+def _forms(k: int, n_half: int, dtype) -> np.ndarray:
     """k copies of the form as one (k, 2N, 2N) stack, each block filled in
     place (the generators draw the form for many members at once)."""
     if n_half < 1:
         raise ValueError("half dimension must be >= 1")
-    j = np.zeros((k, 2 * n_half, 2 * n_half), np.complex128 if kind == "C" else np.float64)
-    eye = identity(n_half, kind)
+    j = np.zeros((k, 2 * n_half, 2 * n_half), dtype)
+    eye = np.eye(n_half, dtype=dtype)  # -eye has signed zeros, which are bits of J
     j[:, :n_half, n_half:] = eye
     j[:, n_half:, :n_half] = -eye
     return j
@@ -187,7 +187,7 @@ def membership_residual(a, group: GroupKind) -> float:
     place, and ||J||_F = sqrt(2N) exactly.
     """
     a = _square(a)
-    if group is GroupKind.REAL_SYMPLECTIC and kind_of(a) != "R":
+    if group is GroupKind.REAL_SYMPLECTIC and np.iscomplexobj(a):
         raise ValueError("real symplectic membership needs a real matrix")
     n = half_dim(a)
     scale = frobenius(a) ** 2
@@ -226,13 +226,6 @@ def _quadrants(tl, tr, bl, br, out=None) -> np.ndarray:
     return out
 
 
-def j_conjugate(a) -> np.ndarray:
-    """J A J^{-1}, computed blockwise as [[A22, -A21], [-A12, A11]]."""
-    a = _square(a)
-    n = half_dim(a)
-    return _quadrants(a[n:, n:], -a[n:, :n], -a[:n, n:], a[:n, :n])
-
-
 @dataclass(frozen=True)
 class BlockPair:
     """The (C, D) block combination of A + J A J^{-1} (or its conjugated
@@ -255,7 +248,7 @@ def block_pair(a, group: GroupKind) -> BlockPair:
     n = half_dim(a)
     a11, a12, a21, a22 = a[:n, :n], a[:n, n:], a[n:, :n], a[n:, n:]
     if group is GroupKind.COMPLEX_SYMPLECTIC:
-        if kind_of(a) != "C":
+        if not np.iscomplexobj(a):
             raise ValueError("the conjugated block pair needs a complex matrix")
         return BlockPair(c=a11 + a22.conj(), d=a12 - a21.conj(), group=group)
     return BlockPair(c=a11 + a22, d=a12 - a21, group=group)
@@ -309,18 +302,15 @@ class ReductionProbe:
 
     With E = C^{-1} D the embedded determinant factors through
     det(C) * det(conj(C)) * det([[I, E], [-conj(E), I]]), and the last factor
-    collapses to det(conj(E) E + I), which is nonnegative.  ``e`` is absent
-    and ``singular_c`` set when LAPACK finds C exactly singular.
+    collapses to det(conj(E) E + I), which is nonnegative.  ``e`` and
+    ``pair_det`` are None, and ``residuals`` empty, when LAPACK finds C
+    exactly singular.
     """
 
-    c: np.ndarray
-    d: np.ndarray
     e: np.ndarray | None
     block_det: LogDet
     pair_det: LogDet | None     # det(conj(E) E + I)
-    embed_det: LogDet | None    # det([[I, E], [-conj(E), I]])
     residuals: dict = field(default_factory=dict)
-    singular_c: bool = False
 
 
 def conj_block_reduction(c, d, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> ReductionProbe:
@@ -332,8 +322,8 @@ def conj_block_reduction(c, d, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Red
       commuting   det([[I, E], [-conj(E), I]]) vs det(conj(E) E + I)
       eeNonneg    sign slack of det(conj(E) E + I)
     """
-    c = _square(c).astype(np.complex128)  # a copy: the probe keeps C and D
-    d = _square(d).astype(np.complex128)
+    c = _square(c).astype(np.complex128, copy=False)
+    d = _square(d).astype(np.complex128, copy=False)
     if c.shape != d.shape:
         raise ValueError(f"dimension mismatch: {c.shape[0]} vs {d.shape[0]}")
     n = c.shape[0]
@@ -341,40 +331,36 @@ def conj_block_reduction(c, d, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Red
     try:
         e = np.linalg.solve(c, d)
     except np.linalg.LinAlgError:
-        return ReductionProbe(c=c, d=d, e=None, block_det=block,
-                              pair_det=None, embed_det=None, singular_c=True)
+        return ReductionProbe(e=None, block_det=block, pair_det=None)
     ee = e.conj() @ e
     ee[np.diag_indices(n)] += 1.0  # + I, in the fresh product
     pair = log_det(ee)
-    embed = log_det(embed_pair(BlockPair(identity(n, "C"), e, GroupKind.COMPLEX_SYMPLECTIC)))
+    embed = log_det(embed_pair(BlockPair(np.eye(n, dtype=np.complex128), e,
+                                         GroupKind.COMPLEX_SYMPLECTIC)))
     rhs = log_det(c) * log_det(c.conj()) * embed
     residuals = {
         "solve": frobenius(c @ e - d) / (frobenius(c) * frobenius(e) + frobenius(d) + 1e-300),
         "reduction": block.rel_diff(rhs),
         "commuting": embed.rel_diff(pair),
-        "eeNonneg": nonneg_slack(pair, tol),
+        "eeNonneg": max(sign_slacks(pair, tol)),
     }
-    return ReductionProbe(c=c, d=d, e=e, block_det=block,
-                          pair_det=pair, embed_det=embed, residuals=residuals)
+    return ReductionProbe(e=e, block_det=block, pair_det=pair, residuals=residuals)
 
 
 def sign_slacks(dd: LogDet, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[float, float]:
     """(imag, real) violations of det >= 0, each max(0, violation).
 
     The violations are measured on the unit phase: |Im det| and -Re det must
-    each stay under tol.nonneg * |det| + tol.nonneg_abs.
+    each stay under tol.nonneg * |det| + tol.nonneg_abs.  A NaN magnitude or
+    phase makes both slacks NaN, so neither they nor their max pass a bound.
     """
     if dd.log_magnitude == -math.inf:
         return 0.0, 0.0
     allowance = tol.nonneg_abs * math.exp(min(-dd.log_magnitude, 700.0))
-    return (max(0.0, abs(dd.phase.imag) - allowance),
-            max(0.0, -dd.phase.real - allowance))
-
-
-def nonneg_slack(dd: LogDet, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
-    """How far a determinant sits from the closed right half-axis: the larger
-    of the two :func:`sign_slacks`.  Compare the result against tol.nonneg."""
-    return max(sign_slacks(dd, tol))
+    im, re = abs(dd.phase.imag) - allowance, -dd.phase.real - allowance
+    if math.isnan(im) or math.isnan(re):  # max(0.0, nan) would be 0.0
+        return math.nan, math.nan
+    return max(0.0, im), max(0.0, re)
 
 
 # ---------------------------------------------------------------------------
@@ -433,15 +419,15 @@ def certify_symplectic(a, group: GroupKind = GroupKind.REAL_SYMPLECTIC,
     Each check passes when its residuals are within their bounds in
     ``RESIDUAL_BOUNDS["certificate"]``; the verdict is "pass" when all are.
     Raises MembershipError if A fails the group residual test (an all-zero A
-    included), ValueError if the group/kind combination is invalid.
+    included), ValueError if the group/dtype combination is invalid.
     """
     a = _square(a)
     if group is GroupKind.CONJUGATE_SYMPLECTIC:
         raise ValueError("certificates cover the determinant-one groups; "
                          "use conj_symplectic_det for the conjugate group")
-    want_kind = "R" if group is GroupKind.REAL_SYMPLECTIC else "C"
-    if kind_of(a) != want_kind:
-        raise ValueError(f"{group.value} certification needs a {want_kind}-kind matrix")
+    if a.dtype != group.dtype:
+        raise ValueError(f"{group.value} certification needs a "
+                         f"{'R' if group is GroupKind.REAL_SYMPLECTIC else 'C'}-kind matrix")
 
     res_mem = membership_residual(a, group)
     if not res_mem <= tol.membership:  # a NaN residual must not pass
@@ -484,7 +470,7 @@ def certify_symplectic(a, group: GroupKind = GroupKind.REAL_SYMPLECTIC,
     check(f"{gram_label} = det(A^adj) * det(block pair embedding)",
           _fmt_logdet(lhs), _fmt_logdet(factor_rhs), factorIdentity=lhs.rel_diff(factor_rhs))
     check("block pair determinant >= 0", _fmt_logdet(aux), ">= 0",
-          blockNonneg=nonneg_slack(aux, tol))
+          blockNonneg=max(sign_slacks(aux, tol)))
     if group is GroupKind.REAL_SYMPLECTIC:
         d_plus, d_minus = unitary_split_det(pair)
         split_rhs = det_a * d_plus.abs_squared()

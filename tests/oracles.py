@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sympdet.generators import GenerationError
-from sympdet.linalg import (LogDet, SingularMatrixError, as_square, frobenius, identity,
-                            kind_of, rng_from_seed, zeros)
+from sympdet.linalg import LogDet, SingularMatrixError, as_square, frobenius, rng_from_seed
 from sympdet.symplectic import (DEFAULT_TOLERANCES, GroupKind, membership_residual,
                                 symplectic_form)
 
@@ -42,7 +41,7 @@ class LuFactorization:
     @property
     def lower(self) -> np.ndarray:
         n = self.packed.shape[0]
-        return np.tril(self.packed, -1) + identity(n, kind_of(self.packed))
+        return np.tril(self.packed, -1) + np.eye(n, dtype=self.packed.dtype)
 
     @property
     def upper(self) -> np.ndarray:
@@ -143,15 +142,13 @@ def _symmetrized(s, hermitian):
 
 def block_shear_lower(s, hermitian=False):
     s = _symmetrized(as_square(s), hermitian)
-    n = s.shape[0]
-    eye = identity(n, kind_of(s))
+    eye = np.eye(s.shape[0], dtype=s.dtype)
     return np.block([[eye, np.zeros_like(s)], [s, eye]])
 
 
 def block_shear_upper(s, hermitian=False):
     s = _symmetrized(as_square(s), hermitian)
-    n = s.shape[0]
-    eye = identity(n, kind_of(s))
+    eye = np.eye(s.shape[0], dtype=s.dtype)
     return np.block([[eye, s], [np.zeros_like(s), eye]])
 
 
@@ -184,9 +181,9 @@ def dense_membership_residual(a, group):
     """||A^# J A - J||_F / (||J||_F ||A||_F^2) with both products as GEMMs,
     associated as (A^# J) A."""
     a = as_square(a)
-    if group is GroupKind.REAL_SYMPLECTIC and kind_of(a) != "R":
+    if group is GroupKind.REAL_SYMPLECTIC and np.iscomplexobj(a):
         raise ValueError("real symplectic membership needs a real matrix")
-    j = symplectic_form(a.shape[0] // 2, kind_of(a))
+    j = symplectic_form(a.shape[0] // 2, a.dtype)
     adj = a.conj().T if group is GroupKind.CONJUGATE_SYMPLECTIC else a.T
     scale = float(np.linalg.norm(a)) ** 2
     if scale == 0.0:
@@ -204,9 +201,9 @@ _FACTOR_KINDS = ("shear_lower", "shear_upper", "diag_block", "form", "phase")
 _MAX_ATTEMPTS = 5
 
 
-def _loop_gaussian(rng, n, kind):
+def _loop_gaussian(rng, n, dtype):
     z = rng.standard_normal((n, n))
-    if kind == "C":
+    if dtype == np.complex128:
         return z + 1j * rng.standard_normal((n, n))
     return z
 
@@ -218,7 +215,7 @@ def _norm_clamped(x, cap):
 
 def _loop_shear(s, lower):
     n = s.shape[0]
-    out = identity(2 * n, kind_of(s))
+    out = np.eye(2 * n, dtype=s.dtype)
     if lower:
         out[n:, :n] = s
     else:
@@ -229,31 +226,31 @@ def _loop_shear(s, lower):
 def _loop_diag_block(p, target):
     n = p.shape[0]
     pinv = np.linalg.inv(p)
-    out = zeros(2 * n, kind_of(p))
+    out = np.zeros((2 * n, 2 * n), p.dtype)
     out[:n, :n] = p
     out[n:, n:] = pinv.conj().T if target is GroupKind.CONJUGATE_SYMPLECTIC else pinv.T
     return out
 
 
 def _loop_phase_factor(theta, n_half):
-    return complex(math.cos(theta), math.sin(theta)) * identity(2 * n_half, "C")
+    return complex(math.cos(theta), math.sin(theta)) * np.eye(2 * n_half, dtype=np.complex128)
 
 
 def loop_elementary_factor(name, config, rng):
     n = config.half_dim
     target = config.target
-    kind = "R" if target is GroupKind.REAL_SYMPLECTIC else "C"
+    dtype = np.float64 if target is GroupKind.REAL_SYMPLECTIC else np.complex128
     cap = config.condition_cap
     if name in ("shear_lower", "shear_upper"):
-        s = config.factor_scale * _loop_gaussian(rng, n, kind) / math.sqrt(n)
+        s = config.factor_scale * _loop_gaussian(rng, n, dtype) / math.sqrt(n)
         s = _symmetrized(s, target is GroupKind.CONJUGATE_SYMPLECTIC)
         return _loop_shear(_norm_clamped(s, (cap - 1.0) / math.sqrt(cap)), name == "shear_lower")
     if name == "diag_block":
-        g = config.factor_scale * _loop_gaussian(rng, n, kind) / math.sqrt(n)
+        g = config.factor_scale * _loop_gaussian(rng, n, dtype) / math.sqrt(n)
         g = _norm_clamped(g, 1.0 - 1.0 / math.sqrt(cap))
-        return _loop_diag_block(identity(n, kind) + g, target)
+        return _loop_diag_block(np.eye(n, dtype=dtype) + g, target)
     if name == "form":
-        return symplectic_form(n, kind)
+        return symplectic_form(n, dtype)
     if name == "phase":
         if target is not GroupKind.CONJUGATE_SYMPLECTIC:
             raise ValueError("phase factors exist only in the conjugate group")
@@ -266,7 +263,7 @@ def loop_generate(config, factors=None, tol=DEFAULT_TOLERANCES):
     allowed = list(_FACTOR_KINDS[:4])
     if config.target is GroupKind.CONJUGATE_SYMPLECTIC:
         allowed.append("phase")
-    kind = "R" if config.target is GroupKind.REAL_SYMPLECTIC else "C"
+    dtype = np.float64 if config.target is GroupKind.REAL_SYMPLECTIC else np.complex128
 
     for _ in range(_MAX_ATTEMPTS):
         if factors is None:
@@ -274,7 +271,7 @@ def loop_generate(config, factors=None, tol=DEFAULT_TOLERANCES):
                    for _ in range(config.num_factors)]
         else:
             seq = list(factors)
-        a = identity(2 * config.half_dim, kind)
+        a = np.eye(2 * config.half_dim, dtype=dtype)
         for name in seq:
             a = a @ loop_elementary_factor(name, config, rng)
         if membership_residual(a, config.target) <= tol.product_residual:

@@ -1,4 +1,5 @@
-"""Every demo script, and ``python -m sympdet``, runs against the package in src/."""
+"""Every demo script, and ``python -m sympdet``, runs against the package in src/,
+with every warning an error (``-W error`` reaches no subprocess by itself)."""
 
 import os
 import subprocess
@@ -14,7 +15,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def _run(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, "-W", "error", *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
 
 

@@ -21,12 +21,10 @@ from sympdet.generators import (
 )
 from sympdet.linalg import (
     SingularMatrixError,
-    identity,
     log_det,
     random_gaussian,
     rng_from_seed,
     split_seed,
-    zeros,
 )
 from sympdet.matio import format_matrix
 from sympdet.symplectic import (
@@ -34,7 +32,6 @@ from sympdet.symplectic import (
     GroupKind,
     ToleranceConfig,
     embed_pair,
-    j_conjugate,
     membership_residual,
     symplectic_form,
 )
@@ -42,7 +39,6 @@ from sympdet.symplectic import (
 from oracles import (
     block_diag_block,
     block_embed_pair,
-    block_j_conjugate,
     block_shear_lower,
     block_shear_upper,
     loop_generate,
@@ -57,8 +53,8 @@ ALL_TARGETS = (REAL, GroupKind.COMPLEX_SYMPLECTIC, GroupKind.CONJUGATE_SYMPLECTI
 # ---------------------------------------------------------------------------
 
 def test_shear_of_zero_is_identity():
-    assert_allclose(shear_lower(zeros(3)), identity(6))
-    assert_allclose(shear_upper(zeros(3)), identity(6))
+    assert_allclose(shear_lower(np.zeros((3, 3))), np.eye(6))
+    assert_allclose(shear_upper(np.zeros((3, 3))), np.eye(6))
 
 
 def test_shear_scalar_hand_check():
@@ -70,18 +66,18 @@ def test_shear_scalar_hand_check():
 
 def test_shear_symmetrizes_input():
     rng = rng_from_seed(3)
-    s = random_gaussian(rng, 3)          # not symmetric
+    s = random_gaussian(rng, 3)                  # not symmetric
     a = shear_upper(s)
     assert_allclose(a[:3, 3:], (s + s.T) / 2)
     assert membership_residual(a, REAL) <= 1e-12
-    h = random_gaussian(rng, 3, "C")     # Hermitian for the conjugate group
+    h = random_gaussian(rng, 3, np.complex128)   # Hermitian for the conjugate group
     b = shear_lower(h, GroupKind.CONJUGATE_SYMPLECTIC)
     assert_allclose(b[3:, :3], (h + h.conj().T) / 2)
     assert membership_residual(b, GroupKind.CONJUGATE_SYMPLECTIC) <= 1e-12
 
 
 def test_diag_block_trivials():
-    assert_allclose(diag_block(identity(3)), identity(6))
+    assert_allclose(diag_block(np.eye(3)), np.eye(6))
     a = diag_block(np.array([[2.0]]))
     assert_allclose(a, np.diag([2.0, 0.5]))
     assert membership_residual(a, REAL) <= 1e-15
@@ -89,9 +85,9 @@ def test_diag_block_trivials():
 
 
 def test_diag_block_conjugate_uses_conjugate_inverse():
-    p = random_gaussian(rng_from_seed(5), 2, "C")
+    p = random_gaussian(rng_from_seed(5), 2, np.complex128)
     a = diag_block(p, GroupKind.CONJUGATE_SYMPLECTIC)
-    assert_allclose(a[2:, 2:] @ p.conj().T, identity(2, "C"), atol=1e-13)
+    assert_allclose(a[2:, 2:] @ p.conj().T, np.eye(2, dtype=np.complex128), atol=1e-13)
     assert membership_residual(a, GroupKind.CONJUGATE_SYMPLECTIC) <= 1e-12
 
 
@@ -105,13 +101,13 @@ def test_diag_block_random_clamped_residual():
 
 def test_diag_block_singular_raises():
     with pytest.raises(SingularMatrixError):
-        diag_block(zeros(2))
+        diag_block(np.zeros((2, 2)))
 
 
 def test_phase_factor_values():
-    assert_allclose(phase_factor(0.0, 2), identity(4, "C"))
+    assert_allclose(phase_factor(0.0, 2), np.eye(4, dtype=np.complex128))
     a = phase_factor(math.pi, 1)
-    assert_allclose(a, -identity(2, "C"), atol=1e-15)
+    assert_allclose(a, -np.eye(2, dtype=np.complex128), atol=1e-15)
     assert abs(log_det(a).value - 1.0) <= 1e-14   # e^{2 pi i} = 1
     # theta = 0.3, N = 2: det = e^{1.2 i} straight from the LU oracle
     dd = log_det(phase_factor(0.3, 2))
@@ -145,15 +141,15 @@ def test_unknown_factor_name():
 
 def test_embed_orthogonal_pair_trivials():
     # [[C, D], [-D, C]]: the orthogonal-group layout of an unconjugated pair
-    assert_allclose(embed_pair(BlockPair(identity(2), zeros(2), REAL)), identity(4))
-    assert_allclose(embed_pair(BlockPair(zeros(2), identity(2), REAL)), symplectic_form(2))
-    c = random_gaussian(rng_from_seed(43), 2, "C")
-    d = random_gaussian(rng_from_seed(47), 2, "C")
+    assert_allclose(embed_pair(BlockPair(np.eye(2), np.zeros((2, 2)), REAL)), np.eye(4))
+    assert_allclose(embed_pair(BlockPair(np.zeros((2, 2)), np.eye(2), REAL)), symplectic_form(2))
+    c = random_gaussian(rng_from_seed(43), 2, np.complex128)
+    d = random_gaussian(rng_from_seed(47), 2, np.complex128)
     m = embed_pair(BlockPair(c, d, GroupKind.CONJUGATE_SYMPLECTIC))
     assert_allclose(m[2:, :2], -d)      # no conjugation outside the complex group
     assert_allclose(m[2:, 2:], c)
     with pytest.raises(ValueError, match="dimension"):
-        embed_pair(BlockPair(identity(2), zeros(3), REAL))
+        embed_pair(BlockPair(np.eye(2), np.zeros((3, 3)), REAL))
 
 
 def _assert_bitwise(got, ref):
@@ -162,13 +158,13 @@ def _assert_bitwise(got, ref):
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-@pytest.mark.parametrize("kind", ["R", "C"])
-def test_structured_builders_match_block_reference(kind, n):
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["R", "C"])
+def test_structured_builders_match_block_reference(dtype, n):
     # every element copied, none recomputed: equal to np.block bit for bit
-    rng = rng_from_seed(1000 * n + (kind == "C"))
-    s = random_gaussian(rng, n, kind)
-    p = identity(n, kind) + 0.3 * random_gaussian(rng, n, kind)
-    c, d = random_gaussian(rng, n, kind), random_gaussian(rng, n, kind)
+    rng = rng_from_seed(1000 * n + (dtype is np.complex128))
+    s = random_gaussian(rng, n, dtype)
+    p = np.eye(n, dtype=dtype) + 0.3 * random_gaussian(rng, n, dtype)
+    c, d = random_gaussian(rng, n, dtype), random_gaussian(rng, n, dtype)
     for target in ALL_TARGETS:
         conj = target is GroupKind.CONJUGATE_SYMPLECTIC
         _assert_bitwise(shear_lower(s, target), block_shear_lower(s, conj))
@@ -176,10 +172,8 @@ def test_structured_builders_match_block_reference(kind, n):
         _assert_bitwise(diag_block(p, target), block_diag_block(p, conj))
         _assert_bitwise(embed_pair(BlockPair(c, d, target)),
                         block_embed_pair(c, d, target is GroupKind.COMPLEX_SYMPLECTIC))
-    # mixed kinds take numpy's common result type
+    # mixed dtypes take numpy's common result type
     _assert_bitwise(embed_pair(BlockPair(c.real, d, REAL)), block_embed_pair(c.real, d))
-    a = random_gaussian(rng, 2 * n, kind)
-    _assert_bitwise(j_conjugate(a), block_j_conjugate(a))
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +284,8 @@ def test_generate_matches_the_loop(target, n):
 
 @pytest.mark.parametrize("target", ALL_TARGETS)
 def test_stacks_split_by_size_match_the_loop(target):
-    # 8 members of 100 x 100 make two stacks below the byte budget for C
-    # kinds (6 + 2), one for R; an unbounded seed stream is read lazily
+    # 8 members of 100 x 100 make two stacks below the byte budget for
+    # complex128 (6 + 2), one for float64; an unbounded seed stream is read lazily
     base = GeneratorConfig(half_dim=50, target=target)
     seeds = (split_seed(50, t) for t in range(8))
     for t, got in enumerate(_sample(base, seeds)):

@@ -52,6 +52,38 @@ def test_every_trial_residual_has_a_table_bound(suite_id):
         assert result.passed
 
 
+# a bound no residual meets, for each field that bounds a trial's residuals
+# but not membership or generation
+_FAIL_ALL = dataclasses.replace(DEFAULT_TOLERANCES, identity_rel=-1.0, det_one=-1.0, phase=-1.0,
+                                nonneg=-1.0, ineq_real=-1.0, exact_residual=-1.0,
+                                factor_residual=-1.0)
+
+
+@pytest.mark.parametrize("suite_id", SUITE_IDS)
+def test_every_report_residual_is_a_plain_float(suite_id):
+    # a numpy scalar's repr is np.float64(x), which a text report would print
+    reports = [run_suite(default_suite_spec(suite_id)),
+               run_suite(default_suite_spec(suite_id, trials=6, half_dims=(1, 2, 3),
+                                            tolerances=_FAIL_ALL))]
+    assert reports[1].failures
+    values = [v for r in reports for v in r.worst_residuals.values()]
+    values += [v for r in reports for f in r.failures for v in f["residuals"].values()]
+    assert all(type(v) is float for v in values), {type(v) for v in values}
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_certificate_and_formula_residuals_are_plain_floats(n):
+    for group in GroupKind:
+        a = sd.generate(sd.GeneratorConfig(half_dim=n, target=group, seed=n))
+        values = []
+        if group is not CONJ:
+            cert = sd.certify_symplectic(a, group)
+            values += [*cert.residuals.values(), *(c.residual for c in cert.narrative)]
+        if group is not GroupKind.COMPLEX_SYMPLECTIC:
+            values += conj_formula_check(a)[0].residuals.values()
+        assert values and all(type(v) is float for v in values), (group, values)
+
+
 def test_suite_defaults():
     # default trials sum to 1668, the trial count of `sympdet suite all`
     defaults = {
@@ -401,7 +433,7 @@ def test_cli_certify_rejects_non_symplectic(tmp_path, capsys):
 
 def test_cli_certify_conjugate_scalar_phase(tmp_path, capsys):
     theta = 0.3
-    a = np.exp(1j * theta) * sd.identity(4, "C")
+    a = np.exp(1j * theta) * np.eye(4, dtype=np.complex128)
     path = _write(tmp_path, "p.txt", a)
     rc = main(["certify", path, "--mode", "conjugate"])
     out = capsys.readouterr().out
@@ -482,8 +514,8 @@ def test_cli_formula_rejects_non_member(tmp_path, capsys):
                                   ["certify", "--mode", "conjugate"],
                                   ["formula"]])
 def test_cli_rejects_all_zero_matrix(argv, tmp_path, capsys):
-    kind = "R" if argv[-1] == "real" else "C"
-    path = _write(tmp_path, "z.txt", sd.zeros(4, kind))
+    dtype = np.float64 if argv[-1] == "real" else np.complex128
+    path = _write(tmp_path, "z.txt", np.zeros((4, 4), dtype))
     rc = main([argv[0], path, *argv[1:]])
     err = capsys.readouterr().err
     assert rc == 1
@@ -491,7 +523,7 @@ def test_cli_rejects_all_zero_matrix(argv, tmp_path, capsys):
 
 
 def test_cli_formula_odd_dimension_is_an_error(tmp_path, capsys):
-    path = _write(tmp_path, "odd.txt", sd.identity(3, "C"))
+    path = _write(tmp_path, "odd.txt", np.eye(3, dtype=np.complex128))
     rc = main(["formula", path])
     assert rc == 1
     assert capsys.readouterr().err == "error: expected an even dimension, got 3\n"

@@ -47,14 +47,12 @@ def _calls(group, tmp_path):
     """Each public function that takes a matrix, applied to x where valid."""
     calls = {
         "as_square": sd.as_square,
-        "kind_of": sd.kind_of,
         "frobenius": sd.frobenius,
         "log_det": sd.log_det,
         "half_dim": sd.half_dim,
         "format_matrix": sd.format_matrix,
         "write_matrix": lambda x: sd.write_matrix(x, tmp_path / "m.txt"),
         "membership_residual": lambda x: sd.membership_residual(x, group),
-        "j_conjugate": sd.j_conjugate,
         "block_pair": lambda x: sd.block_pair(x, group),
         "conj_block_det": lambda x: sd.conj_block_det(x, x),
         "conj_block_reduction": lambda x: sd.conj_block_reduction(x, 2.0 * x),
