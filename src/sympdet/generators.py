@@ -15,7 +15,9 @@ Each member still draws from its own rng exactly what it would draw alone,
 and numpy's stacked arithmetic does to each matrix what it does to that
 matrix alone, so every member is bitwise independent of the stack it was
 built in.  Every factor kind has one fill, over a stack; the public single
-factor builders are its stack of one.  A stack holds at most about 1 MiB of
+factor builders are its stack of one.  The product gate takes the membership
+residuals of a whole stack at once, and the sampler hands the suites whole
+stacks to judge.  A stack holds at most about 1 MiB of
 members (one member, if that is larger), so memory does not grow with the
 number of members sampled.
 """
@@ -35,7 +37,7 @@ from .symplectic import (
     GroupKind,
     ToleranceConfig,
     _forms,
-    membership_residual,
+    _membership_residuals,
 )
 
 FACTOR_KINDS = ("shear_lower", "shear_upper", "diag_block", "form", "phase")
@@ -208,10 +210,19 @@ def _step(config: GeneratorConfig, rngs, names, dtype) -> np.ndarray:
     return f
 
 
+def _stacks(seeds: Iterable[int], m: int, dtype) -> Iterator[list[int]]:
+    """seeds in lists of as many as fit in _STACK_BYTES as m x m matrices of
+    dtype (one, if a single matrix is larger), read lazily."""
+    per_stack = max(1, _STACK_BYTES // (m * m * np.dtype(dtype).itemsize))
+    seeds = iter(seeds)
+    while batch := list(itertools.islice(seeds, per_stack)):
+        yield batch
+
+
 def _sample(config: GeneratorConfig, seeds: Iterable[int], factors: list[str] | None = None,
             tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Iterator[np.ndarray]:
-    """Yield, for each seed in turn, what generate gives for config with that
-    seed (config.seed itself is not read).
+    """Yield, as (k, 2N, 2N) stacks in seed order, what generate gives for
+    config with each seed (config.seed itself is not read).
 
     The members are built as stacks of up to _STACK_BYTES (one member if it
     is larger), one stack at a time, so an unbounded ``seeds`` holds at most
@@ -219,8 +230,9 @@ def _sample(config: GeneratorConfig, seeds: Iterable[int], factors: list[str] | 
     rng and multiplies the stack of products by the stack of factors; numpy
     does to each matrix of a stack what it does to that matrix alone, so each
     member is bitwise the one generate builds for its seed.  Members that
-    fail the residual test are drawn again, as a smaller stack.  Raises
-    GenerationError on reaching a seed whose attempts all failed.
+    fail the residual test are drawn again, as a smaller stack, and copied
+    back into their place.  On reaching a seed whose attempts all failed,
+    yields the members before it in its stack and raises GenerationError.
     """
     allowed = list(FACTOR_KINDS[:4])
     if config.target is GroupKind.CONJUGATE_SYMPLECTIC:
@@ -229,10 +241,9 @@ def _sample(config: GeneratorConfig, seeds: Iterable[int], factors: list[str] | 
         factors = list(factors)
     dtype = config.target.dtype
     m = 2 * config.half_dim
-    per_stack = max(1, _STACK_BYTES // (m * m * dtype.itemsize))
-    seeds = iter(seeds)
-    while block := [rng_from_seed(s) for s in itertools.islice(seeds, per_stack)]:
-        members = [None] * len(block)
+    for batch in _stacks(seeds, m, dtype):
+        block = [rng_from_seed(s) for s in batch]
+        out = None
         todo = list(range(len(block)))
         for _ in range(_MAX_ATTEMPTS):
             rngs = [block[i] for i in todo]
@@ -244,20 +255,20 @@ def _sample(config: GeneratorConfig, seeds: Iterable[int], factors: list[str] | 
             a = _identities(len(rngs), m, dtype)
             for names in zip(*seqs):  # full products: a structured update would round differently
                 a = a @ _step(config, rngs, names, dtype)
-            retry = []
-            for i, ai in zip(todo, a):
-                if membership_residual(ai, config.target) <= tol.product_residual:
-                    members[i] = ai
-                else:
-                    retry.append(i)
-            todo = retry
+            if out is None:
+                out = a
+            else:
+                out[todo] = a
+            todo = [i for i, r in zip(todo, _membership_residuals(a, config.target))
+                    if not r <= tol.product_residual]
             if not todo or factors is not None:
                 break
-        for ai in members:
-            if ai is None:
-                raise GenerationError(f"no {config.target.value} product within residual "
-                                      f"after {_MAX_ATTEMPTS} attempts")
-            yield ai
+        if todo:
+            if todo[0]:
+                yield out[:todo[0]]
+            raise GenerationError(f"no {config.target.value} product within residual "
+                                  f"after {_MAX_ATTEMPTS} attempts")
+        yield out
 
 
 def generate(config: GeneratorConfig, factors: list[str] | None = None,
@@ -273,4 +284,4 @@ def generate(config: GeneratorConfig, factors: list[str] | None = None,
     suites draw their members from, so a suite's member and generate's
     matrix for the same config are the same bits.
     """
-    return next(_sample(config, [config.seed], factors, tol))
+    return next(_sample(config, [config.seed], factors, tol))[0]

@@ -11,6 +11,8 @@ mutated and results are freshly allocated, so any matrix may be shared freely
 across threads.  Internal callers that only read their input coerce it with
 the private ``_square``, which passes a contiguous float64/complex128 array
 through without copying; no public result shares memory with an argument.
+Determinants are taken a stack at a time (the private ``_log_dets``);
+:func:`log_det` is the stack of one, with the same bits as in any stack.
 The only stateful object is the numpy Generator returned by
 :func:`rng_from_seed`; keep each generator confined to one logical thread and
 derive per-task generators with :func:`split_seed`.
@@ -134,14 +136,23 @@ def log_det(a) -> LogDet:
     (nan, nan + nanj), where LAPACK would call a NaN pivot zero or an Inf
     one an infinite magnitude with a sign.
     """
-    m = _square(a)
-    sign, logabs = np.linalg.slogdet(m)
-    if (sign == 0 or not math.isfinite(logabs)) and not np.isfinite(m).all():
-        return LogDet(math.nan, complex(math.nan, math.nan))
-    if sign == 0:
-        return LogDet(-math.inf, 1 + 0j)
-    p = complex(sign)
-    return LogDet(float(logabs), p / abs(p))
+    return _log_dets(_square(a)[None])[0]
+
+
+def _log_dets(a: np.ndarray) -> list[LogDet]:
+    """log_det of each matrix of a (k, m, m) float64/complex128 stack, from
+    one slogdet call, which factors each matrix as it would alone."""
+    signs, logabs = np.linalg.slogdet(a)
+    out = []
+    for i, (sign, la) in enumerate(zip(signs.tolist(), logabs.tolist())):
+        if (sign == 0 or not math.isfinite(la)) and not np.isfinite(a[i]).all():
+            out.append(LogDet(math.nan, complex(math.nan, math.nan)))
+        elif sign == 0:
+            out.append(LogDet(-math.inf, 1 + 0j))
+        else:
+            p = complex(sign)
+            out.append(LogDet(la, p / abs(p)))
+    return out
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:

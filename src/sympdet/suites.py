@@ -1,10 +1,10 @@
 """Property suites tying the structure checks together.
 
-A suite is one row of the suite table ``_SUITES``: its trial function, its
-default trial count and half-dims, the family of the bound table
-:data:`~sympdet.symplectic.RESIDUAL_BOUNDS` that judges the trial's residuals,
-and, for a suite that checks sampled group members, their group.  Adding a
-suite means adding that row and, if the family is new, its
+A suite is one row of the suite table ``_SUITES``: its judge, its default
+trial count and half-dims, the family of the bound table
+:data:`~sympdet.symplectic.RESIDUAL_BOUNDS` that judges the trials'
+residuals, and, for a suite that checks sampled group members, their group.
+Adding a suite means adding that row and, if the family is new, its
 ``RESIDUAL_BOUNDS`` entry.  Each suite maps a trial index to a deterministic
 child seed, runs one independent check, judges its residuals, and aggregates
 pass counts, worst residuals, and reproducible failure records into a
@@ -12,17 +12,19 @@ pass counts, worst residuals, and reproducible failure records into a
 executed in any order or in parallel; results are merged by trial index and
 do not depend on scheduling.
 
-The sampling suites (real-theorem, complex-theorem, conj-formula) draw the
-members of their trials ahead, as stacks of one half-dim each (see
-:mod:`sympdet.generators`), and check each member on its own.  A member is
-the matrix ``generate`` gives for its trial's child seed, bit for bit, so
-:func:`run_trial`, which generates one member alone, replays any trial.  At
-most one stack per half-dim, about 1 MiB, is held at a time.
+A judge checks the trials of one half-dim a stack at a time, about 1 MiB of
+matrices.  The sampling suites (real-theorem, complex-theorem, conj-formula)
+draw the stack of their members (see :mod:`sympdet.generators`) and judge it
+through the stacked certificate and formula cores of
+:mod:`sympdet.symplectic`; ineq-real draws and judges its block pairs the
+same way; the other suites check their trials one by one.  A stack's
+results are merged back in trial order.  Every matrix gets the bits it gets
+alone, so :func:`run_trial`, which judges a stack of one, replays any trial.
+At most one stack per half-dim is held at a time.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -32,9 +34,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._version import __version__
-from .generators import GeneratorConfig, _sample, elementary_factor, generate
+from .generators import GeneratorConfig, _sample, _stacks, elementary_factor, generate
 from .linalg import (
     LogDet,
+    _log_dets,
+    _square,
     frobenius,
     log_det,
     phase_angle,
@@ -45,23 +49,24 @@ from .linalg import (
 from .report import Report
 from .symplectic import (
     BlockPair,
+    Certificate,
     DEFAULT_TOLERANCES,
-    FormulaInconclusiveError,
     GroupKind,
-    MembershipError,
     ToleranceConfig,
-    _gated_conj_det,
-    block_pair,
-    certify_symplectic,
+    _certificates,
+    _conj_phases,
+    _membership_residuals,
+    _one,
+    _split_dets,
     conj_block_det,
     conj_block_reduction,
     embed_pair,
     membership_residual,
     sign_slacks,
     symplectic_form,
-    unitary_split_det,
     within_bounds,
 )
+
 
 @dataclass(frozen=True)
 class SuiteSpec:
@@ -111,12 +116,14 @@ def _trial_form_identities(n: int, seed: int, tol: ToleranceConfig) -> dict:
     }
 
 
-def _trial_theorem(group: GroupKind, a: np.ndarray, tol: ToleranceConfig) -> dict:
-    try:
-        cert = certify_symplectic(a, group, tol)
-    except MembershipError:
-        return {"membership": math.inf}
-    return dict(cert.residuals)
+def _each(trial: Callable[..., dict], n: int, seeds, tol: ToleranceConfig) -> list[dict]:
+    """The judge of a suite whose trials are checked one by one."""
+    return [trial(n, seed, tol) for seed in seeds]
+
+
+def _judge_theorem(group: GroupKind, a: np.ndarray, tol: ToleranceConfig) -> list[dict]:
+    return [c.residuals if isinstance(c, Certificate) else {"membership": math.inf}
+            for c in _certificates(a, group, tol)]
 
 
 def _lemma_inputs(n: int, seed: int):
@@ -152,26 +159,19 @@ def _trial_lemma(n: int, seed: int, tol: ToleranceConfig) -> dict:
     return {"imagSlack": im_slack, "realSlack": re_slack, **reduction_residuals}
 
 
-def _trial_ineq_real(n: int, seed: int, tol: ToleranceConfig) -> dict:
-    rng = rng_from_seed(seed)
-    c = random_gaussian(rng, n)
-    d = random_gaussian(rng, n)
-    pair = BlockPair(c, d, GroupKind.REAL_SYMPLECTIC)
-    dd = log_det(embed_pair(pair))
-    im_slack, re_slack = sign_slacks(dd, tol)
-    d_plus, d_minus = unitary_split_det(pair)
-    return {
-        "imagSlack": im_slack,
-        "realSlack": re_slack,
-        "splitAgreement": dd.rel_diff(d_plus.abs_squared()),
-        "splitConjugate": d_minus.rel_diff(d_plus.conjugated()),
-    }
-
-
-def _conj_oracle_residuals(a) -> tuple[dict, LogDet]:
-    oracle = log_det(a)
-    return {"membership": membership_residual(a, GroupKind.CONJUGATE_SYMPLECTIC),
-            "detModulusOne": abs(math.expm1(oracle.log_magnitude))}, oracle
+def _judge_ineq_real(n: int, seeds, tol: ToleranceConfig) -> list[dict]:
+    w = np.empty((len(seeds), 2, n, n))
+    for wi, seed in zip(w, seeds):
+        rng_from_seed(seed).standard_normal(out=wi)  # random_gaussian's C, then D
+    c, d = w[:, 0], w[:, 1]
+    dets = _log_dets(embed_pair(BlockPair(c, d, GroupKind.REAL_SYMPLECTIC)))
+    out = []
+    for dd, d_plus, d_minus in zip(dets, *_split_dets(c, d)):
+        im_slack, re_slack = sign_slacks(dd, tol)
+        out.append({"imagSlack": im_slack, "realSlack": re_slack,
+                    "splitAgreement": dd.rel_diff(d_plus.abs_squared()),
+                    "splitConjugate": d_minus.rel_diff(d_plus.conjugated())})
+    return out
 
 
 def conj_formula_check(a, tol: ToleranceConfig = DEFAULT_TOLERANCES
@@ -182,24 +182,29 @@ def conj_formula_check(a, tol: ToleranceConfig = DEFAULT_TOLERANCES
     phaseAgreement, judged against ``RESIDUAL_BOUNDS["conj-formula"]``), the
     subblock formula phase, and the log_det phase it was compared with.  Raises
     MembershipError or FormulaInconclusiveError as conj_symplectic_det does,
-    gating on the membership residual it reports.
+    gating on the membership residual it reports, before any determinant.
     """
-    residuals, oracle = _conj_oracle_residuals(a)
-    formula_phase = _gated_conj_det(a, residuals["membership"], tol)
-    residuals["phaseAgreement"] = phase_angle(formula_phase, oracle.phase)
-    passed = within_bounds("conj-formula", residuals, tol)
-    return TrialResult(residuals, passed), formula_phase, oracle.phase
+    a = _square(a)
+    res_mem = membership_residual(a, GroupKind.CONJUGATE_SYMPLECTIC)
+    formula_phase = _one(_conj_phases(a[None], [res_mem], tol)[0])
+    oracle = log_det(a)
+    residuals = _conj_residuals(res_mem, formula_phase, oracle)
+    return (TrialResult(residuals, within_bounds("conj-formula", residuals, tol)),
+            formula_phase, oracle.phase)
 
 
-def _trial_conj_formula(a: np.ndarray, tol: ToleranceConfig) -> dict:
-    residuals, oracle = _conj_oracle_residuals(a)
-    try:
-        formula_phase = _gated_conj_det(a, residuals["membership"], tol)
-    except (MembershipError, FormulaInconclusiveError):
-        residuals["phaseAgreement"] = math.inf
-    else:
-        residuals["phaseAgreement"] = phase_angle(formula_phase, oracle.phase)
-    return residuals
+def _conj_residuals(res_mem: float, phase: complex | Exception, oracle: LogDet) -> dict:
+    """The conj-formula residuals; a phase the formula could not give
+    (a MembershipError or FormulaInconclusiveError) disagrees by inf."""
+    return {"membership": res_mem,
+            "detModulusOne": abs(math.expm1(oracle.log_magnitude)),
+            "phaseAgreement": (math.inf if isinstance(phase, Exception)
+                               else phase_angle(phase, oracle.phase))}
+
+
+def _judge_conj_formula(a: np.ndarray, tol: ToleranceConfig) -> list[dict]:
+    res_mem = _membership_residuals(a, GroupKind.CONJUGATE_SYMPLECTIC)
+    return list(map(_conj_residuals, res_mem, _conj_phases(a, res_mem, tol), _log_dets(a)))
 
 
 def _trial_generator_sanity(n: int, seed: int, tol: ToleranceConfig) -> dict:
@@ -233,12 +238,14 @@ def _trial_generator_sanity(n: int, seed: int, tol: ToleranceConfig) -> dict:
 
 
 class _Suite(NamedTuple):
-    """One property suite: its trial, default trial count and half-dims, the
-    RESIDUAL_BOUNDS family that judges the trial's residuals, and the group
-    whose generated members it checks.  A trial is called as
-    ``trial(n, seed, tol)``, or as ``trial(member, tol)`` when group is set."""
+    """One property suite: its judge, default trial count and half-dims, the
+    RESIDUAL_BOUNDS family that judges the trials' residuals, and the group
+    whose generated members it checks.  A judge returns the residuals of a
+    stack of trials at one half-dim, in order; it is called as
+    ``judge(n, seeds, tol)``, or as ``judge(members, tol)`` with the
+    (k, 2N, 2N) stack of the trials' members when group is set."""
 
-    trial: Callable[..., dict]
+    judge: Callable[..., list[dict]]
     trials: int
     half_dims: tuple[int, ...]
     family: str
@@ -246,16 +253,17 @@ class _Suite(NamedTuple):
 
 
 _SUITES = {
-    "form-identities": _Suite(_trial_form_identities, 8, tuple(range(1, 9)), "form-identities"),
-    "real-theorem": _Suite(partial(_trial_theorem, GroupKind.REAL_SYMPLECTIC), 200,
+    "form-identities": _Suite(partial(_each, _trial_form_identities), 8, tuple(range(1, 9)),
+                              "form-identities"),
+    "real-theorem": _Suite(partial(_judge_theorem, GroupKind.REAL_SYMPLECTIC), 200,
                            (1, 2, 4, 8, 10), "certificate", GroupKind.REAL_SYMPLECTIC),
-    "complex-theorem": _Suite(partial(_trial_theorem, GroupKind.COMPLEX_SYMPLECTIC), 200,
+    "complex-theorem": _Suite(partial(_judge_theorem, GroupKind.COMPLEX_SYMPLECTIC), 200,
                               (1, 2, 4, 8, 10), "certificate", GroupKind.COMPLEX_SYMPLECTIC),
-    "lemma": _Suite(_trial_lemma, 500, tuple(range(1, 9)), "lemma"),
-    "ineq-real": _Suite(_trial_ineq_real, 500, tuple(range(1, 9)), "ineq-real"),
-    "conj-formula": _Suite(_trial_conj_formula, 200, tuple(range(1, 17)), "conj-formula",
+    "lemma": _Suite(partial(_each, _trial_lemma), 500, tuple(range(1, 9)), "lemma"),
+    "ineq-real": _Suite(_judge_ineq_real, 500, tuple(range(1, 9)), "ineq-real"),
+    "conj-formula": _Suite(_judge_conj_formula, 200, tuple(range(1, 17)), "conj-formula",
                            GroupKind.CONJUGATE_SYMPLECTIC),
-    "generator-sanity": _Suite(_trial_generator_sanity, 60, (1, 2, 3, 4, 6, 8),
+    "generator-sanity": _Suite(partial(_each, _trial_generator_sanity), 60, (1, 2, 3, 4, 6, 8),
                                "generator-sanity"),
 }
 
@@ -268,41 +276,25 @@ def _suite(suite_id: str) -> _Suite:
     return _SUITES[suite_id]
 
 
-def _judged(row: _Suite, n_half: int, seed: int, member, tol: ToleranceConfig) -> TrialResult:
-    residuals = row.trial(n_half, seed, tol) if row.group is None else row.trial(member, tol)
-    return TrialResult(residuals=residuals, passed=within_bounds(row.family, residuals, tol))
+def _judgements(row: _Suite, n_half: int, seeds, tol: ToleranceConfig):
+    """The residuals of the trials with the given seeds at half-dim n_half,
+    in order, judged a stack at a time."""
+    if row.group is None:
+        for batch in _stacks(seeds, 2 * n_half, np.float64):
+            yield from row.judge(n_half, batch, tol)
+    else:
+        for members in _sample(GeneratorConfig(half_dim=n_half, target=row.group), seeds,
+                               tol=tol):
+            yield from row.judge(members, tol)
 
 
 def run_trial(suite_id: str, n_half: int, seed: int,
               tol: ToleranceConfig = DEFAULT_TOLERANCES) -> TrialResult:
-    """Run one trial in isolation; rerunning a recorded failure seed through
-    this function reproduces its residuals exactly."""
+    """Run one trial in isolation, as a stack of one; rerunning a recorded
+    failure seed through this function reproduces its residuals exactly."""
     row = _suite(suite_id)
-    member = None
-    if row.group is not None:
-        member = generate(GeneratorConfig(half_dim=n_half, target=row.group, seed=seed), tol=tol)
-    return _judged(row, n_half, seed, member, tol)
-
-
-def _trial_inputs(spec: SuiteSpec, group: GroupKind | None):
-    """(half-dim, child seed, member) of each trial of spec, in trial order.
-
-    With a group, member is the trial's generated member of it, and each
-    half-dim's members come from one sampler, built a stack at a time;
-    without one, member is None.
-    """
-    dims = spec.half_dims
-    seeds = [(split_seed(spec.seed, t) for t in range(i, spec.trials, len(dims)))
-             for i in range(len(dims))]
-    if group is None:
-        members = [itertools.repeat(None)] * len(dims)
-    else:  # the sampler reads a half-dim's seeds a stack ahead of the trials
-        seeds, ahead = zip(*map(itertools.tee, seeds))
-        members = [_sample(GeneratorConfig(half_dim=n, target=group), s, tol=spec.tolerances)
-                   for n, s in zip(dims, ahead)]
-    for t in range(spec.trials):
-        i = t % len(dims)
-        yield dims[i], next(seeds[i]), next(members[i])
+    residuals = next(_judgements(row, n_half, [seed], tol))
+    return TrialResult(residuals=residuals, passed=within_bounds(row.family, residuals, tol))
 
 
 def run_suite(spec: SuiteSpec) -> Report:
@@ -313,16 +305,21 @@ def run_suite(spec: SuiteSpec) -> Report:
     """
     t0 = time.perf_counter()
     row = _suite(spec.suite_id)
+    dims, tol = spec.half_dims, spec.tolerances
+    judged = [_judgements(row, n, (split_seed(spec.seed, t)
+                                   for t in range(i, spec.trials, len(dims))), tol)
+              for i, n in enumerate(dims)]
     passes = 0
     failures = []
     worst: dict = {}
-    for n, child, member in _trial_inputs(spec, row.group):
-        result = _judged(row, n, child, member, spec.tolerances)
-        if result.passed:
+    for t in range(spec.trials):
+        residuals = next(judged[t % len(dims)])
+        if within_bounds(row.family, residuals, tol):
             passes += 1
         else:
-            failures.append({"seed": child, "halfDim": n, "residuals": result.residuals})
-        for k, v in result.residuals.items():
+            failures.append({"seed": split_seed(spec.seed, t), "halfDim": dims[t % len(dims)],
+                             "residuals": residuals})
+        for k, v in residuals.items():
             prev = worst.get(k, 0.0)
             worst[k] = prev if math.isnan(prev) or v <= prev else v  # NaN wins
     elapsed = time.perf_counter() - t0

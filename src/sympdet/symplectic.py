@@ -7,7 +7,14 @@ J = [[0, I], [-I, 0]], and conjugate symplectic when A^* J A = J.  Symplectic
 matrices (real or complex) have determinant exactly one; conjugate symplectic
 matrices have |det| = 1 with the phase determined by the four N x N subblocks.
 This module turns those facts into checkable numerical certificates, with all
-determinants evaluated by :func:`sympdet.linalg.log_det` (LAPACK via numpy).
+determinants evaluated by LAPACK's LU through numpy (:mod:`sympdet.linalg`).
+
+The membership residual, the certificate and the phase formula each have one
+core that judges a (k, 2N, 2N) stack at once, one matrix product or
+determinant call per step; the public functions are its stack of one.  numpy
+treats each matrix of a stack as it would alone, and norms are taken per
+matrix, so a matrix gets the same bits in any stack.  A core returns, for
+each matrix, what its public function returns or the error it raises.
 
 Everything here is a pure function over immutable values; certificates are
 built locally and returned by value, so concurrent use needs no locking.
@@ -21,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import LogDet, _square, frobenius, log_det
+from .linalg import LogDet, _log_dets, _square, frobenius, log_det
 
 
 class GroupKind(Enum):
@@ -189,20 +196,28 @@ def membership_residual(a, group: GroupKind) -> float:
     a = _square(a)
     if group is GroupKind.REAL_SYMPLECTIC and np.iscomplexobj(a):
         raise ValueError("real symplectic membership needs a real matrix")
-    n = half_dim(a)
-    scale = frobenius(a) ** 2
-    if scale == 0.0:
-        return math.inf
+    half_dim(a)
+    return _membership_residuals(a[None], group)[0]
+
+
+def _membership_residuals(a: np.ndarray, group: GroupKind) -> list[float]:
+    """membership_residual of each matrix of a (k, 2N, 2N) stack: one stacked
+    GEMM, then each matrix's norms on their own (a norm over a stack axis
+    would sum in another order)."""
+    k, m, _ = a.shape
+    n = m // 2
     adjoint = np.conjugate if group is GroupKind.CONJUGATE_SYMPLECTIC else np.positive
     adj_j = np.empty(a.shape, a.dtype)  # C order, as adj @ j would be
-    left, right = adj_j[:, :n], adj_j[:, n:]
-    adjoint(a[n:, :].T, out=left)  # A^#[:, N:], conjugated as it is copied
+    left, right = adj_j[:, :, :n], adj_j[:, :, n:]
+    adjoint(a[:, n:, :].swapaxes(1, 2), out=left)  # A^#[:, N:], conjugated as it is copied
     np.negative(left, out=left)
-    adjoint(a[:n, :].T, out=right)  # A^#[:, :N]
-    r = (adj_j @ a).ravel()  # a view: the GEMM result is C-ordered
-    r[n:2 * n * n:2 * n + 1] -= 1.0  # entries (i, N + i), where J is +1
-    r[2 * n * n::2 * n + 1] += 1.0   # entries (N + i, i), where J is -1
-    return frobenius(r) / math.sqrt(2 * n) / scale
+    adjoint(a[:, :n, :].swapaxes(1, 2), out=right)  # A^#[:, :N]
+    r = (adj_j @ a).reshape(k, m * m)  # a view: the GEMM result is C-ordered
+    r[:, n:2 * n * n:m + 1] -= 1.0  # entries (i, N + i), where J is +1
+    r[:, 2 * n * n::m + 1] += 1.0   # entries (N + i, i), where J is -1
+    scales = [frobenius(ai) ** 2 for ai in a]
+    return [math.inf if s == 0.0 else frobenius(ri) / math.sqrt(m) / s
+            for s, ri in zip(scales, r)]
 
 
 # ---------------------------------------------------------------------------
@@ -210,19 +225,20 @@ def membership_residual(a, group: GroupKind) -> float:
 # ---------------------------------------------------------------------------
 
 def _quadrants(tl, tr, bl, br, out=None) -> np.ndarray:
-    """[[tl, tr], [bl, br]] for four equal-shape blocks, copied into one fresh
-    array of their common numpy result type (the dtype concatenation gives),
-    or into ``out``, a C-ordered array of that shape and type."""
+    """[[tl, tr], [bl, br]] for four equal-shape blocks (or for each matrix
+    of four equal-shape stacks), copied into one fresh array of their common
+    numpy result type (the dtype concatenation gives), or into ``out``, a
+    C-ordered array of that shape and type."""
     if not tl.shape == tr.shape == bl.shape == br.shape:
         raise ValueError(f"block dimension mismatch: {tl.shape}, {tr.shape}, "
                          f"{bl.shape}, {br.shape}")
-    r, c = tl.shape
+    *k, r, c = tl.shape
     if out is None:
-        out = np.empty((2 * r, 2 * c), dtype=np.result_type(tl, tr, bl, br))
-    out[:r, :c] = tl
-    out[:r, c:] = tr
-    out[r:, :c] = bl
-    out[r:, c:] = br
+        out = np.empty((*k, 2 * r, 2 * c), dtype=np.result_type(tl, tr, bl, br))
+    out[..., :r, :c] = tl
+    out[..., :r, c:] = tr
+    out[..., r:, :c] = bl
+    out[..., r:, c:] = br
     return out
 
 
@@ -245,11 +261,17 @@ def block_pair(a, group: GroupKind) -> BlockPair:
     [[C, D], [-conj(D), conj(C)]]).
     """
     a = _square(a)
-    n = half_dim(a)
-    a11, a12, a21, a22 = a[:n, :n], a[:n, n:], a[n:, :n], a[n:, n:]
+    half_dim(a)
+    if group is GroupKind.COMPLEX_SYMPLECTIC and not np.iscomplexobj(a):
+        raise ValueError("the conjugated block pair needs a complex matrix")
+    return _pair(a, group)
+
+
+def _pair(a: np.ndarray, group: GroupKind) -> BlockPair:
+    """block_pair of a matrix, or of each matrix of a stack at once."""
+    n = a.shape[-1] // 2
+    a11, a12, a21, a22 = a[..., :n, :n], a[..., :n, n:], a[..., n:, :n], a[..., n:, n:]
     if group is GroupKind.COMPLEX_SYMPLECTIC:
-        if not np.iscomplexobj(a):
-            raise ValueError("the conjugated block pair needs a complex matrix")
         return BlockPair(c=a11 + a22.conj(), d=a12 - a21.conj(), group=group)
     return BlockPair(c=a11 + a22, d=a12 - a21, group=group)
 
@@ -275,8 +297,14 @@ def unitary_split_det(p: BlockPair) -> tuple[LogDet, LogDet]:
     """
     if p.group is GroupKind.COMPLEX_SYMPLECTIC:
         raise ValueError("the unitary split applies to unconjugated pairs only")
-    jd = 1j * p.d
-    return log_det(p.c + jd), log_det(p.c - jd)
+    d_plus, d_minus = _split_dets(p.c[None], p.d[None])
+    return d_plus[0], d_minus[0]
+
+
+def _split_dets(c: np.ndarray, d: np.ndarray) -> tuple[list[LogDet], list[LogDet]]:
+    """unitary_split_det of each pair of a (k, N, N) stack of C and of D."""
+    jd = 1j * d
+    return _log_dets(c + jd), _log_dets(c - jd)
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +409,9 @@ class Certificate:
     """Numerical transcript of the det = 1 argument for one matrix.
 
     ``narrative`` lists every identity in the order checked, with both sides
-    rendered and the residual that was compared against its bound.  The
-    verdict is "pass" only if every check passed.
+    rendered and the residual that was compared against its bound; it is
+    rendered from the determinants each time it is read, not when the
+    certificate is made.  The verdict is "pass" only if every check passed.
     """
 
     group: GroupKind
@@ -391,7 +420,33 @@ class Certificate:
     auxiliary_det: LogDet  # det of the embedded block pair
     residuals: dict
     verdict: str
-    narrative: tuple[IdentityCheck, ...]
+    split_dets: tuple[LogDet, LogDet] | None  # (det(C + iD), det(C - iD)), real group only
+    tolerances: ToleranceConfig
+
+    @property
+    def narrative(self) -> tuple[IdentityCheck, ...]:
+        real = self.group is GroupKind.REAL_SYMPLECTIC
+        gram = "det(A^T A + I)" if real else "det(A^* A + I)"
+        det_a, lhs, aux, f = self.det_a, self.lhs_det, self.auxiliary_det, _fmt_logdet
+        adj_det = det_a if real else det_a.conjugated()  # det(A^T) or det(A^*)
+        rows = [("det(A) is +-1", f(det_a), "+-1", "detPhaseSign"),
+                (f"{gram} > 1", f(lhs), "> 1", "gramPositive", "gramReal"),
+                (f"{gram} = det(A^adj) * det(block pair embedding)",
+                 f(lhs), f(adj_det * aux), "factorIdentity"),
+                ("block pair determinant >= 0", f(aux), ">= 0", "blockNonneg")]
+        if self.split_dets is not None:
+            d_plus, d_minus = self.split_dets
+            rows += [("det(A^T A + I) = det(A) * |det(C + iD)|^2",
+                      f(lhs), f(det_a * d_plus.abs_squared()), "splitIdentity"),
+                     ("det(C - iD) = conj(det(C + iD))",
+                      f(d_minus), f(d_plus.conjugated()), "splitConjugate")]
+        rows.append(("det(A) = 1", f(det_a), "1", "detOne"))
+        # each check shows its first residual and passes when all of its own do
+        return tuple(IdentityCheck(label, lhs_text, rhs_text, self.residuals[names[0]],
+                                   within_bounds("certificate",
+                                                 {k: self.residuals[k] for k in names},
+                                                 self.tolerances))
+                     for label, lhs_text, rhs_text, *names in rows)
 
 
 def _fmt_logdet(dd: LogDet) -> str:
@@ -403,6 +458,23 @@ def _fmt_logdet(dd: LogDet) -> str:
             return f"{v.real:.12g}"
         return f"{v.real:.12g}{v.imag:+.12g}j"
     return f"exp({dd.log_magnitude:.9g})*({dd.phase.real:.9g}{dd.phase.imag:+.9g}j)"
+
+
+def _one(result):
+    """A core's result for a stack of one: raised if it is an error."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _gate(a: np.ndarray, res_mem: list[float], tol: ToleranceConfig, group_name: str):
+    """A core's membership gate: (results, kept indices, kept matrices), the
+    results holding a MembershipError for each rejected matrix."""
+    out: list = [None if r <= tol.membership else MembershipError(  # NaN must not pass
+        f"not {group_name}: scaled residual {r:.3e} exceeds {tol.membership:.3e}")
+        for r in res_mem]
+    keep = [i for i, x in enumerate(out) if x is None]
+    return out, keep, (a if len(keep) == len(a) else a[keep])
 
 
 def certify_symplectic(a, group: GroupKind = GroupKind.REAL_SYMPLECTIC,
@@ -428,62 +500,51 @@ def certify_symplectic(a, group: GroupKind = GroupKind.REAL_SYMPLECTIC,
     if a.dtype != group.dtype:
         raise ValueError(f"{group.value} certification needs a "
                          f"{'R' if group is GroupKind.REAL_SYMPLECTIC else 'C'}-kind matrix")
+    half_dim(a)
+    return _one(_certificates(a[None], group, tol)[0])
 
-    res_mem = membership_residual(a, group)
-    if not res_mem <= tol.membership:  # a NaN residual must not pass
-        raise MembershipError(
-            f"not symplectic: scaled residual {res_mem:.3e} exceeds {tol.membership:.3e}")
 
-    n2 = a.shape[0]
-    det_a = log_det(a)
-    if group is GroupKind.REAL_SYMPLECTIC:
-        gram = a.T @ a
-        adj_det = det_a                  # det(A^T) = det(A)
-        gram_label = "det(A^T A + I)"
-    else:
-        gram = a.conj().T @ a
-        adj_det = det_a.conjugated()     # det(A^*) = conj(det(A))
-        gram_label = "det(A^* A + I)"
-    gram[np.diag_indices(n2)] += 1.0     # + I, in the fresh product
-    lhs = log_det(gram)
-    pair = block_pair(a, group)
-    # The embedding takes the place of the Gram matrix, which is no longer
-    # read: one 2N x 2N array fewer at once, and none allocated anew.
-    aux = log_det(_embedded(pair, gram))
+def _certificates(a: np.ndarray, group: GroupKind,
+                  tol: ToleranceConfig) -> list[Certificate | MembershipError]:
+    """certify_symplectic of each matrix of a (k, 2N, 2N) stack of the
+    group's dtype: its Certificate, or the MembershipError it raises."""
+    res_mem = _membership_residuals(a, group)
+    out, keep, a = _gate(a, res_mem, tol, "symplectic")
+    if not keep:
+        return out
+    real = group is GroupKind.REAL_SYMPLECTIC
+    det_a = _log_dets(a)
+    gram = (a if real else a.conj()).swapaxes(1, 2) @ a  # A^T A (A^* A)
+    diag = np.arange(a.shape[1])
+    gram[:, diag, diag] += 1.0  # + I, in the fresh product
+    lhs = _log_dets(gram)
+    pair = _pair(a, group)
+    # The embeddings take the place of the Gram matrices, which are no longer
+    # read: one stack fewer at once, and none allocated anew.
+    aux = _log_dets(_embedded(pair, gram))
     del gram  # freed before the unitary split allocates
+    splits = zip(*_split_dets(pair.c, pair.d)) if real else [None] * len(keep)
 
-    checks: list[IdentityCheck] = []
-    residuals: dict = {"membership": res_mem}
-
-    def check(label: str, lhs_text: str, rhs_text: str, **res: float) -> None:
-        """Record one identity; its first residual is the one shown."""
-        residuals.update(res)
-        checks.append(IdentityCheck(label, lhs_text, rhs_text, next(iter(res.values())),
-                                    within_bounds("certificate", res, tol)))
-
-    val = det_a.value
-    check("det(A) is +-1", _fmt_logdet(det_a), "+-1",
-          detPhaseSign=min(abs(val - 1.0), abs(val + 1.0)))
-    check(f"{gram_label} > 1", _fmt_logdet(lhs), "> 1",
-          gramPositive=max(0.0, -lhs.log_magnitude), gramReal=abs(lhs.phase - 1.0))
-    factor_rhs = adj_det * aux
-    check(f"{gram_label} = det(A^adj) * det(block pair embedding)",
-          _fmt_logdet(lhs), _fmt_logdet(factor_rhs), factorIdentity=lhs.rel_diff(factor_rhs))
-    check("block pair determinant >= 0", _fmt_logdet(aux), ">= 0",
-          blockNonneg=max(sign_slacks(aux, tol)))
-    if group is GroupKind.REAL_SYMPLECTIC:
-        d_plus, d_minus = unitary_split_det(pair)
-        split_rhs = det_a * d_plus.abs_squared()
-        check("det(A^T A + I) = det(A) * |det(C + iD)|^2",
-              _fmt_logdet(lhs), _fmt_logdet(split_rhs), splitIdentity=lhs.rel_diff(split_rhs))
-        check("det(C - iD) = conj(det(C + iD))",
-              _fmt_logdet(d_minus), _fmt_logdet(d_plus.conjugated()),
-              splitConjugate=d_minus.rel_diff(d_plus.conjugated()))
-    check("det(A) = 1", _fmt_logdet(det_a), "1", detOne=abs(val - 1.0))
-
-    verdict = "pass" if within_bounds("certificate", residuals, tol) else "fail"
-    return Certificate(group=group, det_a=det_a, lhs_det=lhs, auxiliary_det=aux,
-                       residuals=residuals, verdict=verdict, narrative=tuple(checks))
+    for i, d, lh, ax, split in zip(keep, det_a, lhs, aux, splits):
+        val = d.value
+        residuals = {
+            "membership": res_mem[i],
+            "detPhaseSign": min(abs(val - 1.0), abs(val + 1.0)),
+            "gramPositive": max(0.0, -lh.log_magnitude),
+            "gramReal": abs(lh.phase - 1.0),
+            "factorIdentity": lh.rel_diff((d if real else d.conjugated()) * ax),
+            "blockNonneg": max(sign_slacks(ax, tol)),
+        }
+        if real:
+            d_plus, d_minus = split
+            residuals["splitIdentity"] = lh.rel_diff(d * d_plus.abs_squared())
+            residuals["splitConjugate"] = d_minus.rel_diff(d_plus.conjugated())
+        residuals["detOne"] = abs(val - 1.0)
+        verdict = "pass" if within_bounds("certificate", residuals, tol) else "fail"
+        out[i] = Certificate(group=group, det_a=d, lhs_det=lh, auxiliary_det=ax,
+                             residuals=residuals, verdict=verdict, split_dets=split,
+                             tolerances=tol)
+    return out
 
 
 def conj_symplectic_det(a, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> complex:
@@ -501,20 +562,24 @@ def conj_symplectic_det(a, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> complex
     the configured floor.
     """
     a = _square(a)
-    return _gated_conj_det(a, membership_residual(a, GroupKind.CONJUGATE_SYMPLECTIC), tol)
+    res_mem = membership_residual(a, GroupKind.CONJUGATE_SYMPLECTIC)
+    return _one(_conj_phases(a[None], [res_mem], tol)[0])
 
 
-def _gated_conj_det(a, res_mem: float, tol: ToleranceConfig) -> complex:
-    """conj_symplectic_det given A's conjugate membership residual, for a
-    caller that reports that residual too and must not compute it twice."""
-    if not res_mem <= tol.membership:  # a NaN residual must not pass
-        raise MembershipError(
-            f"not conjugate symplectic: scaled residual {res_mem:.3e} "
-            f"exceeds {tol.membership:.3e}")
-    d_plus, d_minus = unitary_split_det(block_pair(a, GroupKind.CONJUGATE_SYMPLECTIC))
-    dm = d_plus * d_minus
-    if dm.log_magnitude < tol.formula_floor:
-        raise FormulaInconclusiveError(
-            f"formula determinant magnitude underflows the floor "
-            f"(log|det| = {dm.log_magnitude:.3g})")
-    return dm.phase
+def _conj_phases(a: np.ndarray, res_mem: list[float], tol: ToleranceConfig
+                 ) -> list[complex | MembershipError | FormulaInconclusiveError]:
+    """conj_symplectic_det of each matrix of a (k, 2N, 2N) stack, given their
+    conjugate membership residuals (for a caller that reports them too and
+    must not compute them twice): the phase, or the error it raises."""
+    out, keep, a = _gate(a, res_mem, tol, "conjugate symplectic")
+    if not keep:  # no determinant for a rejected stack
+        return out
+    pair = _pair(a, GroupKind.CONJUGATE_SYMPLECTIC)
+    for i, d_plus, d_minus in zip(keep, *_split_dets(pair.c, pair.d)):
+        dm = d_plus * d_minus
+        out[i] = dm.phase
+        if dm.log_magnitude < tol.formula_floor:
+            out[i] = FormulaInconclusiveError(
+                f"formula determinant magnitude underflows the floor "
+                f"(log|det| = {dm.log_magnitude:.3g})")
+    return out

@@ -1,6 +1,7 @@
 """Elementary structured factors and seeded group sampling."""
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -152,6 +153,11 @@ def test_embed_orthogonal_pair_trivials():
         embed_pair(BlockPair(np.eye(2), np.zeros((3, 3)), REAL))
 
 
+def _members(*args, **kwargs):
+    """The members _sample yields as stacks, one at a time."""
+    return itertools.chain.from_iterable(_sample(*args, **kwargs))
+
+
 def _assert_bitwise(got, ref):
     assert got.dtype == ref.dtype and got.shape == ref.shape
     assert np.array_equal(got, ref) and got.tobytes() == ref.tobytes()
@@ -288,7 +294,9 @@ def test_stacks_split_by_size_match_the_loop(target):
     # complex128 (6 + 2), one for float64; an unbounded seed stream is read lazily
     base = GeneratorConfig(half_dim=50, target=target)
     seeds = (split_seed(50, t) for t in range(8))
-    for t, got in enumerate(_sample(base, seeds)):
+    stacks = list(_sample(base, seeds))
+    assert [len(s) for s in stacks] == ([8] if target is REAL else [6, 2])
+    for t, got in enumerate(itertools.chain.from_iterable(stacks)):
         _assert_bitwise(got, loop_generate(dataclasses.replace(base, seed=split_seed(50, t))))
 
 
@@ -307,12 +315,13 @@ def test_forced_factor_lists_match_the_loop(target, name):
     base = GeneratorConfig(half_dim=3, target=target)
     seeds = [split_seed(41, t) for t in range(5)]
     if "phase" in factors and target is not GroupKind.CONJUGATE_SYMPLECTIC:
-        for sample in (lambda: generate(base, factors), lambda: list(_sample(base, seeds, factors)),
+        for sample in (lambda: generate(base, factors),
+                       lambda: list(_members(base, seeds, factors)),
                        lambda: loop_generate(base, factors)):
             with pytest.raises(ValueError, match="conjugate group"):
                 sample()
         return
-    for seed, got in zip(seeds, _sample(base, seeds, factors)):
+    for seed, got in zip(seeds, _members(base, seeds, factors)):
         cfg = dataclasses.replace(base, seed=seed)
         ref = loop_generate(cfg, factors)
         _assert_bitwise(got, ref)
@@ -322,7 +331,7 @@ def test_forced_factor_lists_match_the_loop(target, name):
 def test_unknown_forced_factor_fails_on_every_path():
     base = GeneratorConfig(half_dim=2)
     for sample in (lambda: generate(base, ["form", "rotation"]),
-                   lambda: list(_sample(base, range(3), ["form", "rotation"]))):
+                   lambda: list(_members(base, range(3), ["form", "rotation"]))):
         with pytest.raises(ValueError, match="unknown factor kind 'rotation'"):
             sample()
 
@@ -345,9 +354,9 @@ def test_members_that_retry_or_fail_match_the_loop(target):
     retried = [s for s in passed
                if not np.array_equal(refs[s], loop_generate(dataclasses.replace(base, seed=s)))]
     assert failed and retried
-    for s, got in zip(passed, _sample(base, passed, tol=tol)):
+    for s, got in zip(passed, _members(base, passed, tol=tol)):
         _assert_bitwise(got, refs[s])
-    stream = _sample(base, seeds, tol=tol)
+    stream = _members(base, seeds, tol=tol)
     for s in seeds[:seeds.index(failed[0])]:
         _assert_bitwise(next(stream), refs[s])
     with pytest.raises(GenerationError, match=f"no {target.value} product"):

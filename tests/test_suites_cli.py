@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import sympdet as sd
-from sympdet import cli, suites, symplectic
+from sympdet import cli, linalg, suites, symplectic
 from sympdet.cli import main
 from sympdet.report import Report, emit_report, render_json, render_text
 from sympdet.suites import (SUITE_IDS, SuiteSpec, _SUITES, conj_formula_check,
@@ -151,18 +151,19 @@ def test_text_and_json_numeric_content_match():
 
 
 SAMPLING_SUITES = ("real-theorem", "complex-theorem", "conj-formula")
+STACKED_SUITES = (*SAMPLING_SUITES, "ineq-real")  # judged a stack at a time
 
 
 def _bits(residuals):
     return {k: float(v).hex() for k, v in residuals.items()}
 
 
-@pytest.mark.parametrize("suite_id", SAMPLING_SUITES)
+@pytest.mark.parametrize("suite_id", STACKED_SUITES)
 def test_failures_carry_seed_and_reproduce(suite_id):
-    # a negative det_one bound fails every trial without changing what it
-    # computes; run_trial, which samples its member alone, must replay each
-    # failure of the stacked run bit for bit
-    impossible = ToleranceConfig(det_one=-1.0)
+    # negative det_one and ineq_real bounds fail every trial without changing
+    # what it computes; run_trial, which judges a stack of one, must replay
+    # each failure of the stacked run bit for bit
+    impossible = ToleranceConfig(det_one=-1.0, ineq_real=-1.0)
     spec = SuiteSpec(suite_id, trials=12, half_dims=(1, 2, 5), seed=9,
                      tolerances=impossible)
     rep = run_suite(spec)
@@ -177,21 +178,24 @@ def test_failures_carry_seed_and_reproduce(suite_id):
 
 @pytest.mark.parametrize("suite_id", SAMPLING_SUITES)
 def test_suite_members_match_the_loop(monkeypatch, suite_id):
-    # the members a suite samples as stacks are the one-matrix loop's bits
+    # the members a suite samples and judges as stacks are the one-matrix
+    # loop's bits; each half-dim's stacks hold its trials in order
     row = _SUITES[suite_id]
-    members = []
+    members = {}
 
-    def capture(a, tol):
-        members.append(np.array(a))
-        return row.trial(a, tol)
+    def capture(stack, tol):
+        members.setdefault(stack.shape[1] // 2, []).extend(np.array(a) for a in stack)
+        return row.judge(stack, tol)
 
-    monkeypatch.setitem(_SUITES, suite_id, row._replace(trial=capture))
+    monkeypatch.setitem(_SUITES, suite_id, row._replace(judge=capture))
     dims = (*range(1, 17), 32, 50)
     spec = default_suite_spec(suite_id, seed=6, trials=3 * len(dims), half_dims=dims)
     assert run_suite(spec).all_passed
-    assert len(members) == spec.trials
-    for t, a in enumerate(members):
-        ref = loop_generate(sd.GeneratorConfig(half_dim=dims[t % len(dims)], target=row.group,
+    assert {n: len(m) for n, m in members.items()} == {n: 3 for n in dims}
+    for t in range(spec.trials):
+        n = dims[t % len(dims)]
+        a = members[n][t // len(dims)]
+        ref = loop_generate(sd.GeneratorConfig(half_dim=n, target=row.group,
                                                seed=sd.split_seed(6, t)))
         assert a.dtype == ref.dtype and a.tobytes() == ref.tobytes(), t
 
@@ -242,13 +246,14 @@ def test_nan_residual_wins_worst_residuals(monkeypatch, nan_at):
     row = _SUITES["ineq-real"]
     calls = []
 
-    def patched(n, seed, tol):
-        residuals = dict(row.trial(n, seed, tol))
-        residuals["splitAgreement"] = math.nan if len(calls) == nan_at else 1e-30
-        calls.append(seed)
-        return residuals
+    def patched(n, seeds, tol):
+        judged = row.judge(n, seeds, tol)
+        for seed, residuals in zip(seeds, judged):
+            residuals["splitAgreement"] = math.nan if len(calls) == nan_at else 1e-30
+            calls.append(seed)
+        return judged
 
-    monkeypatch.setitem(_SUITES, "ineq-real", row._replace(trial=patched))
+    monkeypatch.setitem(_SUITES, "ineq-real", row._replace(judge=patched))
     rep = run_suite(_small_spec("ineq-real", trials=3))
     assert [f["seed"] for f in rep.failures] == [calls[nan_at]]
     assert math.isnan(rep.worst_residuals["splitAgreement"])
@@ -270,6 +275,31 @@ def test_conj_formula_check_computes_membership_once(monkeypatch):
     assert list(result.residuals) == ["membership", "detModulusOne", "phaseAgreement"]
     assert result.residuals["membership"] == membership_residual(a, CONJ)
     assert result.passed
+
+
+def test_conj_formula_check_gates_before_any_determinant(monkeypatch, tmp_path, capsys):
+    # a rejected matrix pays for no LU, in conj_formula_check and in
+    # `sympdet formula`; a member still gets its three
+    factored = []
+    slogdet = np.linalg.slogdet
+
+    def counting(a):
+        factored.append(len(a))  # _log_dets passes stacks
+        return slogdet(a)
+
+    monkeypatch.setattr(np.linalg, "slogdet", counting)
+    a = sd.generate(sd.GeneratorConfig(half_dim=4, target=CONJ, seed=5))
+    conj_formula_check(a)
+    assert sum(factored) == 3  # A, C + iD, C - iD
+    factored.clear()
+    a[0, 0] += 1e-3
+    with pytest.raises(MembershipError, match="not conjugate symplectic"):
+        conj_formula_check(a)
+    path = tmp_path / "near.txt"
+    sd.write_matrix(a, path)
+    assert main(["formula", str(path)]) == 1
+    assert "rejected: not conjugate symplectic" in capsys.readouterr().err
+    assert factored == []
 
 
 def test_conj_formula_check_raises_as_conj_symplectic_det():
@@ -303,19 +333,22 @@ def test_conj_formula_trial_records_inf_phase_on_rejection():
 ])
 def test_conj_formula_trial_computes_each_residual_once(monkeypatch, tol, memberships,
                                                         log_dets):
+    # every residual and determinant goes through a stacked core, so the
+    # cores count the matrices they judge
     calls = {"membership": 0, "log_det": 0}
 
     def counting(name, f):
-        def wrapped(*args):
-            calls[name] += 1
-            return f(*args)
+        def wrapped(a, *args):
+            calls[name] += len(a)
+            return f(a, *args)
         return wrapped
 
     # generate's own product gate lives in generators and is not counted
     for module in (suites, symplectic):
-        monkeypatch.setattr(module, "membership_residual",
-                            counting("membership", module.membership_residual))
-        monkeypatch.setattr(module, "log_det", counting("log_det", module.log_det))
+        monkeypatch.setattr(module, "_membership_residuals",
+                            counting("membership", module._membership_residuals))
+    for module in (linalg, suites, symplectic):
+        monkeypatch.setattr(module, "_log_dets", counting("log_det", module._log_dets))
     result = run_trial("conj-formula", 2, 13, tol)
     assert calls == {"membership": memberships, "log_det": log_dets}
     assert list(result.residuals) == ["membership", "detModulusOne", "phaseAgreement"]

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from sympdet.generators import GeneratorConfig, generate
 from sympdet.linalg import (
+    _log_dets,
     frobenius,
     log_det,
     random_gaussian,
@@ -24,6 +25,9 @@ from sympdet.symplectic import (
     GroupKind,
     MembershipError,
     ToleranceConfig,
+    _certificates,
+    _conj_phases,
+    _membership_residuals,
     block_pair,
     certify_symplectic,
     conj_block_det,
@@ -430,6 +434,42 @@ def test_certificate_rejects_non_finite_input(bad):
         a[0, 1] = bad
         with pytest.raises(MembershipError):
             certify_symplectic(a, group)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0, inf - inf
+@pytest.mark.parametrize("group", list(GroupKind))
+def test_non_finite_members_are_isolated_in_a_stack(group):
+    # a member with a NaN or an Inf entry gets a NaN LogDet and fails the
+    # membership gate and the certificate (or the formula); every other
+    # member of its stack gets the bits it gets alone
+    members = [generate(GeneratorConfig(half_dim=3, target=group, seed=split_seed(89, t)))
+               for t in range(5)]
+    members[1][2, 4] = math.nan
+    members[3][0, 0] = math.inf
+    stack = np.stack(members)
+    dets = _log_dets(stack)
+    residuals = _membership_residuals(stack, group)
+    if group is CONJ:
+        judged, alone = _conj_phases(stack, residuals, DEFAULT_TOLERANCES), conj_symplectic_det
+    else:
+        judged = _certificates(stack, group, DEFAULT_TOLERANCES)
+        alone = lambda a: certify_symplectic(a, group)  # noqa: E731
+    for i, a in enumerate(members):
+        if i in (1, 3):
+            assert math.isnan(dets[i].log_magnitude) and math.isnan(dets[i].phase.real), i
+            assert math.isnan(residuals[i]), i
+            assert isinstance(judged[i], MembershipError), i
+            with pytest.raises(MembershipError):
+                alone(a)
+            continue
+        assert repr(dets[i]) == repr(log_det(a)), i
+        assert repr(residuals[i]) == repr(membership_residual(a, group)), i
+        ref = alone(a)
+        if group is CONJ:
+            assert repr(judged[i]) == repr(ref), i
+        else:
+            assert repr(judged[i].residuals) == repr(ref.residuals), i
+            assert judged[i].narrative == ref.narrative and judged[i].verdict == "pass", i
 
 
 def test_certificate_checks_follow_the_bound_table():
