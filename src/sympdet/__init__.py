@@ -36,7 +36,6 @@ from .symplectic import (
     BlockPair,
     Certificate,
     DEFAULT_TOLERANCES,
-    FormulaInconclusiveError,
     GroupKind,
     IdentityCheck,
     MembershipError,
@@ -77,7 +76,7 @@ __all__ = [
     "format_matrix", "parse_matrix", "read_matrix", "write_matrix",
     # symplectic
     "BlockPair", "Certificate", "DEFAULT_TOLERANCES",
-    "FormulaInconclusiveError", "GroupKind", "IdentityCheck", "MembershipError",
+    "GroupKind", "IdentityCheck", "MembershipError",
     "ReductionProbe", "ToleranceConfig", "block_pair",
     "certify_symplectic", "conj_block_det", "conj_block_reduction",
     "conj_symplectic_det", "embed_pair", "half_dim",

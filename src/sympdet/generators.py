@@ -46,6 +46,12 @@ _MAX_ATTEMPTS = 5
 _STACK_BYTES = 1 << 20  # members built as one stack; larger stacks save little more
 
 
+def _kinds(group: GroupKind) -> tuple[str, ...]:
+    """The factor kinds of a group, in FACTOR_KINDS order: phase belongs to
+    the conjugate group only."""
+    return FACTOR_KINDS[:5 if group is GroupKind.CONJUGATE_SYMPLECTIC else 4]
+
+
 class GenerationError(RuntimeError):
     """Generation could not produce a matrix passing its group residual."""
 
@@ -234,9 +240,7 @@ def _sample(config: GeneratorConfig, seeds: Iterable[int], factors: list[str] | 
     back into their place.  On reaching a seed whose attempts all failed,
     yields the members before it in its stack and raises GenerationError.
     """
-    allowed = list(FACTOR_KINDS[:4])
-    if config.target is GroupKind.CONJUGATE_SYMPLECTIC:
-        allowed.append("phase")
+    allowed = _kinds(config.target)
     if factors is not None:
         factors = list(factors)
     dtype = config.target.dtype

@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._version import __version__
-from .generators import GeneratorConfig, _sample, _stacks, elementary_factor, generate
+from .generators import GeneratorConfig, _kinds, _sample, _stacks, elementary_factor, generate
 from .linalg import (
     LogDet,
     _log_dets,
@@ -181,8 +181,8 @@ def conj_formula_check(a, tol: ToleranceConfig = DEFAULT_TOLERANCES
     Returns the result (residuals membership, detModulusOne and
     phaseAgreement, judged against ``RESIDUAL_BOUNDS["conj-formula"]``), the
     subblock formula phase, and the log_det phase it was compared with.  Raises
-    MembershipError or FormulaInconclusiveError as conj_symplectic_det does,
-    gating on the membership residual it reports, before any determinant.
+    MembershipError as conj_symplectic_det does, gating on the membership
+    residual it reports before any determinant.
     """
     a = _square(a)
     res_mem = membership_residual(a, GroupKind.CONJUGATE_SYMPLECTIC)
@@ -194,8 +194,8 @@ def conj_formula_check(a, tol: ToleranceConfig = DEFAULT_TOLERANCES
 
 
 def _conj_residuals(res_mem: float, phase: complex | Exception, oracle: LogDet) -> dict:
-    """The conj-formula residuals; a phase the formula could not give
-    (a MembershipError or FormulaInconclusiveError) disagrees by inf."""
+    """The conj-formula residuals; a phase the formula refused to give (a
+    MembershipError) disagrees by inf."""
     return {"membership": res_mem,
             "detModulusOne": abs(math.expm1(oracle.log_magnitude)),
             "phaseAgreement": (math.inf if isinstance(phase, Exception)
@@ -213,11 +213,8 @@ def _trial_generator_sanity(n: int, seed: int, tol: ToleranceConfig) -> dict:
               GroupKind.CONJUGATE_SYMPLECTIC)[int(rng.integers(0, 3))]
     cfg = GeneratorConfig(half_dim=n, target=target, seed=split_seed(seed, 1))
 
-    names = ["shear_lower", "shear_upper", "diag_block", "form"]
-    if target is GroupKind.CONJUGATE_SYMPLECTIC:
-        names.append("phase")
     worst_factor = 0.0
-    for name in names:
+    for name in _kinds(target):
         f = elementary_factor(name, cfg, rng)
         worst_factor = max(worst_factor, membership_residual(f, target))
 

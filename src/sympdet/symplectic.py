@@ -49,16 +49,6 @@ class MembershipError(ValueError):
     """Input failed the residual test for the requested matrix group."""
 
 
-class FormulaInconclusiveError(ArithmeticError):
-    """The subblock phase formula hit a numerically vanishing determinant.
-
-    Distinct from :class:`MembershipError`: the input passed the group test,
-    but the formula's denominator is too close to zero to trust the phase.
-    For exact group members this cannot happen (the relevant determinant is
-    provably nonzero); it guards rounding on borderline inputs.
-    """
-
-
 @dataclass(frozen=True)
 class ToleranceConfig:
     """Residual and comparison thresholds shared by predicates, certificates,
@@ -67,8 +57,10 @@ class ToleranceConfig:
     ``membership``, ``factor_residual`` and ``product_residual`` bound
     :func:`membership_residual`, which is already scaled by ||A||_F^2.
     Nonnegativity slacks are relative to |det| with an absolute floor
-    ``nonneg_abs`` so exact zeros pass.  :data:`RESIDUAL_BOUNDS` says which
-    field bounds each reported residual.
+    ``nonneg_abs`` so exact zeros pass.  ``det_one`` also bounds the relative
+    shortfall of the phase formula's |det| below 4^N, which rejects an input
+    as not conjugate symplectic.  :data:`RESIDUAL_BOUNDS` says which field
+    bounds each reported residual.
     """
 
     membership: float = 1e-8        # membership_residual bound for checked input
@@ -83,8 +75,6 @@ class ToleranceConfig:
     product_residual: float = 1e-9  # membership bound for generated products
     condition_gate: float = 1e3     # Frobenius condition estimate beyond which
                                     # a block counts as near-singular
-    formula_floor: float = math.log(1e-200)  # log|det| under which the phase
-                                             # formula reports inconclusive
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()
@@ -311,17 +301,23 @@ def _split_dets(c: np.ndarray, d: np.ndarray) -> tuple[list[LogDet], list[LogDet
 # Conjugate-paired block determinants
 # ---------------------------------------------------------------------------
 
+def _conj_pair(c, d) -> BlockPair:
+    """C and D as the complex128 blocks of one conjugated pair, checked to be
+    square and of one size."""
+    c = _square(c).astype(np.complex128, copy=False)
+    d = _square(d).astype(np.complex128, copy=False)
+    if c.shape != d.shape:
+        raise ValueError(f"dimension mismatch: {c.shape[0]} vs {d.shape[0]}")
+    return BlockPair(c, d, GroupKind.COMPLEX_SYMPLECTIC)
+
+
 def conj_block_det(c, d) -> LogDet:
     """Determinant of [[C, D], [-conj(D), conj(C)]] for complex C, D.
 
     These embeddings are exactly the complex images of quaternionic matrices;
     their determinant is always real and nonnegative.
     """
-    c = _square(c).astype(np.complex128, copy=False)
-    d = _square(d).astype(np.complex128, copy=False)
-    if c.shape != d.shape:
-        raise ValueError(f"dimension mismatch: {c.shape[0]} vs {d.shape[0]}")
-    return log_det(embed_pair(BlockPair(c, d, GroupKind.COMPLEX_SYMPLECTIC)))
+    return log_det(_embedded(_conj_pair(c, d)))
 
 
 @dataclass(frozen=True)
@@ -350,12 +346,9 @@ def conj_block_reduction(c, d, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Red
       commuting   det([[I, E], [-conj(E), I]]) vs det(conj(E) E + I)
       eeNonneg    sign slack of det(conj(E) E + I)
     """
-    c = _square(c).astype(np.complex128, copy=False)
-    d = _square(d).astype(np.complex128, copy=False)
-    if c.shape != d.shape:
-        raise ValueError(f"dimension mismatch: {c.shape[0]} vs {d.shape[0]}")
-    n = c.shape[0]
-    block = conj_block_det(c, d)
+    p = _conj_pair(c, d)
+    c, d, n = p.c, p.d, p.c.shape[0]
+    block = log_det(_embedded(p))
     try:
         e = np.linalg.solve(c, d)
     except np.linalg.LinAlgError:
@@ -557,9 +550,11 @@ def conj_symplectic_det(a, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> complex
     product is formed.  Real symplectic inputs are accepted (they satisfy the
     conjugate identity too) and return 1.
 
-    Raises MembershipError when A^* J A = J fails the residual test, and
-    FormulaInconclusiveError when |det| of the formula matrix falls below
-    the configured floor.
+    Raises MembershipError when A^* J A = J fails the residual test, or when
+    |det| of the formula matrix falls short of 4^N by more than tol.det_one
+    (relative).  That |det| is det(A^* A + I), and a member's singular values
+    pair as sigma, 1/sigma, each pair giving (1 + sigma^2)(1 + sigma^-2) >= 4,
+    so no member falls short; a unitary member meets the bound with equality.
     """
     a = _square(a)
     res_mem = membership_residual(a, GroupKind.CONJUGATE_SYMPLECTIC)
@@ -567,19 +562,21 @@ def conj_symplectic_det(a, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> complex
 
 
 def _conj_phases(a: np.ndarray, res_mem: list[float], tol: ToleranceConfig
-                 ) -> list[complex | MembershipError | FormulaInconclusiveError]:
+                 ) -> list[complex | MembershipError]:
     """conj_symplectic_det of each matrix of a (k, 2N, 2N) stack, given their
     conjugate membership residuals (for a caller that reports them too and
     must not compute them twice): the phase, or the error it raises."""
     out, keep, a = _gate(a, res_mem, tol, "conjugate symplectic")
     if not keep:  # no determinant for a rejected stack
         return out
+    log_bound = (a.shape[1] // 2) * math.log(4.0)
     pair = _pair(a, GroupKind.CONJUGATE_SYMPLECTIC)
     for i, d_plus, d_minus in zip(keep, *_split_dets(pair.c, pair.d)):
-        dm = d_plus * d_minus
-        out[i] = dm.phase
-        if dm.log_magnitude < tol.formula_floor:
-            out[i] = FormulaInconclusiveError(
-                f"formula determinant magnitude underflows the floor "
-                f"(log|det| = {dm.log_magnitude:.3g})")
+        q = d_plus * d_minus
+        # relative, as unitary members meet 4^N only up to rounding; the
+        # clamp keeps expm1 from overflowing far above the bound; NaN fails
+        shortfall = -math.expm1(min(q.log_magnitude - log_bound, 0.0))
+        out[i] = q.phase if shortfall <= tol.det_one else MembershipError(
+            f"not conjugate symplectic: formula |det| falls short of 4^N by "
+            f"{shortfall:.3e}, over {tol.det_one:.3e}")
     return out

@@ -1,5 +1,5 @@
 """Every demo script, and ``python -m sympdet``, runs against the package in src/,
-with every warning an error (``-W error`` reaches no subprocess by itself)."""
+with every warning an error (pytest's warning filter reaches no subprocess)."""
 
 import os
 import subprocess

@@ -19,9 +19,9 @@ from sympdet.cli import main
 from sympdet.report import Report, emit_report, render_json, render_text
 from sympdet.suites import (SUITE_IDS, SuiteSpec, _SUITES, conj_formula_check,
                             default_suite_spec, run_suite, run_trial)
-from sympdet.symplectic import (DEFAULT_TOLERANCES, RESIDUAL_BOUNDS, FormulaInconclusiveError,
-                                GroupKind, MembershipError, ToleranceConfig,
-                                conj_symplectic_det, membership_residual)
+from sympdet.symplectic import (DEFAULT_TOLERANCES, RESIDUAL_BOUNDS, GroupKind,
+                                MembershipError, ToleranceConfig, conj_symplectic_det,
+                                membership_residual)
 
 from oracles import loop_generate
 
@@ -138,6 +138,15 @@ def test_json_round_trip_field_equal():
     parsed = json.loads(render_json(rep))
     again = Report.from_json_dict(parsed)
     assert again.to_json_dict() == rep.to_json_dict()
+
+
+def test_json_reads_reports_with_retired_tolerances():
+    # older reports carry tolerances this version no longer has
+    d = run_suite(_small_spec("conj-formula")).to_json_dict()
+    d["config"]["tolerances"]["formula_floor"] = math.log(1e-200)
+    again = Report.from_json_dict(json.loads(json.dumps(d)))
+    assert again.to_json_dict() == d
+    assert "formula_floor=" in render_text(again)
 
 
 def test_text_and_json_numeric_content_match():
@@ -303,14 +312,15 @@ def test_conj_formula_check_gates_before_any_determinant(monkeypatch, tmp_path, 
 
 
 def test_conj_formula_check_raises_as_conj_symplectic_det():
+    # the third input passes a loosened gate, but its formula |det| is 0,
+    # short of the 4^N every member reaches
     loose = ToleranceConfig(membership=1e9)
-    for a, tol, error in ((np.diag([2.0 + 0j, 2.0]), DEFAULT_TOLERANCES, MembershipError),
-                          (np.zeros((4, 4)), DEFAULT_TOLERANCES, MembershipError),
-                          (np.array([[1.0 + 0j, 1j], [0j, 0j]]), loose,
-                           FormulaInconclusiveError)):
-        with pytest.raises(error) as direct:
+    for a, tol, match in ((np.diag([2.0 + 0j, 2.0]), DEFAULT_TOLERANCES, "residual"),
+                          (np.zeros((4, 4)), DEFAULT_TOLERANCES, "residual"),
+                          (np.array([[1.0 + 0j, 1j], [0j, 0j]]), loose, r"4\^N")):
+        with pytest.raises(MembershipError, match=match) as direct:
             conj_symplectic_det(a, tol)
-        with pytest.raises(error) as check:
+        with pytest.raises(MembershipError) as check:
             conj_formula_check(a, tol)
         assert str(check.value) == str(direct.value)
 
@@ -540,6 +550,11 @@ def test_cli_formula_rejects_non_member(tmp_path, capsys):
     rc = main(["formula", path])
     assert rc == 1
     assert "rejected" in capsys.readouterr().err
+    # past a loosened gate, a formula |det| short of 4^N is a rejection too
+    path = _write(tmp_path, "short.txt", np.array([[1.0 + 0j, 1j], [0j, 0j]]))
+    assert main(["formula", path, "--tol", "1e9"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("rejected: not conjugate symplectic") and "4^N" in err
 
 
 @pytest.mark.parametrize("argv", [["certify", "--mode", "real"],

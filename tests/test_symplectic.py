@@ -21,7 +21,6 @@ from sympdet.symplectic import (
     DEFAULT_TOLERANCES,
     RESIDUAL_BOUNDS,
     BlockPair,
-    FormulaInconclusiveError,
     GroupKind,
     MembershipError,
     ToleranceConfig,
@@ -548,11 +547,60 @@ def test_conj_det_rejects_non_finite_input(bad):
         conj_symplectic_det(a)
 
 
-def test_conj_det_inconclusive_guard_is_distinct():
-    # C = [1], D = [i] makes the formula matrix exactly zero; membership is
-    # bypassed with a huge tolerance to reach the guard (exact group members
-    # can never trigger it)
+def test_conj_det_rejects_a_formula_short_of_four_to_the_n():
+    # C = [1], D = [i] makes the formula matrix exactly zero, far short of
+    # the 4^N every member reaches; the input passes a loosened membership
+    # gate, and the bound still rejects it
     a = np.array([[1.0 + 0j, 1j], [0j, 0j]])
     loose = ToleranceConfig(membership=1e9)
-    with pytest.raises(FormulaInconclusiveError):
+    with pytest.raises(MembershipError, match=r"not conjugate symplectic: .*4\^N"):
         conj_symplectic_det(a, loose)
+
+
+def _unitary(rng, n):
+    return np.linalg.qr(random_gaussian(rng, n, np.complex128))[0]
+
+
+def _unitary_conj_members(rng, n):
+    """(A, det A) for e^{i theta} I, J and diag(U, U): conjugate symplectic
+    and unitary, so their formula |det| is 4^N up to rounding."""
+    theta = float(rng.uniform(-math.pi, math.pi))
+    u = _unitary(rng, n)
+    z = np.zeros((n, n), np.complex128)
+    return [(np.exp(1j * theta) * np.eye(2 * n), np.exp(2j * n * theta)),
+            (symplectic_form(n, np.complex128), 1.0),
+            (np.block([[u, z], [z, u]]), np.linalg.det(u) ** 2)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 50])
+def test_conj_det_of_unitary_members_meeting_the_bound(n):
+    # unitary members meet 4^N with equality, so rounding may leave the
+    # formula |det| just under it (7e-14 for diag(U, U) at N = 50)
+    for a, det in _unitary_conj_members(rng_from_seed(n), n):
+        assert abs(conj_symplectic_det(a) - det) <= 1e-10
+
+
+def test_conj_det_gives_near_members_within_det_one_a_phase():
+    # unitary and generated members perturbed to a membership residual of
+    # 1e-9 ... 1e-8: each that passes the default gate with |det| within
+    # det_one of 1 gets a phase.  The formula's shortfall below 4^N follows
+    # |det| - 1, so a bound at identity_rel (1e-9) would reject many of them.
+    tol = DEFAULT_TOLERANCES
+    judged = 0
+    for n in (1, 2, 4, 8):
+        for t in range(10):
+            rng = rng_from_seed(split_seed(3, 100 * n + t))
+            members = [a for a, _ in _unitary_conj_members(rng, n)]
+            members.append(generate(GeneratorConfig(half_dim=n, target=CONJ,
+                                                    seed=int(rng.integers(1 << 30)))))
+            for a in members:
+                e = random_gaussian(rng, 2 * n, np.complex128)
+                scale = 1e-6 / membership_residual(a + 1e-6 * e, CONJ)
+                b = a + scale * 10 ** rng.uniform(-9, -8) * e
+                oracle = log_det(b)
+                if not (membership_residual(b, CONJ) <= tol.membership
+                        and abs(math.expm1(oracle.log_magnitude)) <= tol.det_one):
+                    continue
+                judged += 1
+                assert abs(abs(conj_symplectic_det(b, tol)) - 1.0) <= 1e-12, (n, t)
+    assert judged >= 80
