@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SingularMatrixError, _square, frobenius, rng_from_seed
+from .linalg import SingularMatrixError, _frobeniuses, _square, rng_from_seed
 from .symplectic import (
     DEFAULT_TOLERANCES,
     GroupKind,
@@ -90,9 +90,9 @@ def _symmetrized(s: np.ndarray, hermitian: bool) -> np.ndarray:
 
 
 def _norm_clamped(x: np.ndarray, cap: float) -> np.ndarray:
-    """Each matrix of a stack scaled down, in place, to Frobenius norm <= cap."""
-    for i in range(len(x)):
-        f = frobenius(x[i])  # one matrix at a time: a stacked sum would round differently
+    """Each matrix of a stack scaled down, in place, to Frobenius norm <= cap
+    (each norm is the one frobenius gives for that matrix alone)."""
+    for i, f in enumerate(_frobeniuses(x)):
         if not f <= cap:
             x[i] *= cap / f
     return x

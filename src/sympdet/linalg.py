@@ -69,6 +69,21 @@ def frobenius(a) -> float:
     return float(np.linalg.norm(a))
 
 
+def _frobeniuses(a: np.ndarray) -> list[float]:
+    """frobenius of each matrix of a (k, r, c) float64/complex128 stack, bit
+    for bit.  norm takes a BLAS dot of the entries (real and imaginary parts
+    apart) in memory order, ``ravel(order='K')``, as one contiguous vector;
+    ``np.vecdot`` takes the same dot of each matrix laid out that way."""
+    if abs(a.strides[-2]) < abs(a.strides[-1]):  # column-major matrices sum by column
+        a = a.swapaxes(-1, -2)
+    x = np.ascontiguousarray(a).reshape(len(a), -1)
+    if np.iscomplexobj(x):
+        sq = np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag)
+    else:
+        sq = np.vecdot(x, x)
+    return np.sqrt(sq).tolist()
+
+
 def phase_angle(p, q) -> float:
     """Angular distance between two unit-modulus complex scalars."""
     r = complex(p) * complex(q).conjugate()
@@ -139,10 +154,11 @@ def log_det(a) -> LogDet:
     return _log_dets(_square(a)[None])[0]
 
 
-def _log_dets(a: np.ndarray) -> list[LogDet]:
+def _log_dets(a: np.ndarray, slogdet=None) -> list[LogDet]:
     """log_det of each matrix of a (k, m, m) float64/complex128 stack, from
-    one slogdet call, which factors each matrix as it would alone."""
-    signs, logabs = np.linalg.slogdet(a)
+    one slogdet call, which factors each matrix as it would alone (or from
+    ``slogdet``, that call's result, for a caller that reads its signs)."""
+    signs, logabs = np.linalg.slogdet(a) if slogdet is None else slogdet
     out = []
     for i, (sign, la) in enumerate(zip(signs.tolist(), logabs.tolist())):
         if (sign == 0 or not math.isfinite(la)) and not np.isfinite(a[i]).all():

@@ -16,11 +16,13 @@ A judge checks the trials of one half-dim a stack at a time, about 1 MiB of
 matrices.  The sampling suites (real-theorem, complex-theorem, conj-formula)
 draw the stack of their members (see :mod:`sympdet.generators`) and judge it
 through the stacked certificate and formula cores of
-:mod:`sympdet.symplectic`; ineq-real draws and judges its block pairs the
-same way; the other suites check their trials one by one.  A stack's
-results are merged back in trial order.  Every matrix gets the bits it gets
-alone, so :func:`run_trial`, which judges a stack of one, replays any trial.
-At most one stack per half-dim is held at a time.
+:mod:`sympdet.symplectic`; ineq-real and lemma draw their block pairs the
+same way, each trial from its own rng, and judge them through the stacked
+determinant and block-elimination cores; form-identities and
+generator-sanity check their trials one by one.  A stack's results are
+merged back in trial order.  Every matrix gets the bits it gets alone, so
+:func:`run_trial`, which judges a stack of one, replays any trial.  At most
+one stack per half-dim is held at a time.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .linalg import (
     frobenius,
     log_det,
     phase_angle,
-    random_gaussian,
     rng_from_seed,
     split_seed,
 )
@@ -57,9 +58,8 @@ from .symplectic import (
     _conj_phases,
     _membership_residuals,
     _one,
+    _reductions,
     _split_dets,
-    conj_block_det,
-    conj_block_reduction,
     embed_pair,
     membership_residual,
     sign_slacks,
@@ -126,37 +126,42 @@ def _judge_theorem(group: GroupKind, a: np.ndarray, tol: ToleranceConfig) -> lis
             for c in _certificates(a, group, tol)]
 
 
-def _lemma_inputs(n: int, seed: int):
-    """(C, D, mode) with mode 0 generic, 1 and 2 near-singular C."""
-    rng = rng_from_seed(seed)
-    mode = int(rng.integers(0, 3))
-    c = random_gaussian(rng, n, np.complex128)
-    d = random_gaussian(rng, n, np.complex128)
-    if mode:
-        eps = 1e-2 if mode == 1 else 1e-6
-        if n == 1:
-            rank_deficient = np.zeros((1, 1), np.complex128)
-        else:
-            rank_deficient = random_gaussian(rng, n, np.complex128)
-            coeffs = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
-            rank_deficient[:, -1] = rank_deficient[:, :-1] @ coeffs
-        c = eps * np.eye(n, dtype=np.complex128) + rank_deficient
-    return c, d, mode
+def _lemma_inputs(n: int, seeds) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The (k, N, N) stacks of C and D of the lemma trials with the given
+    seeds, and each trial's mode: 0 generic, 1 and 2 a near-singular C, eps I
+    (eps 1e-2 or 1e-6) plus, at N > 1, a matrix whose last column is a
+    combination of the others.  A trial draws from its own rng its mode, C
+    and D (as random_gaussian does), then that matrix and the combination's
+    coefficients (real parts, then imaginary parts)."""
+    w = np.empty((len(seeds), 4, n, n))
+    modes, rngs = [], []
+    for wi, seed in zip(w, seeds):
+        rngs.append(rng := rng_from_seed(seed))
+        modes.append(int(rng.integers(0, 3)))
+        rng.standard_normal(out=wi)  # random_gaussian's C, then D
+    c, d = w[:, 0] + 1j * w[:, 1], w[:, 2] + 1j * w[:, 3]
+    near = [i for i, mode in enumerate(modes) if mode]
+    eps = np.array([1e-2 if modes[i] == 1 else 1e-6 for i in near])
+    c[near] = eps[:, None, None] * np.eye(n, dtype=np.complex128)
+    if near and n > 1:
+        v, q = np.empty((len(near), 2, n, n)), np.empty((len(near), 2, n - 1))
+        for vi, qi, i in zip(v, q, near):
+            rngs[i].standard_normal(out=vi)
+            rngs[i].standard_normal(out=qi)
+        r = v[:, 0] + 1j * v[:, 1]
+        r[:, :, -1:] = r[:, :, :-1] @ (q[:, 0] + 1j * q[:, 1])[:, :, None]
+        c[near] += r
+    return c, d, modes
 
 
-def _trial_lemma(n: int, seed: int, tol: ToleranceConfig) -> dict:
-    c, d, _ = _lemma_inputs(n, seed)
-    try:
-        well_conditioned = frobenius(c) * frobenius(np.linalg.inv(c)) <= tol.condition_gate
-    except np.linalg.LinAlgError:
-        well_conditioned = False
-    if well_conditioned:  # the reduction computes the block determinant itself
-        probe = conj_block_reduction(c, d, tol)
-        dd, reduction_residuals = probe.block_det, probe.residuals
-    else:
-        dd, reduction_residuals = conj_block_det(c, d), {}
-    im_slack, re_slack = sign_slacks(dd, tol)
-    return {"imagSlack": im_slack, "realSlack": re_slack, **reduction_residuals}
+def _judge_lemma(n: int, seeds, tol: ToleranceConfig) -> list[dict]:
+    """Each trial's block determinant sign slacks, and the block-elimination
+    residuals of those whose C passes the condition gate."""
+    out = []
+    for probe in _reductions(*_lemma_inputs(n, seeds)[:2], tol, gated=True):
+        im_slack, re_slack = sign_slacks(probe.block_det, tol)
+        out.append({"imagSlack": im_slack, "realSlack": re_slack, **probe.residuals})
+    return out
 
 
 def _judge_ineq_real(n: int, seeds, tol: ToleranceConfig) -> list[dict]:
@@ -239,8 +244,9 @@ class _Suite(NamedTuple):
     RESIDUAL_BOUNDS family that judges the trials' residuals, and the group
     whose generated members it checks.  A judge returns the residuals of a
     stack of trials at one half-dim, in order; it is called as
-    ``judge(n, seeds, tol)``, or as ``judge(members, tol)`` with the
-    (k, 2N, 2N) stack of the trials' members when group is set."""
+    ``judge(n, seeds, tol)``, drawing each trial from its seed, or as
+    ``judge(members, tol)`` with the (k, 2N, 2N) stack of the trials'
+    members when group is set."""
 
     judge: Callable[..., list[dict]]
     trials: int
@@ -256,7 +262,7 @@ _SUITES = {
                            (1, 2, 4, 8, 10), "certificate", GroupKind.REAL_SYMPLECTIC),
     "complex-theorem": _Suite(partial(_judge_theorem, GroupKind.COMPLEX_SYMPLECTIC), 200,
                               (1, 2, 4, 8, 10), "certificate", GroupKind.COMPLEX_SYMPLECTIC),
-    "lemma": _Suite(partial(_each, _trial_lemma), 500, tuple(range(1, 9)), "lemma"),
+    "lemma": _Suite(_judge_lemma, 500, tuple(range(1, 9)), "lemma"),
     "ineq-real": _Suite(_judge_ineq_real, 500, tuple(range(1, 9)), "ineq-real"),
     "conj-formula": _Suite(_judge_conj_formula, 200, tuple(range(1, 17)), "conj-formula",
                            GroupKind.CONJUGATE_SYMPLECTIC),

@@ -9,12 +9,12 @@ matrices have |det| = 1 with the phase determined by the four N x N subblocks.
 This module turns those facts into checkable numerical certificates, with all
 determinants evaluated by LAPACK's LU through numpy (:mod:`sympdet.linalg`).
 
-The membership residual, the certificate and the phase formula each have one
-core that judges a (k, 2N, 2N) stack at once, one matrix product or
-determinant call per step; the public functions are its stack of one.  numpy
-treats each matrix of a stack as it would alone, and norms are taken per
-matrix, so a matrix gets the same bits in any stack.  A core returns, for
-each matrix, what its public function returns or the error it raises.
+The membership residual, the certificate, the phase formula and the block
+reduction each have one core that judges a stack at once, one matrix product
+or LAPACK call per step; the public functions are its stack of one.  numpy
+treats each matrix of a stack as it would alone, and each norm is summed as
+it is alone, so a matrix gets the same bits in any stack.  A core returns,
+for each matrix, what its public function returns or the error it raises.
 
 Everything here is a pure function over immutable values; certificates are
 built locally and returned by value, so concurrent use needs no locking.
@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import LogDet, _log_dets, _square, frobenius, log_det
+from .linalg import LogDet, _frobeniuses, _log_dets, _square, log_det
 
 
 class GroupKind(Enum):
@@ -192,8 +192,7 @@ def membership_residual(a, group: GroupKind) -> float:
 
 def _membership_residuals(a: np.ndarray, group: GroupKind) -> list[float]:
     """membership_residual of each matrix of a (k, 2N, 2N) stack: one stacked
-    GEMM, then each matrix's norms on their own (a norm over a stack axis
-    would sum in another order)."""
+    GEMM, then each matrix's norms from one stacked dot."""
     k, m, _ = a.shape
     n = m // 2
     adjoint = np.conjugate if group is GroupKind.CONJUGATE_SYMPLECTIC else np.positive
@@ -202,12 +201,13 @@ def _membership_residuals(a: np.ndarray, group: GroupKind) -> list[float]:
     adjoint(a[:, n:, :].swapaxes(1, 2), out=left)  # A^#[:, N:], conjugated as it is copied
     np.negative(left, out=left)
     adjoint(a[:, :n, :].swapaxes(1, 2), out=right)  # A^#[:, :N]
-    r = (adj_j @ a).reshape(k, m * m)  # a view: the GEMM result is C-ordered
+    p = adj_j @ a
+    r = p.reshape(k, m * m)  # a view: the GEMM result is C-ordered
     r[:, n:2 * n * n:m + 1] -= 1.0  # entries (i, N + i), where J is +1
     r[:, 2 * n * n::m + 1] += 1.0   # entries (N + i, i), where J is -1
-    scales = [frobenius(ai) ** 2 for ai in a]
-    return [math.inf if s == 0.0 else frobenius(ri) / math.sqrt(m) / s
-            for s, ri in zip(scales, r)]
+    scales = [f ** 2 for f in _frobeniuses(a)]
+    return [math.inf if s == 0.0 else f / math.sqrt(m) / s
+            for s, f in zip(scales, _frobeniuses(p))]
 
 
 # ---------------------------------------------------------------------------
@@ -347,25 +347,48 @@ def conj_block_reduction(c, d, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Red
       eeNonneg    sign slack of det(conj(E) E + I)
     """
     p = _conj_pair(c, d)
-    c, d, n = p.c, p.d, p.c.shape[0]
-    block = log_det(_embedded(p))
-    try:
-        e = np.linalg.solve(c, d)
-    except np.linalg.LinAlgError:
-        return ReductionProbe(e=None, block_det=block, pair_det=None)
+    return _reductions(p.c[None], p.d[None], tol)[0]
+
+
+def _reductions(c: np.ndarray, d: np.ndarray, tol: ToleranceConfig,
+                gated: bool = False) -> list[ReductionProbe]:
+    """conj_block_reduction of each pair of (k, N, N) complex128 stacks C and
+    D, one LAPACK call or matrix product per step for the whole stack.  A
+    pair is reduced only if LAPACK finds C nonsingular (a slogdet sign of 0
+    is the zero pivot on which inv and solve raise for the whole stack) and,
+    if ``gated``, ||C||_F ||C^-1||_F is within tol.condition_gate; any other
+    pair's probe holds its block determinant alone."""
+    k, n, _ = c.shape
+    block = _log_dets(_embedded(BlockPair(c, d, GroupKind.COMPLEX_SYMPLECTIC)))
+    out = [ReductionProbe(e=None, block_det=b, pair_det=None) for b in block]
+    slogdet_c = np.linalg.slogdet(c)
+    det_c = _log_dets(c, slogdet_c)
+    norm_c = _frobeniuses(c)
+    keep = np.flatnonzero(slogdet_c[0])
+    if gated and len(keep):
+        cond = zip(keep, _frobeniuses(np.linalg.inv(c[keep])))
+        keep = [i for i, f in cond if norm_c[i] * f <= tol.condition_gate]
+    if not len(keep):
+        return out
+    if len(keep) < k:
+        c, d = c[keep], d[keep]
+    e = np.linalg.solve(c, d)
     ee = e.conj() @ e
-    ee[np.diag_indices(n)] += 1.0  # + I, in the fresh product
-    pair = log_det(ee)
-    embed = log_det(embed_pair(BlockPair(np.eye(n, dtype=np.complex128), e,
-                                         GroupKind.COMPLEX_SYMPLECTIC)))
-    rhs = log_det(c) * log_det(c.conj()) * embed
-    residuals = {
-        "solve": frobenius(c @ e - d) / (frobenius(c) * frobenius(e) + frobenius(d) + 1e-300),
-        "reduction": block.rel_diff(rhs),
-        "commuting": embed.rel_diff(pair),
-        "eeNonneg": max(sign_slacks(pair, tol)),
-    }
-    return ReductionProbe(e=e, block_det=block, pair_det=pair, residuals=residuals)
+    ee.reshape(len(e), n * n)[:, ::n + 1] += 1.0  # + I, in the fresh C-ordered product
+    pair = _log_dets(ee)
+    eye = np.broadcast_to(np.eye(n, dtype=np.complex128), e.shape)
+    embed = _log_dets(_embedded(BlockPair(eye, e, GroupKind.COMPLEX_SYMPLECTIC)))
+    det_cc = _log_dets(c.conj())
+    norms = zip(_frobeniuses(e), _frobeniuses(d), _frobeniuses(c @ e - d))
+    for j, (i, ej, (fe, fd, fr)) in enumerate(zip(keep, e, norms)):
+        rhs = det_c[i] * det_cc[j] * embed[j]
+        out[i] = ReductionProbe(e=ej, block_det=block[i], pair_det=pair[j], residuals={
+            "solve": fr / (norm_c[i] * fe + fd + 1e-300),
+            "reduction": block[i].rel_diff(rhs),
+            "commuting": embed[j].rel_diff(pair[j]),
+            "eeNonneg": max(sign_slacks(pair[j], tol)),
+        })
+    return out
 
 
 def sign_slacks(dd: LogDet, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[float, float]:

@@ -6,9 +6,10 @@ paths it checks: a pure-Python LU with partial pivoting (the reference for
 determinant, an inversion-counting permutation sign, ``np.block``
 assemblies of the structured 2N x 2N matrices (the bitwise reference for the
 library's in-place block fills), the two-GEMM membership residual (the
-bitwise reference for the library's one-GEMM form), and group sampling one
+bitwise reference for the library's one-GEMM form), group sampling one
 matrix and one factor at a time (the bitwise reference for the generators'
-stacked sampling).
+stacked sampling), and the lemma suite's draw and block-elimination check
+one trial at a time (the bitwise reference for its stacked judge).
 """
 
 import math
@@ -17,9 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from sympdet.generators import GenerationError
-from sympdet.linalg import LogDet, SingularMatrixError, as_square, frobenius, rng_from_seed
+from sympdet.linalg import (LogDet, SingularMatrixError, as_square, frobenius, log_det,
+                            random_gaussian, rng_from_seed)
 from sympdet.symplectic import (DEFAULT_TOLERANCES, GroupKind, membership_residual,
-                                symplectic_form)
+                                sign_slacks, symplectic_form)
 
 
 @dataclass(frozen=True)
@@ -280,3 +282,62 @@ def loop_generate(config, factors=None, tol=DEFAULT_TOLERANCES):
             break
     raise GenerationError(
         f"no {config.target.value} product within residual after {_MAX_ATTEMPTS} attempts")
+
+
+# ---------------------------------------------------------------------------
+# The lemma suite one trial at a time: the bitwise reference for its stacked
+# draw, its stacked condition gate and the stacked block-elimination core.
+# This is the per-trial check the suite ran before those were stacked.
+# ---------------------------------------------------------------------------
+
+def loop_lemma_inputs(n, seed):
+    """(C, D, mode) of one lemma trial, drawn alone: mode 0 generic, 1 and 2
+    a near-singular C."""
+    rng = rng_from_seed(seed)
+    mode = int(rng.integers(0, 3))
+    c = random_gaussian(rng, n, np.complex128)
+    d = random_gaussian(rng, n, np.complex128)
+    if mode:
+        eps = 1e-2 if mode == 1 else 1e-6
+        if n == 1:
+            rank_deficient = np.zeros((1, 1), np.complex128)
+        else:
+            rank_deficient = random_gaussian(rng, n, np.complex128)
+            coeffs = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+            rank_deficient[:, -1] = rank_deficient[:, :-1] @ coeffs
+        c = eps * np.eye(n, dtype=np.complex128) + rank_deficient
+    return c, d, mode
+
+
+def loop_reduction_residuals(c, d, tol=DEFAULT_TOLERANCES):
+    """conj_block_reduction's residuals for one pair of complex128 blocks,
+    {} when LAPACK finds C singular."""
+    try:
+        e = np.linalg.solve(c, d)
+    except np.linalg.LinAlgError:
+        return {}
+    n = c.shape[0]
+    block = log_det(block_embed_pair(c, d, conjugated=True))
+    ee = e.conj() @ e
+    ee[np.diag_indices(n)] += 1.0
+    pair = log_det(ee)
+    embed = log_det(block_embed_pair(np.eye(n, dtype=np.complex128), e, conjugated=True))
+    rhs = log_det(c) * log_det(c.conj()) * embed
+    return {
+        "solve": frobenius(c @ e - d) / (frobenius(c) * frobenius(e) + frobenius(d) + 1e-300),
+        "reduction": block.rel_diff(rhs),
+        "commuting": embed.rel_diff(pair),
+        "eeNonneg": max(sign_slacks(pair, tol)),
+    }
+
+
+def loop_lemma_trial(c, d, tol=DEFAULT_TOLERANCES):
+    """The lemma suite's residuals for one pair: the embedding's sign slacks,
+    and the reduction's residuals when C passes the condition gate."""
+    try:
+        well_conditioned = frobenius(c) * frobenius(np.linalg.inv(c)) <= tol.condition_gate
+    except np.linalg.LinAlgError:
+        well_conditioned = False
+    im_slack, re_slack = sign_slacks(log_det(block_embed_pair(c, d, conjugated=True)), tol)
+    return {"imagSlack": im_slack, "realSlack": re_slack,
+            **(loop_reduction_residuals(c, d, tol) if well_conditioned else {})}

@@ -69,7 +69,7 @@ def test_criterion_4_lemma_suite():
     for t in range(spec.trials):
         n = spec.half_dims[t % len(spec.half_dims)]
         child = split_seed(spec.seed, t)
-        modes.add(_lemma_inputs(n, child)[2])
+        modes.update(_lemma_inputs(n, [child])[2])
         if "reduction" in run_trial("lemma", n, child).residuals:
             reductions += 1
     ok = (rep.passes == 500

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from sympdet.linalg import (
     LogDet,
+    _frobeniuses,
     SingularMatrixError,
     as_square,
     frobenius,
@@ -306,3 +307,31 @@ def test_phase_angle():
     assert phase_angle(1 + 0j, 1 + 0j) == 0.0
     assert phase_angle(np.exp(0.3j), np.exp(0.1j)) == pytest.approx(0.2, rel=1e-12)
     assert phase_angle(-1 + 0j, 1 + 0j) == pytest.approx(math.pi)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["R", "C"])
+def test_stacked_norms_are_each_matrix_norm_alone(dtype):
+    # the stacked dot sums each matrix in the memory order np.linalg.norm
+    # sums it alone, whatever the layout: F-ordered matrices by column,
+    # strided ones as their contiguous copy
+    rng = rng_from_seed(31)
+    for n in range(1, 65):
+        z = rng.standard_normal((2, 3, n, 2 * n))
+        wide = z[0] if dtype is np.float64 else z[0] + 1j * z[1]
+        for scale in (1.0, 1e150, 1e-150):
+            w = scale * wide
+            c_order = w[:, :, :n].copy()
+            read_only = c_order.copy()
+            read_only.flags.writeable = False
+            stacks = {
+                "C": c_order,
+                "F": np.ascontiguousarray(c_order.swapaxes(1, 2)).swapaxes(1, 2),
+                "strided": w[:, :, ::2],
+                "read-only": read_only,
+                **{f"transpose {i}": m.T[None] for i, m in enumerate(c_order)},
+                **{f"F {i}": np.asfortranarray(m)[None] for i, m in enumerate(c_order)},
+            }
+            for name, stack in stacks.items():
+                got = [f.hex() for f in _frobeniuses(stack)]
+                assert got == [frobenius(m).hex() for m in stack], (n, scale, name)
+                assert all(type(f) is float for f in _frobeniuses(stack))

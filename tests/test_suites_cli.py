@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import sympdet as sd
-from sympdet import cli, linalg, suites, symplectic
+from sympdet import cli, generators, linalg, suites, symplectic
 from sympdet.cli import main
 from sympdet.report import Report, emit_report, render_json, render_text
 from sympdet.suites import (SUITE_IDS, SuiteSpec, _SUITES, conj_formula_check,
@@ -23,7 +23,7 @@ from sympdet.symplectic import (DEFAULT_TOLERANCES, RESIDUAL_BOUNDS, GroupKind,
                                 MembershipError, ToleranceConfig, conj_symplectic_det,
                                 membership_residual)
 
-from oracles import loop_generate
+from oracles import loop_generate, loop_lemma_inputs, loop_lemma_trial
 
 CONJ = GroupKind.CONJUGATE_SYMPLECTIC
 
@@ -160,7 +160,7 @@ def test_text_and_json_numeric_content_match():
 
 
 SAMPLING_SUITES = ("real-theorem", "complex-theorem", "conj-formula")
-STACKED_SUITES = (*SAMPLING_SUITES, "ineq-real")  # judged a stack at a time
+STACKED_SUITES = (*SAMPLING_SUITES, "ineq-real", "lemma")  # judged a stack at a time
 
 
 def _bits(residuals):
@@ -169,10 +169,11 @@ def _bits(residuals):
 
 @pytest.mark.parametrize("suite_id", STACKED_SUITES)
 def test_failures_carry_seed_and_reproduce(suite_id):
-    # negative det_one and ineq_real bounds fail every trial without changing
-    # what it computes; run_trial, which judges a stack of one, must replay
-    # each failure of the stacked run bit for bit
-    impossible = ToleranceConfig(det_one=-1.0, ineq_real=-1.0)
+    # negative det_one, ineq_real and nonneg bounds fail every trial without
+    # changing what it computes (sign slacks read nonneg_abs only); run_trial,
+    # which judges a stack of one, must replay each failure of the stacked
+    # run bit for bit
+    impossible = ToleranceConfig(det_one=-1.0, ineq_real=-1.0, nonneg=-1.0)
     spec = SuiteSpec(suite_id, trials=12, half_dims=(1, 2, 5), seed=9,
                      tolerances=impossible)
     rep = run_suite(spec)
@@ -183,6 +184,71 @@ def test_failures_carry_seed_and_reproduce(suite_id):
         replay = run_trial(suite_id, f["halfDim"], f["seed"], impossible)
         assert _bits(replay.residuals) == _bits(f["residuals"])
         assert not replay.passed
+
+
+@pytest.mark.parametrize("suite_id", STACKED_SUITES)
+def test_reports_do_not_depend_on_the_stack_size(monkeypatch, suite_id):
+    # stacks a few matrices small split each half-dim into several stacks of
+    # mixed sizes (and mixed conditioning, for lemma); every trial keeps its bits
+    spec = default_suite_spec(suite_id, seed=8, trials=36, half_dims=(1, 2, 3))
+    whole = run_suite(spec).to_json_dict()
+    monkeypatch.setattr(generators, "_STACK_BYTES", 256)
+    split = run_suite(spec).to_json_dict()
+    whole.pop("elapsedSeconds"), split.pop("elapsedSeconds")
+    assert split == whole
+
+
+def _items_bits(residuals):
+    return list(_bits(residuals).items())  # in order: reports keep the residuals' order
+
+
+def test_lemma_judge_matches_the_loop():
+    # the stacked draw, condition gate and reduction give each trial the bits
+    # (and the residual names, in order) it gets when drawn and judged alone,
+    # over generic, near-singular and ill-conditioned C
+    seen = set()
+    for n in range(1, 9):
+        seeds = [sd.split_seed(13, 100 * n + t) for t in range(30)]
+        c, d, modes = suites._lemma_inputs(n, seeds)
+        judged = suites._judge_lemma(n, seeds, DEFAULT_TOLERANCES)
+        for i, seed in enumerate(seeds):
+            ci, di, mode = loop_lemma_inputs(n, seed)
+            assert (modes[i], c[i].tobytes(), d[i].tobytes()) == (mode, ci.tobytes(),
+                                                                  di.tobytes()), (n, i)
+            ref = loop_lemma_trial(ci, di)
+            assert _items_bits(judged[i]) == _items_bits(ref), (n, i)
+            seen.add((mode, "reduction" in ref))
+    # generic C are reduced; near-singular ones too at N = 1 (C = eps), and
+    # gated out at larger N
+    assert seen >= {(0, True), (1, True), (1, False), (2, True), (2, False)}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # NaN pivots in slogdet
+def test_lemma_judge_isolates_singular_and_nan_blocks(monkeypatch):
+    # an exactly singular C (the stacked inv and solve would raise for the
+    # whole stack) gets its sign slacks and no reduction, as alone; a NaN C
+    # gets NaN slacks and fails; every other trial keeps its bits
+    n, seeds = 4, [sd.split_seed(17, t) for t in range(8)]
+    draw = suites._lemma_inputs
+    clean = suites._judge_lemma(n, seeds, DEFAULT_TOLERANCES)
+
+    def inputs(n, seeds):
+        c, d, modes = draw(n, seeds)
+        c[2] = 0.0
+        c[5, 1, 3] = math.nan
+        return c, d, modes
+
+    monkeypatch.setattr(suites, "_lemma_inputs", inputs)
+    judged = suites._judge_lemma(n, seeds, DEFAULT_TOLERANCES)
+    c, d, _ = inputs(n, seeds)
+    assert _items_bits(judged[2]) == _items_bits(loop_lemma_trial(c[2], d[2]))
+    assert set(judged[2]) == {"imagSlack", "realSlack"}
+    assert symplectic.within_bounds("lemma", judged[2])
+    assert math.isnan(judged[5]["imagSlack"]) and math.isnan(judged[5]["realSlack"])
+    assert not symplectic.within_bounds("lemma", judged[5])
+    for i in (0, 1, 3, 4, 6, 7):
+        assert _items_bits(judged[i]) == _items_bits(clean[i]), i
+    assert any("reduction" in judged[i] for i in (0, 1, 3, 4, 6, 7))
 
 
 @pytest.mark.parametrize("suite_id", SAMPLING_SUITES)

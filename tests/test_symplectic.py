@@ -43,7 +43,8 @@ from sympdet.symplectic import (
 REAL = GroupKind.REAL_SYMPLECTIC
 CONJ = GroupKind.CONJUGATE_SYMPLECTIC
 
-from oracles import block_j_conjugate, cofactor_det, dense_membership_residual
+from oracles import (block_j_conjugate, cofactor_det, dense_membership_residual,
+                     loop_reduction_residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +315,32 @@ def test_conj_block_reduction_flags_singular_c():
     assert probe.pair_det is None
     assert probe.residuals == {}
     assert abs(probe.block_det.value - 1.0) <= 1e-15
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # NaN pivots in slogdet
+def test_conj_block_reduction_matches_the_loop():
+    # conj_block_reduction is the stack of one of the stacked core: E and the
+    # residuals are the per-pair solve's bits for C- and F-ordered blocks, no
+    # reduction for an exactly singular C, and NaN residuals for a NaN C
+    rng = rng_from_seed(61)
+    for n in (1, 3, 8):
+        c = random_gaussian(rng, n, np.complex128)
+        d = random_gaussian(rng, n, np.complex128)
+        nan_c = c.copy()
+        nan_c[0, -1] = math.nan
+        cases = [(c, d), (np.asfortranarray(c), np.asfortranarray(d)), (c.T, d.T),
+                 (np.zeros_like(c), d), (nan_c, d)]
+        for cc, dd in cases:
+            probe = conj_block_reduction(cc, dd)
+            ref = loop_reduction_residuals(cc, dd)
+            assert ([(k, v.hex()) for k, v in probe.residuals.items()]
+                    == [(k, v.hex()) for k, v in ref.items()]), n
+            assert repr(probe.block_det) == repr(conj_block_det(cc, dd))
+            if ref:
+                assert probe.e.tobytes() == np.linalg.solve(cc, dd).tobytes()
+            else:
+                assert probe.e is None and probe.pair_det is None
+    assert math.isnan(conj_block_reduction(nan_c, d).residuals["solve"])
 
 
 def test_ee_pair_det_nonnegative_for_random_e():
