@@ -216,28 +216,28 @@ def _step(config: GeneratorConfig, rngs, names, dtype) -> np.ndarray:
     return f
 
 
-def _stacks(seeds: Iterable[int], m: int, dtype) -> Iterator[list[int]]:
-    """seeds in lists of as many as fit in _STACK_BYTES as m x m matrices of
+def _stacks(items: Iterable, m: int, dtype) -> Iterator[list]:
+    """items in lists of as many as fit in _STACK_BYTES as m x m matrices of
     dtype (one, if a single matrix is larger), read lazily."""
     per_stack = max(1, _STACK_BYTES // (m * m * np.dtype(dtype).itemsize))
-    seeds = iter(seeds)
-    while batch := list(itertools.islice(seeds, per_stack)):
+    items = iter(items)
+    while batch := list(itertools.islice(items, per_stack)):
         yield batch
 
 
-def _sample(config: GeneratorConfig, seeds: Iterable[int], factors: list[str] | None = None,
+def _sample(config: GeneratorConfig, rngs: Iterable, factors: list[str] | None = None,
             tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Iterator[np.ndarray]:
-    """Yield, as (k, 2N, 2N) stacks in seed order, what generate gives for
-    config with each seed (config.seed itself is not read).
+    """Yield, as (k, 2N, 2N) stacks in order, what generate gives for config
+    with each rng in place of rng_from_seed(config.seed), which is not read.
 
     The members are built as stacks of up to _STACK_BYTES (one member if it
-    is larger), one stack at a time, so an unbounded ``seeds`` holds at most
+    is larger), one stack at a time, so an unbounded ``rngs`` holds at most
     one stack.  Step t draws factor t of every member from that member's own
     rng and multiplies the stack of products by the stack of factors; numpy
     does to each matrix of a stack what it does to that matrix alone, so each
-    member is bitwise the one generate builds for its seed.  Members that
+    member is bitwise the one generate builds with its rng.  Members that
     fail the residual test are drawn again, as a smaller stack, and copied
-    back into their place.  On reaching a seed whose attempts all failed,
+    back into their place.  On reaching a member whose attempts all failed,
     yields the members before it in its stack and raises GenerationError.
     """
     allowed = _kinds(config.target)
@@ -245,20 +245,20 @@ def _sample(config: GeneratorConfig, seeds: Iterable[int], factors: list[str] | 
         factors = list(factors)
     dtype = config.target.dtype
     m = 2 * config.half_dim
-    for batch in _stacks(seeds, m, dtype):
-        block = [rng_from_seed(s) for s in batch]
+    for block in _stacks(rngs, m, dtype):
         out = None
         todo = list(range(len(block)))
         for _ in range(_MAX_ATTEMPTS):
-            rngs = [block[i] for i in todo]
-            if factors is None:  # each member's kind draws come before its factor draws
-                seqs = [[allowed[int(rng.integers(0, len(allowed)))]
-                         for _ in range(config.num_factors)] for rng in rngs]
+            live = [block[i] for i in todo]
+            if factors is None:  # kind draws first, as one call: PCG64 buffers 32-bit halves
+                seqs = [[allowed[k] for k in
+                         rng.integers(0, len(allowed), config.num_factors).tolist()]
+                        for rng in live]
             else:
-                seqs = [factors] * len(rngs)
-            a = _identities(len(rngs), m, dtype)
+                seqs = [factors] * len(live)
+            a = _identities(len(live), m, dtype)
             for names in zip(*seqs):  # full products: a structured update would round differently
-                a = a @ _step(config, rngs, names, dtype)
+                a = a @ _step(config, live, names, dtype)
             if out is None:
                 out = a
             else:
@@ -288,4 +288,4 @@ def generate(config: GeneratorConfig, factors: list[str] | None = None,
     suites draw their members from, so a suite's member and generate's
     matrix for the same config are the same bits.
     """
-    return next(_sample(config, [config.seed], factors, tol))[0]
+    return next(_sample(config, [rng_from_seed(config.seed)], factors, tol))[0]

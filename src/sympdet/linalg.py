@@ -15,11 +15,14 @@ Determinants are taken a stack at a time (the private ``_log_dets``);
 :func:`log_det` is the stack of one, with the same bits as in any stack.
 The only stateful object is the numpy Generator returned by
 :func:`rng_from_seed`; keep each generator confined to one logical thread and
-derive per-task generators with :func:`split_seed`.
+derive per-task generators with :func:`split_seed`.  Both are stacks of one
+of private cores (``_child_seeds``, ``_rngs``) that run numpy's SeedSequence
+hash (frozen by NEP 19) over many seeds at once, bit for bit numpy's seeds.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -171,15 +174,80 @@ def _log_dets(a: np.ndarray, slogdet=None) -> list[LogDet]:
     return out
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx, frozen by NEP 19)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hash_keys(init: int, mult: int, steps: int) -> np.ndarray:
+    """The (xor, multiplier) of ``steps`` successive hash steps, (2, steps, 1)
+    uint32: xor the running constant, advance it by ``mult``, multiply."""
+    h = list(itertools.accumulate(range(steps), lambda x, _: x * mult & 0xFFFFFFFF, initial=init))
+    return np.array([h[:-1], h[1:]], np.uint32)[..., None]
+
+
+def _hashed(v: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    v = (v ^ keys[0]) * keys[1]  # uint32 arrays wrap silently, as the C code does
+    return v ^ v >> 16
+
+
+_POOL_KEYS = _hash_keys(_INIT_A, _MULT_A, 16)
+# mixing round src takes steps 4 + 3 src on, for the pool words other than src
+_MIX_KEYS = [np.insert(_POOL_KEYS[:, 4 + 3 * src:7 + 3 * src], src, 0, axis=1)
+             for src in range(4)]
+_OUT_KEYS = _hash_keys(_INIT_B, _MULT_B, 8).reshape(2, 2, 4, 1)
+
+
+def _seed_state(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """SeedSequence(e).generate_state(n_words, np.uint64) for each row of a
+    (k, 2) uint64 array whose four little-endian 32-bit words are e (a zero
+    word hashes as a missing one), as (k, n_words) uint64, n_words <= 4."""
+    pool = _hashed(np.ascontiguousarray(entropy, "<u8").view("<u4").T, _POOL_KEYS[:, :4])
+    for src in range(4):  # mix pool word src into the other three
+        r = _MIX_L * pool - _MIX_R * _hashed(pool[src], _MIX_KEYS[src])
+        r ^= r >> 16
+        r[src] = pool[src]
+        pool = r
+    words = _hashed(pool, _OUT_KEYS).reshape(8, -1)[:2 * n_words]
+    return np.ascontiguousarray(words.T).view("<u8").astype(np.uint64)
+
+
+def _child_seeds(seed, indices) -> np.ndarray:
+    """split_seed(s, t) for each lane of ``seed`` and ``indices`` (an int or a
+    sequence each, one a sequence), as uint64: SeedSequence([s & mask, t])
+    takes the 32-bit words of s, then of t < 2**64, four entropy words."""
+    s = np.asarray(np.asarray(seed, object) & _SEED_MASK, np.uint64)
+    t = np.asarray(indices, np.uint64)
+    two = s > 0xFFFFFFFF  # the words of t start at the third entropy word
+    lo, hi = np.where(two, s, s | t << 32), np.where(two, t, t >> 32)
+    return _seed_state(np.stack([lo, hi], -1), 1)[:, 0]
+
+
+class _StateWords(np.random.bit_generator.ISeedSequence):
+    """Hands PCG64 the four uint64 state words it was built with."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _rngs(seeds) -> list[np.random.Generator]:
+    """default_rng(s) for each seed 0 <= s < 2**64, bit for bit."""
+    s = np.asarray(seeds, np.uint64)
+    return [np.random.Generator(np.random.PCG64(_StateWords(w)))
+            for w in _seed_state(np.stack([s, np.zeros_like(s)], -1), 4)]
+
+
 def rng_from_seed(seed: int) -> np.random.Generator:
-    """Deterministic generator: same seed and call sequence, same stream."""
-    return np.random.default_rng(int(seed) & _SEED_MASK)
+    """Deterministic generator: numpy's default_rng(seed & (2**64 - 1))."""
+    return _rngs([int(seed) & _SEED_MASK])[0]
 
 
 def split_seed(seed: int, index: int) -> int:
     """Derive the index-th child seed of a master seed (counter splitting)."""
-    ss = np.random.SeedSequence([int(seed) & _SEED_MASK, int(index)])
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(_child_seeds(seed, [index])[0])
 
 
 def random_gaussian(rng: np.random.Generator, n: int, dtype=np.float64) -> np.ndarray:

@@ -6,7 +6,8 @@ trial count and half-dims, the family of the bound table
 residuals, and, for a suite that checks sampled group members, their group.
 Adding a suite means adding that row and, if the family is new, its
 ``RESIDUAL_BOUNDS`` entry.  Each suite maps a trial index to a deterministic
-child seed, runs one independent check, judges its residuals, and aggregates
+child seed and an rng seeded with it (both derived for a round of trials at
+once), runs one independent check, judges its residuals, and aggregates
 pass counts, worst residuals, and reproducible failure records into a
 :class:`~sympdet.report.Report`.  Trials touch no shared state, so they can be
 executed in any order or in parallel; results are merged by trial index and
@@ -18,11 +19,12 @@ draw the stack of their members (see :mod:`sympdet.generators`) and judge it
 through the stacked certificate and formula cores of
 :mod:`sympdet.symplectic`; ineq-real and lemma draw their block pairs the
 same way, each trial from its own rng, and judge them through the stacked
-determinant and block-elimination cores; form-identities and
-generator-sanity check their trials one by one.  A stack's results are
-merged back in trial order.  Every matrix gets the bits it gets alone, so
-:func:`run_trial`, which judges a stack of one, replays any trial.  At most
-one stack per half-dim is held at a time.
+determinant and block-elimination cores; generator-sanity gates the factors
+and samples the members of each group's trials as stacks; form-identities
+reads no seed and checks each half-dim once.  No suite is judged one trial
+at a time.  A stack's results are merged back in trial order.  Every matrix
+gets the bits it gets alone, so :func:`run_trial`, which judges a stack of
+one, replays any trial.  At most one stack per half-dim is held at a time.
 """
 
 from __future__ import annotations
@@ -36,16 +38,17 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._version import __version__
-from .generators import GeneratorConfig, _kinds, _sample, _stacks, elementary_factor, generate
+from .generators import GeneratorConfig, _factors, _kinds, _sample, _stacks
 from .linalg import (
     LogDet,
+    _child_seeds,
     _log_dets,
+    _rngs,
     _square,
     frobenius,
     log_det,
     phase_angle,
     rng_from_seed,
-    split_seed,
 )
 from .report import Report
 from .symplectic import (
@@ -105,20 +108,17 @@ class TrialResult:
     passed: bool
 
 
-def _trial_form_identities(n: int, seed: int, tol: ToleranceConfig) -> dict:
+def _judge_form_identities(n: int, seeds, rngs, tol: ToleranceConfig) -> list[dict]:
+    """The trials read no seed: each gets a copy of one check at half-dim n."""
     j = symplectic_form(n)
     eye = np.eye(2 * n)
-    return {
+    residuals = {
         "formSquare": frobenius(j @ j + eye),
         "formSkew": frobenius(j.T + j),
         "formInverse": frobenius(j.T @ j - eye),
         "detOne": abs(log_det(j).value - 1.0),
     }
-
-
-def _each(trial: Callable[..., dict], n: int, seeds, tol: ToleranceConfig) -> list[dict]:
-    """The judge of a suite whose trials are checked one by one."""
-    return [trial(n, seed, tol) for seed in seeds]
+    return [dict(residuals) for _ in seeds]
 
 
 def _judge_theorem(group: GroupKind, a: np.ndarray, tol: ToleranceConfig) -> list[dict]:
@@ -126,17 +126,16 @@ def _judge_theorem(group: GroupKind, a: np.ndarray, tol: ToleranceConfig) -> lis
             for c in _certificates(a, group, tol)]
 
 
-def _lemma_inputs(n: int, seeds) -> tuple[np.ndarray, np.ndarray, list[int]]:
+def _lemma_inputs(n: int, rngs) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """The (k, N, N) stacks of C and D of the lemma trials with the given
-    seeds, and each trial's mode: 0 generic, 1 and 2 a near-singular C, eps I
+    rngs, and each trial's mode: 0 generic, 1 and 2 a near-singular C, eps I
     (eps 1e-2 or 1e-6) plus, at N > 1, a matrix whose last column is a
     combination of the others.  A trial draws from its own rng its mode, C
     and D (as random_gaussian does), then that matrix and the combination's
     coefficients (real parts, then imaginary parts)."""
-    w = np.empty((len(seeds), 4, n, n))
-    modes, rngs = [], []
-    for wi, seed in zip(w, seeds):
-        rngs.append(rng := rng_from_seed(seed))
+    w = np.empty((len(rngs), 4, n, n))
+    modes = []
+    for wi, rng in zip(w, rngs):
         modes.append(int(rng.integers(0, 3)))
         rng.standard_normal(out=wi)  # random_gaussian's C, then D
     c, d = w[:, 0] + 1j * w[:, 1], w[:, 2] + 1j * w[:, 3]
@@ -154,20 +153,20 @@ def _lemma_inputs(n: int, seeds) -> tuple[np.ndarray, np.ndarray, list[int]]:
     return c, d, modes
 
 
-def _judge_lemma(n: int, seeds, tol: ToleranceConfig) -> list[dict]:
+def _judge_lemma(n: int, seeds, rngs, tol: ToleranceConfig) -> list[dict]:
     """Each trial's block determinant sign slacks, and the block-elimination
     residuals of those whose C passes the condition gate."""
     out = []
-    for probe in _reductions(*_lemma_inputs(n, seeds)[:2], tol, gated=True):
+    for probe in _reductions(*_lemma_inputs(n, rngs)[:2], tol, gated=True):
         im_slack, re_slack = sign_slacks(probe.block_det, tol)
         out.append({"imagSlack": im_slack, "realSlack": re_slack, **probe.residuals})
     return out
 
 
-def _judge_ineq_real(n: int, seeds, tol: ToleranceConfig) -> list[dict]:
-    w = np.empty((len(seeds), 2, n, n))
-    for wi, seed in zip(w, seeds):
-        rng_from_seed(seed).standard_normal(out=wi)  # random_gaussian's C, then D
+def _judge_ineq_real(n: int, seeds, rngs, tol: ToleranceConfig) -> list[dict]:
+    w = np.empty((len(rngs), 2, n, n))
+    for wi, rng in zip(w, rngs):
+        rng.standard_normal(out=wi)  # random_gaussian's C, then D
     c, d = w[:, 0], w[:, 1]
     dets = _log_dets(embed_pair(BlockPair(c, d, GroupKind.REAL_SYMPLECTIC)))
     out = []
@@ -212,31 +211,33 @@ def _judge_conj_formula(a: np.ndarray, tol: ToleranceConfig) -> list[dict]:
     return list(map(_conj_residuals, res_mem, _conj_phases(a, res_mem, tol), _log_dets(a)))
 
 
-def _trial_generator_sanity(n: int, seed: int, tol: ToleranceConfig) -> dict:
-    rng = rng_from_seed(seed)
-    target = (GroupKind.REAL_SYMPLECTIC, GroupKind.COMPLEX_SYMPLECTIC,
-              GroupKind.CONJUGATE_SYMPLECTIC)[int(rng.integers(0, 3))]
-    cfg = GeneratorConfig(half_dim=n, target=target, seed=split_seed(seed, 1))
-
-    worst_factor = 0.0
-    for name in _kinds(target):
-        f = elementary_factor(name, cfg, rng)
-        worst_factor = max(worst_factor, membership_residual(f, target))
-
-    a = generate(cfg, tol=tol)
-    residuals = {
-        "factorResidual": worst_factor,
-        "productResidual": membership_residual(a, target),
-    }
-    dd = log_det(a)
-    if target is GroupKind.CONJUGATE_SYMPLECTIC:
-        residuals["detUnitModulus"] = abs(math.expm1(dd.log_magnitude))
-    else:
-        residuals["detOne"] = abs(dd.value - 1.0)
-    b = generate(cfg, tol=tol)
-    same = b.dtype == a.dtype and b.shape == a.shape and b.tobytes() == a.tobytes()
-    residuals["determinism"] = 0.0 if same else 1.0
-    return residuals
+def _judge_generator_sanity(n: int, seeds, rngs, tol: ToleranceConfig) -> list[dict]:
+    """Each trial draws its group, then one factor of each kind, from its rng;
+    its member is sampled twice, from fresh rngs seeded split_seed(seed, 1),
+    and must be the same bytes.  Each group's trials are judged as a stack."""
+    groups = [tuple(GroupKind)[int(rng.integers(0, 3))] for rng in rngs]
+    member_rngs = _rngs(np.tile(_child_seeds(seeds, 1), 2))  # the two samplings
+    out = [{} for _ in rngs]
+    for group in GroupKind:
+        idx = [i for i, g in enumerate(groups) if g is group]
+        if not idx:
+            continue
+        cfg = GeneratorConfig(half_dim=n, target=group)
+        factors = np.concatenate([_factors(name, cfg, [rngs[i] for i in idx])
+                                  for name in _kinds(group)])
+        factor_res = _membership_residuals(factors, group)
+        a, b = (np.concatenate(list(_sample(cfg, [member_rngs[i + k] for i in idx], tol=tol)))
+                for k in (0, len(rngs)))
+        for j, (i, res, dd) in enumerate(zip(idx, _membership_residuals(a, group), _log_dets(a))):
+            r = out[i]
+            r["factorResidual"] = max(0.0, *factor_res[j::len(idx)])
+            r["productResidual"] = res
+            if group is GroupKind.CONJUGATE_SYMPLECTIC:
+                r["detUnitModulus"] = abs(math.expm1(dd.log_magnitude))
+            else:
+                r["detOne"] = abs(dd.value - 1.0)
+            r["determinism"] = 0.0 if a[j].tobytes() == b[j].tobytes() else 1.0
+    return out
 
 
 class _Suite(NamedTuple):
@@ -244,9 +245,9 @@ class _Suite(NamedTuple):
     RESIDUAL_BOUNDS family that judges the trials' residuals, and the group
     whose generated members it checks.  A judge returns the residuals of a
     stack of trials at one half-dim, in order; it is called as
-    ``judge(n, seeds, tol)``, drawing each trial from its seed, or as
-    ``judge(members, tol)`` with the (k, 2N, 2N) stack of the trials'
-    members when group is set."""
+    ``judge(n, seeds, rngs, tol)``, each trial drawing from its rng (which
+    is rng_from_seed of its seed), or as ``judge(members, tol)`` with the
+    (k, 2N, 2N) stack of the trials' members when group is set."""
 
     judge: Callable[..., list[dict]]
     trials: int
@@ -256,8 +257,7 @@ class _Suite(NamedTuple):
 
 
 _SUITES = {
-    "form-identities": _Suite(partial(_each, _trial_form_identities), 8, tuple(range(1, 9)),
-                              "form-identities"),
+    "form-identities": _Suite(_judge_form_identities, 8, tuple(range(1, 9)), "form-identities"),
     "real-theorem": _Suite(partial(_judge_theorem, GroupKind.REAL_SYMPLECTIC), 200,
                            (1, 2, 4, 8, 10), "certificate", GroupKind.REAL_SYMPLECTIC),
     "complex-theorem": _Suite(partial(_judge_theorem, GroupKind.COMPLEX_SYMPLECTIC), 200,
@@ -266,7 +266,7 @@ _SUITES = {
     "ineq-real": _Suite(_judge_ineq_real, 500, tuple(range(1, 9)), "ineq-real"),
     "conj-formula": _Suite(_judge_conj_formula, 200, tuple(range(1, 17)), "conj-formula",
                            GroupKind.CONJUGATE_SYMPLECTIC),
-    "generator-sanity": _Suite(partial(_each, _trial_generator_sanity), 60, (1, 2, 3, 4, 6, 8),
+    "generator-sanity": _Suite(_judge_generator_sanity, 60, (1, 2, 3, 4, 6, 8),
                                "generator-sanity"),
 }
 
@@ -279,14 +279,14 @@ def _suite(suite_id: str) -> _Suite:
     return _SUITES[suite_id]
 
 
-def _judgements(row: _Suite, n_half: int, seeds, tol: ToleranceConfig):
-    """The residuals of the trials with the given seeds at half-dim n_half,
-    in order, judged a stack at a time."""
+def _judgements(row: _Suite, n_half: int, seeds, rngs, tol: ToleranceConfig):
+    """The residuals of the trials with the given seeds, and rngs seeded with
+    them, at half-dim n_half, in order, judged a stack at a time."""
     if row.group is None:
-        for batch in _stacks(seeds, 2 * n_half, np.float64):
-            yield from row.judge(n_half, batch, tol)
+        for batch in _stacks(zip(seeds, rngs), 2 * n_half, np.float64):
+            yield from row.judge(n_half, *zip(*batch), tol)
     else:
-        for members in _sample(GeneratorConfig(half_dim=n_half, target=row.group), seeds,
+        for members in _sample(GeneratorConfig(half_dim=n_half, target=row.group), rngs,
                                tol=tol):
             yield from row.judge(members, tol)
 
@@ -296,35 +296,44 @@ def run_trial(suite_id: str, n_half: int, seed: int,
     """Run one trial in isolation, as a stack of one; rerunning a recorded
     failure seed through this function reproduces its residuals exactly."""
     row = _suite(suite_id)
-    residuals = next(_judgements(row, n_half, [seed], tol))
+    residuals = next(_judgements(row, n_half, [seed], [rng_from_seed(seed)], tol))
     return TrialResult(residuals=residuals, passed=within_bounds(row.family, residuals, tol))
+
+
+# trials whose child seeds and rngs are derived at once: one pass of the seed
+# hash per round, and a round's rngs (under 1 KiB each) bound the memory held
+_ROUND = 512
 
 
 def run_suite(spec: SuiteSpec) -> Report:
     """Run every trial of a suite and aggregate the report.
 
     Trial t runs at half_dims[t % len(half_dims)] with the t-th child seed of
-    spec.seed, so the report is independent of execution order.
+    spec.seed, so the report is independent of execution order.  The child
+    seeds and their rngs are derived a round of _ROUND trials at a time.
     """
     t0 = time.perf_counter()
     row = _suite(spec.suite_id)
     dims, tol = spec.half_dims, spec.tolerances
-    judged = [_judgements(row, n, (split_seed(spec.seed, t)
-                                   for t in range(i, spec.trials, len(dims))), tol)
-              for i, n in enumerate(dims)]
     passes = 0
     failures = []
     worst: dict = {}
-    for t in range(spec.trials):
-        residuals = next(judged[t % len(dims)])
-        if within_bounds(row.family, residuals, tol):
-            passes += 1
-        else:
-            failures.append({"seed": split_seed(spec.seed, t), "halfDim": dims[t % len(dims)],
-                             "residuals": residuals})
-        for k, v in residuals.items():
-            prev = worst.get(k, 0.0)
-            worst[k] = prev if math.isnan(prev) or v <= prev else v  # NaN wins
+    for start in range(0, spec.trials, _ROUND):
+        block = _child_seeds(spec.seed, np.arange(start, min(start + _ROUND, spec.trials)))
+        seeds, rngs = block.tolist(), _rngs(block)
+        lanes = [slice((i - start) % len(dims), None, len(dims)) for i in range(len(dims))]
+        judged = [_judgements(row, n, seeds[lane], rngs[lane], tol)
+                  for n, lane in zip(dims, lanes)]
+        for t, seed in enumerate(seeds, start):
+            residuals = next(judged[t % len(dims)])
+            if within_bounds(row.family, residuals, tol):
+                passes += 1
+            else:
+                failures.append({"seed": seed, "halfDim": dims[t % len(dims)],
+                                 "residuals": residuals})
+            for k, v in residuals.items():
+                prev = worst.get(k, 0.0)
+                worst[k] = prev if math.isnan(prev) or v <= prev else v  # NaN wins
     elapsed = time.perf_counter() - t0
     return Report(
         tool=f"sympdet {__version__}",

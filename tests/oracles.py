@@ -8,8 +8,10 @@ assemblies of the structured 2N x 2N matrices (the bitwise reference for the
 library's in-place block fills), the two-GEMM membership residual (the
 bitwise reference for the library's one-GEMM form), group sampling one
 matrix and one factor at a time (the bitwise reference for the generators'
-stacked sampling), and the lemma suite's draw and block-elimination check
-one trial at a time (the bitwise reference for its stacked judge).
+stacked sampling), and the lemma and generator-sanity suites' checks one
+trial at a time (the bitwise references for their stacked judges).  Every
+reference draws from numpy's own ``default_rng`` and ``SeedSequence``, so
+none shares the library's vectorized seed derivation.
 """
 
 import math
@@ -17,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sympdet.generators import GenerationError
+from sympdet.generators import GenerationError, GeneratorConfig
 from sympdet.linalg import (LogDet, SingularMatrixError, as_square, frobenius, log_det,
-                            random_gaussian, rng_from_seed)
+                            random_gaussian)
 from sympdet.symplectic import (DEFAULT_TOLERANCES, GroupKind, membership_residual,
                                 sign_slacks, symplectic_form)
 
@@ -131,6 +133,23 @@ def permutation_sign(perm):
             if perm[i] > perm[j]:
                 sign = -sign
     return sign
+
+
+# ---------------------------------------------------------------------------
+# Seeds derived by numpy, one at a time: the reference for the library's
+# split_seed and rng_from_seed
+# ---------------------------------------------------------------------------
+
+SEED_MASK = (1 << 64) - 1
+
+
+def loop_rng(seed):
+    return np.random.default_rng(int(seed) & SEED_MASK)
+
+
+def loop_split_seed(seed, index):
+    ss = np.random.SeedSequence([int(seed) & SEED_MASK, int(index)])
+    return int(ss.generate_state(1, np.uint64)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +280,7 @@ def loop_elementary_factor(name, config, rng):
 
 
 def loop_generate(config, factors=None, tol=DEFAULT_TOLERANCES):
-    rng = rng_from_seed(config.seed)
+    rng = loop_rng(config.seed)
     allowed = list(_FACTOR_KINDS[:4])
     if config.target is GroupKind.CONJUGATE_SYMPLECTIC:
         allowed.append("phase")
@@ -293,7 +312,7 @@ def loop_generate(config, factors=None, tol=DEFAULT_TOLERANCES):
 def loop_lemma_inputs(n, seed):
     """(C, D, mode) of one lemma trial, drawn alone: mode 0 generic, 1 and 2
     a near-singular C."""
-    rng = rng_from_seed(seed)
+    rng = loop_rng(seed)
     mode = int(rng.integers(0, 3))
     c = random_gaussian(rng, n, np.complex128)
     d = random_gaussian(rng, n, np.complex128)
@@ -341,3 +360,35 @@ def loop_lemma_trial(c, d, tol=DEFAULT_TOLERANCES):
     im_slack, re_slack = sign_slacks(log_det(block_embed_pair(c, d, conjugated=True)), tol)
     return {"imagSlack": im_slack, "realSlack": re_slack,
             **(loop_reduction_residuals(c, d, tol) if well_conditioned else {})}
+
+
+# ---------------------------------------------------------------------------
+# The generator-sanity suite one trial at a time: the bitwise reference for
+# its stacked judge.  This is the per-trial check the suite ran before that.
+# ---------------------------------------------------------------------------
+
+def loop_generator_sanity_trial(n, seed, tol=DEFAULT_TOLERANCES):
+    rng = loop_rng(seed)
+    target = (GroupKind.REAL_SYMPLECTIC, GroupKind.COMPLEX_SYMPLECTIC,
+              GroupKind.CONJUGATE_SYMPLECTIC)[int(rng.integers(0, 3))]
+    cfg = GeneratorConfig(half_dim=n, target=target, seed=loop_split_seed(seed, 1))
+
+    worst_factor = 0.0
+    for name in _FACTOR_KINDS[:5 if target is GroupKind.CONJUGATE_SYMPLECTIC else 4]:
+        f = loop_elementary_factor(name, cfg, rng)
+        worst_factor = max(worst_factor, membership_residual(f, target))
+
+    a = loop_generate(cfg, tol=tol)
+    residuals = {
+        "factorResidual": worst_factor,
+        "productResidual": membership_residual(a, target),
+    }
+    dd = log_det(a)
+    if target is GroupKind.CONJUGATE_SYMPLECTIC:
+        residuals["detUnitModulus"] = abs(math.expm1(dd.log_magnitude))
+    else:
+        residuals["detOne"] = abs(dd.value - 1.0)
+    b = loop_generate(cfg, tol=tol)
+    same = b.dtype == a.dtype and b.shape == a.shape and b.tobytes() == a.tobytes()
+    residuals["determinism"] = 0.0 if same else 1.0
+    return residuals

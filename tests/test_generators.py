@@ -153,9 +153,11 @@ def test_embed_orthogonal_pair_trivials():
         embed_pair(BlockPair(np.eye(2), np.zeros((3, 3)), REAL))
 
 
-def _members(*args, **kwargs):
-    """The members _sample yields as stacks, one at a time."""
-    return itertools.chain.from_iterable(_sample(*args, **kwargs))
+def _members(config, seeds, *args, **kwargs):
+    """The members _sample yields as stacks, one at a time, for the rngs of
+    the given seeds."""
+    return itertools.chain.from_iterable(_sample(config, map(rng_from_seed, seeds),
+                                                 *args, **kwargs))
 
 
 def _assert_bitwise(got, ref):
@@ -294,7 +296,7 @@ def test_stacks_split_by_size_match_the_loop(target):
     # complex128 (6 + 2), one for float64; an unbounded seed stream is read lazily
     base = GeneratorConfig(half_dim=50, target=target)
     seeds = (split_seed(50, t) for t in range(8))
-    stacks = list(_sample(base, seeds))
+    stacks = list(_sample(base, map(rng_from_seed, seeds)))
     assert [len(s) for s in stacks] == ([8] if target is REAL else [6, 2])
     for t, got in enumerate(itertools.chain.from_iterable(stacks)):
         _assert_bitwise(got, loop_generate(dataclasses.replace(base, seed=split_seed(50, t))))

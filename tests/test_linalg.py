@@ -11,7 +11,9 @@ from numpy.testing import assert_allclose
 
 from sympdet.linalg import (
     LogDet,
+    _child_seeds,
     _frobeniuses,
+    _rngs,
     SingularMatrixError,
     as_square,
     frobenius,
@@ -23,7 +25,7 @@ from sympdet.linalg import (
 )
 from sympdet.symplectic import symplectic_form
 
-from oracles import cofactor_det, lu_decompose, permutation_sign, solve
+from oracles import SEED_MASK, cofactor_det, lu_decompose, permutation_sign, solve
 
 EPS = np.finfo(np.float64).eps
 
@@ -301,6 +303,67 @@ def test_split_seed_deterministic_and_distinct():
     assert split_seed(5, 0) == split_seed(5, 0)
     children = {split_seed(5, i) for i in range(100)}
     assert len(children) == 100
+
+
+MASTER_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -1]
+INDICES = [0, 2**32 - 1, 2**32]
+
+
+def _same_streams(a, b):
+    for draw in (lambda g: g.standard_normal(7), lambda g: g.integers(0, 2**40, 5),
+                 lambda g: g.integers(0, 5, 3), lambda g: g.uniform(-1.0, 1.0, 4)):
+        x, y = draw(a), draw(b)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def test_seed_derivation_matches_numpy():
+    # one vectorized pass gives numpy's SeedSequence words and default_rng
+    # streams for one- and two-word master seeds, masked negative ones and
+    # one- and two-word indices, per lane or broadcast
+    for s in MASTER_SEEDS:
+        ref = [int(np.random.SeedSequence([s & SEED_MASK, t]).generate_state(1, np.uint64)[0])
+               for t in INDICES]
+        got = _child_seeds(s, INDICES)
+        assert got.dtype == np.uint64 and got.tolist() == ref, s
+        assert _child_seeds([s] * len(INDICES), INDICES).tolist() == ref
+        assert [split_seed(s, t) for t in INDICES] == ref
+        assert all(type(split_seed(s, t)) is int for t in INDICES)
+        for g, seed in zip(_rngs(got), ref):
+            _same_streams(g, np.random.default_rng(seed))
+        _same_streams(rng_from_seed(s), np.random.default_rng(s & SEED_MASK))
+    # lanes of mixed one- and two-word master seeds, one index
+    assert _child_seeds(MASTER_SEEDS, 1).tolist() == [split_seed(s, 1) for s in MASTER_SEEDS]
+    for g, s in zip(_rngs([s & SEED_MASK for s in MASTER_SEEDS]), MASTER_SEEDS):
+        _same_streams(g, np.random.default_rng(s & SEED_MASK))
+
+
+# split_seed(s, t) and the first integers(0, 2**32, 4) of rng_from_seed of
+# it, as numpy's SeedSequence and PCG64 give them on every platform: the
+# replay seeds of recorded failures
+GOLDEN_SEEDS = {
+    (0, 0): (15793235383387715774, [4243321519, 3436417047, 620250597, 382194032]),
+    (0, 1): (5836529245451711556, [1086572517, 2807677539, 638145576, 3070129098]),
+    (0, 2): (17195319236771816063, [4116467904, 1435914849, 4173364434, 2439400085]),
+    (0, 1667): (17201314449641639564, [1869503939, 1455077722, 1236473388, 1021529184]),
+    (7, 0): (16920295385781661272, [3897861088, 1923277997, 1211290157, 4246630735]),
+    (7, 1): (6635463128224577688, [468291741, 1023178105, 3175574660, 4232076707]),
+    (7, 2): (18279110831140952437, [1590379322, 2124409160, 717476145, 3857236226]),
+    (7, 1667): (6790753508897530790, [2967323199, 4097265028, 4275925865, 1370009559]),
+    (42, 0): (11465652750463011511, [3952492598, 2420814617, 2889482042, 2309979332]),
+    (42, 1): (15658369528003122356, [47770353, 578580840, 3788941742, 3759453587]),
+    (42, 2): (11821647455969306524, [766308656, 683420539, 3714229228, 253052205]),
+    (42, 1667): (12912246729212885499, [4113426504, 109440223, 2145777329, 3052709837]),
+}
+
+
+def test_replay_seeds_are_pinned():
+    for (s, t), (child, draws) in GOLDEN_SEEDS.items():
+        assert split_seed(s, t) == child, (s, t)
+        assert rng_from_seed(child).integers(0, 2**32, 4).tolist() == draws, (s, t)
+    children = _child_seeds(0, [0, 1, 2, 1667])
+    assert children.tolist() == [GOLDEN_SEEDS[0, t][0] for t in (0, 1, 2, 1667)]
+    assert [g.integers(0, 2**32, 4).tolist() for g in _rngs(children)] == [
+        GOLDEN_SEEDS[0, t][1] for t in (0, 1, 2, 1667)]
 
 
 def test_phase_angle():

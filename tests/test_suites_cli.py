@@ -23,7 +23,8 @@ from sympdet.symplectic import (DEFAULT_TOLERANCES, RESIDUAL_BOUNDS, GroupKind,
                                 MembershipError, ToleranceConfig, conj_symplectic_det,
                                 membership_residual)
 
-from oracles import loop_generate, loop_lemma_inputs, loop_lemma_trial
+from oracles import (loop_generate, loop_generator_sanity_trial, loop_lemma_inputs,
+                     loop_lemma_trial, loop_rng)
 
 CONJ = GroupKind.CONJUGATE_SYMPLECTIC
 
@@ -160,20 +161,20 @@ def test_text_and_json_numeric_content_match():
 
 
 SAMPLING_SUITES = ("real-theorem", "complex-theorem", "conj-formula")
-STACKED_SUITES = (*SAMPLING_SUITES, "ineq-real", "lemma")  # judged a stack at a time
 
 
 def _bits(residuals):
     return {k: float(v).hex() for k, v in residuals.items()}
 
 
-@pytest.mark.parametrize("suite_id", STACKED_SUITES)
+@pytest.mark.parametrize("suite_id", SUITE_IDS)
 def test_failures_carry_seed_and_reproduce(suite_id):
-    # negative det_one, ineq_real and nonneg bounds fail every trial without
-    # changing what it computes (sign slacks read nonneg_abs only); run_trial,
-    # which judges a stack of one, must replay each failure of the stacked
-    # run bit for bit
-    impossible = ToleranceConfig(det_one=-1.0, ineq_real=-1.0, nonneg=-1.0)
+    # negative det_one, ineq_real, nonneg and exact_residual bounds fail
+    # every trial without changing what it computes (sign slacks read
+    # nonneg_abs only); run_trial, which judges a stack of one, must replay
+    # each failure of the stacked run bit for bit
+    impossible = ToleranceConfig(det_one=-1.0, ineq_real=-1.0, nonneg=-1.0,
+                                 exact_residual=-1.0)
     spec = SuiteSpec(suite_id, trials=12, half_dims=(1, 2, 5), seed=9,
                      tolerances=impossible)
     rep = run_suite(spec)
@@ -186,16 +187,34 @@ def test_failures_carry_seed_and_reproduce(suite_id):
         assert not replay.passed
 
 
-@pytest.mark.parametrize("suite_id", STACKED_SUITES)
+@pytest.mark.parametrize("suite_id", SUITE_IDS)
 def test_reports_do_not_depend_on_the_stack_size(monkeypatch, suite_id):
     # stacks a few matrices small split each half-dim into several stacks of
-    # mixed sizes (and mixed conditioning, for lemma); every trial keeps its bits
+    # mixed sizes (and mixed conditioning, for lemma; mixed groups, for
+    # generator-sanity); every trial keeps its bits
     spec = default_suite_spec(suite_id, seed=8, trials=36, half_dims=(1, 2, 3))
     whole = run_suite(spec).to_json_dict()
     monkeypatch.setattr(generators, "_STACK_BYTES", 256)
     split = run_suite(spec).to_json_dict()
     whole.pop("elapsedSeconds"), split.pop("elapsedSeconds")
     assert split == whole
+
+
+@pytest.mark.parametrize("suite_id", SUITE_IDS)
+def test_reports_do_not_depend_on_the_round_size(monkeypatch, suite_id):
+    # rounds of 5 trials, not a multiple of the 3 half-dims, start each round
+    # at another half-dim; failures keep their seeds and order
+    impossible = ToleranceConfig(det_one=-1.0, ineq_real=-1.0, nonneg=-1.0,
+                                 exact_residual=-1.0)
+    for tol in (DEFAULT_TOLERANCES, impossible):
+        spec = default_suite_spec(suite_id, seed=8, trials=17, half_dims=(1, 2, 3),
+                                  tolerances=tol)
+        whole = run_suite(spec).to_json_dict()
+        with monkeypatch.context() as m:
+            m.setattr(suites, "_ROUND", 5)
+            split = run_suite(spec).to_json_dict()
+        whole.pop("elapsedSeconds"), split.pop("elapsedSeconds")
+        assert split == whole
 
 
 def _items_bits(residuals):
@@ -209,8 +228,9 @@ def test_lemma_judge_matches_the_loop():
     seen = set()
     for n in range(1, 9):
         seeds = [sd.split_seed(13, 100 * n + t) for t in range(30)]
-        c, d, modes = suites._lemma_inputs(n, seeds)
-        judged = suites._judge_lemma(n, seeds, DEFAULT_TOLERANCES)
+        c, d, modes = suites._lemma_inputs(n, [sd.rng_from_seed(s) for s in seeds])
+        judged = suites._judge_lemma(n, seeds, [sd.rng_from_seed(s) for s in seeds],
+                                     DEFAULT_TOLERANCES)
         for i, seed in enumerate(seeds):
             ci, di, mode = loop_lemma_inputs(n, seed)
             assert (modes[i], c[i].tobytes(), d[i].tobytes()) == (mode, ci.tobytes(),
@@ -229,18 +249,22 @@ def test_lemma_judge_isolates_singular_and_nan_blocks(monkeypatch):
     # whole stack) gets its sign slacks and no reduction, as alone; a NaN C
     # gets NaN slacks and fails; every other trial keeps its bits
     n, seeds = 4, [sd.split_seed(17, t) for t in range(8)]
-    draw = suites._lemma_inputs
-    clean = suites._judge_lemma(n, seeds, DEFAULT_TOLERANCES)
 
-    def inputs(n, seeds):
-        c, d, modes = draw(n, seeds)
+    def rngs():
+        return [sd.rng_from_seed(s) for s in seeds]
+
+    draw = suites._lemma_inputs
+    clean = suites._judge_lemma(n, seeds, rngs(), DEFAULT_TOLERANCES)
+
+    def inputs(n, rngs):
+        c, d, modes = draw(n, rngs)
         c[2] = 0.0
         c[5, 1, 3] = math.nan
         return c, d, modes
 
     monkeypatch.setattr(suites, "_lemma_inputs", inputs)
-    judged = suites._judge_lemma(n, seeds, DEFAULT_TOLERANCES)
-    c, d, _ = inputs(n, seeds)
+    judged = suites._judge_lemma(n, seeds, rngs(), DEFAULT_TOLERANCES)
+    c, d, _ = inputs(n, rngs())
     assert _items_bits(judged[2]) == _items_bits(loop_lemma_trial(c[2], d[2]))
     assert set(judged[2]) == {"imagSlack", "realSlack"}
     assert symplectic.within_bounds("lemma", judged[2])
@@ -321,8 +345,8 @@ def test_nan_residual_wins_worst_residuals(monkeypatch, nan_at):
     row = _SUITES["ineq-real"]
     calls = []
 
-    def patched(n, seeds, tol):
-        judged = row.judge(n, seeds, tol)
+    def patched(n, seeds, rngs, tol):
+        judged = row.judge(n, seeds, rngs, tol)
         for seed, residuals in zip(seeds, judged):
             residuals["splitAgreement"] = math.nan if len(calls) == nan_at else 1e-30
             calls.append(seed)
@@ -432,22 +456,42 @@ def test_conj_formula_trial_computes_each_residual_once(monkeypatch, tol, member
 
 
 def test_generator_sanity_determinism_compares_bytes(monkeypatch):
-    # the second generate call drifts by one ulp in one entry
+    # the second sampling drifts by one ulp in one entry of its first member
     calls = []
 
-    def drifting(cfg, tol):
-        a = sd.generate(cfg, tol=tol)
-        if calls:
-            a.real[0, 0] = np.nextafter(a.real[0, 0], math.inf)
-        calls.append(cfg)
-        return a
+    def drifting(config, *args, **kwargs):
+        calls.append(config)
+        for stack in generators._sample(config, *args, **kwargs):
+            if len(calls) == 2:
+                stack.real[0, 0, 0] = np.nextafter(stack.real[0, 0, 0], math.inf)
+            yield stack
 
     assert run_trial("generator-sanity", 2, 11).residuals["determinism"] == 0.0
-    monkeypatch.setattr(suites, "generate", drifting)
+    monkeypatch.setattr(suites, "_sample", drifting)
     result = run_trial("generator-sanity", 2, 11)
     assert len(calls) == 2
     assert result.residuals["determinism"] == 1.0
     assert not result.passed
+    # in a stack, only the drifted member fails
+    calls.clear()
+    seeds = [sd.split_seed(11, t) for t in range(9)]
+    judged = suites._judge_generator_sanity(2, seeds, [sd.rng_from_seed(s) for s in seeds],
+                                            DEFAULT_TOLERANCES)
+    assert sorted(r["determinism"] for r in judged) == [0.0] * 8 + [1.0]
+
+
+def test_generator_sanity_judge_matches_the_loop():
+    # the stacked judge gives each trial the bits (and the residual names, in
+    # order) it gets when checked alone, over all three groups
+    groups = set()
+    for n in (1, 2, 3, 4, 6, 8):
+        seeds = [sd.split_seed(19, 100 * n + t) for t in range(12)]
+        judged = suites._judge_generator_sanity(n, seeds, [sd.rng_from_seed(s) for s in seeds],
+                                                DEFAULT_TOLERANCES)
+        for seed, got in zip(seeds, judged):
+            assert _items_bits(got) == _items_bits(loop_generator_sanity_trial(n, seed)), (n, seed)
+            groups.add(int(loop_rng(seed).integers(0, 3)))
+    assert groups == {0, 1, 2}
 
 
 def test_emit_report_writes_file(tmp_path):
