@@ -14,12 +14,12 @@ property suites build the members of many trials of one half-dim at once.
 Each member still draws from its own rng exactly what it would draw alone,
 and numpy's stacked arithmetic does to each matrix what it does to that
 matrix alone, so every member is bitwise independent of the stack it was
-built in.  Every factor kind has one fill, over a stack; the public single
-factor builders are its stack of one.  The product gate takes the membership
-residuals of a whole stack at once, and the sampler hands the suites whole
-stacks to judge.  A stack holds at most about 1 MiB of
-members (one member, if that is larger), so memory does not grow with the
-number of members sampled.
+built in.  A stack's factors are built a chunk of product steps at a time:
+the members draw the chunk's parameters, then each factor kind has one fill,
+over all its slots (the public single factor builders are its stack of one).
+A stack holds at most about 1 MiB of members (one member, if that is larger)
+and a chunk at most a quarter of that of factors, so memory does not grow
+with the number of members sampled.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .symplectic import (
 )
 
 FACTOR_KINDS = ("shear_lower", "shear_upper", "diag_block", "form", "phase")
+_FORM, _PHASE = 3, 4  # the kinds before the form each draw one Gaussian block
 
 _MAX_ATTEMPTS = 5
 _STACK_BYTES = 1 << 20  # members built as one stack; larger stacks save little more
@@ -50,6 +51,15 @@ def _kinds(group: GroupKind) -> tuple[str, ...]:
     """The factor kinds of a group, in FACTOR_KINDS order: phase belongs to
     the conjugate group only."""
     return FACTOR_KINDS[:5 if group is GroupKind.CONJUGATE_SYMPLECTIC else 4]
+
+
+def _kind_codes(names, group: GroupKind) -> list[int]:
+    """The FACTOR_KINDS index of each name of a factor of the group."""
+    for name in names:
+        if name not in _kinds(group):
+            raise ValueError(f"unknown factor kind {name!r}" if name not in FACTOR_KINDS
+                             else "phase factors exist only in the conjugate group")
+    return [FACTOR_KINDS.index(name) for name in names]
 
 
 class GenerationError(RuntimeError):
@@ -86,109 +96,172 @@ class GeneratorConfig:
 
 def _symmetrized(s: np.ndarray, hermitian: bool) -> np.ndarray:
     """(S + S^T) / 2, or (S + S^*) / 2 if hermitian, of each matrix of a stack."""
-    return (s + (s.conj() if hermitian else s).swapaxes(-1, -2)) / 2
+    t = s + (s.conj() if hermitian else s).swapaxes(-1, -2)
+    t /= 2  # in place: a temporary less, which at large N is a fresh mapping less
+    return t
 
 
 def _norm_clamped(x: np.ndarray, cap: float) -> np.ndarray:
     """Each matrix of a stack scaled down, in place, to Frobenius norm <= cap
-    (each norm is the one frobenius gives for that matrix alone)."""
-    for i, f in enumerate(_frobeniuses(x)):
-        if not f <= cap:
-            x[i] *= cap / f
+    (each norm is the one frobenius gives for that matrix alone).  Only the
+    matrices over the cap are scaled, so the others keep their bits."""
+    f = _frobeniuses(x)
+    over = [not v <= cap for v in f]
+    if any(over):
+        scale = np.array([cap / v for v, o in zip(f, over) if o])[:, None, None]
+        if all(over):  # as at larger N: no mask to apply
+            x *= scale
+        else:
+            x[over] *= scale
     return x
+
+
+def _set_diagonal(out: np.ndarray, slots, values) -> None:
+    """Write values on the diagonals of the matrices ``slots`` of a stack."""
+    out.reshape(len(out), -1)[slots, ::out.shape[-1] + 1] = values
 
 
 def _identities(k: int, m: int, dtype) -> np.ndarray:
     """A stack of k m x m identities."""
     out = np.zeros((k, m, m), dtype)
-    out.reshape(k, m * m)[:, ::m + 1] = 1
+    _set_diagonal(out, slice(None), 1)
     return out
 
 
-def _shears(s: np.ndarray, lower: bool) -> np.ndarray:
+# The fill of each factor kind (the form's is symplectic._forms) writes the
+# factor of each parameter of a stack into the zeroed matrices ``slots`` (an
+# index array or a slice) of a (K, 2N, 2N) stack, a block at a time.
+
+def _fill_shears(out: np.ndarray, slots, s: np.ndarray, lower: bool) -> np.ndarray:
     """[[I, 0], [S, I]] if lower else [[I, S], [0, I]] for each S of a stack
     of already symmetrized blocks."""
-    k, n, _ = s.shape
-    out = _identities(k, 2 * n, s.dtype)
+    n = s.shape[-1]
+    _set_diagonal(out, slots, 1)
     if lower:
-        out[:, n:, :n] = s
+        out[slots, n:, :n] = s
     else:
-        out[:, :n, n:] = s
+        out[slots, :n, n:] = s
     return out
 
 
-def _diag_blocks(p: np.ndarray, conjugate: bool) -> np.ndarray:
+def _fill_diag_blocks(out: np.ndarray, slots, p: np.ndarray, conjugate: bool) -> np.ndarray:
     """[[P, 0], [0, P^{-T}]] (P^{-*} if conjugate) for each P of a stack."""
-    k, n, _ = p.shape
+    n = p.shape[-1]
     try:
         pinv = np.linalg.inv(p)
     except np.linalg.LinAlgError:
         raise SingularMatrixError("diag_block needs an invertible P") from None
-    out = np.zeros((k, 2 * n, 2 * n), p.dtype)
-    out[:, :n, :n] = p
-    out[:, n:, n:] = (pinv.conj() if conjugate else pinv).swapaxes(-1, -2)
+    out[slots, :n, :n] = p
+    out[slots, n:, n:] = (pinv.conj() if conjugate else pinv).swapaxes(-1, -2)
     return out
 
 
-def _phases(thetas, n_half: int) -> np.ndarray:
-    """exp(i theta) I_2N for each theta, as a stack."""
+def _fill_phases(out: np.ndarray, slots, thetas) -> np.ndarray:
+    """exp(i theta) I_2N for each theta, with the signed zeros off the
+    diagonal that exp(i theta) times the identity has."""
     z = np.array([complex(math.cos(t), math.sin(t)) for t in thetas])
-    return z[:, None, None] * np.eye(2 * n_half, dtype=np.complex128)
+    on, off = (z[:, None] * np.array([1, 0], np.complex128)).T
+    out[slots] = off[:, None, None]
+    _set_diagonal(out, slots, on[:, None])
+    return out
 
 
 def shear_lower(s, target: GroupKind = GroupKind.REAL_SYMPLECTIC) -> np.ndarray:
     """[[I, 0], [S, I]] with S symmetrized (Hermitian for the conjugate group)."""
     s = _symmetrized(_square(s), target is GroupKind.CONJUGATE_SYMPLECTIC)
-    return _shears(s[None], True)[0]
+    return _fill_shears(np.zeros((1, 2 * len(s), 2 * len(s)), s.dtype), 0, s, True)[0]
 
 
 def shear_upper(s, target: GroupKind = GroupKind.REAL_SYMPLECTIC) -> np.ndarray:
     """[[I, S], [0, I]] with S symmetrized (Hermitian for the conjugate group)."""
     s = _symmetrized(_square(s), target is GroupKind.CONJUGATE_SYMPLECTIC)
-    return _shears(s[None], False)[0]
+    return _fill_shears(np.zeros((1, 2 * len(s), 2 * len(s)), s.dtype), 0, s, False)[0]
 
 
 def diag_block(p, target: GroupKind = GroupKind.REAL_SYMPLECTIC) -> np.ndarray:
     """[[P, 0], [0, P^{-T}]] (P^{-*} for the conjugate group); P must be invertible."""
-    return _diag_blocks(_square(p)[None], target is GroupKind.CONJUGATE_SYMPLECTIC)[0]
+    p = _square(p)
+    return _fill_diag_blocks(np.zeros((1, 2 * len(p), 2 * len(p)), p.dtype), 0, p,
+                             target is GroupKind.CONJUGATE_SYMPLECTIC)[0]
 
 
 def phase_factor(theta: float, n_half: int) -> np.ndarray:
     """exp(i theta) I_2N: conjugate symplectic, det = exp(2 i N theta)."""
-    return _phases([theta], n_half)[0]
+    return _fill_phases(np.zeros((1, 2 * n_half, 2 * n_half), np.complex128), slice(None),
+                        [theta])[0]
 
 
-def _gaussians(config: GeneratorConfig, rngs) -> np.ndarray:
-    """factor_scale / sqrt(N) times an N x N standard normal matrix (complex
-    but for the real group) from each rng, as a stack."""
+def _draws(config: GeneratorConfig, rngs, codes: np.ndarray) -> tuple[np.ndarray, list]:
+    """What each member draws from its rng for its factors codes[i], in
+    factor order: a run of Gaussian kinds is one standard_normal call (a
+    form draws nothing and does not break the run), a phase its angle.  The
+    standard normals of each Gaussian block (N x N, or real then imaginary
+    parts, (2, N, N), but for the real group) fill the first rows of a stack,
+    and they and the angles come in (member, step) order."""
     n = config.half_dim
     real = config.target is GroupKind.REAL_SYMPLECTIC
-    w = np.empty((len(rngs), 1 if real else 2, n, n))
-    for i, rng in enumerate(rngs):
-        rng.standard_normal(out=w[i])  # the draw of random_gaussian(rng, n, dtype)
-    g = w[:, 0] if real else w[:, 0] + 1j * w[:, 1]
-    return config.factor_scale * g / math.sqrt(n)
+    w = np.empty((codes.size, n, n) if real else (codes.size, 2, n, n))
+    thetas, r = [], 0
+    for rng, row in zip(rngs, codes.tolist()):
+        for phase, run in itertools.groupby(row, _PHASE.__eq__):
+            if phase:
+                thetas += [float(rng.uniform(-math.pi, math.pi)) for _ in run]
+            elif g := sum(c < _FORM for c in run):
+                rng.standard_normal(out=w[r:r + g])  # random_gaussian's draws, in turn
+                r += g
+    return w, thetas
 
 
-def _factors(name: str, config: GeneratorConfig, rngs) -> np.ndarray:
-    """Factor kind ``name`` of config's group drawn from each rng, as a stack,
-    clamped as :func:`elementary_factor` describes."""
+def _gaussians(config: GeneratorConfig, w: np.ndarray) -> np.ndarray:
+    """factor_scale / sqrt(N) times the N x N standard normal matrix of each
+    draw of a stack (complex but for the real group)."""
+    if config.target is GroupKind.REAL_SYMPLECTIC:
+        g = config.factor_scale * w
+    else:  # w[:, 0] + 1j * w[:, 1], times factor_scale, in place
+        g = 1j * w[:, 1]
+        g += w[:, 0]
+        g *= config.factor_scale
+    g /= math.sqrt(config.half_dim)
+    return g
+
+
+def _factors(config: GeneratorConfig, rngs, codes: np.ndarray) -> np.ndarray:
+    """The (steps, k, 2N, 2N) stack of the factors of kinds codes[i] (a row
+    of FACTOR_KINDS indices) drawn from rngs[i], clamped as elementary_factor
+    describes: every member's draws, then one fill per kind over its slots."""
+    k, steps = codes.shape
     n = config.half_dim
     conjugate = config.target is GroupKind.CONJUGATE_SYMPLECTIC
     cap = config.condition_cap
-    if name in ("shear_lower", "shear_upper"):
-        s = _symmetrized(_gaussians(config, rngs), conjugate)
-        return _shears(_norm_clamped(s, (cap - 1.0) / math.sqrt(cap)), name == "shear_lower")
-    if name == "diag_block":
-        g = _norm_clamped(_gaussians(config, rngs), 1.0 - 1.0 / math.sqrt(cap))
-        return _diag_blocks(np.eye(n, dtype=config.target.dtype) + g, conjugate)
-    if name == "form":
-        return _forms(len(rngs), n, config.target.dtype)
-    if name == "phase":
-        if not conjugate:
-            raise ValueError("phase factors exist only in the conjugate group")
-        return _phases([float(rng.uniform(-math.pi, math.pi)) for rng in rngs], n)
-    raise ValueError(f"unknown factor kind {name!r}")
+    w, thetas = _draws(config, rngs, codes)
+    if k * steps == 1:  # one slot: the draws are in slot order
+        kinds, slots, rows = codes.tolist()[0], slice(None), slice(None)
+    else:  # the slot of factor t of member i is t * k + i; draws are member by member
+        gaussian, phase = codes.ravel() < _FORM, codes.ravel() == _PHASE
+        rank = np.where(gaussian, gaussian.cumsum(), phase.cumsum()) - 1  # the row of its draw
+        by_slot, rank = codes.T.ravel(), rank.reshape(k, steps).T.ravel()
+        kinds = np.flatnonzero(np.bincount(by_slot, minlength=len(FACTOR_KINDS))).tolist()
+    fills = []  # the parameters first, so their temporaries are gone before the factors come
+    for kind in kinds:
+        if k * steps > 1:
+            slots = np.flatnonzero(by_slot == kind)
+            rows = rank[slots]
+        if kind < 2:
+            s = _symmetrized(_gaussians(config, w[rows]), conjugate)
+            fills.append((_fill_shears, slots, _norm_clamped(s, (cap - 1.0) / math.sqrt(cap)),
+                          kind == 0))
+        elif kind == 2:
+            p = _norm_clamped(_gaussians(config, w[rows]), 1.0 - 1.0 / math.sqrt(cap))
+            fills.append((_fill_diag_blocks, slots, np.eye(n, dtype=p.dtype) + p, conjugate))
+        elif kind == _FORM:
+            fills.append((_forms, slots))
+        else:
+            fills.append((_fill_phases, slots, np.array(thetas)[rows]))
+    del w
+    f = np.zeros((steps, k, 2 * n, 2 * n), config.target.dtype)
+    for fill, *args in fills:
+        fill(f.reshape(steps * k, 2 * n, 2 * n), *args)
+    return f
 
 
 def elementary_factor(name: str, config: GeneratorConfig,
@@ -199,21 +272,7 @@ def elementary_factor(name: str, config: GeneratorConfig,
     blocks use P = I + G with ||G||_F <= 1 - 1/sqrt(cap); both bounds give a
     factor condition number of at most cap.
     """
-    return _factors(name, config, [rng])[0]
-
-
-def _step(config: GeneratorConfig, rngs, names, dtype) -> np.ndarray:
-    """The factors of one product step as a stack: kind names[i] from rngs[i]."""
-    members: dict[str, list[int]] = {}
-    for i, name in enumerate(names):
-        members.setdefault(name, []).append(i)
-    if len(members) == 1:
-        return _factors(names[0], config, rngs)
-    m = 2 * config.half_dim
-    f = np.empty((len(rngs), m, m), dtype)
-    for name, idx in members.items():
-        f[idx] = _factors(name, config, [rngs[i] for i in idx])
-    return f
+    return _factors(config, [rng], np.array([_kind_codes([name], config.target)]))[0, 0]
 
 
 def _stacks(items: Iterable, m: int, dtype) -> Iterator[list]:
@@ -232,33 +291,41 @@ def _sample(config: GeneratorConfig, rngs: Iterable, factors: list[str] | None =
 
     The members are built as stacks of up to _STACK_BYTES (one member if it
     is larger), one stack at a time, so an unbounded ``rngs`` holds at most
-    one stack.  Step t draws factor t of every member from that member's own
-    rng and multiplies the stack of products by the stack of factors; numpy
-    does to each matrix of a stack what it does to that matrix alone, so each
-    member is bitwise the one generate builds with its rng.  Members that
-    fail the residual test are drawn again, as a smaller stack, and copied
-    back into their place.  On reaching a member whose attempts all failed,
-    yields the members before it in its stack and raises GenerationError.
+    one stack.  Each member draws its factor kinds, then the stack is built
+    a chunk of product steps at a time: every member draws the chunk's
+    parameters from its own rng, each kind is filled once over the chunk,
+    and the stack of products is multiplied by each step's factors.  A
+    chunk holds at most _STACK_BYTES // 4 of factors (so the suites' peak
+    memory stays where a step at a time had it) and _STACK_BYTES // 16 of
+    them per member (so a large member takes a step at a time), but one
+    step at least.  numpy does to each matrix of a stack what it does to
+    that matrix alone, so each member is bitwise the one generate builds
+    with its rng, whatever its stack and chunks.  Members that fail the
+    residual test are drawn again, as a smaller stack, and copied back into
+    their place.  On reaching a member whose attempts all failed, yields the
+    members before it in its stack and raises GenerationError.
     """
-    allowed = _kinds(config.target)
-    if factors is not None:
-        factors = list(factors)
+    forced = None if factors is None else np.array(_kind_codes(factors, config.target), int)
     dtype = config.target.dtype
     m = 2 * config.half_dim
+    member = m * m * np.dtype(dtype).itemsize
     for block in _stacks(rngs, m, dtype):
         out = None
         todo = list(range(len(block)))
         for _ in range(_MAX_ATTEMPTS):
             live = [block[i] for i in todo]
-            if factors is None:  # kind draws first, as one call: PCG64 buffers 32-bit halves
-                seqs = [[allowed[k] for k in
-                         rng.integers(0, len(allowed), config.num_factors).tolist()]
-                        for rng in live]
+            if forced is None:  # kind draws first, as one call: PCG64 buffers 32-bit halves
+                codes = np.array([rng.integers(0, len(_kinds(config.target)),
+                                               config.num_factors) for rng in live])
             else:
-                seqs = [factors] * len(live)
+                codes = np.tile(forced, (len(live), 1))
+            chunk = max(1, min(_STACK_BYTES // 4 // (len(live) * member),
+                               _STACK_BYTES // 16 // member))
             a = _identities(len(live), m, dtype)
-            for names in zip(*seqs):  # full products: a structured update would round differently
-                a = a @ _step(config, live, names, dtype)
+            for t in range(0, codes.shape[1], chunk):
+                for f in _factors(config, live, codes[:, t:t + chunk]):
+                    a = a @ f  # full products: a structured update would round differently
+                del f  # so the next chunk is built without this one
             if out is None:
                 out = a
             else:

@@ -223,9 +223,9 @@ def _judge_generator_sanity(n: int, seeds, rngs, tol: ToleranceConfig) -> list[d
         if not idx:
             continue
         cfg = GeneratorConfig(half_dim=n, target=group)
-        factors = np.concatenate([_factors(name, cfg, [rngs[i] for i in idx])
-                                  for name in _kinds(group)])
-        factor_res = _membership_residuals(factors, group)
+        kinds = np.tile(np.arange(len(_kinds(group))), (len(idx), 1))  # one of each kind
+        factors = _factors(cfg, [rngs[i] for i in idx], kinds)
+        factor_res = _membership_residuals(factors.reshape(-1, 2 * n, 2 * n), group)
         a, b = (np.concatenate(list(_sample(cfg, [member_rngs[i + k] for i in idx], tol=tol)))
                 for k in (0, len(rngs)))
         for j, (i, res, dd) in enumerate(zip(idx, _membership_residuals(a, group), _log_dets(a))):

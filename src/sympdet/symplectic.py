@@ -148,19 +148,20 @@ def half_dim(a: np.ndarray) -> int:
 def symplectic_form(n_half: int, dtype=np.float64) -> np.ndarray:
     """The 2N x 2N form [[0, I], [-I, 0]] of the given dtype (float64 or
     complex128)."""
-    return _forms(1, n_half, dtype)[0]
-
-
-def _forms(k: int, n_half: int, dtype) -> np.ndarray:
-    """k copies of the form as one (k, 2N, 2N) stack, each block filled in
-    place (the generators draw the form for many members at once)."""
     if n_half < 1:
         raise ValueError("half dimension must be >= 1")
-    j = np.zeros((k, 2 * n_half, 2 * n_half), dtype)
-    eye = np.eye(n_half, dtype=dtype)  # -eye has signed zeros, which are bits of J
-    j[:, :n_half, n_half:] = eye
-    j[:, n_half:, :n_half] = -eye
-    return j
+    return _forms(np.zeros((1, 2 * n_half, 2 * n_half), dtype), 0)[0]
+
+
+def _forms(out: np.ndarray, slots) -> np.ndarray:
+    """The form written into the zeroed matrices ``slots`` (an index array or
+    a slice) of a (k, 2N, 2N) stack, a block at a time (the generators fill
+    the form factors of many members at once)."""
+    n = out.shape[-1] // 2
+    eye = np.eye(n, dtype=out.dtype)  # -eye has signed zeros, which are bits of J
+    out[slots, :n, n:] = eye
+    out[slots, n:, :n] = -eye
+    return out
 
 
 def membership_residual(a, group: GroupKind) -> float:

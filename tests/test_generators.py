@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from sympdet import generators
 from sympdet.generators import (
     GenerationError,
     GeneratorConfig,
@@ -366,6 +367,94 @@ def test_members_that_retry_or_fail_match_the_loop(target):
     for s in failed:
         with pytest.raises(GenerationError):
             generate(dataclasses.replace(base, seed=s), tol=tol)
+
+
+# ---------------------------------------------------------------------------
+# Chunks of product steps: a member does not depend on how its steps are chunked
+# ---------------------------------------------------------------------------
+
+def _chunk_by(monkeypatch, config, steps, k):
+    """Set _STACK_BYTES so that one stack of k members of config builds
+    ``steps`` product steps at a time (every stack, if steps is 1; all of
+    them, if None); returns the step counts of the chunks built, in turn."""
+    member = (2 * config.half_dim) ** 2 * np.dtype(config.target.dtype).itemsize
+    if steps is None:
+        budget = 1 << 40
+    elif steps == 1:
+        budget = 16 * member  # the per-member bound allows one step
+    else:
+        budget = 4 * k * member * steps  # the chunk bound allows `steps` for k members
+    monkeypatch.setattr(generators, "_STACK_BYTES", budget)
+    seen = []
+
+    def factors(config, rngs, codes):
+        seen.append(codes.shape[1])
+        return fill(config, rngs, codes)
+
+    fill = generators._factors
+    monkeypatch.setattr(generators, "_factors", factors)
+    return seen
+
+
+CHUNK_STEPS = [1, 2, 3, 4, None]
+
+
+@pytest.mark.parametrize("steps", CHUNK_STEPS, ids=lambda s: f"chunk{s or 'all'}")
+@pytest.mark.parametrize("target", ALL_TARGETS)
+def test_members_do_not_depend_on_the_chunks(monkeypatch, target, steps):
+    base = GeneratorConfig(half_dim=3, target=target)
+    seeds = [split_seed(43, t) for t in range(12)]
+    seen = _chunk_by(monkeypatch, base, steps, len(seeds))
+    for seed, got in zip(seeds, _members(base, seeds)):
+        _assert_bitwise(got, loop_generate(dataclasses.replace(base, seed=seed)))
+    assert set(seen) == {steps or base.num_factors}  # 12 steps chunk evenly
+
+
+@pytest.mark.parametrize("steps", CHUNK_STEPS, ids=lambda s: f"chunk{s or 'all'}")
+@pytest.mark.parametrize("name", ["mixed", "no-phase"])
+@pytest.mark.parametrize("target", ALL_TARGETS)
+def test_forced_factors_on_chunk_boundaries_match_the_loop(monkeypatch, target, name, steps):
+    # mixed: a phase ends the first chunk of 2, and the form ends the second
+    # chunk of 2 and of 4 and starts the second chunk of 3; no-phase: the
+    # form ends the first chunk of 3 and starts the second chunk of 2
+    factors = FORCED[name]
+    if "phase" in factors and target is not GroupKind.CONJUGATE_SYMPLECTIC:
+        return
+    base = GeneratorConfig(half_dim=3, target=target)
+    seeds = [split_seed(47, t) for t in range(6)]
+    seen = _chunk_by(monkeypatch, base, steps, len(seeds))
+    for seed, got in zip(seeds, _members(base, seeds, factors)):
+        _assert_bitwise(got, loop_generate(dataclasses.replace(base, seed=seed), factors))
+    whole, rest = divmod(len(factors), steps or len(factors))
+    assert seen == [steps or len(factors)] * whole + [rest] * bool(rest)
+
+
+@pytest.mark.parametrize("steps", [1, None], ids=["chunk1", "chunkall"])
+@pytest.mark.parametrize("target", ALL_TARGETS)
+def test_retries_and_failures_do_not_depend_on_the_chunks(monkeypatch, target, steps):
+    # as test_members_that_retry_or_fail_match_the_loop, chunked a step at a
+    # time and all at once; a retry is a smaller stack, with its own chunks
+    tol = ToleranceConfig(product_residual=2e-17)
+    base = GeneratorConfig(half_dim=3, target=target)
+    seeds = list(range(40))
+    refs = {}
+    for s in seeds:
+        try:
+            refs[s] = loop_generate(dataclasses.replace(base, seed=s), tol=tol)
+        except GenerationError:
+            refs[s] = None
+    failed = [s for s in seeds if refs[s] is None]
+    passed = [s for s in seeds if refs[s] is not None]
+    assert failed
+    seen = _chunk_by(monkeypatch, base, steps, len(passed))
+    for s, got in zip(passed, _members(base, passed, tol=tol)):
+        _assert_bitwise(got, refs[s])
+    assert set(seen) == {steps or base.num_factors}
+    stream = _members(base, seeds, tol=tol)
+    for s in seeds[:seeds.index(failed[0])]:
+        _assert_bitwise(next(stream), refs[s])
+    with pytest.raises(GenerationError, match=f"no {target.value} product"):
+        next(stream)
 
 
 def test_generate_holds_no_more_than_one_product_step():

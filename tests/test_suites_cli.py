@@ -314,6 +314,34 @@ def test_suite_memory_does_not_grow_with_trials():
     assert large < 1.25 * small
 
 
+def test_suite_memory_does_not_grow_with_trials_when_chunks_span_steps(monkeypatch):
+    # stacks of 16 members (a round each) at 256 KiB build their 12 product
+    # steps 4 at a time; memory still holds one stack and its chunk
+    monkeypatch.setattr(generators, "_STACK_BYTES", 256 << 10)
+    monkeypatch.setattr(suites, "_ROUND", 16)
+    seen = []
+
+    def factors(config, rngs, codes):
+        seen.append(codes.shape)
+        return fill(config, rngs, codes)
+
+    fill = generators._factors
+    monkeypatch.setattr(generators, "_factors", factors)
+
+    def peak(trials):
+        spec = default_suite_spec("conj-formula", seed=1, trials=trials, half_dims=(4,))
+        tracemalloc.start()
+        try:
+            run_suite(spec)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(16), peak(64)  # 1 and 4 stacks of 16 members
+    assert set(seen) == {(16, 4)}
+    assert large < 1.25 * small
+
+
 def test_suite_rerun_is_identical():
     a = run_suite(_small_spec("conj-formula"))
     b = run_suite(_small_spec("conj-formula"))
