@@ -41,25 +41,25 @@ from .symplectic import (
 )
 
 FACTOR_KINDS = ("shear_lower", "shear_upper", "diag_block", "form", "phase")
-_FORM, _PHASE = 3, 4  # the kinds before the form each draw one Gaussian block
+_FORM, _PHASE = FACTOR_KINDS.index("form"), FACTOR_KINDS.index("phase")  # the rest draw a block
 
 _MAX_ATTEMPTS = 5
 _STACK_BYTES = 1 << 20  # members built as one stack; larger stacks save little more
 
 
 def _kinds(group: GroupKind) -> tuple[str, ...]:
-    """The factor kinds of a group, in FACTOR_KINDS order: phase belongs to
-    the conjugate group only."""
-    return FACTOR_KINDS[:5 if group is GroupKind.CONJUGATE_SYMPLECTIC else 4]
+    """The factor kinds of a group: phase belongs to the conjugate group only."""
+    return tuple(name for name in FACTOR_KINDS
+                 if name != "phase" or group is GroupKind.CONJUGATE_SYMPLECTIC)
 
 
-def _kind_codes(names, group: GroupKind) -> list[int]:
+def _kind_codes(names, group: GroupKind) -> np.ndarray:
     """The FACTOR_KINDS index of each name of a factor of the group."""
     for name in names:
         if name not in _kinds(group):
             raise ValueError(f"unknown factor kind {name!r}" if name not in FACTOR_KINDS
                              else "phase factors exist only in the conjugate group")
-    return [FACTOR_KINDS.index(name) for name in names]
+    return np.array([FACTOR_KINDS.index(name) for name in names], int)
 
 
 class GenerationError(RuntimeError):
@@ -105,27 +105,16 @@ def _norm_clamped(x: np.ndarray, cap: float) -> np.ndarray:
     """Each matrix of a stack scaled down, in place, to Frobenius norm <= cap
     (each norm is the one frobenius gives for that matrix alone).  Only the
     matrices over the cap are scaled, so the others keep their bits."""
-    f = _frobeniuses(x)
-    over = [not v <= cap for v in f]
-    if any(over):
-        scale = np.array([cap / v for v, o in zip(f, over) if o])[:, None, None]
-        if all(over):  # as at larger N: no mask to apply
-            x *= scale
-        else:
-            x[over] *= scale
+    f = np.array(_frobeniuses(x))
+    over = ~(f <= cap)  # a NaN norm is over
+    # a masked multiply in place: x[over] *= ... would copy the stack out and back
+    np.multiply(x, (cap / np.maximum(f, cap))[:, None, None], out=x, where=over[:, None, None])
     return x
 
 
 def _set_diagonal(out: np.ndarray, slots, values) -> None:
     """Write values on the diagonals of the matrices ``slots`` of a stack."""
     out.reshape(len(out), -1)[slots, ::out.shape[-1] + 1] = values
-
-
-def _identities(k: int, m: int, dtype) -> np.ndarray:
-    """A stack of k m x m identities."""
-    out = np.zeros((k, m, m), dtype)
-    _set_diagonal(out, slice(None), 1)
-    return out
 
 
 # The fill of each factor kind (the form's is symplectic._forms) writes the
@@ -191,76 +180,70 @@ def phase_factor(theta: float, n_half: int) -> np.ndarray:
                         [theta])[0]
 
 
-def _draws(config: GeneratorConfig, rngs, codes: np.ndarray) -> tuple[np.ndarray, list]:
+def _draws(config: GeneratorConfig, rngs, codes: np.ndarray,
+           blocks: int) -> tuple[np.ndarray, list]:
     """What each member draws from its rng for its factors codes[i], in
-    factor order: a run of Gaussian kinds is one standard_normal call (a
-    form draws nothing and does not break the run), a phase its angle.  The
-    standard normals of each Gaussian block (N x N, or real then imaginary
-    parts, (2, N, N), but for the real group) fill the first rows of a stack,
-    and they and the angles come in (member, step) order."""
+    factor order: a run of kinds other than phase is one standard_normal
+    call, an N x N block (complex but for the real group: real then
+    imaginary parts) for each but the forms, and a phase draws its angle.
+    Returns the ``blocks`` blocks, times factor_scale / sqrt(N), and the
+    angles, both in (member, step) order."""
     n = config.half_dim
     real = config.target is GroupKind.REAL_SYMPLECTIC
-    w = np.empty((codes.size, n, n) if real else (codes.size, 2, n, n))
+    w = np.empty((blocks, n, n) if real else (blocks, 2, n, n))
     thetas, r = [], 0
     for rng, row in zip(rngs, codes.tolist()):
         for phase, run in itertools.groupby(row, _PHASE.__eq__):
             if phase:
                 thetas += [float(rng.uniform(-math.pi, math.pi)) for _ in run]
-            elif g := sum(c < _FORM for c in run):
-                rng.standard_normal(out=w[r:r + g])  # random_gaussian's draws, in turn
-                r += g
-    return w, thetas
-
-
-def _gaussians(config: GeneratorConfig, w: np.ndarray) -> np.ndarray:
-    """factor_scale / sqrt(N) times the N x N standard normal matrix of each
-    draw of a stack (complex but for the real group)."""
-    if config.target is GroupKind.REAL_SYMPLECTIC:
-        g = config.factor_scale * w
-    else:  # w[:, 0] + 1j * w[:, 1], times factor_scale, in place
+            elif k := sum(c != _FORM for c in run):
+                rng.standard_normal(out=w[r:r + k])  # random_gaussian's draws, in turn
+                r += k
+    if real:
+        g = w
+    else:  # w[:, 0] + 1j * w[:, 1]
         g = 1j * w[:, 1]
         g += w[:, 0]
-        g *= config.factor_scale
-    g /= math.sqrt(config.half_dim)
-    return g
+    g *= config.factor_scale
+    g /= math.sqrt(n)
+    return g, thetas
 
 
 def _factors(config: GeneratorConfig, rngs, codes: np.ndarray) -> np.ndarray:
-    """The (steps, k, 2N, 2N) stack of the factors of kinds codes[i] (a row
+    """The (k, steps, 2N, 2N) stack of the factors of kinds codes[i] (a row
     of FACTOR_KINDS indices) drawn from rngs[i], clamped as elementary_factor
-    describes: every member's draws, then one fill per kind over its slots."""
-    k, steps = codes.shape
+    describes: every member's draws, then one fill per kind over its slots.
+    Draws and slots both run in (member, step) order, so the slots of a kind
+    take its blocks (and the phases the angles) in turn."""
     n = config.half_dim
     conjugate = config.target is GroupKind.CONJUGATE_SYMPLECTIC
     cap = config.condition_cap
-    w, thetas = _draws(config, rngs, codes)
-    if k * steps == 1:  # one slot: the draws are in slot order
-        kinds, slots, rows = codes.tolist()[0], slice(None), slice(None)
-    else:  # the slot of factor t of member i is t * k + i; draws are member by member
-        gaussian, phase = codes.ravel() < _FORM, codes.ravel() == _PHASE
-        rank = np.where(gaussian, gaussian.cumsum(), phase.cumsum()) - 1  # the row of its draw
-        by_slot, rank = codes.T.ravel(), rank.reshape(k, steps).T.ravel()
-        kinds = np.flatnonzero(np.bincount(by_slot, minlength=len(FACTOR_KINDS))).tolist()
+    drawn = codes[(codes != _FORM) & (codes != _PHASE)]  # the kind of each block drawn
+    g, thetas = _draws(config, rngs, codes, len(drawn))
+    # each kind with its slots and the rows of its blocks; a lone slot (a
+    # large member, a step at a time) takes them as slices, with no copies
+    kinds = ([(codes.item(), slice(None), slice(None))] if codes.size == 1 else
+             [(kind, np.flatnonzero(codes == kind), drawn == kind)
+              for kind in np.flatnonzero(np.bincount(codes.ravel())).tolist()])
     fills = []  # the parameters first, so their temporaries are gone before the factors come
-    for kind in kinds:
-        if k * steps > 1:
-            slots = np.flatnonzero(by_slot == kind)
-            rows = rank[slots]
-        if kind < 2:
-            s = _symmetrized(_gaussians(config, w[rows]), conjugate)
+    for kind, slots, rows in kinds:
+        name = FACTOR_KINDS[kind]
+        if name in ("shear_lower", "shear_upper"):
+            s = _symmetrized(g[rows], conjugate)
             fills.append((_fill_shears, slots, _norm_clamped(s, (cap - 1.0) / math.sqrt(cap)),
-                          kind == 0))
-        elif kind == 2:
-            p = _norm_clamped(_gaussians(config, w[rows]), 1.0 - 1.0 / math.sqrt(cap))
-            fills.append((_fill_diag_blocks, slots, np.eye(n, dtype=p.dtype) + p, conjugate))
-        elif kind == _FORM:
+                          name == "shear_lower"))
+        elif name == "diag_block":
+            p = _norm_clamped(g[rows], 1.0 - 1.0 / math.sqrt(cap))
+            p += np.eye(n, dtype=p.dtype)  # I + G, in place
+            fills.append((_fill_diag_blocks, slots, p, conjugate))
+        elif name == "form":
             fills.append((_forms, slots))
         else:
-            fills.append((_fill_phases, slots, np.array(thetas)[rows]))
-    del w
-    f = np.zeros((steps, k, 2 * n, 2 * n), config.target.dtype)
+            fills.append((_fill_phases, slots, thetas))
+    del g
+    f = np.zeros(codes.shape + (2 * n, 2 * n), config.target.dtype)
     for fill, *args in fills:
-        fill(f.reshape(steps * k, 2 * n, 2 * n), *args)
+        fill(f.reshape(-1, 2 * n, 2 * n), *args)
     return f
 
 
@@ -272,7 +255,7 @@ def elementary_factor(name: str, config: GeneratorConfig,
     blocks use P = I + G with ||G||_F <= 1 - 1/sqrt(cap); both bounds give a
     factor condition number of at most cap.
     """
-    return _factors(config, [rng], np.array([_kind_codes([name], config.target)]))[0, 0]
+    return _factors(config, [rng], _kind_codes([name], config.target)[None])[0, 0]
 
 
 def _stacks(items: Iterable, m: int, dtype) -> Iterator[list]:
@@ -305,7 +288,8 @@ def _sample(config: GeneratorConfig, rngs: Iterable, factors: list[str] | None =
     their place.  On reaching a member whose attempts all failed, yields the
     members before it in its stack and raises GenerationError.
     """
-    forced = None if factors is None else np.array(_kind_codes(factors, config.target), int)
+    forced = None if factors is None else _kind_codes(factors, config.target)
+    allowed = _kind_codes(_kinds(config.target), config.target)
     dtype = config.target.dtype
     m = 2 * config.half_dim
     member = m * m * np.dtype(dtype).itemsize
@@ -315,16 +299,17 @@ def _sample(config: GeneratorConfig, rngs: Iterable, factors: list[str] | None =
         for _ in range(_MAX_ATTEMPTS):
             live = [block[i] for i in todo]
             if forced is None:  # kind draws first, as one call: PCG64 buffers 32-bit halves
-                codes = np.array([rng.integers(0, len(_kinds(config.target)),
-                                               config.num_factors) for rng in live])
+                codes = allowed[np.array([rng.integers(0, len(allowed), config.num_factors)
+                                          for rng in live])]
             else:
                 codes = np.tile(forced, (len(live), 1))
             chunk = max(1, min(_STACK_BYTES // 4 // (len(live) * member),
                                _STACK_BYTES // 16 // member))
-            a = _identities(len(live), m, dtype)
+            a = np.tile(np.eye(m, dtype=dtype), (len(live), 1, 1))
             for t in range(0, codes.shape[1], chunk):
-                for f in _factors(config, live, codes[:, t:t + chunk]):
-                    a = a @ f  # full products: a structured update would round differently
+                f = _factors(config, live, codes[:, t:t + chunk])
+                for step in range(f.shape[1]):
+                    a = a @ f[:, step]  # full products: a structured update would round differently
                 del f  # so the next chunk is built without this one
             if out is None:
                 out = a

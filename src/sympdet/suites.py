@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._version import __version__
-from .generators import GeneratorConfig, _factors, _kinds, _sample, _stacks
+from .generators import GeneratorConfig, _factors, _kind_codes, _kinds, _sample, _stacks
 from .linalg import (
     LogDet,
     _child_seeds,
@@ -223,14 +223,15 @@ def _judge_generator_sanity(n: int, seeds, rngs, tol: ToleranceConfig) -> list[d
         if not idx:
             continue
         cfg = GeneratorConfig(half_dim=n, target=group)
-        kinds = np.tile(np.arange(len(_kinds(group))), (len(idx), 1))  # one of each kind
+        kinds = np.tile(_kind_codes(_kinds(group), group), (len(idx), 1))  # one of each kind
         factors = _factors(cfg, [rngs[i] for i in idx], kinds)
-        factor_res = _membership_residuals(factors.reshape(-1, 2 * n, 2 * n), group)
+        factor_res = np.reshape(_membership_residuals(factors.reshape(-1, 2 * n, 2 * n), group),
+                                kinds.shape)
         a, b = (np.concatenate(list(_sample(cfg, [member_rngs[i + k] for i in idx], tol=tol)))
                 for k in (0, len(rngs)))
         for j, (i, res, dd) in enumerate(zip(idx, _membership_residuals(a, group), _log_dets(a))):
             r = out[i]
-            r["factorResidual"] = max(0.0, *factor_res[j::len(idx)])
+            r["factorResidual"] = max(0.0, *factor_res[j].tolist())
             r["productResidual"] = res
             if group is GroupKind.CONJUGATE_SYMPLECTIC:
                 r["detUnitModulus"] = abs(math.expm1(dd.log_magnitude))

@@ -141,6 +141,19 @@ def test_unknown_factor_name():
         elementary_factor("rotation", cfg, rng_from_seed(0))
 
 
+def test_norm_clamp_scales_only_the_matrices_over_the_cap():
+    # a matrix under the cap keeps its bits, signed zeros included (times
+    # 1 + 0j would turn -0.0 - 1j into 0.0 - 1j); one over it is scaled as
+    # alone; a NaN norm counts as over
+    under = np.array([[complex(-0.0, -1.0), complex(0.5, -0.0)], [0.0, 0.25]])
+    over = np.array([[3.0 - 4.0j, 1.0], [-2.0j, 0.0]])
+    x = np.stack([under, over, np.full((2, 2), np.nan + 0j)])
+    got = generators._norm_clamped(x.copy(), 2.0)
+    assert got[0].tobytes() == under.tobytes()
+    assert got[1].tobytes() == (over * (2.0 / np.linalg.norm(over))).tobytes()
+    assert np.isnan(got[2]).all()
+
+
 def test_embed_orthogonal_pair_trivials():
     # [[C, D], [-D, C]]: the orthogonal-group layout of an unconjugated pair
     assert_allclose(embed_pair(BlockPair(np.eye(2), np.zeros((2, 2)), REAL)), np.eye(4))
