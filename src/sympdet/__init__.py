@@ -23,11 +23,9 @@ from ._version import __version__
 from .linalg import (
     LogDet,
     SingularMatrixError,
-    as_square,
     frobenius,
     log_det,
     phase_angle,
-    random_gaussian,
     rng_from_seed,
     split_seed,
 )
@@ -70,8 +68,8 @@ from .suites import (SUITE_IDS, SuiteSpec, TrialResult, conj_formula_check,
 __all__ = [
     "__version__",
     # linalg
-    "LogDet", "SingularMatrixError", "as_square", "frobenius", "log_det",
-    "phase_angle", "random_gaussian", "rng_from_seed", "split_seed",
+    "LogDet", "SingularMatrixError", "frobenius", "log_det",
+    "phase_angle", "rng_from_seed", "split_seed",
     # matio
     "format_matrix", "parse_matrix", "read_matrix", "write_matrix",
     # symplectic

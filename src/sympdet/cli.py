@@ -11,7 +11,7 @@ check passed; 1 on failed checks, non-membership, unreadable input, or an
 unwritable --out; 2 on usage errors.
 
 main builds its argument parser once per process, on first use, and reuses it
-for every later call; build_parser returns a fresh one.
+for every later call.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .symplectic import (
     DEFAULT_TOLERANCES,
     GroupKind,
     MembershipError,
+    ToleranceConfig,
     certify_symplectic,
 )
 
@@ -60,14 +61,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _nonnegative_float(text: str) -> float:
+def _nonnegative_float(text: str) -> ToleranceConfig:
+    """The tolerances of --tol: the defaults, with membership the number >= 0 given."""
     value = float(text)
     if not value >= 0.0:  # also rejects nan
         raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
-    return value
+    return replace(DEFAULT_TOLERANCES, membership=value)
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reuses; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="sympdet",
         description="Verify symplectic determinant identities and evaluate the "
@@ -77,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-        p.add_argument("--tol", type=_nonnegative_float, default=None,
+        p.add_argument("--tol", type=_nonnegative_float, default=DEFAULT_TOLERANCES,
                        help="membership residual tolerance, scaled by ||A||_F^2 "
                             f"(default {DEFAULT_TOLERANCES.membership:g})")
         p.add_argument("--format", choices=("text", "json"), default="text",
@@ -108,18 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser main reuses; parse_args leaves it unchanged."""
-    return build_parser()
-
-
-def _tolerances(args) -> "ToleranceConfig":
-    if args.tol is None:
-        return DEFAULT_TOLERANCES
-    return replace(DEFAULT_TOLERANCES, membership=args.tol)
-
-
 def _emit(reports, args, human: str | None) -> bool:
     """Human detail to one stream, the schema report to --out or stdout.
     False, with the error on stderr, when --out cannot be written."""
@@ -140,11 +132,10 @@ def _emit(reports, args, human: str | None) -> bool:
 
 def _cmd_suite(args) -> int:
     ids = list(SUITE_IDS) if "all" in args.suites else list(dict.fromkeys(args.suites))
-    tol = _tolerances(args)
     reports = []
     for sid in ids:
         spec = default_suite_spec(sid, seed=args.seed, trials=args.trials,
-                                  half_dims=args.n, tolerances=tol)
+                                  half_dims=args.n, tolerances=args.tol)
         reports.append(run_suite(spec))
     if not _emit(reports[0] if len(reports) == 1 else reports, args, human=None):
         return 1
@@ -181,7 +172,6 @@ def _run_check(a, mode: GroupKind, tol) -> tuple[dict, bool, str]:
 def _cmd_check(args) -> int:
     """certify and formula: read the matrix file, run the check for
     args.mode, map errors to messages, and report."""
-    tol = _tolerances(args)
     t0 = time.perf_counter()
     try:
         a = read_matrix(args.path)
@@ -189,7 +179,7 @@ def _cmd_check(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     try:
-        residuals, passed, human = _run_check(a, GroupKind(args.mode), tol)
+        residuals, passed, human = _run_check(a, GroupKind(args.mode), args.tol)
     except MembershipError as e:
         print(f"rejected: {e}", file=sys.stderr)
         return 1
@@ -198,10 +188,10 @@ def _cmd_check(args) -> int:
         return 1
     if args.command == "certify":
         suite = f"certify-{args.mode}"
-        config = {"path": args.path, "mode": args.mode, "tolerances": asdict(tol)}
+        config = {"path": args.path, "mode": args.mode, "tolerances": asdict(args.tol)}
     else:
         suite = "formula"
-        config = {"path": args.path, "tolerances": asdict(tol)}
+        config = {"path": args.path, "tolerances": asdict(args.tol)}
     failures = [] if passed else [{"seed": 0, "halfDim": a.shape[0] // 2, "residuals": residuals}]
     written = _emit(Report(tool=f"sympdet {__version__}", suite=suite, config=config,
                            trials=1, passes=int(passed), failures=failures,

@@ -17,9 +17,6 @@ matrix alone, so every member is bitwise independent of the stack it was
 built in.  A stack's factors are built a chunk of product steps at a time:
 the members draw the chunk's parameters, then each factor kind has one fill,
 over all its slots (the public single factor builders are its stack of one).
-A stack holds at most about 1 MiB of members (one member, if that is larger)
-and a chunk at most a quarter of that of factors, so memory does not grow
-with the number of members sampled.
 """
 
 from __future__ import annotations
@@ -197,7 +194,7 @@ def _draws(config: GeneratorConfig, rngs, codes: np.ndarray,
             if phase:
                 thetas += [float(rng.uniform(-math.pi, math.pi)) for _ in run]
             elif k := sum(c != _FORM for c in run):
-                rng.standard_normal(out=w[r:r + k])  # random_gaussian's draws, in turn
+                rng.standard_normal(out=w[r:r + k])  # the run's blocks, in turn
                 r += k
     if real:
         g = w
@@ -220,13 +217,9 @@ def _factors(config: GeneratorConfig, rngs, codes: np.ndarray) -> np.ndarray:
     cap = config.condition_cap
     drawn = codes[(codes != _FORM) & (codes != _PHASE)]  # the kind of each block drawn
     g, thetas = _draws(config, rngs, codes, len(drawn))
-    # each kind with its slots and the rows of its blocks; a lone slot (a
-    # large member, a step at a time) takes them as slices, with no copies
-    kinds = ([(codes.item(), slice(None), slice(None))] if codes.size == 1 else
-             [(kind, np.flatnonzero(codes == kind), drawn == kind)
-              for kind in np.flatnonzero(np.bincount(codes.ravel())).tolist()])
     fills = []  # the parameters first, so their temporaries are gone before the factors come
-    for kind, slots, rows in kinds:
+    for kind in np.flatnonzero(np.bincount(codes.ravel())).tolist():  # each kind present
+        slots, rows = np.flatnonzero(codes == kind), drawn == kind  # its factors and blocks
         name = FACTOR_KINDS[kind]
         if name in ("shear_lower", "shear_upper"):
             s = _symmetrized(g[rows], conjugate)

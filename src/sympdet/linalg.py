@@ -36,21 +36,12 @@ class SingularMatrixError(ArithmeticError):
     """An operation required an invertible matrix."""
 
 
-def as_square(a) -> np.ndarray:
-    """Coerce to a square float64/complex128 array (always a fresh copy).
-
-    Internal code that only reads the matrix uses ``_square`` instead, which
-    skips the copy when there is nothing to convert.
-    """
-    m = _square(a)
-    return np.array(m) if m is a else m
-
-
 def _square(a) -> np.ndarray:
-    """as_square for read-only use: ``a`` itself when it already is an
-    aligned, C- or F-contiguous float64/complex128 ndarray, else the same
-    fresh copy as_square makes (so the layout, and every BLAS rounding that
-    depends on it, is the same either way)."""
+    """``a`` as a square float64/complex128 array, for read-only use: ``a``
+    itself when it already is an aligned, C- or F-contiguous float64/complex128
+    ndarray, else a fresh copy in the layout ``np.array(a)`` gives (so the
+    layout, and every BLAS rounding that depends on it, is the same either
+    way)."""
     keep = (type(a) is np.ndarray and a.dtype in (np.float64, np.complex128)
             and a.flags.aligned and (a.flags.c_contiguous or a.flags.f_contiguous))
     m = a if keep else np.array(a)
@@ -248,17 +239,3 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 def split_seed(seed: int, index: int) -> int:
     """Derive the index-th child seed of a master seed (counter splitting)."""
     return int(_child_seeds(seed, [index])[0])
-
-
-def random_gaussian(rng: np.random.Generator, n: int, dtype=np.float64) -> np.ndarray:
-    """n x n matrix of i.i.d. standard normals per real component, of dtype
-    float64 or complex128 (any other dtype raises ValueError)."""
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    if np.dtype(np.complex128) == dtype:
-        # one draw: the stream, and the bits, of a real then an imaginary draw
-        z = rng.standard_normal((2, n, n))
-        return z[0] + 1j * z[1]
-    if np.dtype(np.float64) != dtype:
-        raise ValueError(f"unsupported dtype {dtype!r}")
-    return rng.standard_normal((n, n))

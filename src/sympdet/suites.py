@@ -24,7 +24,9 @@ and samples the members of each group's trials as stacks; form-identities
 reads no seed and checks each half-dim once.  No suite is judged one trial
 at a time.  A stack's results are merged back in trial order.  Every matrix
 gets the bits it gets alone, so :func:`run_trial`, which judges a stack of
-one, replays any trial.  At most one stack per half-dim is held at a time.
+one, replays any trial.  At most one stack per half-dim is held at a time,
+with the seeds and rngs of one round of ``_ROUND`` trials: a suite's memory
+grows with its trials up to a round, then stays flat.
 """
 
 from __future__ import annotations
@@ -122,22 +124,24 @@ def _judge_form_identities(n: int, seeds, rngs, tol: ToleranceConfig) -> list[di
 
 
 def _judge_theorem(group: GroupKind, a: np.ndarray, tol: ToleranceConfig) -> list[dict]:
-    return [c.residuals if isinstance(c, Certificate) else {"membership": math.inf}
-            for c in _certificates(a, group, tol)]
+    """Each member's certificate residuals, or the membership residual that gated it out."""
+    res_mem = _membership_residuals(a, group)
+    return [c.residuals if isinstance(c, Certificate) else {"membership": r}
+            for c, r in zip(_certificates(a, res_mem, group, tol), res_mem)]
 
 
 def _lemma_inputs(n: int, rngs) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """The (k, N, N) stacks of C and D of the lemma trials with the given
     rngs, and each trial's mode: 0 generic, 1 and 2 a near-singular C, eps I
     (eps 1e-2 or 1e-6) plus, at N > 1, a matrix whose last column is a
-    combination of the others.  A trial draws from its own rng its mode, C
-    and D (as random_gaussian does), then that matrix and the combination's
-    coefficients (real parts, then imaginary parts)."""
+    combination of the others.  A trial draws from its own rng its mode,
+    then C, D, that matrix and the combination's coefficients, each as its
+    real parts, then its imaginary parts."""
     w = np.empty((len(rngs), 4, n, n))
     modes = []
     for wi, rng in zip(w, rngs):
         modes.append(int(rng.integers(0, 3)))
-        rng.standard_normal(out=wi)  # random_gaussian's C, then D
+        rng.standard_normal(out=wi)  # C's real and imaginary parts, then D's
     c, d = w[:, 0] + 1j * w[:, 1], w[:, 2] + 1j * w[:, 3]
     near = [i for i, mode in enumerate(modes) if mode]
     eps = np.array([1e-2 if modes[i] == 1 else 1e-6 for i in near])
@@ -166,7 +170,7 @@ def _judge_lemma(n: int, seeds, rngs, tol: ToleranceConfig) -> list[dict]:
 def _judge_ineq_real(n: int, seeds, rngs, tol: ToleranceConfig) -> list[dict]:
     w = np.empty((len(rngs), 2, n, n))
     for wi, rng in zip(w, rngs):
-        rng.standard_normal(out=wi)  # random_gaussian's C, then D
+        rng.standard_normal(out=wi)  # C, then D
     c, d = w[:, 0], w[:, 1]
     dets = _log_dets(embed_pair(BlockPair(c, d, GroupKind.REAL_SYMPLECTIC)))
     out = []

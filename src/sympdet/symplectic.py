@@ -518,14 +518,14 @@ def certify_symplectic(a, group: GroupKind = GroupKind.REAL_SYMPLECTIC,
         raise ValueError(f"{group.value} certification needs a "
                          f"{'R' if group is GroupKind.REAL_SYMPLECTIC else 'C'}-kind matrix")
     half_dim(a)
-    return _one(_certificates(a[None], group, tol)[0])
+    return _one(_certificates(a[None], _membership_residuals(a[None], group), group, tol)[0])
 
 
-def _certificates(a: np.ndarray, group: GroupKind,
+def _certificates(a: np.ndarray, res_mem: list[float], group: GroupKind,
                   tol: ToleranceConfig) -> list[Certificate | MembershipError]:
     """certify_symplectic of each matrix of a (k, 2N, 2N) stack of the
-    group's dtype: its Certificate, or the MembershipError it raises."""
-    res_mem = _membership_residuals(a, group)
+    group's dtype, given their membership residuals (for a caller that
+    reports them too): its Certificate, or the MembershipError it raises."""
     out, keep, a = _gate(a, res_mem, tol, "symplectic")
     if not keep:
         return out

@@ -11,7 +11,8 @@ matrix and one factor at a time (the bitwise reference for the generators'
 stacked sampling), and the lemma and generator-sanity suites' checks one
 trial at a time (the bitwise references for their stacked judges).  Every
 reference draws from numpy's own ``default_rng`` and ``SeedSequence``, so
-none shares the library's vectorized seed derivation.
+none shares the library's vectorized seed derivation.  Two helpers the tests
+share come first: a fresh square copy of a matrix, and a Gaussian matrix.
 """
 
 import math
@@ -20,10 +21,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from sympdet.generators import GenerationError, GeneratorConfig
-from sympdet.linalg import (LogDet, SingularMatrixError, as_square, frobenius, log_det,
-                            random_gaussian)
+from sympdet.linalg import LogDet, SingularMatrixError, _square, frobenius, log_det
 from sympdet.symplectic import (DEFAULT_TOLERANCES, GroupKind, membership_residual,
                                 sign_slacks, symplectic_form)
+
+
+def as_square(a) -> np.ndarray:
+    """a as a square float64/complex128 array, always a fresh copy."""
+    m = _square(a)
+    return np.array(m) if m is a else m
+
+
+def random_gaussian(rng, n, dtype=np.float64):
+    """n x n matrix of i.i.d. standard normals per real component, float64
+    or complex128.  A complex one is one draw, of its real then its imaginary
+    parts: the stream the lemma suite draws its blocks from."""
+    if np.dtype(dtype) == np.complex128:
+        z = rng.standard_normal((2, n, n))
+        return z[0] + 1j * z[1]
+    return rng.standard_normal((n, n))
 
 
 @dataclass(frozen=True)

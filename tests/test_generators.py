@@ -24,7 +24,6 @@ from sympdet.generators import (
 from sympdet.linalg import (
     SingularMatrixError,
     log_det,
-    random_gaussian,
     rng_from_seed,
     split_seed,
 )
@@ -44,6 +43,7 @@ from oracles import (
     block_shear_lower,
     block_shear_upper,
     loop_generate,
+    random_gaussian,
 )
 
 REAL = GroupKind.REAL_SYMPLECTIC

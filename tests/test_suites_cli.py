@@ -455,6 +455,22 @@ def test_conj_formula_trial_records_inf_phase_on_rejection():
     assert not result.passed
 
 
+@pytest.mark.parametrize("suite_id", ["real-theorem", "complex-theorem"])
+def test_theorem_trial_records_the_residual_its_gate_rejected(suite_id):
+    # a membership bound below rounding gates out every member; the trial
+    # records the residual the gate compared, as conj-formula does, not inf
+    tol = ToleranceConfig(membership=1e-22)
+    group = _SUITES[suite_id].group
+    for n, seed in ((1, 3), (2, 13), (4, 21), (8, 5)):
+        result = run_trial(suite_id, n, seed, tol)
+        a = sd.generate(sd.GeneratorConfig(half_dim=n, target=group, seed=seed))
+        assert list(result.residuals) == ["membership"]
+        assert repr(result.residuals["membership"]) == repr(membership_residual(a, group))
+        assert not result.passed
+    report = run_suite(default_suite_spec(suite_id, trials=4, half_dims=(2,), tolerances=tol))
+    assert report.passes == 0 and 0.0 < report.worst_residuals["membership"] < 1e-12
+
+
 @pytest.mark.parametrize("tol, memberships, log_dets", [
     (ToleranceConfig(membership=0.0), 1, 1),  # rejected: log_det(A) only
     (DEFAULT_TOLERANCES, 1, 3),               # accepted: A, C + iD, C - iD

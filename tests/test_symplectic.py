@@ -13,7 +13,6 @@ from sympdet.linalg import (
     _log_dets,
     frobenius,
     log_det,
-    random_gaussian,
     rng_from_seed,
     split_seed,
 )
@@ -44,7 +43,7 @@ REAL = GroupKind.REAL_SYMPLECTIC
 CONJ = GroupKind.CONJUGATE_SYMPLECTIC
 
 from oracles import (block_j_conjugate, cofactor_det, dense_membership_residual,
-                     loop_reduction_residuals)
+                     loop_reduction_residuals, random_gaussian)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +477,7 @@ def test_non_finite_members_are_isolated_in_a_stack(group):
     if group is CONJ:
         judged, alone = _conj_phases(stack, residuals, DEFAULT_TOLERANCES), conj_symplectic_det
     else:
-        judged = _certificates(stack, group, DEFAULT_TOLERANCES)
+        judged = _certificates(stack, residuals, group, DEFAULT_TOLERANCES)
         alone = lambda a: certify_symplectic(a, group)  # noqa: E731
     for i, a in enumerate(members):
         if i in (1, 3):
