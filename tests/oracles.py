@@ -34,11 +34,14 @@ def as_square(a) -> np.ndarray:
 
 def random_gaussian(rng, n, dtype=np.float64):
     """n x n matrix of i.i.d. standard normals per real component, float64
-    or complex128.  A complex one is one draw, of its real then its imaginary
-    parts: the stream the lemma suite draws its blocks from."""
-    if np.dtype(dtype) == np.complex128:
+    or complex128 (any other dtype raises ValueError).  A complex one is one
+    draw, of its real then its imaginary parts: the stream the lemma suite
+    draws its blocks from."""
+    if np.dtype(np.complex128) == dtype:
         z = rng.standard_normal((2, n, n))
         return z[0] + 1j * z[1]
+    if np.dtype(np.float64) != dtype:
+        raise ValueError(f"unsupported dtype {dtype!r}")
     return rng.standard_normal((n, n))
 
 

@@ -1,5 +1,5 @@
 """Core linear algebra: log determinants, the LU oracle they are checked
-against, seeds."""
+against, seeds, and the helpers the tests share."""
 
 import math
 
@@ -23,10 +23,54 @@ from sympdet.linalg import (
 )
 from sympdet.symplectic import symplectic_form
 
-from oracles import (SEED_MASK, cofactor_det, lu_decompose, permutation_sign, random_gaussian,
-                     solve)
+from oracles import (SEED_MASK, as_square, cofactor_det, lu_decompose, permutation_sign,
+                     random_gaussian, solve)
 
 EPS = np.finfo(np.float64).eps
+
+
+# ---------------------------------------------------------------------------
+# Shared helpers (tests/oracles.py)
+# ---------------------------------------------------------------------------
+
+def test_as_square_value_semantics():
+    # a fresh copy even when the input needs no conversion
+    a = np.eye(3)
+    b = as_square(a)
+    b[0, 0] = 5.0
+    assert a[0, 0] == 1.0
+    assert as_square([[1, 2], [3, 4]]).dtype == np.float64
+    with pytest.raises(ValueError, match="square"):
+        as_square(np.ones((2, 3)))
+
+
+def test_random_gaussian_deterministic():
+    a = random_gaussian(rng_from_seed(99), 5, np.complex128)
+    b = random_gaussian(rng_from_seed(99), 5, np.complex128)
+    assert np.array_equal(a, b)
+    # one draw, real parts then imaginary parts: the lemma oracle's stream
+    z = rng_from_seed(99).standard_normal((2, 5, 5))
+    assert np.array_equal(a.real, z[0]) and np.array_equal(a.imag, z[1])
+
+
+def test_random_gaussian_real_kind_has_no_imaginary_part():
+    a = random_gaussian(rng_from_seed(1), 4, np.float64)
+    assert a.dtype == np.float64
+    assert np.array_equal(a, random_gaussian(rng_from_seed(1), 4))
+
+
+def test_random_gaussian_rejects_other_dtypes():
+    for dtype in ("R", "C", np.float32, np.complex64, np.int64):
+        with pytest.raises(ValueError, match="unsupported dtype"):
+            random_gaussian(rng_from_seed(1), 4, dtype)
+
+
+def test_random_gaussian_mean_within_monte_carlo_bound():
+    # 10^4 entries: |mean| <= 5 / sqrt(10^4) with probability ~ 1 - 6e-7
+    rng = rng_from_seed(2)
+    entries = np.concatenate([random_gaussian(rng, 10).ravel() for _ in range(100)])
+    assert entries.size == 10_000
+    assert abs(entries.mean()) <= 5.0 / math.sqrt(entries.size)
 
 
 # ---------------------------------------------------------------------------
