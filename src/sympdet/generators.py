@@ -14,9 +14,9 @@ property suites build the members of many trials of one half-dim at once.
 Each member still draws from its own rng exactly what it would draw alone,
 and numpy's stacked arithmetic does to each matrix what it does to that
 matrix alone, so every member is bitwise independent of the stack it was
-built in.  A stack's factors are built a chunk of product steps at a time:
-the members draw the chunk's parameters, then each factor kind has one fill,
-over all its slots (the public single factor builders are its stack of one).
+built in.  A stack's factors are built a chunk of product steps at a time,
+in one pass sorted by kind: one clamp, one inversion, one fill per kind (the
+public single factor builders are its stack of one).
 """
 
 from __future__ import annotations
@@ -91,17 +91,17 @@ class GeneratorConfig:
             raise ValueError("condition_cap must be finite and > 1")
 
 
-def _symmetrized(s: np.ndarray, hermitian: bool) -> np.ndarray:
-    """(S + S^T) / 2, or (S + S^*) / 2 if hermitian, of each matrix of a stack."""
-    t = s + (s.conj() if hermitian else s).swapaxes(-1, -2)
+def _symmetrized(s: np.ndarray, hermitian: bool, out: np.ndarray | None = None) -> np.ndarray:
+    """(S + S^T) / 2, or (S + S^*) / 2 if hermitian, of each matrix of a stack (into out)."""
+    t = np.add(s, (s.conj() if hermitian else s).swapaxes(-1, -2), out=out)
     t /= 2  # in place: a temporary less, which at large N is a fresh mapping less
     return t
 
 
-def _norm_clamped(x: np.ndarray, cap: float) -> np.ndarray:
+def _norm_clamped(x: np.ndarray, cap) -> np.ndarray:
     """Each matrix of a stack scaled down, in place, to Frobenius norm <= cap
-    (each norm is the one frobenius gives for that matrix alone).  Only the
-    matrices over the cap are scaled, so the others keep their bits."""
+    (or its own cap[i]; each norm is the one frobenius gives for that matrix
+    alone).  Only the matrices over the cap are scaled; the others keep their bits."""
     f = np.array(_frobeniuses(x))
     over = ~(f <= cap)  # a NaN norm is over
     # a masked multiply in place: x[over] *= ... would copy the stack out and back
@@ -130,15 +130,11 @@ def _fill_shears(out: np.ndarray, slots, s: np.ndarray, lower: bool) -> np.ndarr
     return out
 
 
-def _fill_diag_blocks(out: np.ndarray, slots, p: np.ndarray, conjugate: bool) -> np.ndarray:
-    """[[P, 0], [0, P^{-T}]] (P^{-*} if conjugate) for each P of a stack."""
+def _fill_diag_blocks(out: np.ndarray, slots, p: np.ndarray, pinv, conjugate: bool) -> np.ndarray:
+    """[[P, 0], [0, P^{-T}]] (P^{-*} if conjugate), given P^{-1} as pinv (conjugated in place)."""
     n = p.shape[-1]
-    try:
-        pinv = np.linalg.inv(p)
-    except np.linalg.LinAlgError:
-        raise SingularMatrixError("diag_block needs an invertible P") from None
     out[slots, :n, :n] = p
-    out[slots, n:, n:] = (pinv.conj() if conjugate else pinv).swapaxes(-1, -2)
+    out[slots, n:, n:] = (np.conjugate(pinv, out=pinv) if conjugate else pinv).swapaxes(-1, -2)
     return out
 
 
@@ -167,7 +163,11 @@ def shear_upper(s, target: GroupKind = GroupKind.REAL_SYMPLECTIC) -> np.ndarray:
 def diag_block(p, target: GroupKind = GroupKind.REAL_SYMPLECTIC) -> np.ndarray:
     """[[P, 0], [0, P^{-T}]] (P^{-*} for the conjugate group); P must be invertible."""
     p = _square(p)
-    return _fill_diag_blocks(np.zeros((1, 2 * len(p), 2 * len(p)), p.dtype), 0, p,
+    try:
+        pinv = np.linalg.inv(p)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("diag_block needs an invertible P") from None
+    return _fill_diag_blocks(np.zeros((1, 2 * len(p), 2 * len(p)), p.dtype), 0, p, pinv,
                              target is GroupKind.CONJUGATE_SYMPLECTIC)[0]
 
 
@@ -207,36 +207,41 @@ def _draws(config: GeneratorConfig, rngs, codes: np.ndarray,
 
 
 def _factors(config: GeneratorConfig, rngs, codes: np.ndarray) -> np.ndarray:
-    """The (k, steps, 2N, 2N) stack of the factors of kinds codes[i] (a row
-    of FACTOR_KINDS indices) drawn from rngs[i], clamped as elementary_factor
-    describes: every member's draws, then one fill per kind over its slots.
-    Draws and slots both run in (member, step) order, so the slots of a kind
-    take its blocks (and the phases the angles) in turn."""
-    n = config.half_dim
+    """The (k, steps, 2N, 2N) stack of the factors of kinds codes[i] (a row of
+    FACTOR_KINDS indices) drawn from rngs[i], clamped as elementary_factor
+    describes.  A stable sort makes each kind's slots, and its blocks, one
+    segment in (member, step) order, which its fill writes."""
+    n, cap = config.half_dim, config.condition_cap
     conjugate = config.target is GroupKind.CONJUGATE_SYMPLECTIC
-    cap = config.condition_cap
-    drawn = codes[(codes != _FORM) & (codes != _PHASE)]  # the kind of each block drawn
-    g, thetas = _draws(config, rngs, codes, len(drawn))
-    fills = []  # the parameters first, so their temporaries are gone before the factors come
-    for kind in np.flatnonzero(np.bincount(codes.ravel())).tolist():  # each kind present
-        slots, rows = np.flatnonzero(codes == kind), drawn == kind  # its factors and blocks
-        name = FACTOR_KINDS[kind]
-        if name in ("shear_lower", "shear_upper"):
-            s = _symmetrized(g[rows], conjugate)
-            fills.append((_fill_shears, slots, _norm_clamped(s, (cap - 1.0) / math.sqrt(cap)),
-                          name == "shear_lower"))
-        elif name == "diag_block":
-            p = _norm_clamped(g[rows], 1.0 - 1.0 / math.sqrt(cap))
-            p += np.eye(n, dtype=p.dtype)  # I + G, in place
-            fills.append((_fill_diag_blocks, slots, p, conjugate))
-        elif name == "form":
-            fills.append((_forms, slots))
-        else:
-            fills.append((_fill_phases, slots, thetas))
-    del g
+    counts = np.bincount(codes.ravel(), minlength=len(FACTOR_KINDS)).tolist()
+    g, thetas = _draws(config, rngs, codes, sum(counts[:_FORM]))
+    if sum(map(bool, counts[:_FORM])) > 1:  # blocks of several kinds: sort them as the slots
+        g = g[np.argsort(codes[codes < _FORM], kind="stable")]
+    order = np.argsort(codes, axis=None, kind="stable")
+    shears, p = counts[0] + counts[1], g[counts[0] + counts[1]:]
+    if shears:
+        _symmetrized(g[:shears], conjugate, out=g[:shears])
+    if len(g):  # one clamp over all the blocks, each at its kind's cap
+        caps = np.full(len(g), 1.0 - 1.0 / math.sqrt(cap))
+        caps[:shears] = (cap - 1.0) / math.sqrt(cap)
+        _norm_clamped(g, caps)
+    if len(p):  # P = I + G (invertible: ||G||_F < 1), inverted before f is allocated
+        p += np.eye(n, dtype=p.dtype)
+        pinv = np.linalg.inv(p)  # so its temporaries are not freed above f
     f = np.zeros(codes.shape + (2 * n, 2 * n), config.target.dtype)
-    for fill, *args in fills:
-        fill(f.reshape(-1, 2 * n, 2 * n), *args)
+    out, end = f.reshape(-1, 2 * n, 2 * n), 0
+    for name, count in zip(FACTOR_KINDS, counts):
+        seg, end = slice(end, end + count), end + count
+        if not count:
+            continue
+        if name in ("shear_lower", "shear_upper"):
+            _fill_shears(out, order[seg], g[seg], name == "shear_lower")
+        elif name == "diag_block":
+            _fill_diag_blocks(out, order[seg], p, pinv, conjugate)
+        elif name == "form":
+            _forms(out, order[seg])
+        else:
+            _fill_phases(out, order[seg], thetas)
     return f
 
 
@@ -261,25 +266,25 @@ def _stacks(items: Iterable, m: int, dtype) -> Iterator[list]:
 
 
 def _sample(config: GeneratorConfig, rngs: Iterable, factors: list[str] | None = None,
-            tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Iterator[np.ndarray]:
+            tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Iterator[tuple[np.ndarray, list]]:
     """Yield, as (k, 2N, 2N) stacks in order, what generate gives for config
     with each rng in place of rng_from_seed(config.seed), which is not read.
 
-    The members are built as stacks of up to _STACK_BYTES (one member if it
-    is larger), one stack at a time, so an unbounded ``rngs`` holds at most
-    one stack.  Each member draws its factor kinds, then the stack is built
-    a chunk of product steps at a time: every member draws the chunk's
-    parameters from its own rng, each kind is filled once over the chunk,
-    and the stack of products is multiplied by each step's factors.  A
-    chunk holds at most _STACK_BYTES // 4 of factors (so the suites' peak
-    memory stays where a step at a time had it) and _STACK_BYTES // 16 of
-    them per member (so a large member takes a step at a time), but one
-    step at least.  numpy does to each matrix of a stack what it does to
-    that matrix alone, so each member is bitwise the one generate builds
-    with its rng, whatever its stack and chunks.  Members that fail the
-    residual test are drawn again, as a smaller stack, and copied back into
-    their place.  On reaching a member whose attempts all failed, yields the
-    members before it in its stack and raises GenerationError.
+    The members are built as stacks of up to _STACK_BYTES (one member if it is
+    larger), one stack at a time, so an unbounded ``rngs`` holds at most one
+    stack.  Each member draws its factor kinds, then the stack is built a
+    chunk of product steps at a time: every member draws the chunk's
+    parameters from its own rng, _factors builds the chunk, and the stack of
+    products is multiplied by each step's factors.  A chunk holds at most
+    _STACK_BYTES // 4 of factors (so the suites' peak memory stays that of a
+    step at a time) and _STACK_BYTES // 16 of them per member (so a large
+    member takes a step at a time), but one step at least.  Each stack comes
+    with its members' membership residuals, from the test that kept them;
+    members that fail it are drawn again, as a smaller stack, and copied back
+    into their place.  Each member, and its residual, is bitwise what generate
+    and membership_residual give it, whatever its stack and chunks.  On
+    reaching a member whose attempts all failed, yields the members before it
+    in its stack and raises GenerationError.
     """
     forced = None if factors is None else _kind_codes(factors, config.target)
     allowed = _kind_codes(_kinds(config.target), config.target)
@@ -287,7 +292,7 @@ def _sample(config: GeneratorConfig, rngs: Iterable, factors: list[str] | None =
     m = 2 * config.half_dim
     member = m * m * np.dtype(dtype).itemsize
     for block in _stacks(rngs, m, dtype):
-        out = None
+        out, res = None, np.empty(len(block))
         todo = list(range(len(block)))
         for _ in range(_MAX_ATTEMPTS):
             live = [block[i] for i in todo]
@@ -308,16 +313,16 @@ def _sample(config: GeneratorConfig, rngs: Iterable, factors: list[str] | None =
                 out = a
             else:
                 out[todo] = a
-            todo = [i for i, r in zip(todo, _membership_residuals(a, config.target))
-                    if not r <= tol.product_residual]
+            res[todo] = _membership_residuals(a, config.target)
+            todo = [i for i in todo if not res[i] <= tol.product_residual]
             if not todo or factors is not None:
                 break
         if todo:
             if todo[0]:
-                yield out[:todo[0]]
+                yield out[:todo[0]], res[:todo[0]].tolist()
             raise GenerationError(f"no {config.target.value} product within residual "
                                   f"after {_MAX_ATTEMPTS} attempts")
-        yield out
+        yield out, res.tolist()
 
 
 def generate(config: GeneratorConfig, factors: list[str] | None = None,
@@ -329,8 +334,7 @@ def generate(config: GeneratorConfig, factors: list[str] | None = None,
     is checked against the group residual at tol.product_residual and
     regeneration is attempted a bounded number of times before failing.
     Deterministic given config: every draw comes from one rng seeded with
-    config.seed.  This is the stack of one of the sampler the property
-    suites draw their members from, so a suite's member and generate's
-    matrix for the same config are the same bits.
+    config.seed.  This is the sampler's stack of one, so a property suite's
+    member and generate's matrix for the same config are the same bits.
     """
-    return next(_sample(config, [rng_from_seed(config.seed)], factors, tol))[0]
+    return next(_sample(config, [rng_from_seed(config.seed)], factors, tol))[0][0]

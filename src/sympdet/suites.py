@@ -15,18 +15,18 @@ do not depend on scheduling.
 
 A judge checks the trials of one half-dim a stack at a time, about 1 MiB of
 matrices.  The sampling suites (real-theorem, complex-theorem, conj-formula)
-draw the stack of their members (see :mod:`sympdet.generators`) and judge it
-through the stacked certificate and formula cores of
-:mod:`sympdet.symplectic`; ineq-real and lemma draw their block pairs the
-same way, each trial from its own rng, and judge them through the stacked
-determinant and block-elimination cores; generator-sanity gates the factors
-and samples the members of each group's trials as stacks; form-identities
-reads no seed and checks each half-dim once.  No suite is judged one trial
-at a time.  A stack's results are merged back in trial order.  Every matrix
-gets the bits it gets alone, so :func:`run_trial`, which judges a stack of
-one, replays any trial.  At most one stack per half-dim is held at a time,
-with the seeds and rngs of one round of ``_ROUND`` trials: a suite's memory
-grows with its trials up to a round, then stays flat.
+draw the stack of their members (see :mod:`sympdet.generators`), with the
+membership residuals the sampler computed, and judge it through the stacked
+certificate and formula cores of :mod:`sympdet.symplectic`; ineq-real and
+lemma draw their block pairs the same way, each trial from its own rng, and
+judge them through the stacked determinant and block-elimination cores;
+generator-sanity gates the factors and samples the members of each group's
+trials as stacks; form-identities reads no seed and checks each half-dim once.
+No suite is judged one trial at a time.  A stack's results are merged back in
+trial order.  Every matrix gets the bits it gets alone, so :func:`run_trial`,
+which judges a stack of one, replays any trial.  At most one stack per
+half-dim is held at a time, with the seeds and rngs of one round of ``_ROUND``
+trials: a suite's memory grows with its trials up to a round, then stays flat.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from .symplectic import (
     GroupKind,
     ToleranceConfig,
     _certificates,
+    _checker,
     _conj_phases,
     _membership_residuals,
     _one,
@@ -123,9 +124,9 @@ def _judge_form_identities(n: int, seeds, rngs, tol: ToleranceConfig) -> list[di
     return [dict(residuals) for _ in seeds]
 
 
-def _judge_theorem(group: GroupKind, a: np.ndarray, tol: ToleranceConfig) -> list[dict]:
+def _judge_theorem(group: GroupKind, a: np.ndarray, res_mem: list[float],
+                   tol: ToleranceConfig) -> list[dict]:
     """Each member's certificate residuals, or the membership residual that gated it out."""
-    res_mem = _membership_residuals(a, group)
     return [c.residuals if isinstance(c, Certificate) else {"membership": r}
             for c, r in zip(_certificates(a, res_mem, group, tol), res_mem)]
 
@@ -210,8 +211,7 @@ def _conj_residuals(res_mem: float, phase: complex | Exception, oracle: LogDet) 
                                else phase_angle(phase, oracle.phase))}
 
 
-def _judge_conj_formula(a: np.ndarray, tol: ToleranceConfig) -> list[dict]:
-    res_mem = _membership_residuals(a, GroupKind.CONJUGATE_SYMPLECTIC)
+def _judge_conj_formula(a: np.ndarray, res_mem: list[float], tol: ToleranceConfig) -> list[dict]:
     return list(map(_conj_residuals, res_mem, _conj_phases(a, res_mem, tol), _log_dets(a)))
 
 
@@ -231,9 +231,10 @@ def _judge_generator_sanity(n: int, seeds, rngs, tol: ToleranceConfig) -> list[d
         factors = _factors(cfg, [rngs[i] for i in idx], kinds)
         factor_res = np.reshape(_membership_residuals(factors.reshape(-1, 2 * n, 2 * n), group),
                                 kinds.shape)
-        a, b = (np.concatenate(list(_sample(cfg, [member_rngs[i + k] for i in idx], tol=tol)))
-                for k in (0, len(rngs)))
-        for j, (i, res, dd) in enumerate(zip(idx, _membership_residuals(a, group), _log_dets(a))):
+        samplings = (zip(*_sample(cfg, [member_rngs[i + k] for i in idx], tol=tol))
+                     for k in (0, len(rngs)))  # each one's stacks, and their residuals
+        (a, res_a), (b, _) = ((np.concatenate(s), sum(r, [])) for s, r in samplings)
+        for j, (i, res, dd) in enumerate(zip(idx, res_a, _log_dets(a))):
             r = out[i]
             r["factorResidual"] = max(0.0, *factor_res[j].tolist())
             r["productResidual"] = res
@@ -251,8 +252,8 @@ class _Suite(NamedTuple):
     whose generated members it checks.  A judge returns the residuals of a
     stack of trials at one half-dim, in order; it is called as
     ``judge(n, seeds, rngs, tol)``, each trial drawing from its rng (which
-    is rng_from_seed of its seed), or as ``judge(members, tol)`` with the
-    (k, 2N, 2N) stack of the trials' members when group is set."""
+    is rng_from_seed of its seed), or as ``judge(members, res_mem, tol)``
+    with the trials' (k, 2N, 2N) stack and sampled residuals if group is set."""
 
     judge: Callable[..., list[dict]]
     trials: int
@@ -291,9 +292,9 @@ def _judgements(row: _Suite, n_half: int, seeds, rngs, tol: ToleranceConfig):
         for batch in _stacks(zip(seeds, rngs), 2 * n_half, np.float64):
             yield from row.judge(n_half, *zip(*batch), tol)
     else:
-        for members in _sample(GeneratorConfig(half_dim=n_half, target=row.group), rngs,
-                               tol=tol):
-            yield from row.judge(members, tol)
+        for members, res_mem in _sample(GeneratorConfig(half_dim=n_half, target=row.group),
+                                        rngs, tol=tol):
+            yield from row.judge(members, res_mem, tol)
 
 
 def run_trial(suite_id: str, n_half: int, seed: int,
@@ -319,7 +320,7 @@ def run_suite(spec: SuiteSpec) -> Report:
     """
     t0 = time.perf_counter()
     row = _suite(spec.suite_id)
-    dims, tol = spec.half_dims, spec.tolerances
+    dims, tol, within = spec.half_dims, spec.tolerances, _checker(row.family, spec.tolerances)
     passes = 0
     failures = []
     worst: dict = {}
@@ -331,7 +332,7 @@ def run_suite(spec: SuiteSpec) -> Report:
                   for n, lane in zip(dims, lanes)]
         for t, seed in enumerate(seeds, start):
             residuals = next(judged[t % len(dims)])
-            if within_bounds(row.family, residuals, tol):
+            if within(residuals):
                 passes += 1
             else:
                 failures.append({"seed": seed, "halfDim": dims[t % len(dims)],

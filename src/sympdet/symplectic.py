@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 from enum import Enum
 
 import numpy as np
@@ -133,9 +134,14 @@ def within_bounds(family: str, residuals: dict,
                   tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     """True when each residual is <= its bound in RESIDUAL_BOUNDS[family]
     (so a NaN residual never passes)."""
-    bounds = RESIDUAL_BOUNDS[family]
-    return all(v <= (getattr(tol, bounds[k]) if isinstance(bounds[k], str) else bounds[k])
-               for k, v in residuals.items())
+    return _checker(family, tol)(residuals)
+
+
+def _checker(family: str, tol: ToleranceConfig) -> Callable[[dict], bool]:
+    """within_bounds for the family and tol, each bound resolved once, for many trials."""
+    bounds = {k: getattr(tol, b) if isinstance(b, str) else b
+              for k, b in RESIDUAL_BOUNDS[family].items()}
+    return lambda residuals: all(v <= bounds[k] for k, v in residuals.items())
 
 
 def half_dim(a: np.ndarray) -> int:
@@ -541,6 +547,7 @@ def _certificates(a: np.ndarray, res_mem: list[float], group: GroupKind,
     aux = _log_dets(_embedded(pair, gram))
     del gram  # freed before the unitary split allocates
     splits = zip(*_split_dets(pair.c, pair.d)) if real else [None] * len(keep)
+    within = _checker("certificate", tol)
 
     for i, d, lh, ax, split in zip(keep, det_a, lhs, aux, splits):
         val = d.value
@@ -557,7 +564,7 @@ def _certificates(a: np.ndarray, res_mem: list[float], group: GroupKind,
             residuals["splitIdentity"] = lh.rel_diff(d * d_plus.abs_squared())
             residuals["splitConjugate"] = d_minus.rel_diff(d_plus.conjugated())
         residuals["detOne"] = abs(val - 1.0)
-        verdict = "pass" if within_bounds("certificate", residuals, tol) else "fail"
+        verdict = "pass" if within(residuals) else "fail"
         out[i] = Certificate(group=group, det_a=d, lhs_det=lh, auxiliary_det=ax,
                              residuals=residuals, verdict=verdict, split_dets=split,
                              tolerances=tol)

@@ -152,6 +152,11 @@ def test_norm_clamp_scales_only_the_matrices_over_the_cap():
     assert got[0].tobytes() == under.tobytes()
     assert got[1].tobytes() == (over * (2.0 / np.linalg.norm(over))).tobytes()
     assert np.isnan(got[2]).all()
+    # a cap per matrix gives each matrix the bits of a call with its cap alone
+    for caps in ([0.5, 2.0, 1.0], [2.0, 10.0, math.inf]):
+        got = generators._norm_clamped(x.copy(), np.array(caps))
+        for i, cap in enumerate(caps):
+            assert got[i].tobytes() == generators._norm_clamped(x[i:i + 1].copy(), cap).tobytes()
 
 
 def test_embed_orthogonal_pair_trivials():
@@ -170,8 +175,8 @@ def test_embed_orthogonal_pair_trivials():
 def _members(config, seeds, *args, **kwargs):
     """The members _sample yields as stacks, one at a time, for the rngs of
     the given seeds."""
-    return itertools.chain.from_iterable(_sample(config, map(rng_from_seed, seeds),
-                                                 *args, **kwargs))
+    return itertools.chain.from_iterable(stack for stack, _ in _sample(
+        config, map(rng_from_seed, seeds), *args, **kwargs))
 
 
 def _assert_bitwise(got, ref):
@@ -310,7 +315,7 @@ def test_stacks_split_by_size_match_the_loop(target):
     # complex128 (6 + 2), one for float64; an unbounded seed stream is read lazily
     base = GeneratorConfig(half_dim=50, target=target)
     seeds = (split_seed(50, t) for t in range(8))
-    stacks = list(_sample(base, map(rng_from_seed, seeds)))
+    stacks = [stack for stack, _ in _sample(base, map(rng_from_seed, seeds))]
     assert [len(s) for s in stacks] == ([8] if target is REAL else [6, 2])
     for t, got in enumerate(itertools.chain.from_iterable(stacks)):
         _assert_bitwise(got, loop_generate(dataclasses.replace(base, seed=split_seed(50, t))))
@@ -321,6 +326,12 @@ FORCED = {
     "phase": ["phase"],
     "mixed": ["shear_lower", "phase", "diag_block", "form", "shear_upper", "phase"],
     "no-phase": ["diag_block", "shear_upper", "form", "diag_block", "shear_lower"],
+    # chunks that draw no block, and chunks whose blocks are all of one kind
+    "forms": ["form"] * 3,
+    "form-phase": ["form", "phase", "form"],
+    "lower": ["shear_lower"] * 3,
+    "upper": ["shear_upper"] * 3,
+    "diag": ["diag_block"] * 3,
 }
 
 
@@ -424,12 +435,14 @@ def test_members_do_not_depend_on_the_chunks(monkeypatch, target, steps):
 
 
 @pytest.mark.parametrize("steps", CHUNK_STEPS, ids=lambda s: f"chunk{s or 'all'}")
-@pytest.mark.parametrize("name", ["mixed", "no-phase"])
+@pytest.mark.parametrize("name", ["mixed", "no-phase", "forms", "form-phase", "lower", "upper",
+                                  "diag"])
 @pytest.mark.parametrize("target", ALL_TARGETS)
 def test_forced_factors_on_chunk_boundaries_match_the_loop(monkeypatch, target, name, steps):
     # mixed: a phase ends the first chunk of 2, and the form ends the second
     # chunk of 2 and of 4 and starts the second chunk of 3; no-phase: the
-    # form ends the first chunk of 3 and starts the second chunk of 2
+    # form ends the first chunk of 3 and starts the second chunk of 2; the
+    # rest are the edges of the kind-sorted pass: no block drawn, or one kind
     factors = FORCED[name]
     if "phase" in factors and target is not GroupKind.CONJUGATE_SYMPLECTIC:
         return

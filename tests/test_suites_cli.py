@@ -282,9 +282,9 @@ def test_suite_members_match_the_loop(monkeypatch, suite_id):
     row = _SUITES[suite_id]
     members = {}
 
-    def capture(stack, tol):
+    def capture(stack, res_mem, tol):
         members.setdefault(stack.shape[1] // 2, []).extend(np.array(a) for a in stack)
-        return row.judge(stack, tol)
+        return row.judge(stack, res_mem, tol)
 
     monkeypatch.setitem(_SUITES, suite_id, row._replace(judge=capture))
     dims = (*range(1, 17), 32, 50)
@@ -471,14 +471,9 @@ def test_theorem_trial_records_the_residual_its_gate_rejected(suite_id):
     assert report.passes == 0 and 0.0 < report.worst_residuals["membership"] < 1e-12
 
 
-@pytest.mark.parametrize("tol, memberships, log_dets", [
-    (ToleranceConfig(membership=0.0), 1, 1),  # rejected: log_det(A) only
-    (DEFAULT_TOLERANCES, 1, 3),               # accepted: A, C + iD, C - iD
-])
-def test_conj_formula_trial_computes_each_residual_once(monkeypatch, tol, memberships,
-                                                        log_dets):
-    # every residual and determinant goes through a stacked core, so the
-    # cores count the matrices they judge
+def _count_cores(monkeypatch) -> dict:
+    """Count the matrices the stacked membership and log_det cores judge,
+    the sampler's product gate included."""
     calls = {"membership": 0, "log_det": 0}
 
     def counting(name, f):
@@ -487,16 +482,39 @@ def test_conj_formula_trial_computes_each_residual_once(monkeypatch, tol, member
             return f(a, *args)
         return wrapped
 
-    # generate's own product gate lives in generators and is not counted
-    for module in (suites, symplectic):
+    for module in (generators, suites, symplectic):
         monkeypatch.setattr(module, "_membership_residuals",
                             counting("membership", module._membership_residuals))
     for module in (linalg, suites, symplectic):
         monkeypatch.setattr(module, "_log_dets", counting("log_det", module._log_dets))
+    return calls
+
+
+@pytest.mark.parametrize("tol, log_dets", [
+    (ToleranceConfig(membership=0.0), 1),  # rejected: log_det(A) only
+    (DEFAULT_TOLERANCES, 3),               # accepted: A, C + iD, C - iD
+])
+def test_conj_formula_trial_computes_each_residual_once(monkeypatch, tol, log_dets):
+    # every residual and determinant goes through a stacked core, so the
+    # cores count the matrices they judge; the membership residual the
+    # trial reports is the one its member's product gate computed
+    calls = _count_cores(monkeypatch)
     result = run_trial("conj-formula", 2, 13, tol)
-    assert calls == {"membership": memberships, "log_det": log_dets}
+    assert calls == {"membership": 1, "log_det": log_dets}
     assert list(result.residuals) == ["membership", "detModulusOne", "phaseAgreement"]
     assert result.passed == (tol is DEFAULT_TOLERANCES)
+
+
+@pytest.mark.parametrize("suite_id", SAMPLING_SUITES)
+def test_sampled_trials_compute_one_membership_residual_each(monkeypatch, suite_id):
+    # the judges take their members' residuals from the sampler's gate
+    calls = _count_cores(monkeypatch)
+    spec = default_suite_spec(suite_id, seed=3, trials=12, half_dims=(1, 2, 3))
+    assert run_suite(spec).all_passed
+    assert calls["membership"] == spec.trials
+    calls["membership"] = 0
+    assert run_trial(suite_id, 3, 17).passed
+    assert calls["membership"] == 1
 
 
 def test_generator_sanity_determinism_compares_bytes(monkeypatch):
@@ -505,10 +523,10 @@ def test_generator_sanity_determinism_compares_bytes(monkeypatch):
 
     def drifting(config, *args, **kwargs):
         calls.append(config)
-        for stack in generators._sample(config, *args, **kwargs):
+        for stack, res_mem in generators._sample(config, *args, **kwargs):
             if len(calls) == 2:
                 stack.real[0, 0, 0] = np.nextafter(stack.real[0, 0, 0], math.inf)
-            yield stack
+            yield stack, res_mem
 
     assert run_trial("generator-sanity", 2, 11).residuals["determinism"] == 0.0
     monkeypatch.setattr(suites, "_sample", drifting)
