@@ -14,7 +14,8 @@ both renderings, so the numeric content is identical).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 
@@ -34,23 +35,15 @@ class Report:
         return self.passes == self.trials
 
     def to_json_dict(self) -> dict:
-        return {
-            "tool": self.tool,
-            "suite": self.suite,
-            "config": self.config,
-            "trials": self.trials,
-            "passes": self.passes,
-            "failures": self.failures,
-            "worstResiduals": self.worst_residuals,
-            "elapsedSeconds": self.elapsed_seconds,
-        }
+        return {key: getattr(self, name) for name, key in _KEYS.items()}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Report":
-        return cls(tool=d["tool"], suite=d["suite"], config=d["config"],
-                   trials=d["trials"], passes=d["passes"], failures=d["failures"],
-                   worst_residuals=d["worstResiduals"],
-                   elapsed_seconds=d["elapsedSeconds"])
+        return cls(**{name: d[key] for name, key in _KEYS.items()})
+
+
+# the JSON schema key of each Report field, in field order: its name in camelCase
+_KEYS = {f.name: re.sub(r"_(\w)", lambda m: m[1].upper(), f.name) for f in fields(Report)}
 
 
 def _fmt(v) -> str:

@@ -1,32 +1,32 @@
 """Property suites tying the structure checks together.
 
 A suite is one row of the suite table ``_SUITES``: its judge, its default
-trial count and half-dims, the family of the bound table
+trial count and half-dims, and the family of the bound table
 :data:`~sympdet.symplectic.RESIDUAL_BOUNDS` that judges the trials'
-residuals, and, for a suite that checks sampled group members, their group.
-Adding a suite means adding that row and, if the family is new, its
-``RESIDUAL_BOUNDS`` entry.  Each suite maps a trial index to a deterministic
-child seed and an rng seeded with it (both derived for a round of trials at
-once), runs one independent check, judges its residuals, and aggregates
-pass counts, worst residuals, and reproducible failure records into a
-:class:`~sympdet.report.Report`.  Trials touch no shared state, so they can be
-executed in any order or in parallel; results are merged by trial index and
-do not depend on scheduling.
+residuals.  Adding a suite means adding that row and, if the family is new,
+its ``RESIDUAL_BOUNDS`` entry.  Each suite maps a trial index to a
+deterministic child seed and an rng seeded with it (both derived for a round
+of trials at once), runs one independent check, judges its residuals, and
+aggregates pass counts, worst residuals, and reproducible failure records
+into a :class:`~sympdet.report.Report`.  Trials touch no shared state, so
+they can be executed in any order or in parallel; results are merged by
+trial index and do not depend on scheduling.
 
-A judge checks the trials of one half-dim a stack at a time, about 1 MiB of
-matrices.  The sampling suites (real-theorem, complex-theorem, conj-formula)
-draw the stack of their members (see :mod:`sympdet.generators`), with the
-membership residuals the sampler computed, and judge it through the stacked
+Every judge is called alike, on the seeds and rngs of a stack of trials at
+one half-dim (about 1 MiB of matrices), and draws what it checks, each trial
+from its own rng.  The sampling suites (real-theorem, complex-theorem,
+conj-formula) sample their members (see :mod:`sympdet.generators`) and judge
+them, with the sampler's membership residuals, through the stacked
 certificate and formula cores of :mod:`sympdet.symplectic`; ineq-real and
-lemma draw their block pairs the same way, each trial from its own rng, and
-judge them through the stacked determinant and block-elimination cores;
-generator-sanity gates the factors and samples the members of each group's
-trials as stacks; form-identities reads no seed and checks each half-dim once.
-No suite is judged one trial at a time.  A stack's results are merged back in
-trial order.  Every matrix gets the bits it gets alone, so :func:`run_trial`,
-which judges a stack of one, replays any trial.  At most one stack per
-half-dim is held at a time, with the seeds and rngs of one round of ``_ROUND``
-trials: a suite's memory grows with its trials up to a round, then stays flat.
+lemma draw block pairs and judge them through the stacked determinant and
+block-elimination cores; generator-sanity gates the factors and samples the
+members of each group's trials as stacks; form-identities reads no seed and
+checks each half-dim once.  No suite is judged one trial at a time.  A
+stack's results are merged back in trial order.  Every matrix gets the bits
+it gets alone, so :func:`run_trial`, which judges a stack of one, replays
+any trial.  At most one stack per half-dim is held at a time, with the seeds
+and rngs of one round of ``_ROUND`` trials: a suite's memory grows with its
+trials up to a round, then stays flat.
 """
 
 from __future__ import annotations
@@ -124,10 +124,10 @@ def _judge_form_identities(n: int, seeds, rngs, tol: ToleranceConfig) -> list[di
     return [dict(residuals) for _ in seeds]
 
 
-def _judge_theorem(group: GroupKind, a: np.ndarray, res_mem: list[float],
-                   tol: ToleranceConfig) -> list[dict]:
+def _judge_theorem(group: GroupKind, n: int, seeds, rngs, tol: ToleranceConfig) -> list[dict]:
     """Each member's certificate residuals, or the membership residual that gated it out."""
     return [c.residuals if isinstance(c, Certificate) else {"membership": r}
+            for a, res_mem in _sample(GeneratorConfig(half_dim=n, target=group), rngs, tol=tol)
             for c, r in zip(_certificates(a, res_mem, group, tol), res_mem)]
 
 
@@ -211,8 +211,10 @@ def _conj_residuals(res_mem: float, phase: complex | Exception, oracle: LogDet) 
                                else phase_angle(phase, oracle.phase))}
 
 
-def _judge_conj_formula(a: np.ndarray, res_mem: list[float], tol: ToleranceConfig) -> list[dict]:
-    return list(map(_conj_residuals, res_mem, _conj_phases(a, res_mem, tol), _log_dets(a)))
+def _judge_conj_formula(n: int, seeds, rngs, tol: ToleranceConfig) -> list[dict]:
+    cfg = GeneratorConfig(half_dim=n, target=GroupKind.CONJUGATE_SYMPLECTIC)
+    return [r for a, res_mem in _sample(cfg, rngs, tol=tol)
+            for r in map(_conj_residuals, res_mem, _conj_phases(a, res_mem, tol), _log_dets(a))]
 
 
 def _judge_generator_sanity(n: int, seeds, rngs, tol: ToleranceConfig) -> list[dict]:
@@ -247,31 +249,27 @@ def _judge_generator_sanity(n: int, seeds, rngs, tol: ToleranceConfig) -> list[d
 
 
 class _Suite(NamedTuple):
-    """One property suite: its judge, default trial count and half-dims, the
-    RESIDUAL_BOUNDS family that judges the trials' residuals, and the group
-    whose generated members it checks.  A judge returns the residuals of a
-    stack of trials at one half-dim, in order; it is called as
-    ``judge(n, seeds, rngs, tol)``, each trial drawing from its rng (which
-    is rng_from_seed of its seed), or as ``judge(members, res_mem, tol)``
-    with the trials' (k, 2N, 2N) stack and sampled residuals if group is set."""
+    """One property suite: its judge, default trial count and half-dims, and
+    the RESIDUAL_BOUNDS family that judges the trials' residuals.  A judge is
+    called as ``judge(n, seeds, rngs, tol)`` on a stack of trials at half-dim
+    n, each trial drawing from its rng (which is rng_from_seed of its seed),
+    and returns their residuals in order."""
 
     judge: Callable[..., list[dict]]
     trials: int
     half_dims: tuple[int, ...]
     family: str
-    group: GroupKind | None = None
 
 
 _SUITES = {
     "form-identities": _Suite(_judge_form_identities, 8, tuple(range(1, 9)), "form-identities"),
     "real-theorem": _Suite(partial(_judge_theorem, GroupKind.REAL_SYMPLECTIC), 200,
-                           (1, 2, 4, 8, 10), "certificate", GroupKind.REAL_SYMPLECTIC),
+                           (1, 2, 4, 8, 10), "certificate"),
     "complex-theorem": _Suite(partial(_judge_theorem, GroupKind.COMPLEX_SYMPLECTIC), 200,
-                              (1, 2, 4, 8, 10), "certificate", GroupKind.COMPLEX_SYMPLECTIC),
+                              (1, 2, 4, 8, 10), "certificate"),
     "lemma": _Suite(_judge_lemma, 500, tuple(range(1, 9)), "lemma"),
     "ineq-real": _Suite(_judge_ineq_real, 500, tuple(range(1, 9)), "ineq-real"),
-    "conj-formula": _Suite(_judge_conj_formula, 200, tuple(range(1, 17)), "conj-formula",
-                           GroupKind.CONJUGATE_SYMPLECTIC),
+    "conj-formula": _Suite(_judge_conj_formula, 200, tuple(range(1, 17)), "conj-formula"),
     "generator-sanity": _Suite(_judge_generator_sanity, 60, (1, 2, 3, 4, 6, 8),
                                "generator-sanity"),
 }
@@ -288,13 +286,8 @@ def _suite(suite_id: str) -> _Suite:
 def _judgements(row: _Suite, n_half: int, seeds, rngs, tol: ToleranceConfig):
     """The residuals of the trials with the given seeds, and rngs seeded with
     them, at half-dim n_half, in order, judged a stack at a time."""
-    if row.group is None:
-        for batch in _stacks(zip(seeds, rngs), 2 * n_half, np.float64):
-            yield from row.judge(n_half, *zip(*batch), tol)
-    else:
-        for members, res_mem in _sample(GeneratorConfig(half_dim=n_half, target=row.group),
-                                        rngs, tol=tol):
-            yield from row.judge(members, res_mem, tol)
+    for batch in _stacks(zip(seeds, rngs), 2 * n_half, np.float64):
+        yield from row.judge(n_half, *zip(*batch), tol)
 
 
 def run_trial(suite_id: str, n_half: int, seed: int,

@@ -221,24 +221,6 @@ def _membership_residuals(a: np.ndarray, group: GroupKind) -> list[float]:
 # Block machinery
 # ---------------------------------------------------------------------------
 
-def _quadrants(tl, tr, bl, br, out=None) -> np.ndarray:
-    """[[tl, tr], [bl, br]] for four equal-shape blocks (or for each matrix
-    of four equal-shape stacks), copied into one fresh array of their common
-    numpy result type (the dtype concatenation gives), or into ``out``, a
-    C-ordered array of that shape and type."""
-    if not tl.shape == tr.shape == bl.shape == br.shape:
-        raise ValueError(f"block dimension mismatch: {tl.shape}, {tr.shape}, "
-                         f"{bl.shape}, {br.shape}")
-    *k, r, c = tl.shape
-    if out is None:
-        out = np.empty((*k, 2 * r, 2 * c), dtype=np.result_type(tl, tr, bl, br))
-    out[..., :r, :c] = tl
-    out[..., :r, c:] = tr
-    out[..., r:, :c] = bl
-    out[..., r:, c:] = br
-    return out
-
-
 @dataclass(frozen=True)
 class BlockPair:
     """The (C, D) block combination of A + J A J^{-1} (or its conjugated
@@ -279,10 +261,24 @@ def embed_pair(p: BlockPair) -> np.ndarray:
 
 
 def _embedded(p: BlockPair, out=None) -> np.ndarray:
-    """embed_pair, written into ``out`` when one is given."""
+    """embed_pair of a pair (or of each pair of two equal-shape stacks), in a
+    fresh array of the blocks' numpy result type (the dtype concatenation
+    gives) or in ``out``, a C-ordered array of that shape and type."""
+    c, d = p.c, p.d
+    if c.shape != d.shape:
+        raise ValueError(f"block dimension mismatch: {c.shape}, {d.shape}")
+    *k, r, s = c.shape
+    if out is None:
+        out = np.empty((*k, 2 * r, 2 * s), dtype=np.result_type(c, d))
+    out[..., :r, :s] = c
+    out[..., :r, s:] = d
     if p.group is GroupKind.COMPLEX_SYMPLECTIC:
-        return _quadrants(p.c, p.d, -p.d.conj(), p.c.conj(), out)
-    return _quadrants(p.c, p.d, -p.d, p.c, out)
+        out[..., r:, :s] = -d.conj()
+        out[..., r:, s:] = c.conj()
+    else:
+        out[..., r:, :s] = -d
+        out[..., r:, s:] = c
+    return out
 
 
 def unitary_split_det(p: BlockPair) -> tuple[LogDet, LogDet]:

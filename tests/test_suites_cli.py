@@ -160,7 +160,10 @@ def test_text_and_json_numeric_content_match():
     assert f"trials: {rep.trials}" in text
 
 
-SAMPLING_SUITES = ("real-theorem", "complex-theorem", "conj-formula")
+# the group whose members each sampling suite draws and judges
+SAMPLED_GROUPS = {"real-theorem": GroupKind.REAL_SYMPLECTIC,
+                  "complex-theorem": GroupKind.COMPLEX_SYMPLECTIC, "conj-formula": CONJ}
+SAMPLING_SUITES = tuple(SAMPLED_GROUPS)
 
 
 def _bits(residuals):
@@ -279,14 +282,14 @@ def test_lemma_judge_isolates_singular_and_nan_blocks(monkeypatch):
 def test_suite_members_match_the_loop(monkeypatch, suite_id):
     # the members a suite samples and judges as stacks are the one-matrix
     # loop's bits; each half-dim's stacks hold its trials in order
-    row = _SUITES[suite_id]
     members = {}
 
-    def capture(stack, res_mem, tol):
-        members.setdefault(stack.shape[1] // 2, []).extend(np.array(a) for a in stack)
-        return row.judge(stack, res_mem, tol)
+    def capture(config, *args, **kwargs):
+        for stack, res_mem in generators._sample(config, *args, **kwargs):
+            members.setdefault(config.half_dim, []).extend(np.array(a) for a in stack)
+            yield stack, res_mem
 
-    monkeypatch.setitem(_SUITES, suite_id, row._replace(judge=capture))
+    monkeypatch.setattr(suites, "_sample", capture)
     dims = (*range(1, 17), 32, 50)
     spec = default_suite_spec(suite_id, seed=6, trials=3 * len(dims), half_dims=dims)
     assert run_suite(spec).all_passed
@@ -294,7 +297,7 @@ def test_suite_members_match_the_loop(monkeypatch, suite_id):
     for t in range(spec.trials):
         n = dims[t % len(dims)]
         a = members[n][t // len(dims)]
-        ref = loop_generate(sd.GeneratorConfig(half_dim=n, target=row.group,
+        ref = loop_generate(sd.GeneratorConfig(half_dim=n, target=SAMPLED_GROUPS[suite_id],
                                                seed=sd.split_seed(6, t)))
         assert a.dtype == ref.dtype and a.tobytes() == ref.tobytes(), t
 
@@ -460,7 +463,7 @@ def test_theorem_trial_records_the_residual_its_gate_rejected(suite_id):
     # a membership bound below rounding gates out every member; the trial
     # records the residual the gate compared, as conj-formula does, not inf
     tol = ToleranceConfig(membership=1e-22)
-    group = _SUITES[suite_id].group
+    group = SAMPLED_GROUPS[suite_id]
     for n, seed in ((1, 3), (2, 13), (4, 21), (8, 5)):
         result = run_trial(suite_id, n, seed, tol)
         a = sd.generate(sd.GeneratorConfig(half_dim=n, target=group, seed=seed))
