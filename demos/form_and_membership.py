@@ -13,8 +13,8 @@ import sympdet as sd
 # the 2N x 2N form [[0, I], [-I, 0]] and its exact identities
 for n in range(1, 5):
     j = sd.symplectic_form(n)
-    print(f"N={n}:  ||J^2 + I|| = {sd.frobenius(j @ j + np.eye(2 * n))}"
-          f"   ||J^T + J|| = {sd.frobenius(j.T + j)}"
+    print(f"N={n}:  ||J^2 + I|| = {np.linalg.norm(j @ j + np.eye(2 * n))}"
+          f"   ||J^T + J|| = {np.linalg.norm(j.T + j)}"
           f"   det(J) = {sd.log_det(j).value.real}")
 
 # membership is one scaled residual, ||A^T J A - J||_F / (||J||_F ||A||_F^2),

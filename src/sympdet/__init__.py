@@ -23,7 +23,6 @@ from ._version import __version__
 from .linalg import (
     LogDet,
     SingularMatrixError,
-    frobenius,
     log_det,
     phase_angle,
     rng_from_seed,
@@ -68,7 +67,7 @@ from .suites import (SUITE_IDS, SuiteSpec, TrialResult, conj_formula_check,
 __all__ = [
     "__version__",
     # linalg
-    "LogDet", "SingularMatrixError", "frobenius", "log_det",
+    "LogDet", "SingularMatrixError", "log_det",
     "phase_angle", "rng_from_seed", "split_seed",
     # matio
     "format_matrix", "parse_matrix", "read_matrix", "write_matrix",

@@ -36,22 +36,15 @@ from .symplectic import (
 
 def _parse_half_dims(text: str) -> tuple[int, ...]:
     """Accept "8", "1:8", or "1,2,4,8,10" as half-dimension selections."""
+    lo, colon, hi = text.partition(":")
     try:
-        if ":" in text:
-            lo, hi = (int(t) for t in text.split(":"))
-            if lo < 1 or hi < lo:
-                raise ValueError
-            return tuple(range(lo, hi + 1))
-        if "," in text:
-            dims = tuple(int(t) for t in text.split(","))
-        else:
-            dims = (int(text),)
-        if any(d < 1 for d in dims):
-            raise ValueError
-        return dims
+        dims = tuple(range(int(lo), int(hi) + 1) if colon else (int(t) for t in text.split(",")))
     except ValueError:
+        dims = ()
+    if not dims or min(dims) < 1:
         raise argparse.ArgumentTypeError(
-            f"bad half-dimension spec {text!r}; use N, LO:HI, or N1,N2,...") from None
+            f"bad half-dimension spec {text!r}; use N, LO:HI, or N1,N2,...")
+    return dims
 
 
 def _positive_int(text: str) -> int:
@@ -80,7 +73,6 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
         p.add_argument("--tol", type=_nonnegative_float, default=DEFAULT_TOLERANCES,
                        help="membership residual tolerance, scaled by ||A||_F^2 "
                             f"(default {DEFAULT_TOLERANCES.membership:g})")
@@ -96,6 +88,7 @@ def _parser() -> argparse.ArgumentParser:
                          help="half-dimensions, e.g. 8 or 1:8 or 1,2,4,8,10")
     p_suite.add_argument("--trials", type=_positive_int, default=None,
                          help="trial count (default depends on the suite)")
+    p_suite.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     common(p_suite)
 
     p_cert = sub.add_parser("certify", help="certify a matrix file")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SingularMatrixError, _frobeniuses, _square, rng_from_seed
+from .linalg import SingularMatrixError, _diagonals, _frobeniuses, _square, rng_from_seed
 from .symplectic import (
     DEFAULT_TOLERANCES,
     GroupKind,
@@ -100,18 +100,13 @@ def _symmetrized(s: np.ndarray, hermitian: bool, out: np.ndarray | None = None) 
 
 def _norm_clamped(x: np.ndarray, cap) -> np.ndarray:
     """Each matrix of a stack scaled down, in place, to Frobenius norm <= cap
-    (or its own cap[i]; each norm is the one frobenius gives for that matrix
-    alone).  Only the matrices over the cap are scaled; the others keep their bits."""
+    (or its own cap[i]; each norm is the one np.linalg.norm gives for that
+    matrix alone).  Only the matrices over the cap are scaled; the others keep their bits."""
     f = np.array(_frobeniuses(x))
     over = ~(f <= cap)  # a NaN norm is over
     # a masked multiply in place: x[over] *= ... would copy the stack out and back
     np.multiply(x, (cap / np.maximum(f, cap))[:, None, None], out=x, where=over[:, None, None])
     return x
-
-
-def _set_diagonal(out: np.ndarray, slots, values) -> None:
-    """Write values on the diagonals of the matrices ``slots`` of a stack."""
-    out.reshape(len(out), -1)[slots, ::out.shape[-1] + 1] = values
 
 
 # The fill of each factor kind (the form's is symplectic._forms) writes the
@@ -122,7 +117,7 @@ def _fill_shears(out: np.ndarray, slots, s: np.ndarray, lower: bool) -> np.ndarr
     """[[I, 0], [S, I]] if lower else [[I, S], [0, I]] for each S of a stack
     of already symmetrized blocks."""
     n = s.shape[-1]
-    _set_diagonal(out, slots, 1)
+    _diagonals(out)[slots] = 1
     if lower:
         out[slots, n:, :n] = s
     else:
@@ -144,7 +139,7 @@ def _fill_phases(out: np.ndarray, slots, thetas) -> np.ndarray:
     z = np.array([complex(math.cos(t), math.sin(t)) for t in thetas])
     on, off = (z[:, None] * np.array([1, 0], np.complex128)).T
     out[slots] = off[:, None, None]
-    _set_diagonal(out, slots, on[:, None])
+    _diagonals(out)[slots] = on[:, None]
     return out
 
 

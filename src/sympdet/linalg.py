@@ -53,20 +53,12 @@ def _square(a) -> np.ndarray:
     return m.astype(dtype, copy=False)  # np.array above already copied
 
 
-def frobenius(a) -> float:
-    """||a||_F as a Python float: the one place a norm leaves numpy.
-
-    Residuals are norms, and each must be a plain float.  A numpy scalar's
-    repr is ``np.float64(x)`` on numpy 2, and text reports print residuals
-    with repr.
-    """
-    return float(np.linalg.norm(a))
-
-
 def _frobeniuses(a: np.ndarray) -> list[float]:
-    """frobenius of each matrix of a (k, r, c) float64/complex128 stack, bit
-    for bit.  norm takes a BLAS dot of the entries (real and imaginary parts
-    apart) in memory order, ``ravel(order='K')``, as one contiguous vector;
+    """||A||_F of each matrix of a (k, r, c) float64/complex128 stack, bit for
+    bit ``np.linalg.norm`` of each alone, as Python floats (reports print
+    residuals with repr, which is ``np.float64(x)`` for a numpy scalar).
+    norm takes a BLAS dot of the entries (real and imaginary parts apart) in
+    memory order, ``ravel(order='K')``, as one contiguous vector;
     ``np.vecdot`` takes the same dot of each matrix laid out that way."""
     if abs(a.strides[-2]) < abs(a.strides[-1]):  # column-major matrices sum by column
         a = a.swapaxes(-1, -2)
@@ -76,6 +68,11 @@ def _frobeniuses(a: np.ndarray) -> list[float]:
     else:
         sq = np.vecdot(x, x)
     return np.sqrt(sq).tolist()
+
+
+def _diagonals(x: np.ndarray) -> np.ndarray:
+    """The diagonals of a C-ordered (k, n, n) stack, as a writable (k, n) view."""
+    return x.reshape(len(x), -1)[:, ::x.shape[-1] + 1]
 
 
 def phase_angle(p, q) -> float:

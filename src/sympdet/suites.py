@@ -44,10 +44,10 @@ from .generators import GeneratorConfig, _factors, _kind_codes, _kinds, _sample,
 from .linalg import (
     LogDet,
     _child_seeds,
+    _frobeniuses,
     _log_dets,
     _rngs,
     _square,
-    frobenius,
     log_det,
     phase_angle,
     rng_from_seed,
@@ -115,12 +115,9 @@ def _judge_form_identities(n: int, seeds, rngs, tol: ToleranceConfig) -> list[di
     """The trials read no seed: each gets a copy of one check at half-dim n."""
     j = symplectic_form(n)
     eye = np.eye(2 * n)
-    residuals = {
-        "formSquare": frobenius(j @ j + eye),
-        "formSkew": frobenius(j.T + j),
-        "formInverse": frobenius(j.T @ j - eye),
-        "detOne": abs(log_det(j).value - 1.0),
-    }
+    square, skew, inverse = _frobeniuses(np.stack([j @ j + eye, j.T + j, j.T @ j - eye]))
+    residuals = {"formSquare": square, "formSkew": skew, "formInverse": inverse,
+                 "detOne": abs(log_det(j).value - 1.0)}
     return [dict(residuals) for _ in seeds]
 
 

@@ -29,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import LogDet, _frobeniuses, _log_dets, _square, log_det
+from .linalg import LogDet, _diagonals, _frobeniuses, _log_dets, _square, log_det
 
 
 class GroupKind(Enum):
@@ -377,7 +377,7 @@ def _reductions(c: np.ndarray, d: np.ndarray, tol: ToleranceConfig,
         c, d = c[keep], d[keep]
     e = np.linalg.solve(c, d)
     ee = e.conj() @ e
-    ee.reshape(len(e), n * n)[:, ::n + 1] += 1.0  # + I, in the fresh C-ordered product
+    _diagonals(ee)[:] += 1.0  # + I, in the fresh product
     pair = _log_dets(ee)
     eye = np.broadcast_to(np.eye(n, dtype=np.complex128), e.shape)
     embed = _log_dets(_embedded(BlockPair(eye, e, GroupKind.COMPLEX_SYMPLECTIC)))
@@ -534,8 +534,7 @@ def _certificates(a: np.ndarray, res_mem: list[float], group: GroupKind,
     real = group is GroupKind.REAL_SYMPLECTIC
     det_a = _log_dets(a)
     gram = (a if real else a.conj()).swapaxes(1, 2) @ a  # A^T A (A^* A)
-    diag = np.arange(a.shape[1])
-    gram[:, diag, diag] += 1.0  # + I, in the fresh product
+    _diagonals(gram)[:] += 1.0  # + I, in the fresh product
     lhs = _log_dets(gram)
     pair = _pair(a, group)
     # The embeddings take the place of the Gram matrices, which are no longer

@@ -11,8 +11,10 @@ matrix and one factor at a time (the bitwise reference for the generators'
 stacked sampling), and the lemma and generator-sanity suites' checks one
 trial at a time (the bitwise references for their stacked judges).  Every
 reference draws from numpy's own ``default_rng`` and ``SeedSequence``, so
-none shares the library's vectorized seed derivation.  Two helpers the tests
-share come first: a fresh square copy of a matrix, and a Gaussian matrix.
+none shares the library's vectorized seed derivation.  Three helpers the
+tests share come first: a fresh square copy of a matrix, a Gaussian matrix,
+and the Frobenius norm of one matrix as a Python float (the bitwise
+reference for the library's stacked norms).
 """
 
 import math
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sympdet.generators import GenerationError, GeneratorConfig
-from sympdet.linalg import LogDet, SingularMatrixError, _square, frobenius, log_det
+from sympdet.linalg import LogDet, SingularMatrixError, _square, log_det
 from sympdet.symplectic import (DEFAULT_TOLERANCES, GroupKind, membership_residual,
                                 sign_slacks, symplectic_form)
 
@@ -43,6 +45,11 @@ def random_gaussian(rng, n, dtype=np.float64):
     if np.dtype(np.float64) != dtype:
         raise ValueError(f"unsupported dtype {dtype!r}")
     return rng.standard_normal((n, n))
+
+
+def frobenius(a) -> float:
+    """||a||_F as a Python float, from np.linalg.norm of the one matrix."""
+    return float(np.linalg.norm(a))
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,11 @@ import math
 import numpy as np
 
 import sympdet as sd
-from sympdet.linalg import frobenius, log_det, rng_from_seed, split_seed
+from sympdet.linalg import log_det, rng_from_seed, split_seed
 from sympdet.suites import SuiteSpec, _lemma_inputs, run_suite, run_trial
 from sympdet.symplectic import DEFAULT_TOLERANCES, GroupKind, ToleranceConfig
 
-from oracles import cofactor_det, random_gaussian
+from oracles import cofactor_det, frobenius, random_gaussian
 
 
 def _verdict(name: str, ok: bool, detail: str) -> None:

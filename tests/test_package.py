@@ -1,12 +1,15 @@
-"""The package namespace, and what importing and running it loads."""
+"""The package namespace, what importing and running it loads, and the
+script that digests a tree's reports (tests/tree_digests.py)."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import sympdet
+import tree_digests
 
 
 def test_all_names_resolve_once():
@@ -23,6 +26,38 @@ def test_cli_imports_public_names_only():
                for alias in node.names
                if alias.name.startswith("_") and not alias.name.endswith("__")]
     assert private == []
+
+
+def test_tree_digests_use_public_names_only():
+    # the script compares trees through what every tree exports
+    tree = ast.parse(Path(tree_digests.__file__).read_text())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.append(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names += [node.module or "", *(alias.name for alias in node.names)]
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+    private = [name for name in names
+               if any(p.startswith("_") and not p.endswith("__") for p in name.split("."))]
+    assert private == []
+
+
+def test_tree_digest_reads_key_order_but_not_timing():
+    spec = sympdet.default_suite_spec("form-identities", trials=1, half_dims=(1,))
+    reports = [sympdet.run_suite(spec)] * 2  # the list suite all prints
+    text = sympdet.render_json(reports)
+    payload = json.loads(text)
+    assert json.dumps(payload, indent=2) + "\n" == text  # rendered again byte for byte
+    first = payload[0]
+    keys = list(first["worstResiduals"])
+    keys[0], keys[1] = keys[1], keys[0]
+    swapped = dict(first, worstResiduals={k: first["worstResiduals"][k] for k in keys})
+    retimed = dict(first, elapsedSeconds=first["elapsedSeconds"] + 1.0)
+    digest = tree_digests.digest(text)
+    assert tree_digests.digest(json.dumps([swapped, payload[1]], indent=2) + "\n") != digest
+    assert tree_digests.digest(json.dumps([retimed, payload[1]], indent=2) + "\n") == digest
 
 
 _NO_MASKED_ARRAYS = """

@@ -632,6 +632,19 @@ def test_cli_bad_trials_and_tol_are_usage_errors(argv, capsys):
     assert "usage:" in capsys.readouterr().err
 
 
+def test_cli_seed_belongs_to_suite_only(tmp_path, capsys):
+    # certify and formula draw nothing, so a seed given to them is a usage error
+    path = _write(tmp_path, "j.txt", sd.symplectic_form(2))
+    for command in (["certify", path], ["formula", path]):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert main(["suite", "form-identities", "--trials", "1", "--n", "1", "--seed", "1",
+                 "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["seed"] == 1
+
+
 def test_cli_certify_form(tmp_path, capsys):
     path = _write(tmp_path, "j.txt", sd.symplectic_form(2))
     rc = main(["certify", path, "--mode", "real"])

@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose
 from sympdet.generators import GeneratorConfig, generate
 from sympdet.linalg import (
     _log_dets,
-    frobenius,
     log_det,
     rng_from_seed,
     split_seed,
@@ -42,7 +41,7 @@ from sympdet.symplectic import (
 REAL = GroupKind.REAL_SYMPLECTIC
 CONJ = GroupKind.CONJUGATE_SYMPLECTIC
 
-from oracles import (block_j_conjugate, cofactor_det, dense_membership_residual,
+from oracles import (block_j_conjugate, cofactor_det, dense_membership_residual, frobenius,
                      loop_reduction_residuals, random_gaussian)
 
 

@@ -48,7 +48,6 @@ def _arrays(result):
 def _calls(group, tmp_path):
     """Each public function that takes a matrix, applied to x where valid."""
     calls = {
-        "frobenius": sd.frobenius,
         "log_det": sd.log_det,
         "half_dim": sd.half_dim,
         "format_matrix": sd.format_matrix,

@@ -1,0 +1,119 @@
+"""Digests of everything a refactor of sympdet must keep bit for bit.
+
+For the sympdet tree on PYTHONPATH, prints one ``digest name`` line (sha256)
+per artifact:
+
+- ``suite all --format json`` at each of ``SEEDS``: the bytes the command
+  line prints, with the lines of ``TIMING_KEYS`` dropped.  Each seed runs
+  twice in this process; the script exits non-zero if the two runs differ or
+  the command fails.
+- the members ``generate`` samples: each group at half-dims that take many
+  factors a chunk (1, 2, 5, 16) and one (33), seeds 0-4;
+- ``run_trial`` replays: every suite at the first three of its default
+  half-dims, seeds 0-2, each trial's residuals and verdict (as repr);
+- member files ``write_matrix`` writes, and the exit status, report and
+  messages of ``certify --mode real``, ``certify --mode complex`` and
+  ``formula`` on each, with the default tolerances and with ``--tol 1e-22``
+  (a membership bound below rounding).  The files are named by relative
+  paths in a temporary directory, so reports name the same file in every
+  tree.
+
+Two trees keep every artifact when their outputs are equal, and a fresh run
+must give the same output again:
+
+    PYTHONPATH=src python tests/tree_digests.py > digests-new.txt
+    PYTHONPATH=base/src python tests/tree_digests.py > digests-base.txt
+    diff digests-base.txt digests-new.txt
+
+The script uses only public names of sympdet.  pytest does not collect it.
+"""
+
+import contextlib
+import hashlib
+import io
+import itertools
+import os
+import sys
+import tempfile
+
+import sympdet as sd
+from sympdet import cli
+
+# 4294967296 is a two-word master seed, and -1 one masked to 2**64 - 1
+SEEDS = ("0", "7", "42", "4294967296", "-1")
+TIMING_KEYS = ("elapsedSeconds",)  # report fields that differ from run to run
+
+
+def digest(text: str) -> str:
+    """sha256 of rendered JSON reports, without the lines of their timing fields."""
+    timing = tuple(f'"{key}": ' for key in TIMING_KEYS)
+    kept = (line for line in text.splitlines(keepends=True)
+            if not line.lstrip().startswith(timing))
+    return hashlib.sha256("".join(kept).encode()).hexdigest()
+
+
+def run(argv) -> tuple[int, str]:
+    """Exit status, and stdout then stderr, of one command run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, f"{out.getvalue()}--- stderr\n{err.getvalue()}"
+
+
+def suite_reports():
+    for seed in SEEDS:
+        argv = ["suite", "all", "--seed", seed, "--format", "json"]
+        runs = [run(argv) for _ in range(2)]
+        if any(code != 0 for code, _ in runs):
+            sys.exit(f"suite all --seed {seed} failed")
+        first, second = (digest(text) for _, text in runs)
+        if first != second:
+            sys.exit(f"suite all --seed {seed}: a second run in one process differs")
+        yield first, " ".join(argv)
+
+
+def members():
+    for group, n in itertools.product(sd.GroupKind, (1, 2, 5, 16, 33)):
+        h = hashlib.sha256()
+        for seed in range(5):
+            h.update(sd.generate(sd.GeneratorConfig(half_dim=n, target=group, seed=seed)).tobytes())
+        yield h.hexdigest(), f"generate {group.value} N={n} seeds 0-4"
+
+
+def replays():
+    for sid in sd.SUITE_IDS:
+        h = hashlib.sha256()
+        for s, n in itertools.product(range(3), sd.default_suite_spec(sid).half_dims[:3]):
+            r = sd.run_trial(sid, n, sd.split_seed(s, n))
+            h.update(repr((list(r.residuals.items()), r.passed)).encode())
+        yield h.hexdigest(), f"run_trial {sid} seeds 0-2"
+
+
+def file_reports():
+    """Writes its member files into the working directory."""
+    for group, n in itertools.product(sd.GroupKind, (3, 8)):
+        path = f"{group.value}-{n}.txt"
+        sd.write_matrix(sd.generate(sd.GeneratorConfig(half_dim=n, target=group, seed=n)), path)
+        with open(path, "rb") as f:
+            yield hashlib.sha256(f.read()).hexdigest(), f"write_matrix {path}"
+        for command in (["certify", path, "--mode", "real"],
+                        ["certify", path, "--mode", "complex"], ["formula", path]):
+            for strict in ([], ["--tol", "1e-22"]):
+                argv = [*command, "--format", "json", *strict]
+                code, text = run(argv)
+                yield digest(f"exit {code}\n{text}"), " ".join(argv)
+
+
+def main() -> None:
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for line in itertools.chain(suite_reports(), members(), replays(), file_reports()):
+                print(*line)
+        finally:
+            os.chdir(home)
+
+
+if __name__ == "__main__":
+    main()
