@@ -19,72 +19,14 @@ Quick start::
     print(sd.log_det(a).value)             # 1.0 from LAPACK's LU
 """
 
+from . import generators, linalg, matio, report, suites, symplectic
 from ._version import __version__
-from .linalg import (
-    LogDet,
-    SingularMatrixError,
-    log_det,
-    phase_angle,
-    rng_from_seed,
-    split_seed,
-)
-from .matio import format_matrix, parse_matrix, read_matrix, write_matrix
-from .symplectic import (
-    BlockPair,
-    Certificate,
-    DEFAULT_TOLERANCES,
-    GroupKind,
-    IdentityCheck,
-    MembershipError,
-    ReductionProbe,
-    ToleranceConfig,
-    block_pair,
-    certify_symplectic,
-    conj_block_det,
-    conj_block_reduction,
-    conj_symplectic_det,
-    embed_pair,
-    half_dim,
-    membership_residual,
-    sign_slacks,
-    symplectic_form,
-    unitary_split_det,
-)
-from .generators import (
-    GenerationError,
-    GeneratorConfig,
-    diag_block,
-    elementary_factor,
-    generate,
-    phase_factor,
-    shear_lower,
-    shear_upper,
-)
-from .report import Report, emit_report, render_json, render_text
-from .suites import (SUITE_IDS, SuiteSpec, TrialResult, conj_formula_check,
-                     default_suite_spec, run_suite, run_trial)
+from .linalg import *
+from .matio import *
+from .symplectic import *
+from .generators import *
+from .report import *
+from .suites import *
 
-__all__ = [
-    "__version__",
-    # linalg
-    "LogDet", "SingularMatrixError", "log_det",
-    "phase_angle", "rng_from_seed", "split_seed",
-    # matio
-    "format_matrix", "parse_matrix", "read_matrix", "write_matrix",
-    # symplectic
-    "BlockPair", "Certificate", "DEFAULT_TOLERANCES",
-    "GroupKind", "IdentityCheck", "MembershipError",
-    "ReductionProbe", "ToleranceConfig", "block_pair",
-    "certify_symplectic", "conj_block_det", "conj_block_reduction",
-    "conj_symplectic_det", "embed_pair", "half_dim",
-    "membership_residual", "sign_slacks", "symplectic_form",
-    "unitary_split_det",
-    # generators
-    "GenerationError", "GeneratorConfig", "diag_block",
-    "elementary_factor", "generate", "phase_factor",
-    "shear_lower", "shear_upper",
-    # report + suites
-    "Report", "emit_report", "render_json", "render_text",
-    "SUITE_IDS", "SuiteSpec", "TrialResult", "conj_formula_check",
-    "default_suite_spec", "run_suite", "run_trial",
-]
+__all__ = ["__version__", *linalg.__all__, *matio.__all__, *symplectic.__all__,
+           *generators.__all__, *report.__all__, *suites.__all__]

@@ -10,7 +10,7 @@ condition clamps keeping downstream determinant checks meaningful.  The
 sampled distribution is deliberately simple, not uniform over the group.
 
 Members are sampled as stacks: :func:`generate` is the stack of one, and the
-property suites build the members of many trials of one half-dim at once.
+property suites sample each stack of trials they cut (by _STACK_BYTES) whole.
 Each member still draws from its own rng exactly what it would draw alone,
 and numpy's stacked arithmetic does to each matrix what it does to that
 matrix alone, so every member is bitwise independent of the stack it was
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +36,14 @@ from .symplectic import (
     _membership_residuals,
 )
 
+__all__ = ["GenerationError", "GeneratorConfig", "diag_block", "elementary_factor", "generate",
+           "phase_factor", "shear_lower", "shear_upper"]
+
 FACTOR_KINDS = ("shear_lower", "shear_upper", "diag_block", "form", "phase")
 _FORM, _PHASE = FACTOR_KINDS.index("form"), FACTOR_KINDS.index("phase")  # the rest draw a block
 
 _MAX_ATTEMPTS = 5
-_STACK_BYTES = 1 << 20  # members built as one stack; larger stacks save little more
+_STACK_BYTES = 1 << 20  # a suite stack of members; larger stacks save little more
 
 
 def _kinds(group: GroupKind) -> tuple[str, ...]:
@@ -251,73 +253,57 @@ def elementary_factor(name: str, config: GeneratorConfig,
     return _factors(config, [rng], _kind_codes([name], config.target)[None])[0, 0]
 
 
-def _stacks(items: Iterable, m: int, dtype) -> Iterator[list]:
-    """items in lists of as many as fit in _STACK_BYTES as m x m matrices of
-    dtype (one, if a single matrix is larger), read lazily."""
-    per_stack = max(1, _STACK_BYTES // (m * m * np.dtype(dtype).itemsize))
-    items = iter(items)
-    while batch := list(itertools.islice(items, per_stack)):
-        yield batch
+def _sample(config: GeneratorConfig, rngs: list, factors: list[str] | None = None,
+            tol: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[np.ndarray, list]:
+    """The (k, 2N, 2N) stack of what generate gives for config with each of
+    the k rngs in place of rng_from_seed(config.seed), which is not read,
+    and the members' membership residuals, from the test that kept them.
 
-
-def _sample(config: GeneratorConfig, rngs: Iterable, factors: list[str] | None = None,
-            tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Iterator[tuple[np.ndarray, list]]:
-    """Yield, as (k, 2N, 2N) stacks in order, what generate gives for config
-    with each rng in place of rng_from_seed(config.seed), which is not read.
-
-    The members are built as stacks of up to _STACK_BYTES (one member if it is
-    larger), one stack at a time, so an unbounded ``rngs`` holds at most one
-    stack.  Each member draws its factor kinds, then the stack is built a
-    chunk of product steps at a time: every member draws the chunk's
-    parameters from its own rng, _factors builds the chunk, and the stack of
-    products is multiplied by each step's factors.  A chunk holds at most
+    Each member draws its factor kinds, then the stack is built a chunk of
+    product steps at a time: every member draws the chunk's parameters from
+    its own rng, _factors builds the chunk, and the stack of products is
+    multiplied by each step's factors.  A chunk holds at most
     _STACK_BYTES // 4 of factors (so the suites' peak memory stays that of a
     step at a time) and _STACK_BYTES // 16 of them per member (so a large
-    member takes a step at a time), but one step at least.  Each stack comes
-    with its members' membership residuals, from the test that kept them;
-    members that fail it are drawn again, as a smaller stack, and copied back
-    into their place.  Each member, and its residual, is bitwise what generate
-    and membership_residual give it, whatever its stack and chunks.  On
-    reaching a member whose attempts all failed, yields the members before it
-    in its stack and raises GenerationError.
+    member takes a step at a time), but one step at least.  Members that
+    fail the membership test are drawn again, as a smaller stack, and copied
+    back into their place.  Each member, and its residual, is bitwise what
+    generate and membership_residual give it, whatever its stack and chunks.
+    Raises GenerationError if the attempts of any member all fail.
     """
     forced = None if factors is None else _kind_codes(factors, config.target)
     allowed = _kind_codes(_kinds(config.target), config.target)
-    dtype = config.target.dtype
-    m = 2 * config.half_dim
+    dtype, m = config.target.dtype, 2 * config.half_dim
     member = m * m * np.dtype(dtype).itemsize
-    for block in _stacks(rngs, m, dtype):
-        out, res = None, np.empty(len(block))
-        todo = list(range(len(block)))
-        for _ in range(_MAX_ATTEMPTS):
-            live = [block[i] for i in todo]
-            if forced is None:  # kind draws first, as one call: PCG64 buffers 32-bit halves
-                codes = allowed[np.array([rng.integers(0, len(allowed), config.num_factors)
-                                          for rng in live])]
-            else:
-                codes = np.tile(forced, (len(live), 1))
-            chunk = max(1, min(_STACK_BYTES // 4 // (len(live) * member),
-                               _STACK_BYTES // 16 // member))
-            a = np.tile(np.eye(m, dtype=dtype), (len(live), 1, 1))
-            for t in range(0, codes.shape[1], chunk):
-                f = _factors(config, live, codes[:, t:t + chunk])
-                for step in range(f.shape[1]):
-                    a = a @ f[:, step]  # full products: a structured update would round differently
-                del f  # so the next chunk is built without this one
-            if out is None:
-                out = a
-            else:
-                out[todo] = a
-            res[todo] = _membership_residuals(a, config.target)
-            todo = [i for i in todo if not res[i] <= tol.product_residual]
-            if not todo or factors is not None:
-                break
-        if todo:
-            if todo[0]:
-                yield out[:todo[0]], res[:todo[0]].tolist()
-            raise GenerationError(f"no {config.target.value} product within residual "
-                                  f"after {_MAX_ATTEMPTS} attempts")
-        yield out, res.tolist()
+    out, res = None, np.empty(len(rngs))
+    todo = list(range(len(rngs)))
+    for _ in range(_MAX_ATTEMPTS):
+        live = [rngs[i] for i in todo]
+        if forced is None:  # kind draws first, as one call: PCG64 buffers 32-bit halves
+            codes = allowed[np.array([rng.integers(0, len(allowed), config.num_factors)
+                                      for rng in live])]
+        else:
+            codes = np.tile(forced, (len(live), 1))
+        chunk = max(1, min(_STACK_BYTES // 4 // (len(live) * member),
+                           _STACK_BYTES // 16 // member))
+        a = np.tile(np.eye(m, dtype=dtype), (len(live), 1, 1))
+        for t in range(0, codes.shape[1], chunk):
+            f = _factors(config, live, codes[:, t:t + chunk])
+            for step in range(f.shape[1]):
+                a = a @ f[:, step]  # full products: a structured update would round differently
+            del f  # so the next chunk is built without this one
+        if out is None:
+            out = a
+        else:
+            out[todo] = a
+        res[todo] = _membership_residuals(a, config.target)
+        todo = [i for i in todo if not res[i] <= tol.product_residual]
+        if not todo or factors is not None:
+            break
+    if todo:
+        raise GenerationError(f"no {config.target.value} product within residual "
+                              f"after {_MAX_ATTEMPTS} attempts")
+    return out, res.tolist()
 
 
 def generate(config: GeneratorConfig, factors: list[str] | None = None,
@@ -332,4 +318,4 @@ def generate(config: GeneratorConfig, factors: list[str] | None = None,
     config.seed.  This is the sampler's stack of one, so a property suite's
     member and generate's matrix for the same config are the same bits.
     """
-    return next(_sample(config, [rng_from_seed(config.seed)], factors, tol))[0][0]
+    return _sample(config, [rng_from_seed(config.seed)], factors, tol)[0][0]

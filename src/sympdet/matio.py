@@ -17,6 +17,8 @@ import numpy as np
 
 from .linalg import _square
 
+__all__ = ["format_matrix", "parse_matrix", "read_matrix", "write_matrix"]
+
 
 def format_matrix(a) -> str:
     a = _square(a)

@@ -18,6 +18,8 @@ import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+__all__ = ["Report", "emit_report", "render_json", "render_text"]
+
 
 @dataclass
 class Report:

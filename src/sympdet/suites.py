@@ -13,8 +13,8 @@ they can be executed in any order or in parallel; results are merged by
 trial index and do not depend on scheduling.
 
 Every judge is called alike, on the seeds and rngs of a stack of trials at
-one half-dim (about 1 MiB of matrices), and draws what it checks, each trial
-from its own rng.  The sampling suites (real-theorem, complex-theorem,
+one half-dim (1 MiB of complex128 matrices), and draws what it checks, each
+trial from its own rng.  The sampling suites (real-theorem, complex-theorem,
 conj-formula) sample their members (see :mod:`sympdet.generators`) and judge
 them, with the sampler's membership residuals, through the stacked
 certificate and formula cores of :mod:`sympdet.symplectic`; ineq-real and
@@ -40,7 +40,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._version import __version__
-from .generators import GeneratorConfig, _factors, _kind_codes, _kinds, _sample, _stacks
+from . import generators
+from .generators import GeneratorConfig, _factors, _kind_codes, _kinds, _sample
 from .linalg import (
     LogDet,
     _child_seeds,
@@ -72,6 +73,9 @@ from .symplectic import (
     symplectic_form,
     within_bounds,
 )
+
+__all__ = ["SUITE_IDS", "SuiteSpec", "TrialResult", "conj_formula_check", "default_suite_spec",
+           "run_suite", "run_trial"]
 
 
 @dataclass(frozen=True)
@@ -123,8 +127,8 @@ def _judge_form_identities(n: int, seeds, rngs, tol: ToleranceConfig) -> list[di
 
 def _judge_theorem(group: GroupKind, n: int, seeds, rngs, tol: ToleranceConfig) -> list[dict]:
     """Each member's certificate residuals, or the membership residual that gated it out."""
+    a, res_mem = _sample(GeneratorConfig(half_dim=n, target=group), rngs, tol=tol)
     return [c.residuals if isinstance(c, Certificate) else {"membership": r}
-            for a, res_mem in _sample(GeneratorConfig(half_dim=n, target=group), rngs, tol=tol)
             for c, r in zip(_certificates(a, res_mem, group, tol), res_mem)]
 
 
@@ -210,8 +214,8 @@ def _conj_residuals(res_mem: float, phase: complex | Exception, oracle: LogDet) 
 
 def _judge_conj_formula(n: int, seeds, rngs, tol: ToleranceConfig) -> list[dict]:
     cfg = GeneratorConfig(half_dim=n, target=GroupKind.CONJUGATE_SYMPLECTIC)
-    return [r for a, res_mem in _sample(cfg, rngs, tol=tol)
-            for r in map(_conj_residuals, res_mem, _conj_phases(a, res_mem, tol), _log_dets(a))]
+    a, res_mem = _sample(cfg, rngs, tol=tol)
+    return list(map(_conj_residuals, res_mem, _conj_phases(a, res_mem, tol), _log_dets(a)))
 
 
 def _judge_generator_sanity(n: int, seeds, rngs, tol: ToleranceConfig) -> list[dict]:
@@ -230,9 +234,8 @@ def _judge_generator_sanity(n: int, seeds, rngs, tol: ToleranceConfig) -> list[d
         factors = _factors(cfg, [rngs[i] for i in idx], kinds)
         factor_res = np.reshape(_membership_residuals(factors.reshape(-1, 2 * n, 2 * n), group),
                                 kinds.shape)
-        samplings = (zip(*_sample(cfg, [member_rngs[i + k] for i in idx], tol=tol))
-                     for k in (0, len(rngs)))  # each one's stacks, and their residuals
-        (a, res_a), (b, _) = ((np.concatenate(s), sum(r, [])) for s, r in samplings)
+        (a, res_a), (b, _) = (_sample(cfg, [member_rngs[i + k] for i in idx], tol=tol)
+                              for k in (0, len(rngs)))
         for j, (i, res, dd) in enumerate(zip(idx, res_a, _log_dets(a))):
             r = out[i]
             r["factorResidual"] = max(0.0, *factor_res[j].tolist())
@@ -280,11 +283,13 @@ def _suite(suite_id: str) -> _Suite:
     return _SUITES[suite_id]
 
 
-def _judgements(row: _Suite, n_half: int, seeds, rngs, tol: ToleranceConfig):
+def _judgements(row: _Suite, n_half: int, seeds: list, rngs: list, tol: ToleranceConfig):
     """The residuals of the trials with the given seeds, and rngs seeded with
-    them, at half-dim n_half, in order, judged a stack at a time."""
-    for batch in _stacks(zip(seeds, rngs), 2 * n_half, np.float64):
-        yield from row.judge(n_half, *zip(*batch), tol)
+    them, at half-dim n_half, in order, judged as many as fit in _STACK_BYTES
+    as complex128 matrices at a time (one, if larger): every suite's one cut."""
+    k = max(1, generators._STACK_BYTES // ((2 * n_half) ** 2 * 16))
+    for i in range(0, len(seeds), k):
+        yield from row.judge(n_half, seeds[i:i + k], rngs[i:i + k], tol)
 
 
 def run_trial(suite_id: str, n_half: int, seed: int,
@@ -292,6 +297,8 @@ def run_trial(suite_id: str, n_half: int, seed: int,
     """Run one trial in isolation, as a stack of one; rerunning a recorded
     failure seed through this function reproduces its residuals exactly."""
     row = _suite(suite_id)
+    if n_half < 1:
+        raise ValueError("half_dim must be >= 1")
     residuals = next(_judgements(row, n_half, [seed], [rng_from_seed(seed)], tol))
     return TrialResult(residuals=residuals, passed=within_bounds(row.family, residuals, tol))
 

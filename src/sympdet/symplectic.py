@@ -31,6 +31,12 @@ import numpy as np
 
 from .linalg import LogDet, _diagonals, _frobeniuses, _log_dets, _square, log_det
 
+__all__ = ["BlockPair", "Certificate", "DEFAULT_TOLERANCES", "GroupKind", "IdentityCheck",
+           "MembershipError", "ReductionProbe", "ToleranceConfig", "block_pair",
+           "certify_symplectic", "conj_block_det", "conj_block_reduction", "conj_symplectic_det",
+           "embed_pair", "half_dim", "membership_residual", "sign_slacks", "symplectic_form",
+           "unitary_split_det"]
+
 
 class GroupKind(Enum):
     """Which bilinear-form identity a matrix is measured against."""

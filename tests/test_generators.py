@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sympdet import generators
+from sympdet import generators, suites
 from sympdet.generators import (
     GenerationError,
     GeneratorConfig,
@@ -173,10 +173,8 @@ def test_embed_orthogonal_pair_trivials():
 
 
 def _members(config, seeds, *args, **kwargs):
-    """The members _sample yields as stacks, one at a time, for the rngs of
-    the given seeds."""
-    return itertools.chain.from_iterable(stack for stack, _ in _sample(
-        config, map(rng_from_seed, seeds), *args, **kwargs))
+    """The stack _sample builds for the rngs of the given seeds."""
+    return _sample(config, [rng_from_seed(s) for s in seeds], *args, **kwargs)[0]
 
 
 def _assert_bitwise(got, ref):
@@ -309,14 +307,26 @@ def test_generate_matches_the_loop(target, n):
         _assert_bitwise(generate(cfg), loop_generate(cfg))
 
 
+SAMPLING_SUITE = {REAL: "real-theorem", GroupKind.COMPLEX_SYMPLECTIC: "complex-theorem",
+                  GroupKind.CONJUGATE_SYMPLECTIC: "conj-formula"}
+
+
 @pytest.mark.parametrize("target", ALL_TARGETS)
-def test_stacks_split_by_size_match_the_loop(target):
-    # 8 members of 100 x 100 make two stacks below the byte budget for
-    # complex128 (6 + 2), one for float64; an unbounded seed stream is read lazily
+def test_stacks_split_by_size_match_the_loop(monkeypatch, target):
+    # the suites cut 8 trials of 100 x 100 members into stacks below the byte
+    # budget counted as complex128 (6 + 2), whatever the group's dtype
+    stacks = []
+
+    def capture(*args, **kwargs):
+        stack, res_mem = _sample(*args, **kwargs)
+        stacks.append(np.array(stack))
+        return stack, res_mem
+
+    monkeypatch.setattr(suites, "_sample", capture)
+    assert suites.run_suite(suites.default_suite_spec(
+        SAMPLING_SUITE[target], seed=50, trials=8, half_dims=(50,))).all_passed
+    assert [len(s) for s in stacks] == [6, 2]
     base = GeneratorConfig(half_dim=50, target=target)
-    seeds = (split_seed(50, t) for t in range(8))
-    stacks = [stack for stack, _ in _sample(base, map(rng_from_seed, seeds))]
-    assert [len(s) for s in stacks] == ([8] if target is REAL else [6, 2])
     for t, got in enumerate(itertools.chain.from_iterable(stacks)):
         _assert_bitwise(got, loop_generate(dataclasses.replace(base, seed=split_seed(50, t))))
 
@@ -383,11 +393,8 @@ def test_members_that_retry_or_fail_match_the_loop(target):
     assert failed and retried
     for s, got in zip(passed, _members(base, passed, tol=tol)):
         _assert_bitwise(got, refs[s])
-    stream = _members(base, seeds, tol=tol)
-    for s in seeds[:seeds.index(failed[0])]:
-        _assert_bitwise(next(stream), refs[s])
     with pytest.raises(GenerationError, match=f"no {target.value} product"):
-        next(stream)  # raised on reaching the first failed member, not before
+        _members(base, seeds, tol=tol)  # a stack that holds a failing member
     for s in failed:
         with pytest.raises(GenerationError):
             generate(dataclasses.replace(base, seed=s), tol=tol)
@@ -476,11 +483,8 @@ def test_retries_and_failures_do_not_depend_on_the_chunks(monkeypatch, target, s
     for s, got in zip(passed, _members(base, passed, tol=tol)):
         _assert_bitwise(got, refs[s])
     assert set(seen) == {steps or base.num_factors}
-    stream = _members(base, seeds, tol=tol)
-    for s in seeds[:seeds.index(failed[0])]:
-        _assert_bitwise(next(stream), refs[s])
     with pytest.raises(GenerationError, match=f"no {target.value} product"):
-        next(stream)
+        _members(base, seeds, tol=tol)  # a stack that holds a failing member
 
 
 def test_generate_holds_no_more_than_one_product_step():

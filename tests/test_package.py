@@ -2,6 +2,7 @@
 script that digests a tree's reports (tests/tree_digests.py)."""
 
 import ast
+import dataclasses
 import json
 import os
 import subprocess
@@ -16,6 +17,41 @@ def test_all_names_resolve_once():
     assert len(sympdet.__all__) == len(set(sympdet.__all__))
     missing = [name for name in sympdet.__all__ if not hasattr(sympdet, name)]
     assert missing == []
+
+
+PUBLIC_NAMES = [
+    "__version__",
+    "LogDet", "SingularMatrixError", "log_det", "phase_angle", "rng_from_seed", "split_seed",
+    "format_matrix", "parse_matrix", "read_matrix", "write_matrix",
+    "BlockPair", "Certificate", "DEFAULT_TOLERANCES", "GroupKind", "IdentityCheck",
+    "MembershipError", "ReductionProbe", "ToleranceConfig", "block_pair", "certify_symplectic",
+    "conj_block_det", "conj_block_reduction", "conj_symplectic_det", "embed_pair", "half_dim",
+    "membership_residual", "sign_slacks", "symplectic_form", "unitary_split_det",
+    "GenerationError", "GeneratorConfig", "diag_block", "elementary_factor", "generate",
+    "phase_factor", "shear_lower", "shear_upper",
+    "Report", "emit_report", "render_json", "render_text",
+    "SUITE_IDS", "SuiteSpec", "TrialResult", "conj_formula_check", "default_suite_spec",
+    "run_suite", "run_trial",
+]
+
+
+def test_package_names_are_the_module_name_lists():
+    # each public name is declared once, in its module's __all__, and bound
+    # at that module's top level; the package exports those lists in order
+    assert sympdet.__all__ == PUBLIC_NAMES
+    for module in ("linalg", "matio", "symplectic", "generators", "report", "suites"):
+        tree = ast.parse((Path(sympdet.__file__).parent / f"{module}.py").read_text())
+        bound = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        declared = getattr(sympdet, module).__all__
+        assert declared and set(declared) <= bound, (module, set(declared) - bound)
 
 
 def test_cli_imports_public_names_only():
@@ -58,6 +94,20 @@ def test_tree_digest_reads_key_order_but_not_timing():
     digest = tree_digests.digest(text)
     assert tree_digests.digest(json.dumps([swapped, payload[1]], indent=2) + "\n") != digest
     assert tree_digests.digest(json.dumps([retimed, payload[1]], indent=2) + "\n") == digest
+
+
+def test_tree_digest_masks_timing_in_text_reports():
+    # demos print text reports, whose timing sits inside a line of counts
+    spec = sympdet.default_suite_spec("form-identities", trials=1, half_dims=(1,))
+    report = sympdet.run_suite(spec)
+    digest = tree_digests.digest(sympdet.render_text(report))
+    retimed = dataclasses.replace(report, elapsed_seconds=report.elapsed_seconds + 1.0)
+    recounted = dataclasses.replace(report, passes=report.passes + 1)
+    assert tree_digests.digest(sympdet.render_text(retimed)) == digest
+    assert tree_digests.digest(sympdet.render_text(recounted)) != digest
+    # and the script finds every demo of its own checkout
+    demos = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+    assert demos and tree_digests.DEMOS == demos
 
 
 _NO_MASKED_ARRAYS = """

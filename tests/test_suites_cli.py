@@ -123,6 +123,18 @@ def test_suite_spec_validation():
         SuiteSpec("bogus", trials=1, half_dims=(1,))
 
 
+@pytest.mark.parametrize("n_half", [0, -1])
+@pytest.mark.parametrize("suite_id", SUITE_IDS)
+def test_run_trial_rejects_a_bad_half_dim(monkeypatch, suite_id, n_half):
+    # one ValueError, raised before the judge draws or cuts anything
+    def judge(*args):
+        raise AssertionError("the judge ran")
+
+    monkeypatch.setitem(_SUITES, suite_id, _SUITES[suite_id]._replace(judge=judge))
+    with pytest.raises(ValueError, match="half_dim must be >= 1"):
+        run_trial(suite_id, n_half, 3)
+
+
 def test_json_schema_field_names():
     rep = run_suite(_small_spec("form-identities"))
     d = rep.to_json_dict()
@@ -198,9 +210,18 @@ def test_reports_do_not_depend_on_the_stack_size(monkeypatch, suite_id):
     spec = default_suite_spec(suite_id, seed=8, trials=36, half_dims=(1, 2, 3))
     whole = run_suite(spec).to_json_dict()
     monkeypatch.setattr(generators, "_STACK_BYTES", 256)
+    sizes = set()
+    row = _SUITES[suite_id]
+
+    def judge(n, seeds, *args):
+        sizes.add(len(seeds))
+        return row.judge(n, seeds, *args)
+
+    monkeypatch.setitem(_SUITES, suite_id, row._replace(judge=judge))
     split = run_suite(spec).to_json_dict()
     whole.pop("elapsedSeconds"), split.pop("elapsedSeconds")
     assert split == whole
+    assert len(sizes) > 1  # the small budget did split
 
 
 @pytest.mark.parametrize("suite_id", SUITE_IDS)
@@ -285,9 +306,9 @@ def test_suite_members_match_the_loop(monkeypatch, suite_id):
     members = {}
 
     def capture(config, *args, **kwargs):
-        for stack, res_mem in generators._sample(config, *args, **kwargs):
-            members.setdefault(config.half_dim, []).extend(np.array(a) for a in stack)
-            yield stack, res_mem
+        stack, res_mem = generators._sample(config, *args, **kwargs)
+        members.setdefault(config.half_dim, []).extend(np.array(a) for a in stack)
+        return stack, res_mem
 
     monkeypatch.setattr(suites, "_sample", capture)
     dims = (*range(1, 17), 32, 50)
@@ -313,7 +334,7 @@ def test_suite_memory_does_not_grow_with_trials():
         finally:
             tracemalloc.stop()
 
-    small, large = peak(40), peak(100)  # 2 and 5 stacks of 20 members
+    small, large = peak(40), peak(100)  # 4 and 10 stacks of 10 members
     assert large < 1.25 * small
 
 
@@ -526,10 +547,10 @@ def test_generator_sanity_determinism_compares_bytes(monkeypatch):
 
     def drifting(config, *args, **kwargs):
         calls.append(config)
-        for stack, res_mem in generators._sample(config, *args, **kwargs):
-            if len(calls) == 2:
-                stack.real[0, 0, 0] = np.nextafter(stack.real[0, 0, 0], math.inf)
-            yield stack, res_mem
+        stack, res_mem = generators._sample(config, *args, **kwargs)
+        if len(calls) == 2:
+            stack.real[0, 0, 0] = np.nextafter(stack.real[0, 0, 0], math.inf)
+        return stack, res_mem
 
     assert run_trial("generator-sanity", 2, 11).residuals["determinism"] == 0.0
     monkeypatch.setattr(suites, "_sample", drifting)

@@ -4,7 +4,7 @@ For the sympdet tree on PYTHONPATH, prints one ``digest name`` line (sha256)
 per artifact:
 
 - ``suite all --format json`` at each of ``SEEDS``: the bytes the command
-  line prints, with the lines of ``TIMING_KEYS`` dropped.  Each seed runs
+  line prints, with the values of ``TIMING_KEYS`` masked.  Each seed runs
   twice in this process; the script exits non-zero if the two runs differ or
   the command fails.
 - the members ``generate`` samples: each group at half-dims that take many
@@ -16,7 +16,10 @@ per artifact:
   ``formula`` on each, with the default tolerances and with ``--tol 1e-22``
   (a membership bound below rounding).  The files are named by relative
   paths in a temporary directory, so reports name the same file in every
-  tree.
+  tree;
+- the exit status, stdout and stderr of each ``demos/*.py`` of the checkout
+  this script is in, run in a fresh process on the same tree, with the
+  values of ``TIMING_KEYS`` masked (in JSON and in the text report form).
 
 Two trees keep every artifact when their outputs are equal, and a fresh run
 must give the same output again:
@@ -33,8 +36,11 @@ import hashlib
 import io
 import itertools
 import os
+import re
+import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import sympdet as sd
 from sympdet import cli
@@ -42,14 +48,14 @@ from sympdet import cli
 # 4294967296 is a two-word master seed, and -1 one masked to 2**64 - 1
 SEEDS = ("0", "7", "42", "4294967296", "-1")
 TIMING_KEYS = ("elapsedSeconds",)  # report fields that differ from run to run
+# a timing value, after its key in JSON ("key": value) or in a text report (key: value)
+TIMING = re.compile(rf'\b({"|".join(TIMING_KEYS)})("?): [^\s,]+')
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
 def digest(text: str) -> str:
-    """sha256 of rendered JSON reports, without the lines of their timing fields."""
-    timing = tuple(f'"{key}": ' for key in TIMING_KEYS)
-    kept = (line for line in text.splitlines(keepends=True)
-            if not line.lstrip().startswith(timing))
-    return hashlib.sha256("".join(kept).encode()).hexdigest()
+    """sha256 of rendered reports, with the values of their timing fields masked."""
+    return hashlib.sha256(TIMING.sub(r"\1\2: <timing>", text).encode()).hexdigest()
 
 
 def run(argv) -> tuple[int, str]:
@@ -104,12 +110,22 @@ def file_reports():
                 yield digest(f"exit {code}\n{text}"), " ".join(argv)
 
 
+def demos():
+    env = {**os.environ, "PYTHONPATH": str(Path(sd.__file__).resolve().parents[1])}
+    for script in DEMOS:
+        proc = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
+                              text=True)
+        yield (digest(f"exit {proc.returncode}\n{proc.stdout}--- stderr\n{proc.stderr}"),
+               f"demos/{script.name}")
+
+
 def main() -> None:
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            for line in itertools.chain(suite_reports(), members(), replays(), file_reports()):
+            for line in itertools.chain(suite_reports(), members(), replays(), file_reports(),
+                                        demos()):
                 print(*line)
         finally:
             os.chdir(home)
