@@ -19,15 +19,14 @@ import numpy as np
 
 import sympdet as sd
 
-workdir = Path(tempfile.mkdtemp())
-
 # the text format: "n kind" header, rows of entries, complex as re,im
 a = sd.generate(sd.GeneratorConfig(half_dim=1, seed=3,
                                    target=sd.GroupKind.CONJUGATE_SYMPLECTIC))
-path = workdir / "member.txt"
-sd.write_matrix(a, path)
-print(path.read_text())
-assert np.array_equal(sd.read_matrix(path), a)   # exact round trip
+with tempfile.TemporaryDirectory() as workdir:
+    path = Path(workdir) / "member.txt"
+    sd.write_matrix(a, path)
+    print(path.read_text())
+    assert np.array_equal(sd.read_matrix(path), a)   # exact round trip
 
 # run two suites at reduced trial counts
 for sid in ("form-identities", "conj-formula"):

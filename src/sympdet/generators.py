@@ -262,14 +262,14 @@ def _sample(config: GeneratorConfig, rngs: list, factors: list[str] | None = Non
     Each member draws its factor kinds, then the stack is built a chunk of
     product steps at a time: every member draws the chunk's parameters from
     its own rng, _factors builds the chunk, and the stack of products is
-    multiplied by each step's factors.  A chunk holds at most
-    _STACK_BYTES // 4 of factors (so the suites' peak memory stays that of a
-    step at a time) and _STACK_BYTES // 16 of them per member (so a large
-    member takes a step at a time), but one step at least.  Members that
-    fail the membership test are drawn again, as a smaller stack, and copied
-    back into their place.  Each member, and its residual, is bitwise what
-    generate and membership_residual give it, whatever its stack and chunks.
-    Raises GenerationError if the attempts of any member all fail.
+    multiplied by each step's factors.  A chunk holds at most _STACK_BYTES
+    of factors (one budget beside the stack's) and _STACK_BYTES // 16 of
+    them per member (so a large member takes a step at a time), but one
+    step at least.  Members that fail the membership test are drawn again,
+    as a smaller stack, and copied back into their place.  Each member, and
+    its residual, is bitwise what generate and membership_residual give it,
+    whatever its stack and chunks.  Raises GenerationError if the attempts
+    of any member all fail.
     """
     forced = None if factors is None else _kind_codes(factors, config.target)
     allowed = _kind_codes(_kinds(config.target), config.target)
@@ -284,8 +284,7 @@ def _sample(config: GeneratorConfig, rngs: list, factors: list[str] | None = Non
                                       for rng in live])]
         else:
             codes = np.tile(forced, (len(live), 1))
-        chunk = max(1, min(_STACK_BYTES // 4 // (len(live) * member),
-                           _STACK_BYTES // 16 // member))
+        chunk = max(1, min(_STACK_BYTES // (len(live) * member), _STACK_BYTES // 16 // member))
         a = np.tile(np.eye(m, dtype=dtype), (len(live), 1, 1))
         for t in range(0, codes.shape[1], chunk):
             f = _factors(config, live, codes[:, t:t + chunk])

@@ -15,9 +15,10 @@ Determinants are taken a stack at a time (the private ``_log_dets``);
 :func:`log_det` is the stack of one, with the same bits as in any stack.
 The only stateful object is the numpy Generator returned by
 :func:`rng_from_seed`; keep each generator confined to one logical thread and
-derive per-task generators with :func:`split_seed`.  Both are stacks of one
-of private cores (``_child_seeds``, ``_rngs``) that run numpy's SeedSequence
-hash (frozen by NEP 19) over many seeds at once, bit for bit numpy's seeds.
+derive per-task generators with :func:`split_seed`, the stack of one of
+``_child_seeds``.  That private core and ``_rngs`` run numpy's SeedSequence
+hash (frozen by NEP 19) over a round of seeds at once, bit for bit numpy's
+seeds; :func:`rng_from_seed` is numpy's own ``default_rng``.
 """
 
 from __future__ import annotations
@@ -233,7 +234,7 @@ def _rngs(seeds) -> list[np.random.Generator]:
 
 def rng_from_seed(seed: int) -> np.random.Generator:
     """Deterministic generator: numpy's default_rng(seed & (2**64 - 1))."""
-    return _rngs([int(seed) & _SEED_MASK])[0]
+    return np.random.default_rng(int(seed) & _SEED_MASK)
 
 
 def split_seed(seed: int, index: int) -> int:

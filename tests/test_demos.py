@@ -20,9 +20,14 @@ def _run(args, cwd):
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[d.stem for d in DEMOS])
-def test_demo_runs(script, tmp_path):
+def test_demo_runs(script, tmp_path, monkeypatch):
+    # a demo may use the temp folder, but leaves nothing behind in it
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    monkeypatch.setenv("TMPDIR", str(tmp))
     proc = _run([str(script)], tmp_path)
     assert proc.returncode == 0, proc.stderr
+    assert not any(tmp.iterdir())
 
 
 def test_module_entry_point(tmp_path):

@@ -404,18 +404,20 @@ def test_members_that_retry_or_fail_match_the_loop(target):
 # Chunks of product steps: a member does not depend on how its steps are chunked
 # ---------------------------------------------------------------------------
 
-def _chunk_by(monkeypatch, config, steps, k):
-    """Set _STACK_BYTES so that one stack of k members of config builds
-    ``steps`` product steps at a time (every stack, if steps is 1; all of
-    them, if None); returns the step counts of the chunks built, in turn."""
+def _chunk_by(monkeypatch, config, steps):
+    """Set _STACK_BYTES so that a stack of config's members builds ``steps``
+    product steps at a time (any stack, if steps is 1 or None, which is all
+    of them; a stack of at most 16 members otherwise); returns the step
+    counts of the chunks built, in turn."""
     member = (2 * config.half_dim) ** 2 * np.dtype(config.target.dtype).itemsize
-    if steps is None:
-        budget = 1 << 40
-    elif steps == 1:
-        budget = 16 * member  # the per-member bound allows one step
-    else:
-        budget = 4 * k * member * steps  # the chunk bound allows `steps` for k members
+    # the per-member bound allows `steps`, and the stack bound as many for 16 members
+    budget = 1 << 40 if steps is None else 16 * member * steps
     monkeypatch.setattr(generators, "_STACK_BYTES", budget)
+    return _chunks_seen(monkeypatch)
+
+
+def _chunks_seen(monkeypatch):
+    """The step counts of the chunks _factors builds from now on, in turn."""
     seen = []
 
     def factors(config, rngs, codes):
@@ -430,12 +432,23 @@ def _chunk_by(monkeypatch, config, steps, k):
 CHUNK_STEPS = [1, 2, 3, 4, None]
 
 
+def test_a_chunk_takes_the_whole_stack_budget(monkeypatch):
+    # 40 real members at N = 10 (125 KiB) build 8 of their 12 product steps
+    # in the first chunk of the default 1 MiB budget, as many as it holds
+    base = GeneratorConfig(half_dim=10)
+    seeds = [split_seed(1, t) for t in range(40)]
+    seen = _chunks_seen(monkeypatch)
+    for seed, got in zip(seeds, _members(base, seeds)):
+        _assert_bitwise(got, loop_generate(dataclasses.replace(base, seed=seed)))
+    assert seen == [8, 4]
+
+
 @pytest.mark.parametrize("steps", CHUNK_STEPS, ids=lambda s: f"chunk{s or 'all'}")
 @pytest.mark.parametrize("target", ALL_TARGETS)
 def test_members_do_not_depend_on_the_chunks(monkeypatch, target, steps):
     base = GeneratorConfig(half_dim=3, target=target)
     seeds = [split_seed(43, t) for t in range(12)]
-    seen = _chunk_by(monkeypatch, base, steps, len(seeds))
+    seen = _chunk_by(monkeypatch, base, steps)
     for seed, got in zip(seeds, _members(base, seeds)):
         _assert_bitwise(got, loop_generate(dataclasses.replace(base, seed=seed)))
     assert set(seen) == {steps or base.num_factors}  # 12 steps chunk evenly
@@ -455,7 +468,7 @@ def test_forced_factors_on_chunk_boundaries_match_the_loop(monkeypatch, target, 
         return
     base = GeneratorConfig(half_dim=3, target=target)
     seeds = [split_seed(47, t) for t in range(6)]
-    seen = _chunk_by(monkeypatch, base, steps, len(seeds))
+    seen = _chunk_by(monkeypatch, base, steps)
     for seed, got in zip(seeds, _members(base, seeds, factors)):
         _assert_bitwise(got, loop_generate(dataclasses.replace(base, seed=seed), factors))
     whole, rest = divmod(len(factors), steps or len(factors))
@@ -479,7 +492,7 @@ def test_retries_and_failures_do_not_depend_on_the_chunks(monkeypatch, target, s
     failed = [s for s in seeds if refs[s] is None]
     passed = [s for s in seeds if refs[s] is not None]
     assert failed
-    seen = _chunk_by(monkeypatch, base, steps, len(passed))
+    seen = _chunk_by(monkeypatch, base, steps)
     for s, got in zip(passed, _members(base, passed, tol=tol)):
         _assert_bitwise(got, refs[s])
     assert set(seen) == {steps or base.num_factors}

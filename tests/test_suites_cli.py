@@ -339,9 +339,9 @@ def test_suite_memory_does_not_grow_with_trials():
 
 
 def test_suite_memory_does_not_grow_with_trials_when_chunks_span_steps(monkeypatch):
-    # stacks of 16 members (a round each) at 256 KiB build their 12 product
+    # stacks of 16 members (a round each) at 64 KiB build their 12 product
     # steps 4 at a time; memory still holds one stack and its chunk
-    monkeypatch.setattr(generators, "_STACK_BYTES", 256 << 10)
+    monkeypatch.setattr(generators, "_STACK_BYTES", 64 << 10)
     monkeypatch.setattr(suites, "_ROUND", 16)
     seen = []
 
@@ -364,6 +364,19 @@ def test_suite_memory_does_not_grow_with_trials_when_chunks_span_steps(monkeypat
     small, large = peak(16), peak(64)  # 1 and 4 stacks of 16 members
     assert set(seen) == {(16, 4)}
     assert large < 1.25 * small
+
+
+@pytest.mark.parametrize("suite_id", SAMPLING_SUITES)
+def test_default_suite_memory_stays_within_two_stack_budgets(suite_id):
+    # a stack is built beside at most one budget of its factors, so a default
+    # suite peaks below two budgets (chunks of all 12 steps reach 4.2 MiB)
+    tracemalloc.start()
+    try:
+        run_suite(default_suite_spec(suite_id, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * generators._STACK_BYTES
 
 
 def test_suite_rerun_is_identical():
