@@ -49,7 +49,7 @@ for eps in (None, 1e-2, 1e-6):
         if eps is not None:
             c[:, -1] = c[:, :-1] @ rng.standard_normal(3)   # rank deficient
             c = eps * np.eye(4, dtype=np.complex128) + c
-        worst = max(worst, *sd.sign_slacks(sd.conj_block_det(c, d), tol))
+        worst = max(worst, *sd.sign_slacks(sd.conj_block_reduction(c, d).block_det, tol))
     label = "generic C" if eps is None else f"C = {eps} I + rank-deficient"
     print(f"complex pairs, {label:28s} worst sign slack = {worst:.3e}")
 

@@ -28,5 +28,7 @@ from .generators import *
 from .report import *
 from .suites import *
 
+# A name is public when src/ reads it or a demo calls it as the handle of a
+# step of the paper; run_trial, the replay entry point, is the one exception.
 __all__ = ["__version__", *linalg.__all__, *matio.__all__, *symplectic.__all__,
            *generators.__all__, *report.__all__, *suites.__all__]

@@ -15,8 +15,8 @@ Each member still draws from its own rng exactly what it would draw alone,
 and numpy's stacked arithmetic does to each matrix what it does to that
 matrix alone, so every member is bitwise independent of the stack it was
 built in.  A stack's factors are built a chunk of product steps at a time,
-in one pass sorted by kind: one clamp, one inversion, one fill per kind (the
-public single factor builders are its stack of one).
+in one pass sorted by kind: one clamp, one inversion, one fill per kind
+(:func:`elementary_factor` is its stack of one).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SingularMatrixError, _diagonals, _frobeniuses, _square, rng_from_seed
+from .linalg import _diagonals, _frobeniuses, rng_from_seed
 from .symplectic import (
     DEFAULT_TOLERANCES,
     GroupKind,
@@ -36,8 +36,7 @@ from .symplectic import (
     _membership_residuals,
 )
 
-__all__ = ["GenerationError", "GeneratorConfig", "diag_block", "elementary_factor", "generate",
-           "phase_factor", "shear_lower", "shear_upper"]
+__all__ = ["GenerationError", "GeneratorConfig", "elementary_factor", "generate"]
 
 FACTOR_KINDS = ("shear_lower", "shear_upper", "diag_block", "form", "phase")
 _FORM, _PHASE = FACTOR_KINDS.index("form"), FACTOR_KINDS.index("phase")  # the rest draw a block
@@ -143,35 +142,6 @@ def _fill_phases(out: np.ndarray, slots, thetas) -> np.ndarray:
     out[slots] = off[:, None, None]
     _diagonals(out)[slots] = on[:, None]
     return out
-
-
-def shear_lower(s, target: GroupKind = GroupKind.REAL_SYMPLECTIC) -> np.ndarray:
-    """[[I, 0], [S, I]] with S symmetrized (Hermitian for the conjugate group)."""
-    s = _symmetrized(_square(s), target is GroupKind.CONJUGATE_SYMPLECTIC)
-    return _fill_shears(np.zeros((1, 2 * len(s), 2 * len(s)), s.dtype), 0, s, True)[0]
-
-
-def shear_upper(s, target: GroupKind = GroupKind.REAL_SYMPLECTIC) -> np.ndarray:
-    """[[I, S], [0, I]] with S symmetrized (Hermitian for the conjugate group)."""
-    s = _symmetrized(_square(s), target is GroupKind.CONJUGATE_SYMPLECTIC)
-    return _fill_shears(np.zeros((1, 2 * len(s), 2 * len(s)), s.dtype), 0, s, False)[0]
-
-
-def diag_block(p, target: GroupKind = GroupKind.REAL_SYMPLECTIC) -> np.ndarray:
-    """[[P, 0], [0, P^{-T}]] (P^{-*} for the conjugate group); P must be invertible."""
-    p = _square(p)
-    try:
-        pinv = np.linalg.inv(p)
-    except np.linalg.LinAlgError:
-        raise SingularMatrixError("diag_block needs an invertible P") from None
-    return _fill_diag_blocks(np.zeros((1, 2 * len(p), 2 * len(p)), p.dtype), 0, p, pinv,
-                             target is GroupKind.CONJUGATE_SYMPLECTIC)[0]
-
-
-def phase_factor(theta: float, n_half: int) -> np.ndarray:
-    """exp(i theta) I_2N: conjugate symplectic, det = exp(2 i N theta)."""
-    return _fill_phases(np.zeros((1, 2 * n_half, 2 * n_half), np.complex128), slice(None),
-                        [theta])[0]
 
 
 def _draws(config: GeneratorConfig, rngs, codes: np.ndarray,

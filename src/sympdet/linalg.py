@@ -29,15 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LogDet", "SingularMatrixError", "log_det", "phase_angle", "rng_from_seed",
-           "split_seed"]
+__all__ = ["LogDet", "log_det", "phase_angle", "rng_from_seed", "split_seed"]
 
 _SEED_MASK = (1 << 64) - 1
 _LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)  # exp() overflows above this
-
-
-class SingularMatrixError(ArithmeticError):
-    """An operation required an invertible matrix."""
 
 
 def _square(a) -> np.ndarray:

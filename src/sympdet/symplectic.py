@@ -29,13 +29,12 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import LogDet, _diagonals, _frobeniuses, _log_dets, _square, log_det
+from .linalg import LogDet, _diagonals, _frobeniuses, _log_dets, _square
 
 __all__ = ["BlockPair", "Certificate", "DEFAULT_TOLERANCES", "GroupKind", "IdentityCheck",
-           "MembershipError", "ReductionProbe", "ToleranceConfig", "block_pair",
-           "certify_symplectic", "conj_block_det", "conj_block_reduction", "conj_symplectic_det",
-           "embed_pair", "half_dim", "membership_residual", "sign_slacks", "symplectic_form",
-           "unitary_split_det"]
+           "MembershipError", "ReductionProbe", "ToleranceConfig", "certify_symplectic",
+           "conj_block_reduction", "conj_symplectic_det", "embed_pair", "half_dim",
+           "membership_residual", "sign_slacks", "symplectic_form", "unitary_split_det"]
 
 
 class GroupKind(Enum):
@@ -150,8 +149,9 @@ def _checker(family: str, tol: ToleranceConfig) -> Callable[[dict], bool]:
     return lambda residuals: all(v <= bounds[k] for k, v in residuals.items())
 
 
-def half_dim(a: np.ndarray) -> int:
-    n = a.shape[0]
+def half_dim(a) -> int:
+    """N for a square 2N x 2N matrix; ValueError for any other shape."""
+    n = _square(a).shape[0]
     if n % 2:
         raise ValueError(f"expected an even dimension, got {n}")
     return n // 2
@@ -237,23 +237,15 @@ class BlockPair:
     group: GroupKind
 
 
-def block_pair(a, group: GroupKind) -> BlockPair:
-    """C and D from the subblocks of A, per the group convention.
+def _pair(a: np.ndarray, group: GroupKind) -> BlockPair:
+    """C and D from the subblocks of a 2N x 2N matrix, or of each matrix of a
+    stack at once, per the group convention.
 
     Real/conjugate symplectic: C = A11 + A22, D = A12 - A21 (so that
     A + J A J^{-1} = [[C, D], [-D, C]]).  Complex symplectic: C = A11 +
     conj(A22), D = A12 - conj(A21) (so that A + conj(J A J^{-1}) =
     [[C, D], [-conj(D), conj(C)]]).
     """
-    a = _square(a)
-    half_dim(a)
-    if group is GroupKind.COMPLEX_SYMPLECTIC and not np.iscomplexobj(a):
-        raise ValueError("the conjugated block pair needs a complex matrix")
-    return _pair(a, group)
-
-
-def _pair(a: np.ndarray, group: GroupKind) -> BlockPair:
-    """block_pair of a matrix, or of each matrix of a stack at once."""
     n = a.shape[-1] // 2
     a11, a12, a21, a22 = a[..., :n, :n], a[..., :n, n:], a[..., n:, :n], a[..., n:, n:]
     if group is GroupKind.COMPLEX_SYMPLECTIC:
@@ -310,25 +302,6 @@ def _split_dets(c: np.ndarray, d: np.ndarray) -> tuple[list[LogDet], list[LogDet
 # Conjugate-paired block determinants
 # ---------------------------------------------------------------------------
 
-def _conj_pair(c, d) -> BlockPair:
-    """C and D as the complex128 blocks of one conjugated pair, checked to be
-    square and of one size."""
-    c = _square(c).astype(np.complex128, copy=False)
-    d = _square(d).astype(np.complex128, copy=False)
-    if c.shape != d.shape:
-        raise ValueError(f"dimension mismatch: {c.shape[0]} vs {d.shape[0]}")
-    return BlockPair(c, d, GroupKind.COMPLEX_SYMPLECTIC)
-
-
-def conj_block_det(c, d) -> LogDet:
-    """Determinant of [[C, D], [-conj(D), conj(C)]] for complex C, D.
-
-    These embeddings are exactly the complex images of quaternionic matrices;
-    their determinant is always real and nonnegative.
-    """
-    return log_det(_embedded(_conj_pair(c, d)))
-
-
 @dataclass(frozen=True)
 class ReductionProbe:
     """Outcome of reducing [[C, D], [-conj(D), conj(C)]] by block elimination.
@@ -347,7 +320,9 @@ class ReductionProbe:
 
 
 def conj_block_reduction(c, d, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> ReductionProbe:
-    """Check the block-elimination identities behind conj_block_det >= 0.
+    """Check the block-elimination identities behind block_det >= 0, the
+    determinant of [[C, D], [-conj(D), conj(C)]] for complex C, D (the complex
+    image of a quaternionic matrix, so always real and nonnegative).
 
     Residuals recorded (all independent dense determinants):
       solve       relative defect of C @ E = D
@@ -355,8 +330,11 @@ def conj_block_reduction(c, d, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Red
       commuting   det([[I, E], [-conj(E), I]]) vs det(conj(E) E + I)
       eeNonneg    sign slack of det(conj(E) E + I)
     """
-    p = _conj_pair(c, d)
-    return _reductions(p.c[None], p.d[None], tol)[0]
+    c = _square(c).astype(np.complex128, copy=False)
+    d = _square(d).astype(np.complex128, copy=False)
+    if c.shape != d.shape:
+        raise ValueError(f"dimension mismatch: {c.shape[0]} vs {d.shape[0]}")
+    return _reductions(c[None], d[None], tol)[0]
 
 
 def _reductions(c: np.ndarray, d: np.ndarray, tol: ToleranceConfig,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sympdet.generators import GenerationError, GeneratorConfig
-from sympdet.linalg import LogDet, SingularMatrixError, _square, log_det
+from sympdet.linalg import LogDet, _square, log_det
 from sympdet.symplectic import (DEFAULT_TOLERANCES, GroupKind, membership_residual,
                                 sign_slacks, symplectic_form)
 
@@ -50,6 +50,10 @@ def random_gaussian(rng, n, dtype=np.float64):
 def frobenius(a) -> float:
     """||a||_F as a Python float, from np.linalg.norm of the one matrix."""
     return float(np.linalg.norm(a))
+
+
+class SingularMatrixError(ArithmeticError):
+    """The LU oracle was asked to solve with a singular factorization."""
 
 
 @dataclass(frozen=True)
@@ -279,7 +283,7 @@ def _loop_diag_block(p, target):
     return out
 
 
-def _loop_phase_factor(theta, n_half):
+def loop_phase_factor(theta, n_half):
     return complex(math.cos(theta), math.sin(theta)) * np.eye(2 * n_half, dtype=np.complex128)
 
 
@@ -301,7 +305,7 @@ def loop_elementary_factor(name, config, rng):
     if name == "phase":
         if target is not GroupKind.CONJUGATE_SYMPLECTIC:
             raise ValueError("phase factors exist only in the conjugate group")
-        return _loop_phase_factor(float(rng.uniform(-math.pi, math.pi)), n)
+        return loop_phase_factor(float(rng.uniform(-math.pi, math.pi)), n)
     raise ValueError(f"unknown factor kind {name!r}")
 
 

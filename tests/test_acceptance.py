@@ -15,7 +15,7 @@ from sympdet.linalg import log_det, rng_from_seed, split_seed
 from sympdet.suites import SuiteSpec, _lemma_inputs, run_suite, run_trial
 from sympdet.symplectic import DEFAULT_TOLERANCES, GroupKind, ToleranceConfig
 
-from oracles import cofactor_det, frobenius, random_gaussian
+from oracles import cofactor_det, frobenius, loop_phase_factor, random_gaussian
 
 
 def _verdict(name: str, ok: bool, detail: str) -> None:
@@ -105,7 +105,7 @@ def test_criterion_6_conjugate_formula():
     for t in range(50):
         cfg = sd.GeneratorConfig(half_dim=3, target=GroupKind.CONJUGATE_SYMPLECTIC,
                                  seed=split_seed(7, t))
-        a = sd.generate(cfg) @ sd.phase_factor(
+        a = sd.generate(cfg) @ loop_phase_factor(
             float(rng_from_seed(split_seed(8, t)).uniform(-math.pi, math.pi)), 3)
         if abs(log_det(a).value - 1.0) > 1e-3:
             away_from_one += 1

@@ -13,16 +13,15 @@ from sympdet import generators, suites
 from sympdet.generators import (
     GenerationError,
     GeneratorConfig,
+    _fill_diag_blocks,
+    _fill_phases,
+    _fill_shears,
     _sample,
-    diag_block,
+    _symmetrized,
     elementary_factor,
     generate,
-    phase_factor,
-    shear_lower,
-    shear_upper,
 )
 from sympdet.linalg import (
-    SingularMatrixError,
     log_det,
     rng_from_seed,
     split_seed,
@@ -54,13 +53,41 @@ ALL_TARGETS = (REAL, GroupKind.COMPLEX_SYMPLECTIC, GroupKind.CONJUGATE_SYMPLECTI
 # Elementary factors
 # ---------------------------------------------------------------------------
 
+def _one(fill, n, dtype, *args):
+    """The factor a fill writes into a zeroed stack of one 2N x 2N matrix."""
+    return fill(np.zeros((1, 2 * n, 2 * n), dtype), 0, *args)[0]
+
+
+def _shear_lower(s, target=REAL):
+    """[[I, 0], [S, I]] with S symmetrized (Hermitian for the conjugate group)."""
+    s = _symmetrized(np.asarray(s), target is GroupKind.CONJUGATE_SYMPLECTIC)
+    return _one(_fill_shears, len(s), s.dtype, s, True)
+
+
+def _shear_upper(s, target=REAL):
+    """[[I, S], [0, I]] with S symmetrized (Hermitian for the conjugate group)."""
+    s = _symmetrized(np.asarray(s), target is GroupKind.CONJUGATE_SYMPLECTIC)
+    return _one(_fill_shears, len(s), s.dtype, s, False)
+
+
+def _diag_block(p, target=REAL):
+    """[[P, 0], [0, P^{-T}]] (P^{-*} for the conjugate group)."""
+    return _one(_fill_diag_blocks, len(p), p.dtype, p, np.linalg.inv(p),
+                target is GroupKind.CONJUGATE_SYMPLECTIC)
+
+
+def _phase_factor(theta, n_half):
+    """exp(i theta) I_2N."""
+    return _one(_fill_phases, n_half, np.complex128, [theta])
+
+
 def test_shear_of_zero_is_identity():
-    assert_allclose(shear_lower(np.zeros((3, 3))), np.eye(6))
-    assert_allclose(shear_upper(np.zeros((3, 3))), np.eye(6))
+    assert_allclose(_shear_lower(np.zeros((3, 3))), np.eye(6))
+    assert_allclose(_shear_upper(np.zeros((3, 3))), np.eye(6))
 
 
 def test_shear_scalar_hand_check():
-    a = shear_lower(np.array([[3.0]]))
+    a = _shear_lower(np.array([[3.0]]))
     assert_allclose(a, [[1.0, 0.0], [3.0, 1.0]])
     assert membership_residual(a, REAL) == 0.0
     assert abs(log_det(a).value - 1.0) == 0.0
@@ -69,18 +96,18 @@ def test_shear_scalar_hand_check():
 def test_shear_symmetrizes_input():
     rng = rng_from_seed(3)
     s = random_gaussian(rng, 3)                  # not symmetric
-    a = shear_upper(s)
+    a = _shear_upper(s)
     assert_allclose(a[:3, 3:], (s + s.T) / 2)
     assert membership_residual(a, REAL) <= 1e-12
     h = random_gaussian(rng, 3, np.complex128)   # Hermitian for the conjugate group
-    b = shear_lower(h, GroupKind.CONJUGATE_SYMPLECTIC)
+    b = _shear_lower(h, GroupKind.CONJUGATE_SYMPLECTIC)
     assert_allclose(b[3:, :3], (h + h.conj().T) / 2)
     assert membership_residual(b, GroupKind.CONJUGATE_SYMPLECTIC) <= 1e-12
 
 
 def test_diag_block_trivials():
-    assert_allclose(diag_block(np.eye(3)), np.eye(6))
-    a = diag_block(np.array([[2.0]]))
+    assert_allclose(_diag_block(np.eye(3)), np.eye(6))
+    a = _diag_block(np.array([[2.0]]))
     assert_allclose(a, np.diag([2.0, 0.5]))
     assert membership_residual(a, REAL) <= 1e-15
     assert abs(log_det(a).value - 1.0) <= 1e-15
@@ -88,7 +115,7 @@ def test_diag_block_trivials():
 
 def test_diag_block_conjugate_uses_conjugate_inverse():
     p = random_gaussian(rng_from_seed(5), 2, np.complex128)
-    a = diag_block(p, GroupKind.CONJUGATE_SYMPLECTIC)
+    a = _diag_block(p, GroupKind.CONJUGATE_SYMPLECTIC)
     assert_allclose(a[2:, 2:] @ p.conj().T, np.eye(2, dtype=np.complex128), atol=1e-13)
     assert membership_residual(a, GroupKind.CONJUGATE_SYMPLECTIC) <= 1e-12
 
@@ -101,18 +128,13 @@ def test_diag_block_random_clamped_residual():
         assert membership_residual(f, REAL) <= 1e-10
 
 
-def test_diag_block_singular_raises():
-    with pytest.raises(SingularMatrixError):
-        diag_block(np.zeros((2, 2)))
-
-
 def test_phase_factor_values():
-    assert_allclose(phase_factor(0.0, 2), np.eye(4, dtype=np.complex128))
-    a = phase_factor(math.pi, 1)
+    assert_allclose(_phase_factor(0.0, 2), np.eye(4, dtype=np.complex128))
+    a = _phase_factor(math.pi, 1)
     assert_allclose(a, -np.eye(2, dtype=np.complex128), atol=1e-15)
     assert abs(log_det(a).value - 1.0) <= 1e-14   # e^{2 pi i} = 1
     # theta = 0.3, N = 2: det = e^{1.2 i} straight from the LU oracle
-    dd = log_det(phase_factor(0.3, 2))
+    dd = log_det(_phase_factor(0.3, 2))
     assert abs(dd.phase - np.exp(1.2j)) <= 1e-12
     assert abs(dd.log_magnitude) <= 1e-12
 
@@ -192,9 +214,9 @@ def test_structured_builders_match_block_reference(dtype, n):
     c, d = random_gaussian(rng, n, dtype), random_gaussian(rng, n, dtype)
     for target in ALL_TARGETS:
         conj = target is GroupKind.CONJUGATE_SYMPLECTIC
-        _assert_bitwise(shear_lower(s, target), block_shear_lower(s, conj))
-        _assert_bitwise(shear_upper(s, target), block_shear_upper(s, conj))
-        _assert_bitwise(diag_block(p, target), block_diag_block(p, conj))
+        _assert_bitwise(_shear_lower(s, target), block_shear_lower(s, conj))
+        _assert_bitwise(_shear_upper(s, target), block_shear_upper(s, conj))
+        _assert_bitwise(_diag_block(p, target), block_diag_block(p, conj))
         _assert_bitwise(embed_pair(BlockPair(c, d, target)),
                         block_embed_pair(c, d, target is GroupKind.COMPLEX_SYMPLECTIC))
     # mixed dtypes take numpy's common result type

@@ -14,7 +14,6 @@ from sympdet.linalg import (
     _child_seeds,
     _frobeniuses,
     _rngs,
-    SingularMatrixError,
     log_det,
     phase_angle,
     rng_from_seed,
@@ -22,8 +21,8 @@ from sympdet.linalg import (
 )
 from sympdet.symplectic import symplectic_form
 
-from oracles import (SEED_MASK, as_square, cofactor_det, frobenius, lu_decompose,
-                     permutation_sign, random_gaussian, solve)
+from oracles import (SEED_MASK, SingularMatrixError, as_square, cofactor_det, frobenius,
+                     lu_decompose, permutation_sign, random_gaussian, solve)
 
 EPS = np.finfo(np.float64).eps
 

@@ -25,12 +25,12 @@ from sympdet.symplectic import (
     _certificates,
     _conj_phases,
     _membership_residuals,
-    block_pair,
+    _pair,
     certify_symplectic,
-    conj_block_det,
     conj_block_reduction,
     conj_symplectic_det,
     embed_pair,
+    half_dim,
     membership_residual,
     sign_slacks,
     symplectic_form,
@@ -39,6 +39,7 @@ from sympdet.symplectic import (
 )
 
 REAL = GroupKind.REAL_SYMPLECTIC
+COMPLEX = GroupKind.COMPLEX_SYMPLECTIC
 CONJ = GroupKind.CONJUGATE_SYMPLECTIC
 
 from oracles import (block_j_conjugate, cofactor_det, dense_membership_residual, frobenius,
@@ -61,6 +62,15 @@ def test_form_identities(n):
     assert frobenius(j.T + j) == 0.0
     assert frobenius(j.T @ j - eye) == 0.0
     assert abs(log_det(j).value - 1.0) <= 1e-12
+
+
+def test_half_dim_checks_its_input():
+    # any square matrix, a nested list too; a non-square one is no 2N x 2N
+    with pytest.raises(ValueError, match="square"):
+        half_dim(np.zeros((2, 3)))
+    assert half_dim([[1, 0], [0, 1]]) == 1
+    with pytest.raises(ValueError, match="even"):
+        half_dim(np.eye(3))
 
 
 def test_residual_of_members_is_zero():
@@ -152,25 +162,23 @@ def test_j_conjugate_matches_dense_product():
 
 def test_block_pair_trivials():
     j = symplectic_form(2)
-    p = block_pair(j, GroupKind.REAL_SYMPLECTIC)
+    p = _pair(j, GroupKind.REAL_SYMPLECTIC)
     assert_allclose(p.c, np.zeros((2, 2)))
     assert_allclose(p.d, 2 * np.eye(2))
-    p = block_pair(np.eye(4), GroupKind.REAL_SYMPLECTIC)
+    p = _pair(np.eye(4), GroupKind.REAL_SYMPLECTIC)
     assert_allclose(p.c, 2 * np.eye(2))
     assert_allclose(p.d, np.zeros((2, 2)))
     theta = 0.9
-    p = block_pair(np.exp(1j * theta) * np.eye(4, dtype=np.complex128), CONJ)
+    p = _pair(np.exp(1j * theta) * np.eye(4, dtype=np.complex128), CONJ)
     assert_allclose(p.c, 2 * np.exp(1j * theta) * np.eye(2, dtype=np.complex128))
     assert_allclose(p.d, np.zeros((2, 2), np.complex128))
 
 
 def test_block_pair_conjugated_variant():
     a = random_gaussian(rng_from_seed(23), 6, np.complex128)
-    p = block_pair(a, GroupKind.COMPLEX_SYMPLECTIC)
+    p = _pair(a, GroupKind.COMPLEX_SYMPLECTIC)
     assert_allclose(p.c, a[:3, :3] + a[3:, 3:].conj())
     assert_allclose(p.d, a[:3, 3:] - a[3:, :3].conj())
-    with pytest.raises(ValueError, match="complex"):
-        block_pair(random_gaussian(rng_from_seed(23), 6), GroupKind.COMPLEX_SYMPLECTIC)
 
 
 def test_embed_pair_trivials():
@@ -183,7 +191,7 @@ def test_embed_pair_trivials():
 def test_embed_pair_reconstructs_j_conjugation_sum():
     a = generate(GeneratorConfig(half_dim=4, seed=57))
     lhs = a + block_j_conjugate(a)
-    rhs = embed_pair(block_pair(a, GroupKind.REAL_SYMPLECTIC))
+    rhs = embed_pair(_pair(a, GroupKind.REAL_SYMPLECTIC))
     assert frobenius(lhs - rhs) == 0.0
 
 
@@ -259,9 +267,11 @@ def test_unitary_factorization_materialized():
 
 def test_conj_block_det_trivials():
     n = 2
-    dd = conj_block_det(np.eye(n, dtype=np.complex128), np.zeros((n, n), np.complex128))
+    dd = conj_block_reduction(np.eye(n, dtype=np.complex128),
+                              np.zeros((n, n), np.complex128)).block_det
     assert abs(dd.value - 1.0) <= 1e-15
-    dd = conj_block_det(np.zeros((n, n), np.complex128), np.eye(n, dtype=np.complex128))
+    dd = conj_block_reduction(np.zeros((n, n), np.complex128),
+                              np.eye(n, dtype=np.complex128)).block_det
     assert abs(dd.value - 1.0) <= 1e-15   # the embedding is J itself
 
 
@@ -270,7 +280,7 @@ def test_conj_block_det_nonnegative_random():
     for _ in range(20):
         c = random_gaussian(rng, 4, np.complex128)
         d = random_gaussian(rng, 4, np.complex128)
-        dd = conj_block_det(c, d)
+        dd = conj_block_reduction(c, d).block_det
         assert max(sign_slacks(dd, ToleranceConfig())) <= 1e-10
 
 
@@ -279,7 +289,7 @@ def test_conj_block_det_matches_cofactor_oracle():
     c = random_gaussian(rng, 2, np.complex128)
     d = random_gaussian(rng, 2, np.complex128)
     expected = cofactor_det(embed_pair(BlockPair(c, d, GroupKind.COMPLEX_SYMPLECTIC)))
-    assert abs(conj_block_det(c, d).value - expected) <= 1e-12 * abs(expected)
+    assert abs(conj_block_reduction(c, d).block_det.value - expected) <= 1e-12 * abs(expected)
 
 
 def test_conj_block_reduction_trivials():
@@ -333,7 +343,7 @@ def test_conj_block_reduction_matches_the_loop():
             ref = loop_reduction_residuals(cc, dd)
             assert ([(k, v.hex()) for k, v in probe.residuals.items()]
                     == [(k, v.hex()) for k, v in ref.items()]), n
-            assert repr(probe.block_det) == repr(conj_block_det(cc, dd))
+            assert repr(probe.block_det) == repr(log_det(embed_pair(BlockPair(cc, dd, COMPLEX))))
             if ref:
                 assert probe.e.tobytes() == np.linalg.solve(cc, dd).tobytes()
             else:
@@ -374,7 +384,7 @@ def test_non_finite_blocks_fail_the_sign_checks(n, bad):
         for c0, d0 in (dense, diagonal):
             for c, d in _with_bad_entries(c0, d0, bad):
                 if family == "lemma":
-                    dd = conj_block_det(c, d)
+                    dd = conj_block_reduction(c, d).block_det
                 else:
                     dd = log_det(embed_pair(BlockPair(c, d, REAL)))
                 im_slack, re_slack = sign_slacks(dd)

@@ -53,12 +53,7 @@ def _calls(group, tmp_path):
         "format_matrix": sd.format_matrix,
         "write_matrix": lambda x: sd.write_matrix(x, tmp_path / "m.txt"),
         "membership_residual": lambda x: sd.membership_residual(x, group),
-        "block_pair": lambda x: sd.block_pair(x, group),
-        "conj_block_det": lambda x: sd.conj_block_det(x, x),
         "conj_block_reduction": lambda x: sd.conj_block_reduction(x, 2.0 * x),
-        "diag_block": lambda x: sd.diag_block(x, group),
-        "shear_lower": lambda x: sd.shear_lower(x, group),
-        "shear_upper": lambda x: sd.shear_upper(x, group),
     }
     if group is not CONJ:
         calls["certify_symplectic"] = lambda x: sd.certify_symplectic(x, group)
