@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _diagonals, _frobeniuses, rng_from_seed
+from .linalg import _diagonals, _frobeniuses, _index, rng_from_seed
 from .symplectic import (
     DEFAULT_TOLERANCES,
     GroupKind,
@@ -45,18 +45,19 @@ _MAX_ATTEMPTS = 5
 _STACK_BYTES = 1 << 20  # a suite stack of members; larger stacks save little more
 
 
-def _kinds(group: GroupKind) -> tuple[str, ...]:
-    """The factor kinds of a group: phase belongs to the conjugate group only."""
-    return tuple(name for name in FACTOR_KINDS
-                 if name != "phase" or group is GroupKind.CONJUGATE_SYMPLECTIC)
+def _kind_count(group: GroupKind) -> int:
+    """How many kinds the group's factors are drawn from, uniformly: codes
+    0 to this count - 1, as phase, the last kind, is the conjugate group's alone."""
+    return len(FACTOR_KINDS) if group is GroupKind.CONJUGATE_SYMPLECTIC else _PHASE
 
 
 def _kind_codes(names, group: GroupKind) -> np.ndarray:
     """The FACTOR_KINDS index of each name of a factor of the group."""
     for name in names:
-        if name not in _kinds(group):
-            raise ValueError(f"unknown factor kind {name!r}" if name not in FACTOR_KINDS
-                             else "phase factors exist only in the conjugate group")
+        if name not in FACTOR_KINDS:
+            raise ValueError(f"unknown factor kind {name!r}")
+        if FACTOR_KINDS.index(name) >= _kind_count(group):
+            raise ValueError("phase factors exist only in the conjugate group")
     return np.array([FACTOR_KINDS.index(name) for name in names], int)
 
 
@@ -82,6 +83,8 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("half_dim", "num_factors", "seed"):  # a numpy integer is kept as an int
+            object.__setattr__(self, name, _index(getattr(self, name), name))
         if self.half_dim < 1:
             raise ValueError("half_dim must be >= 1")
         if self.num_factors < 1:
@@ -145,24 +148,33 @@ def _fill_phases(out: np.ndarray, slots, thetas) -> np.ndarray:
 
 
 def _draws(config: GeneratorConfig, rngs, codes: np.ndarray,
-           blocks: int) -> tuple[np.ndarray, list]:
-    """What each member draws from its rng for its factors codes[i], in
-    factor order: a run of kinds other than phase is one standard_normal
-    call, an N x N block (complex but for the real group: real then
-    imaginary parts) for each but the forms, and a phase draws its angle.
-    Returns the ``blocks`` blocks, times factor_scale / sqrt(N), and the
-    angles, both in (member, step) order."""
+           counts: list[int]) -> tuple[np.ndarray, list]:
+    """What each member draws from its rng for its factors codes[i], given
+    the chunk's count of each kind, in factor order: a run of kinds other
+    than phase is one standard_normal call, an N x N block (complex but for
+    the real group: real then imaginary parts) for each but the forms, and
+    a run of phases is one uniform call, an angle each (the doubles of as
+    many scalar calls).  In a chunk without phases, which is every chunk of
+    the real and complex groups, a member is one run, and numpy counts the
+    blocks of all of them at once.  Returns the blocks, times factor_scale
+    / sqrt(N), and the angles, both in (member, step) order."""
     n = config.half_dim
     real = config.target is GroupKind.REAL_SYMPLECTIC
+    blocks = sum(counts[:_FORM])
     w = np.empty((blocks, n, n) if real else (blocks, 2, n, n))
-    thetas, r = [], 0
-    for rng, row in zip(rngs, codes.tolist()):
-        for phase, run in itertools.groupby(row, _PHASE.__eq__):
-            if phase:
-                thetas += [float(rng.uniform(-math.pi, math.pi)) for _ in run]
-            elif k := sum(c != _FORM for c in run):
-                rng.standard_normal(out=w[r:r + k])  # the run's blocks, in turn
-                r += k
+    thetas, lo = [], 0
+    if not counts[_PHASE]:
+        for rng, hi in zip(rngs, (codes < _FORM).sum(1).cumsum().tolist()):
+            rng.standard_normal(out=w[lo:hi])  # draws nothing for a member of forms alone
+            lo = hi
+    else:
+        for rng, row in zip(rngs, codes.tolist()):
+            for phase, run in itertools.groupby(row, _PHASE.__eq__):
+                if phase:
+                    thetas += rng.uniform(-math.pi, math.pi, len(list(run))).tolist()
+                elif k := sum(map(_FORM.__gt__, run)):
+                    rng.standard_normal(out=w[lo:lo + k])
+                    lo += k
     if real:
         g = w
     else:  # w[:, 0] + 1j * w[:, 1]
@@ -181,7 +193,7 @@ def _factors(config: GeneratorConfig, rngs, codes: np.ndarray) -> np.ndarray:
     n, cap = config.half_dim, config.condition_cap
     conjugate = config.target is GroupKind.CONJUGATE_SYMPLECTIC
     counts = np.bincount(codes.ravel(), minlength=len(FACTOR_KINDS)).tolist()
-    g, thetas = _draws(config, rngs, codes, sum(counts[:_FORM]))
+    g, thetas = _draws(config, rngs, codes, counts)
     if sum(map(bool, counts[:_FORM])) > 1:  # blocks of several kinds: sort them as the slots
         g = g[np.argsort(codes[codes < _FORM], kind="stable")]
     order = np.argsort(codes, axis=None, kind="stable")
@@ -242,7 +254,7 @@ def _sample(config: GeneratorConfig, rngs: list, factors: list[str] | None = Non
     of any member all fail.
     """
     forced = None if factors is None else _kind_codes(factors, config.target)
-    allowed = _kind_codes(_kinds(config.target), config.target)
+    kinds = _kind_count(config.target)
     dtype, m = config.target.dtype, 2 * config.half_dim
     member = m * m * np.dtype(dtype).itemsize
     out, res = None, np.empty(len(rngs))
@@ -250,8 +262,7 @@ def _sample(config: GeneratorConfig, rngs: list, factors: list[str] | None = Non
     for _ in range(_MAX_ATTEMPTS):
         live = [rngs[i] for i in todo]
         if forced is None:  # kind draws first, as one call: PCG64 buffers 32-bit halves
-            codes = allowed[np.array([rng.integers(0, len(allowed), config.num_factors)
-                                      for rng in live])]
+            codes = np.array([rng.integers(0, kinds, config.num_factors) for rng in live])
         else:
             codes = np.tile(forced, (len(live), 1))
         chunk = max(1, min(_STACK_BYTES // (len(live) * member), _STACK_BYTES // 16 // member))

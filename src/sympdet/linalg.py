@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,15 @@ def _frobeniuses(a: np.ndarray) -> list[float]:
 def _diagonals(x: np.ndarray) -> np.ndarray:
     """The diagonals of a C-ordered (k, n, n) stack, as a writable (k, n) view."""
     return x.reshape(len(x), -1)[:, ::x.shape[-1] + 1]
+
+
+def _index(value, name: str) -> int:
+    """An integer field's value as an int (numpy integers pass), or
+    ValueError naming the field: a float seed would otherwise truncate."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def phase_angle(p, q) -> float:
@@ -229,7 +239,7 @@ def _rngs(seeds) -> list[np.random.Generator]:
 
 def rng_from_seed(seed: int) -> np.random.Generator:
     """Deterministic generator: numpy's default_rng(seed & (2**64 - 1))."""
-    return np.random.default_rng(int(seed) & _SEED_MASK)
+    return np.random.default_rng(_index(seed, "seed") & _SEED_MASK)
 
 
 def split_seed(seed: int, index: int) -> int:

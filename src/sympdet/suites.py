@@ -41,11 +41,12 @@ import numpy as np
 
 from ._version import __version__
 from . import generators
-from .generators import GeneratorConfig, _factors, _kind_codes, _kinds, _sample
+from .generators import GeneratorConfig, _factors, _kind_count, _sample
 from .linalg import (
     LogDet,
     _child_seeds,
     _frobeniuses,
+    _index,
     _log_dets,
     _rngs,
     _square,
@@ -56,9 +57,9 @@ from .linalg import (
 from .report import Report
 from .symplectic import (
     BlockPair,
-    Certificate,
     DEFAULT_TOLERANCES,
     GroupKind,
+    MembershipError,
     ToleranceConfig,
     _certificates,
     _checker,
@@ -90,6 +91,14 @@ class SuiteSpec:
 
     def __post_init__(self):
         _suite(self.suite_id)
+        # numpy integers are kept as ints, which the report's JSON can hold
+        object.__setattr__(self, "trials", _index(self.trials, "trials"))
+        try:
+            dims = tuple(_index(n, "half_dims") for n in self.half_dims)
+        except TypeError:  # not a sequence
+            raise ValueError(f"half_dims must be integers, got {self.half_dims!r}") from None
+        object.__setattr__(self, "half_dims", dims)
+        object.__setattr__(self, "seed", _index(self.seed, "seed"))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not self.half_dims or any(n < 1 for n in self.half_dims):
@@ -128,7 +137,7 @@ def _judge_form_identities(n: int, seeds, rngs, tol: ToleranceConfig) -> list[di
 def _judge_theorem(group: GroupKind, n: int, seeds, rngs, tol: ToleranceConfig) -> list[dict]:
     """Each member's certificate residuals, or the membership residual that gated it out."""
     a, res_mem = _sample(GeneratorConfig(half_dim=n, target=group), rngs, tol=tol)
-    return [c.residuals if isinstance(c, Certificate) else {"membership": r}
+    return [{"membership": r} if isinstance(c, MembershipError) else c[0]
             for c, r in zip(_certificates(a, res_mem, group, tol), res_mem)]
 
 
@@ -163,9 +172,9 @@ def _judge_lemma(n: int, seeds, rngs, tol: ToleranceConfig) -> list[dict]:
     """Each trial's block determinant sign slacks, and the block-elimination
     residuals of those whose C passes the condition gate."""
     out = []
-    for probe in _reductions(*_lemma_inputs(n, rngs)[:2], tol, gated=True):
-        im_slack, re_slack = sign_slacks(probe.block_det, tol)
-        out.append({"imagSlack": im_slack, "realSlack": re_slack, **probe.residuals})
+    for _, block_det, _, residuals in _reductions(*_lemma_inputs(n, rngs)[:2], tol, gated=True):
+        im_slack, re_slack = sign_slacks(block_det, tol)
+        out.append({"imagSlack": im_slack, "realSlack": re_slack, **residuals})
     return out
 
 
@@ -230,7 +239,7 @@ def _judge_generator_sanity(n: int, seeds, rngs, tol: ToleranceConfig) -> list[d
         if not idx:
             continue
         cfg = GeneratorConfig(half_dim=n, target=group)
-        kinds = np.tile(_kind_codes(_kinds(group), group), (len(idx), 1))  # one of each kind
+        kinds = np.tile(np.arange(_kind_count(group)), (len(idx), 1))  # one of each kind
         factors = _factors(cfg, [rngs[i] for i in idx], kinds)
         factor_res = np.reshape(_membership_residuals(factors.reshape(-1, 2 * n, 2 * n), group),
                                 kinds.shape)
@@ -297,7 +306,7 @@ def run_trial(suite_id: str, n_half: int, seed: int,
     """Run one trial in isolation, as a stack of one; rerunning a recorded
     failure seed through this function reproduces its residuals exactly."""
     row = _suite(suite_id)
-    if n_half < 1:
+    if _index(n_half, "n_half") < 1:
         raise ValueError("half_dim must be >= 1")
     residuals = next(_judgements(row, n_half, [seed], [rng_from_seed(seed)], tol))
     return TrialResult(residuals=residuals, passed=within_bounds(row.family, residuals, tol))
@@ -335,8 +344,9 @@ def run_suite(spec: SuiteSpec) -> Report:
                 failures.append({"seed": seed, "halfDim": dims[t % len(dims)],
                                  "residuals": residuals})
             for k, v in residuals.items():
-                prev = worst.get(k, 0.0)
-                worst[k] = prev if math.isnan(prev) or v <= prev else v  # NaN wins
+                prev = worst.setdefault(k, 0.0)
+                if not v <= prev and prev == prev:  # NaN wins, and stays
+                    worst[k] = v
     elapsed = time.perf_counter() - t0
     return Report(
         tool=f"sympdet {__version__}",

@@ -14,7 +14,11 @@ reduction each have one core that judges a stack at once, one matrix product
 or LAPACK call per step; the public functions are its stack of one.  numpy
 treats each matrix of a stack as it would alone, and each norm is summed as
 it is alone, so a matrix gets the same bits in any stack.  A core returns,
-for each matrix, what its public function returns or the error it raises.
+for each matrix, the error its public function raises or what that function
+is made of: the certificate and block-reduction cores give residuals and
+determinants, from which certify_symplectic and conj_block_reduction build
+their Certificate and ReductionProbe; the property suites read the
+residuals alone and judge them once.
 
 Everything here is a pure function over immutable values; certificates are
 built locally and returned by value, so concurrent use needs no locking.
@@ -146,7 +150,13 @@ def _checker(family: str, tol: ToleranceConfig) -> Callable[[dict], bool]:
     """within_bounds for the family and tol, each bound resolved once, for many trials."""
     bounds = {k: getattr(tol, b) if isinstance(b, str) else b
               for k, b in RESIDUAL_BOUNDS[family].items()}
-    return lambda residuals: all(v <= bounds[k] for k, v in residuals.items())
+
+    def within(residuals: dict) -> bool:
+        for k, v in residuals.items():  # a loop: all() over a generator costs twice as much
+            if not v <= bounds[k]:
+                return False
+        return True
+    return within
 
 
 def half_dim(a) -> int:
@@ -334,20 +344,21 @@ def conj_block_reduction(c, d, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Red
     d = _square(d).astype(np.complex128, copy=False)
     if c.shape != d.shape:
         raise ValueError(f"dimension mismatch: {c.shape[0]} vs {d.shape[0]}")
-    return _reductions(c[None], d[None], tol)[0]
+    return ReductionProbe(*_reductions(c[None], d[None], tol)[0])
 
 
 def _reductions(c: np.ndarray, d: np.ndarray, tol: ToleranceConfig,
-                gated: bool = False) -> list[ReductionProbe]:
-    """conj_block_reduction of each pair of (k, N, N) complex128 stacks C and
-    D, one LAPACK call or matrix product per step for the whole stack.  A
-    pair is reduced only if LAPACK finds C nonsingular (a slogdet sign of 0
-    is the zero pivot on which inv and solve raise for the whole stack) and,
-    if ``gated``, ||C||_F ||C^-1||_F is within tol.condition_gate; any other
-    pair's probe holds its block determinant alone."""
+                gated: bool = False) -> list[tuple]:
+    """The fields of conj_block_reduction's probe, (e, block_det, pair_det,
+    residuals), for each pair of (k, N, N) complex128 stacks C and D, one
+    LAPACK call or matrix product per step for the whole stack.  A pair is
+    reduced only if LAPACK finds C nonsingular (a slogdet sign of 0 is the
+    zero pivot on which inv and solve raise for the whole stack) and, if
+    ``gated``, ||C||_F ||C^-1||_F is within tol.condition_gate; any other
+    pair's fields hold its block determinant alone."""
     k, n, _ = c.shape
     block = _log_dets(_embedded(BlockPair(c, d, GroupKind.COMPLEX_SYMPLECTIC)))
-    out = [ReductionProbe(e=None, block_det=b, pair_det=None) for b in block]
+    out = [(None, b, None, {}) for b in block]
     slogdet_c = np.linalg.slogdet(c)
     det_c = _log_dets(c, slogdet_c)
     norm_c = _frobeniuses(c)
@@ -369,7 +380,7 @@ def _reductions(c: np.ndarray, d: np.ndarray, tol: ToleranceConfig,
     norms = zip(_frobeniuses(e), _frobeniuses(d), _frobeniuses(c @ e - d))
     for j, (i, ej, (fe, fd, fr)) in enumerate(zip(keep, e, norms)):
         rhs = det_c[i] * det_cc[j] * embed[j]
-        out[i] = ReductionProbe(e=ej, block_det=block[i], pair_det=pair[j], residuals={
+        out[i] = (ej, block[i], pair[j], {
             "solve": fr / (norm_c[i] * fe + fd + 1e-300),
             "reduction": block[i].rel_diff(rhs),
             "commuting": embed[j].rel_diff(pair[j]),
@@ -504,14 +515,20 @@ def certify_symplectic(a, group: GroupKind = GroupKind.REAL_SYMPLECTIC,
         raise ValueError(f"{group.value} certification needs a "
                          f"{'R' if group is GroupKind.REAL_SYMPLECTIC else 'C'}-kind matrix")
     half_dim(a)
-    return _one(_certificates(a[None], _membership_residuals(a[None], group), group, tol)[0])
+    residuals, (det_a, lhs, aux, split) = _one(
+        _certificates(a[None], _membership_residuals(a[None], group), group, tol)[0])
+    return Certificate(group=group, det_a=det_a, lhs_det=lhs, auxiliary_det=aux,
+                       residuals=residuals,
+                       verdict="pass" if within_bounds("certificate", residuals, tol) else "fail",
+                       split_dets=split, tolerances=tol)
 
 
 def _certificates(a: np.ndarray, res_mem: list[float], group: GroupKind,
-                  tol: ToleranceConfig) -> list[Certificate | MembershipError]:
-    """certify_symplectic of each matrix of a (k, 2N, 2N) stack of the
-    group's dtype, given their membership residuals (for a caller that
-    reports them too): its Certificate, or the MembershipError it raises."""
+                  tol: ToleranceConfig) -> list[tuple | MembershipError]:
+    """What certify_symplectic judges of each matrix of a (k, 2N, 2N) stack
+    of the group's dtype, given their membership residuals (for a caller
+    that reports them too): its residuals and its determinants (det_a,
+    lhs_det, auxiliary_det, split_dets), or the MembershipError it raises."""
     out, keep, a = _gate(a, res_mem, tol, "symplectic")
     if not keep:
         return out
@@ -526,8 +543,6 @@ def _certificates(a: np.ndarray, res_mem: list[float], group: GroupKind,
     aux = _log_dets(_embedded(pair, gram))
     del gram  # freed before the unitary split allocates
     splits = zip(*_split_dets(pair.c, pair.d)) if real else [None] * len(keep)
-    within = _checker("certificate", tol)
-
     for i, d, lh, ax, split in zip(keep, det_a, lhs, aux, splits):
         val = d.value
         residuals = {
@@ -543,10 +558,7 @@ def _certificates(a: np.ndarray, res_mem: list[float], group: GroupKind,
             residuals["splitIdentity"] = lh.rel_diff(d * d_plus.abs_squared())
             residuals["splitConjugate"] = d_minus.rel_diff(d_plus.conjugated())
         residuals["detOne"] = abs(val - 1.0)
-        verdict = "pass" if within(residuals) else "fail"
-        out[i] = Certificate(group=group, det_a=d, lhs_det=lh, auxiliary_det=ax,
-                             residuals=residuals, verdict=verdict, split_dets=split,
-                             tolerances=tol)
+        out[i] = (residuals, (d, lh, ax, split))
     return out
 
 

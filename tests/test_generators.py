@@ -243,6 +243,19 @@ def test_generate_rejects_bad_configs():
             GeneratorConfig(half_dim=2, condition_cap=value)
 
 
+def test_integer_fields_take_integers_only():
+    # a numpy integer is the int it holds; anything else names its field,
+    # (seed=1.5 used to sample seed 1's member, and half_dim=2.0 to fail in numpy)
+    ref = generate(GeneratorConfig(half_dim=2, num_factors=3, seed=1))
+    cfg = GeneratorConfig(half_dim=np.int64(2), num_factors=np.int32(3), seed=np.uint64(1))
+    assert (type(cfg.half_dim), type(cfg.num_factors), type(cfg.seed)) == (int, int, int)
+    assert generate(cfg).tobytes() == ref.tobytes()
+    for field in ("half_dim", "num_factors", "seed"):
+        for bad in (1.5, 2.0, "2", None):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                GeneratorConfig(**{"half_dim": 2, field: bad})
+
+
 def test_generate_forced_form_factor_is_the_form():
     a = generate(GeneratorConfig(half_dim=3, num_factors=1, seed=0), factors=["form"])
     assert np.array_equal(a, symplectic_form(3))
@@ -358,6 +371,9 @@ FORCED = {
     "phase": ["phase"],
     "mixed": ["shear_lower", "phase", "diag_block", "form", "shear_upper", "phase"],
     "no-phase": ["diag_block", "shear_upper", "form", "diag_block", "shear_lower"],
+    # runs of phases: two between drawn kinds, and three that end the sequence
+    "phase-runs": ["shear_lower", "phase", "phase", "diag_block", "form", "phase", "phase",
+                   "phase"],
     # chunks that draw no block, and chunks whose blocks are all of one kind
     "forms": ["form"] * 3,
     "form-phase": ["form", "phase", "form"],
@@ -477,14 +493,16 @@ def test_members_do_not_depend_on_the_chunks(monkeypatch, target, steps):
 
 
 @pytest.mark.parametrize("steps", CHUNK_STEPS, ids=lambda s: f"chunk{s or 'all'}")
-@pytest.mark.parametrize("name", ["mixed", "no-phase", "forms", "form-phase", "lower", "upper",
-                                  "diag"])
+@pytest.mark.parametrize("name", ["mixed", "no-phase", "phase-runs", "forms", "form-phase",
+                                  "lower", "upper", "diag"])
 @pytest.mark.parametrize("target", ALL_TARGETS)
 def test_forced_factors_on_chunk_boundaries_match_the_loop(monkeypatch, target, name, steps):
     # mixed: a phase ends the first chunk of 2, and the form ends the second
     # chunk of 2 and of 4 and starts the second chunk of 3; no-phase: the
-    # form ends the first chunk of 3 and starts the second chunk of 2; the
-    # rest are the edges of the kind-sorted pass: no block drawn, or one kind
+    # form ends the first chunk of 3 and starts the second chunk of 2;
+    # phase-runs: chunks of 2 and 3 split its runs of phases, and every
+    # chunk size leaves a run of phases at a chunk's end; the rest are the
+    # edges of the kind-sorted pass: no block drawn, or one kind
     factors = FORCED[name]
     if "phase" in factors and target is not GroupKind.CONJUGATE_SYMPLECTIC:
         return

@@ -324,6 +324,15 @@ def _same_streams(a, b):
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
+def test_rng_seed_takes_integers_only():
+    # a numpy integer is the int it holds; a float seed used to be truncated
+    _same_streams(rng_from_seed(np.uint64(2**64 - 1)), rng_from_seed(-1))
+    _same_streams(rng_from_seed(np.int32(7)), np.random.default_rng(7))
+    for bad in (1.5, 1.0, "1", None):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            rng_from_seed(bad)
+
+
 def test_seed_derivation_matches_numpy():
     # one vectorized pass gives numpy's SeedSequence words and default_rng
     # streams for one- and two-word master seeds, masked negative ones and

@@ -123,6 +123,28 @@ def test_suite_spec_validation():
         SuiteSpec("bogus", trials=1, half_dims=(1,))
 
 
+def test_suite_spec_integer_fields_take_integers_only():
+    # a numpy integer is the int it holds, so the report's JSON is the same
+    # bytes; anything else names its field when the spec is made, where a
+    # float trials or seed used to fail only once the suite ran
+    spec = SuiteSpec("lemma", trials=np.int64(3), half_dims=(np.int32(1), 2), seed=np.uint64(4))
+    assert (spec.trials, spec.half_dims, spec.seed) == (3, (1, 2), 4)
+    assert all(type(v) is int for v in (spec.trials, *spec.half_dims, spec.seed))
+    ref = run_suite(SuiteSpec("lemma", trials=3, half_dims=(1, 2), seed=4))
+    assert _without_elapsed(render_json(run_suite(spec))) == _without_elapsed(render_json(ref))
+    for field, bad in (("trials", 2.0), ("half_dims", (1, 2.0)), ("seed", 0.5), ("seed", "4")):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SuiteSpec("lemma", **{"trials": 1, "half_dims": (1,), field: bad})
+    with pytest.raises(ValueError, match="half_dims must be integers"):
+        SuiteSpec("lemma", trials=1, half_dims=2)
+    for bad in (2.0, np.float64(2)):
+        with pytest.raises(ValueError, match="n_half must be an integer"):
+            run_trial("lemma", bad, 3)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        run_trial("lemma", 2, 3.0)
+    assert run_trial("lemma", np.int64(2), np.int64(3)) == run_trial("lemma", 2, 3)
+
+
 @pytest.mark.parametrize("n_half", [0, -1])
 @pytest.mark.parametrize("suite_id", SUITE_IDS)
 def test_run_trial_rejects_a_bad_half_dim(monkeypatch, suite_id, n_half):
@@ -321,6 +343,32 @@ def test_suite_members_match_the_loop(monkeypatch, suite_id):
         ref = loop_generate(sd.GeneratorConfig(half_dim=n, target=SAMPLED_GROUPS[suite_id],
                                                seed=sd.split_seed(6, t)))
         assert a.dtype == ref.dtype and a.tobytes() == ref.tobytes(), t
+
+
+@pytest.mark.parametrize("suite_id", ["real-theorem", "complex-theorem"])
+def test_theorem_trials_report_their_certificates_residuals(monkeypatch, suite_id):
+    # every trial of a default run: the residuals its stacked judge returns,
+    # with no Certificate built, are by repr those of certify_symplectic on
+    # the member it sampled
+    group, row = SAMPLED_GROUPS[suite_id], _SUITES[suite_id]
+    stacks, judged = [], []
+
+    def sample(*args, **kwargs):
+        stack, res_mem = generators._sample(*args, **kwargs)
+        stacks.append(np.array(stack))
+        return stack, res_mem
+
+    def judge(*args):
+        judged.append(row.judge(*args))
+        return judged[-1]
+
+    monkeypatch.setattr(suites, "_sample", sample)
+    monkeypatch.setitem(_SUITES, suite_id, row._replace(judge=judge))
+    report = run_suite(default_suite_spec(suite_id, seed=3))
+    assert report.all_passed and sum(map(len, judged)) == report.trials == 200
+    for stack, residuals in zip(stacks, judged, strict=True):
+        for a, r in zip(stack, residuals, strict=True):
+            assert repr(r) == repr(sd.certify_symplectic(a, group).residuals)
 
 
 def test_suite_memory_does_not_grow_with_trials():

@@ -19,6 +19,7 @@ from sympdet.symplectic import (
     DEFAULT_TOLERANCES,
     RESIDUAL_BOUNDS,
     BlockPair,
+    Certificate,
     GroupKind,
     MembershipError,
     ToleranceConfig,
@@ -501,9 +502,13 @@ def test_non_finite_members_are_isolated_in_a_stack(group):
         ref = alone(a)
         if group is CONJ:
             assert repr(judged[i]) == repr(ref), i
-        else:
-            assert repr(judged[i].residuals) == repr(ref.residuals), i
-            assert judged[i].narrative == ref.narrative and judged[i].verdict == "pass", i
+        else:  # the certificate certify_symplectic builds from the core's result
+            checks, (det_a, lhs, aux, split) = judged[i]
+            cert = Certificate(group, det_a, lhs, aux, checks, ref.verdict, split,
+                               DEFAULT_TOLERANCES)
+            assert repr(checks) == repr(ref.residuals), i
+            assert cert.narrative == ref.narrative and ref.verdict == "pass", i
+            assert within_bounds("certificate", checks), i
 
 
 def test_certificate_checks_follow_the_bound_table():
