@@ -7,8 +7,9 @@ Subcommands:
 
 certify and formula share one path; formula is the conjugate mode reported
 under the suite name "formula".  Exit status is 0 only when every requested
-check passed; 1 on failed checks, non-membership, unreadable input, or an
-unwritable --out; 2 on usage errors.
+check passed; 1 on failed checks, non-membership, unreadable input, an
+unwritable --out, or a run that needs more memory than it can allocate
+(an ``error:`` line on stderr, as for the others); 2 on usage errors.
 
 main builds its argument parser once per process, on first use, and reuses it
 for every later call.
@@ -195,7 +196,11 @@ def _cmd_check(args) -> int:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    return _cmd_suite(args) if args.command == "suite" else _cmd_check(args)
+    try:
+        return _cmd_suite(args) if args.command == "suite" else _cmd_check(args)
+    except MemoryError as e:  # numpy's names the array it could not allocate
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -236,10 +236,11 @@ def elementary_factor(name: str, config: GeneratorConfig,
 
 
 def _sample(config: GeneratorConfig, rngs: list, factors: list[str] | None = None,
-            tol: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[np.ndarray, list]:
+            tol: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
     """The (k, 2N, 2N) stack of what generate gives for config with each of
     the k rngs in place of rng_from_seed(config.seed), which is not read,
-    and the members' membership residuals, from the test that kept them.
+    and the members' membership residuals (a column), from the test that
+    kept them.
 
     Each member draws its factor kinds, then the stack is built a chunk of
     product steps at a time: every member draws the chunk's parameters from
@@ -283,7 +284,7 @@ def _sample(config: GeneratorConfig, rngs: list, factors: list[str] | None = Non
     if todo:
         raise GenerationError(f"no {config.target.value} product within residual "
                               f"after {_MAX_ATTEMPTS} attempts")
-    return out, res.tolist()
+    return out, res
 
 
 def generate(config: GeneratorConfig, factors: list[str] | None = None,

@@ -11,9 +11,13 @@ mutated and results are freshly allocated, so any matrix may be shared freely
 across threads.  Internal callers that only read their input coerce it with
 the private ``_square``, which passes a contiguous float64/complex128 array
 through without copying; no public result shares memory with an argument.
-Determinants are taken a stack at a time (the private ``_log_dets``);
-:func:`log_det` is the stack of one, with the same bits as in any stack.
-The only stateful object is the numpy Generator returned by
+Determinants are taken a stack at a time, as columns: the private
+``_det_columns`` returns the log magnitudes of a stack and the real and
+imaginary parts of its unit phases, (3, k) float64, from one slogdet call,
+and the column functions compute with them (see the comment above
+``_hypot``).  A :class:`LogDet` is built only at the public boundary, from
+one entry; :func:`log_det` is the stack of one, with the same bits as in
+any stack.  The only stateful object is the numpy Generator returned by
 :func:`rng_from_seed`; keep each generator confined to one logical thread and
 derive per-task generators with :func:`split_seed`, the stack of one of
 ``_child_seeds``.  That private core and ``_rngs`` run numpy's SeedSequence
@@ -86,8 +90,8 @@ def _index(value, name: str) -> int:
 
 def phase_angle(p, q) -> float:
     """Angular distance between two unit-modulus complex scalars."""
-    r = complex(p) * complex(q).conjugate()
-    return abs(math.atan2(r.imag, r.real))
+    p, q = complex(p), complex(q)
+    return _phase_angles((p.real, p.imag), (q.real, q.imag))
 
 
 @dataclass(frozen=True)
@@ -97,50 +101,38 @@ class LogDet:
     Keeps determinant chains over large dimensions finite: magnitudes add in
     log space and the unit phase is renormalized after every accumulation
     step, so it never drifts off the unit circle.  A zero determinant is
-    represented as (-inf, 1).
+    represented as (-inf, 1).  The arithmetic is that of the column
+    functions the stacked cores judge with, on one entry.
     """
 
     log_magnitude: float
     phase: complex
+
+    def _entry(self) -> tuple:
+        return self.log_magnitude, self.phase.real, self.phase.imag
 
     @property
     def value(self) -> complex:
         """exp(log_magnitude) * phase; 0j for a zero determinant.  Beyond float
         range each nonzero part of the phase becomes +-inf and a zero part
         stays 0 (never nan)."""
-        if self.log_magnitude == -math.inf:
-            return 0j
-        if self.log_magnitude > _LOG_FLOAT_MAX:
-            return complex(*(math.copysign(math.inf, x) if x else 0.0
-                             for x in (self.phase.real, self.phase.imag)))
-        return self.phase * math.exp(self.log_magnitude)
+        return complex(*_values(self._entry()))
 
     def __mul__(self, other: "LogDet") -> "LogDet":
-        if self.log_magnitude == -math.inf or other.log_magnitude == -math.inf:
-            return LogDet(-math.inf, 1 + 0j)
-        p = self.phase * other.phase
-        p /= abs(p)
-        return LogDet(self.log_magnitude + other.log_magnitude, p)
+        lm, re, im = _products(self._entry(), other._entry())
+        return LogDet(lm, complex(re, im))
 
     def conjugated(self) -> "LogDet":
         return LogDet(self.log_magnitude, self.phase.conjugate())
 
     def abs_squared(self) -> "LogDet":
         """|det|^2 as a LogDet (real nonnegative phase)."""
-        if self.log_magnitude == -math.inf:
-            return LogDet(-math.inf, 1 + 0j)
-        return LogDet(2.0 * self.log_magnitude, 1 + 0j)
+        lm, re, im = _abs_squared(self._entry())
+        return LogDet(lm, complex(re, im))
 
     def rel_diff(self, other: "LogDet") -> float:
         """|self/other - 1|, robust to magnitudes far outside float range."""
-        if self.log_magnitude == -math.inf and other.log_magnitude == -math.inf:
-            return 0.0
-        if self.log_magnitude == -math.inf or other.log_magnitude == -math.inf:
-            return math.inf
-        dl = self.log_magnitude - other.log_magnitude
-        if dl > 700.0:
-            return math.inf
-        return abs(math.exp(dl) * self.phase * other.phase.conjugate() - 1.0)
+        return _rel_diffs(self._entry(), other._entry())
 
 
 def log_det(a) -> LogDet:
@@ -151,24 +143,133 @@ def log_det(a) -> LogDet:
     (nan, nan + nanj), where LAPACK would call a NaN pivot zero or an Inf
     one an infinite magnitude with a sign.
     """
-    return _log_dets(_square(a)[None])[0]
+    return _log_det_at(_det_columns(_square(a)[None]), 0)
 
 
-def _log_dets(a: np.ndarray, slogdet=None) -> list[LogDet]:
-    """log_det of each matrix of a (k, m, m) float64/complex128 stack, from
-    one slogdet call, which factors each matrix as it would alone (or from
-    ``slogdet``, that call's result, for a caller that reads its signs)."""
+def _log_det_at(dets, i: int) -> LogDet:
+    """The LogDet of entry i of determinant columns."""
+    lm, re, im = dets[:, i].tolist()
+    return LogDet(lm, complex(re, im))
+
+
+def _det_columns(a: np.ndarray, slogdet=None) -> np.ndarray:
+    """log_det of each matrix of a (k, m, m) float64/complex128 stack, as
+    (3, k) determinant columns, from one slogdet call, which factors each
+    matrix as it would alone (or from ``slogdet``, that call's result, for
+    a caller that reads its signs)."""
     signs, logabs = np.linalg.slogdet(a) if slogdet is None else slogdet
-    out = []
-    for i, (sign, la) in enumerate(zip(signs.tolist(), logabs.tolist())):
-        if (sign == 0 or not math.isfinite(la)) and not np.isfinite(a[i]).all():
-            out.append(LogDet(math.nan, complex(math.nan, math.nan)))
-        elif sign == 0:
-            out.append(LogDet(-math.inf, 1 + 0j))
-        else:
-            p = complex(sign)
-            out.append(LogDet(la, p / abs(p)))
+    out = np.empty((3, len(a)))
+    out[0] = logabs
+    bad = zero = []
+    if np.count_nonzero(np.isfinite(logabs)) < len(a):
+        bad = np.flatnonzero(~np.isfinite(logabs)).tolist()  # a zero or non-finite pivot
+        zero = [i for i in bad if signs[i] == 0]
+        signs = signs.copy()
+        signs[zero] = 1.0  # no phase to normalize, and no 0 to divide by
+    if signs.dtype.kind == "c":  # sign / abs(sign), as Python divides a complex by a float
+        parts = signs.view(np.float64).reshape(-1, 2).T
+        h = np.hypot(parts[0], parts[1])
+        np.divide(parts, h, out=out[1:])
+        if np.count_nonzero(parts) < parts.size:  # Python adds the other part times 0.0:
+            sr, si = parts  # to a zero, that can flip its sign
+            np.divide(sr + si * 0.0, h, out=out[1])
+            np.divide(si - sr * 0.0, h, out=out[2])
+    else:
+        out[1] = signs
+        out[2] = 0.0
+    for i in bad:
+        if not np.isfinite(a[i]).all():
+            out[:, i] = math.nan
+        elif i in zero:
+            out[:, i] = (-math.inf, 1.0, 0.0)
     return out
+
+
+# The column functions take determinant columns (a round of trials) or one
+# entry of them (Python floats, for one public call) alike, and give each
+# entry the bits Python's float and complex arithmetic gives it: they use
+# IEEE + - * /, comparisons and the helpers below, which call np.hypot
+# (abs(complex) for an entry) and math.exp, math.expm1 or math.atan2 entry by
+# entry (numpy's own round differently on a few percent of inputs), and they
+# write out CPython's formulas for a complex product and quotient.  Columns
+# are judged under np.errstate(all="ignore"), so NaN and inf pass unwarned.
+
+def _hypot(x, y):
+    """abs(complex(x, y)) of each entry."""
+    if isinstance(x, np.ndarray):
+        return np.hypot(x, y)
+    if x == x and y == y:
+        return abs(complex(x, y))
+    # abs() of a complex NaN raises OverflowError if an earlier math call left
+    # ERANGE behind (math.exp of -800 does); C's hypot does not
+    return math.inf if math.inf in (abs(x), abs(y)) else math.nan
+
+
+def _map(f, *xs):
+    """f, a function of the math module, of each entry."""
+    if not isinstance(xs[0], np.ndarray):
+        return f(*xs)
+    return np.array(list(map(f, *(x.tolist() for x in xs))), np.float64)
+
+
+def _any(mask) -> bool:
+    return np.count_nonzero(mask) > 0 if isinstance(mask, np.ndarray) else mask
+
+
+def _where(mask, x, y):
+    """x where mask holds, else y, entry by entry."""
+    return np.where(mask, x, y) if isinstance(mask, np.ndarray) else (x if mask else y)
+
+
+def _values(dets) -> tuple:
+    """LogDet.value of each determinant, as (real part, imaginary part)."""
+    lm, re, im = dets
+    big, zero = lm > _LOG_FLOAT_MAX, lm == -math.inf
+    e = _map(math.exp, _where(big, _LOG_FLOAT_MAX, lm))
+    value = re * e - im * 0.0, re * 0.0 + im * e  # phase * e, as Python multiplies by a float
+    if not _any(big | zero):
+        return value
+    inf = e * 0.0 + math.inf  # past float range a nonzero part (NaN too) goes to +-inf
+    return tuple(_where(big, _where(p != 0.0, _map(math.copysign, inf, p), 0.0),
+                        _where(zero, 0.0, v)) for p, v in zip((re, im), value))
+
+
+def _products(x, y) -> tuple:
+    """LogDet.__mul__ of each pair of determinants."""
+    (lx, xr, xi), (ly, yr, yi) = x, y
+    pr, pi = xr * yr - xi * yi, xr * yi + xi * yr
+    h = _hypot(pr, pi)
+    lm, re, im = lx + ly, (pr + pi * 0.0) / h, (pi - pr * 0.0) / h  # p / abs(p), as Python divides
+    zero = (lx == -math.inf) | (ly == -math.inf)
+    if _any(zero):
+        lm, re, im = _where(zero, -math.inf, lm), _where(zero, 1.0, re), _where(zero, 0.0, im)
+    return lm, re, im
+
+
+def _abs_squared(dets) -> tuple:
+    """LogDet.abs_squared of each determinant."""
+    return 2.0 * dets[0], 1.0, 0.0  # the phase 1 broadcasts over columns
+
+
+def _rel_diffs(x, y):
+    """LogDet.rel_diff of each pair of determinants: |x/y - 1|, inf past a
+    log-magnitude gap of 700 or against a zero determinant, 0 between two."""
+    (lx, xr, xi), (ly, yr, yi) = x, y
+    dl = lx - ly
+    e = _map(math.exp, _where(dl > 700.0, 700.0, dl))
+    pr, pi = e * xr - 0.0 * xi, e * xi + 0.0 * xr  # e * x.phase, as Python multiplies a float
+    qi = -yi  # times conj(y.phase)
+    out = _hypot(pr * yr - pi * qi - 1.0, pr * qi + pi * yr - 0.0)
+    zx, zy = lx == -math.inf, ly == -math.inf
+    far = (dl > 700.0) | zx | zy
+    return _where(zx & zy, 0.0, _where(far, math.inf, out)) if _any(far) else out
+
+
+def _phase_angles(p, q):
+    """phase_angle of each pair of phases, given as (real, imaginary) parts."""
+    pr, pi = p
+    qr, qi = q[0], -q[1]  # conj(q)
+    return abs(_map(math.atan2, pr * qi + pi * qr, pr * qr - pi * qi))
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx, frozen by NEP 19)

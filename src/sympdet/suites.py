@@ -13,20 +13,25 @@ they can be executed in any order or in parallel; results are merged by
 trial index and do not depend on scheduling.
 
 Every judge is called alike, on the seeds and rngs of a stack of trials at
-one half-dim (1 MiB of complex128 matrices), and draws what it checks, each
-trial from its own rng.  The sampling suites (real-theorem, complex-theorem,
-conj-formula) sample their members (see :mod:`sympdet.generators`) and judge
-them, with the sampler's membership residuals, through the stacked
-certificate and formula cores of :mod:`sympdet.symplectic`; ineq-real and
-lemma draw block pairs and judge them through the stacked determinant and
-block-elimination cores; generator-sanity gates the factors and samples the
-members of each group's trials as stacks; form-identities reads no seed and
-checks each half-dim once.  No suite is judged one trial at a time.  A
-stack's results are merged back in trial order.  Every matrix gets the bits
-it gets alone, so :func:`run_trial`, which judges a stack of one, replays
-any trial.  At most one stack per half-dim is held at a time, with the seeds
-and rngs of one round of ``_ROUND`` trials: a suite's memory grows with its
-trials up to a round, then stays flat.
+one half-dim (1 MiB of complex128 matrices), draws what it checks, each
+trial from its own rng, and measures it through the stacked cores of
+:mod:`sympdet.symplectic`, returning columns.  The sampling suites
+(real-theorem, complex-theorem, conj-formula) sample their members (see
+:mod:`sympdet.generators`) and measure them with the sampler's membership
+residuals; ineq-real and lemma draw block pairs; generator-sanity gates the
+factors and samples the members of each group's trials as stacks;
+form-identities reads no seed and checks each half-dim once.  Trials are
+judged a round at a time: ``_ROUND`` consecutive trials, every half-dim's
+stacks of them measured, their columns placed in trial order, and the
+residual function of the suite's family run once over the round.
+:func:`run_suite` then compares each residual column with its bound once,
+takes each residual's worst value with one NaN-propagating max (names in
+order of first appearance), and builds a residual dict only for a failing
+trial.  Every matrix gets the bits it gets alone, and the column arithmetic
+those of Python's scalar arithmetic, so :func:`run_trial`, a round of one,
+replays any trial.  One stack is held at a time, with the seeds, rngs and
+columns of one round: a suite's memory grows with its trials up to a
+round, then stays flat.
 """
 
 from __future__ import annotations
@@ -43,15 +48,17 @@ from ._version import __version__
 from . import generators
 from .generators import GeneratorConfig, _factors, _kind_count, _sample
 from .linalg import (
-    LogDet,
+    _abs_squared,
     _child_seeds,
+    _det_columns,
     _frobeniuses,
     _index,
-    _log_dets,
+    _map,
+    _phase_angles,
+    _rel_diffs,
     _rngs,
     _square,
-    log_det,
-    phase_angle,
+    _where,
     rng_from_seed,
 )
 from .report import Report
@@ -59,18 +66,22 @@ from .symplectic import (
     BlockPair,
     DEFAULT_TOLERANCES,
     GroupKind,
-    MembershipError,
     ToleranceConfig,
+    _bounds,
+    _certificate_residuals,
     _certificates,
-    _checker,
     _conj_phases,
+    _entries,
+    _formula_phase,
+    _formula_phases,
+    _lemma_residuals,
     _membership_residuals,
-    _one,
+    _off_one,
     _reductions,
+    _sign_slacks,
     _split_dets,
     embed_pair,
     membership_residual,
-    sign_slacks,
     symplectic_form,
     within_bounds,
 )
@@ -124,21 +135,26 @@ class TrialResult:
     passed: bool
 
 
-def _judge_form_identities(n: int, seeds, rngs, tol: ToleranceConfig) -> list[dict]:
+def _judge_form_identities(n: int, seeds, rngs, tol: ToleranceConfig) -> dict:
     """The trials read no seed: each gets a copy of one check at half-dim n."""
     j = symplectic_form(n)
     eye = np.eye(2 * n)
-    square, skew, inverse = _frobeniuses(np.stack([j @ j + eye, j.T + j, j.T @ j - eye]))
-    residuals = {"formSquare": square, "formSkew": skew, "formInverse": inverse,
-                 "detOne": abs(log_det(j).value - 1.0)}
-    return [dict(residuals) for _ in seeds]
+    norms = np.array(_frobeniuses(np.stack([j @ j + eye, j.T + j, j.T @ j - eye])))
+    k = len(seeds)
+    return {"norms": np.repeat(norms[:, None], k, 1),
+            "det": np.repeat(_det_columns(j[None]), k, 1)}
 
 
-def _judge_theorem(group: GroupKind, n: int, seeds, rngs, tol: ToleranceConfig) -> list[dict]:
-    """Each member's certificate residuals, or the membership residual that gated it out."""
+def _form_identities_residuals(m: dict, tol: ToleranceConfig) -> tuple[dict, dict]:
+    square, skew, inverse = m["norms"]
+    return {"formSquare": square, "formSkew": skew, "formInverse": inverse,
+            "detOne": _off_one(m["det"])}, {}
+
+
+def _judge_theorem(group: GroupKind, n: int, seeds, rngs, tol: ToleranceConfig) -> dict:
+    """Each member's certificate, or the membership residual that gated it out."""
     a, res_mem = _sample(GeneratorConfig(half_dim=n, target=group), rngs, tol=tol)
-    return [{"membership": r} if isinstance(c, MembershipError) else c[0]
-            for c, r in zip(_certificates(a, res_mem, group, tol), res_mem)]
+    return _certificates(a, res_mem, group, tol)
 
 
 def _lemma_inputs(n: int, rngs) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -168,29 +184,28 @@ def _lemma_inputs(n: int, rngs) -> tuple[np.ndarray, np.ndarray, list[int]]:
     return c, d, modes
 
 
-def _judge_lemma(n: int, seeds, rngs, tol: ToleranceConfig) -> list[dict]:
-    """Each trial's block determinant sign slacks, and the block-elimination
-    residuals of those whose C passes the condition gate."""
-    out = []
-    for _, block_det, _, residuals in _reductions(*_lemma_inputs(n, rngs)[:2], tol, gated=True):
-        im_slack, re_slack = sign_slacks(block_det, tol)
-        out.append({"imagSlack": im_slack, "realSlack": re_slack, **residuals})
-    return out
+def _judge_lemma(n: int, seeds, rngs, tol: ToleranceConfig) -> dict:
+    """Each trial's block determinant, and the block elimination of those
+    whose C passes the condition gate."""
+    return _reductions(*_lemma_inputs(n, rngs)[:2], tol, gated=True)[0]
 
 
-def _judge_ineq_real(n: int, seeds, rngs, tol: ToleranceConfig) -> list[dict]:
+def _judge_ineq_real(n: int, seeds, rngs, tol: ToleranceConfig) -> dict:
     w = np.empty((len(rngs), 2, n, n))
     for wi, rng in zip(w, rngs):
         rng.standard_normal(out=wi)  # C, then D
     c, d = w[:, 0], w[:, 1]
-    dets = _log_dets(embed_pair(BlockPair(c, d, GroupKind.REAL_SYMPLECTIC)))
-    out = []
-    for dd, d_plus, d_minus in zip(dets, *_split_dets(c, d)):
-        im_slack, re_slack = sign_slacks(dd, tol)
-        out.append({"imagSlack": im_slack, "realSlack": re_slack,
-                    "splitAgreement": dd.rel_diff(d_plus.abs_squared()),
-                    "splitConjugate": d_minus.rel_diff(d_plus.conjugated())})
-    return out
+    d_plus, d_minus = _split_dets(c, d)
+    return {"block": _det_columns(embed_pair(BlockPair(c, d, GroupKind.REAL_SYMPLECTIC))),
+            "d_plus": d_plus, "d_minus": d_minus}
+
+
+def _ineq_real_residuals(m: dict, tol: ToleranceConfig) -> tuple[dict, dict]:
+    imag, real = _sign_slacks(m["block"], tol)
+    d_plus = m["d_plus"]
+    return {"imagSlack": imag, "realSlack": real,
+            "splitAgreement": _rel_diffs(m["block"], _abs_squared(d_plus)),
+            "splitConjugate": _rel_diffs(m["d_minus"], (d_plus[0], d_plus[1], -d_plus[2]))}, {}
 
 
 def conj_formula_check(a, tol: ToleranceConfig = DEFAULT_TOLERANCES
@@ -205,56 +220,69 @@ def conj_formula_check(a, tol: ToleranceConfig = DEFAULT_TOLERANCES
     """
     a = _square(a)
     res_mem = membership_residual(a, GroupKind.CONJUGATE_SYMPLECTIC)
-    formula_phase = _one(_conj_phases(a[None], [res_mem], tol)[0])
-    oracle = log_det(a)
-    residuals = _conj_residuals(res_mem, formula_phase, oracle)
+    entry = _entries(_conj_phases(a[None], np.array([res_mem]), tol), 0)
+    formula_phase = _formula_phase(entry, tol)
+    entry["oracle"] = _det_columns(a[None])[:, 0].tolist()
+    residuals = _conj_formula_residuals(entry, tol)[0]
     return (TrialResult(residuals, within_bounds("conj-formula", residuals, tol)),
-            formula_phase, oracle.phase)
+            formula_phase, complex(*entry["oracle"][1:]))
 
 
-def _conj_residuals(res_mem: float, phase: complex | Exception, oracle: LogDet) -> dict:
-    """The conj-formula residuals; a phase the formula refused to give (a
-    MembershipError) disagrees by inf."""
-    return {"membership": res_mem,
-            "detModulusOne": abs(math.expm1(oracle.log_magnitude)),
-            "phaseAgreement": (math.inf if isinstance(phase, Exception)
-                               else phase_angle(phase, oracle.phase))}
-
-
-def _judge_conj_formula(n: int, seeds, rngs, tol: ToleranceConfig) -> list[dict]:
+def _judge_conj_formula(n: int, seeds, rngs, tol: ToleranceConfig) -> dict:
     cfg = GeneratorConfig(half_dim=n, target=GroupKind.CONJUGATE_SYMPLECTIC)
     a, res_mem = _sample(cfg, rngs, tol=tol)
-    return list(map(_conj_residuals, res_mem, _conj_phases(a, res_mem, tol), _log_dets(a)))
+    return {**_conj_phases(a, res_mem, tol), "oracle": _det_columns(a)}
 
 
-def _judge_generator_sanity(n: int, seeds, rngs, tol: ToleranceConfig) -> list[dict]:
+def _conj_formula_residuals(m: dict, tol: ToleranceConfig) -> tuple[dict, dict]:
+    """The conj-formula residuals; a phase the formula refused to give (a
+    MembershipError) disagrees by inf."""
+    re, im, given, _ = _formula_phases(m, tol)
+    lm, *phase = m["oracle"]
+    return {"membership": m["membership"],
+            "detModulusOne": abs(_map(math.expm1, lm)),
+            "phaseAgreement": _where(given, _phase_angles((re, im), phase), math.inf)}, {}
+
+
+def _judge_generator_sanity(n: int, seeds, rngs, tol: ToleranceConfig) -> dict:
     """Each trial draws its group, then one factor of each kind, from its rng;
     its member is sampled twice, from fresh rngs seeded split_seed(seed, 1),
-    and must be the same bytes.  Each group's trials are judged as a stack."""
-    groups = [tuple(GroupKind)[int(rng.integers(0, 3))] for rng in rngs]
+    and must be the same bytes.  Each group's trials are measured as a stack."""
+    codes = np.array([int(rng.integers(0, 3)) for rng in rngs], int)
     member_rngs = _rngs(np.tile(_child_seeds(seeds, 1), 2))  # the two samplings
-    out = [{} for _ in rngs]
-    for group in GroupKind:
-        idx = [i for i, g in enumerate(groups) if g is group]
-        if not idx:
+    k = len(rngs)
+    out = {"conjugate": codes == tuple(GroupKind).index(GroupKind.CONJUGATE_SYMPLECTIC),
+           "factors": np.full((_kind_count(GroupKind.CONJUGATE_SYMPLECTIC), k), math.nan),
+           "product": np.empty(k), "det": np.empty((3, k)), "same": np.empty(k, bool)}
+    for code, group in enumerate(GroupKind):
+        idx = np.flatnonzero(codes == code)
+        if not len(idx):
             continue
         cfg = GeneratorConfig(half_dim=n, target=group)
         kinds = np.tile(np.arange(_kind_count(group)), (len(idx), 1))  # one of each kind
         factors = _factors(cfg, [rngs[i] for i in idx], kinds)
-        factor_res = np.reshape(_membership_residuals(factors.reshape(-1, 2 * n, 2 * n), group),
-                                kinds.shape)
-        (a, res_a), (b, _) = (_sample(cfg, [member_rngs[i + k] for i in idx], tol=tol)
-                              for k in (0, len(rngs)))
-        for j, (i, res, dd) in enumerate(zip(idx, res_a, _log_dets(a))):
-            r = out[i]
-            r["factorResidual"] = max(0.0, *factor_res[j].tolist())
-            r["productResidual"] = res
-            if group is GroupKind.CONJUGATE_SYMPLECTIC:
-                r["detUnitModulus"] = abs(math.expm1(dd.log_magnitude))
-            else:
-                r["detOne"] = abs(dd.value - 1.0)
-            r["determinism"] = 0.0 if a[j].tobytes() == b[j].tobytes() else 1.0
+        out["factors"][:kinds.shape[1], idx] = np.reshape(
+            _membership_residuals(factors.reshape(-1, 2 * n, 2 * n), group), kinds.shape).T
+        (a, res_a), (b, _) = (_sample(cfg, [member_rngs[i + j] for i in idx.tolist()], tol=tol)
+                              for j in (0, k))
+        out["product"][idx] = res_a
+        out["det"][:, idx] = _det_columns(a)
+        out["same"][idx] = [x.tobytes() == y.tobytes() for x, y in zip(a, b)]
     return out
+
+
+def _generator_sanity_residuals(m: dict, tol: ToleranceConfig) -> tuple[dict, dict]:
+    """The generator-sanity residuals: a conjugate member's determinant is
+    judged by its modulus, any other's by its distance from 1."""
+    conjugate = m["conjugate"]
+    return {
+        # max(0.0, *residuals): a NaN residual never wins
+        "factorResidual": np.fmax.reduce(m["factors"], axis=0, initial=0.0),
+        "productResidual": m["product"],
+        "detOne": _off_one(m["det"]),
+        "detUnitModulus": np.abs(_map(math.expm1, m["det"][0])),
+        "determinism": np.where(m["same"], 0.0, 1.0),
+    }, {"detOne": ~conjugate, "detUnitModulus": conjugate}
 
 
 class _Suite(NamedTuple):
@@ -262,9 +290,9 @@ class _Suite(NamedTuple):
     the RESIDUAL_BOUNDS family that judges the trials' residuals.  A judge is
     called as ``judge(n, seeds, rngs, tol)`` on a stack of trials at half-dim
     n, each trial drawing from its rng (which is rng_from_seed of its seed),
-    and returns their residuals in order."""
+    and returns their measurement columns, in order."""
 
-    judge: Callable[..., list[dict]]
+    judge: Callable[..., dict]
     trials: int
     half_dims: tuple[int, ...]
     family: str
@@ -285,6 +313,18 @@ _SUITES = {
 
 SUITE_IDS = tuple(_SUITES)
 
+# The residual function of each RESIDUAL_BOUNDS family: from the measurement
+# columns of a round, one column per residual name in the family's order,
+# and the presence mask of each residual some trials never reach.
+_RESIDUALS = {
+    "form-identities": _form_identities_residuals,
+    "certificate": _certificate_residuals,
+    "lemma": _lemma_residuals,
+    "ineq-real": _ineq_real_residuals,
+    "conj-formula": _conj_formula_residuals,
+    "generator-sanity": _generator_sanity_residuals,
+}
+
 
 def _suite(suite_id: str) -> _Suite:
     if suite_id not in SUITE_IDS:
@@ -292,28 +332,63 @@ def _suite(suite_id: str) -> _Suite:
     return _SUITES[suite_id]
 
 
-def _judgements(row: _Suite, n_half: int, seeds: list, rngs: list, tol: ToleranceConfig):
-    """The residuals of the trials with the given seeds, and rngs seeded with
-    them, at half-dim n_half, in order, judged as many as fit in _STACK_BYTES
-    as complex128 matrices at a time (one, if larger): every suite's one cut."""
-    k = max(1, generators._STACK_BYTES // ((2 * n_half) ** 2 * 16))
-    for i in range(0, len(seeds), k):
-        yield from row.judge(n_half, seeds[i:i + k], rngs[i:i + k], tol)
+def _round(row: _Suite, dims: tuple, start: int, seeds: list, rngs: list,
+           tol: ToleranceConfig) -> tuple[dict, dict]:
+    """The residual columns, and presence masks, of the trials start,
+    start + 1, ... with the given seeds, and rngs seeded with them, in trial
+    order; trial t runs at half-dim dims[t % len(dims)].  Each half-dim's
+    trials are measured as many as fit in _STACK_BYTES as complex128
+    matrices at a time (one, if larger): every suite's one cut.  Their
+    measurements are put in trial order, and the family's residual function
+    judges the whole round at once."""
+    stacks, trials = [], []
+    for i, n in enumerate(dims):
+        lane = range(len(seeds))[(i - start) % len(dims)::len(dims)]
+        k = max(1, generators._STACK_BYTES // ((2 * n) ** 2 * 16))
+        for j in range(0, len(lane), k):
+            stack = lane[j:j + k]
+            stacks.append(row.judge(n, [seeds[t] for t in stack], [rngs[t] for t in stack], tol))
+            trials.append(stack)
+    order = np.argsort(np.concatenate(trials), kind="stable")
+    measured = {key: np.concatenate([m[key] for m in stacks], axis=-1)[..., order]
+                for key in stacks[0]}
+    with np.errstate(all="ignore"):  # NaN and inf entries take Python's values, unwarned
+        return _RESIDUALS[row.family](measured, tol)
+
+
+def _passed(columns: dict, present: dict, bounds: dict) -> np.ndarray:
+    """Whether each trial's residuals are all within their bounds (a NaN
+    residual never is): one comparison per residual name."""
+    ok = np.ones(len(next(iter(columns.values()))), bool)
+    for name, column in columns.items():
+        within = column <= bounds[name]
+        if name in present:
+            within |= ~present[name]
+        ok &= within
+    return ok
+
+
+def _residuals_of(columns: dict, present: dict, t: int) -> dict:
+    """Trial t's residuals, in the family's order, as Python floats."""
+    return {name: float(column[t]) for name, column in columns.items()
+            if name not in present or present[name][t]}
 
 
 def run_trial(suite_id: str, n_half: int, seed: int,
               tol: ToleranceConfig = DEFAULT_TOLERANCES) -> TrialResult:
-    """Run one trial in isolation, as a stack of one; rerunning a recorded
+    """Run one trial in isolation, as a round of one; rerunning a recorded
     failure seed through this function reproduces its residuals exactly."""
     row = _suite(suite_id)
     if _index(n_half, "n_half") < 1:
         raise ValueError("half_dim must be >= 1")
-    residuals = next(_judgements(row, n_half, [seed], [rng_from_seed(seed)], tol))
-    return TrialResult(residuals=residuals, passed=within_bounds(row.family, residuals, tol))
+    columns, present = _round(row, (n_half,), 0, [seed], [rng_from_seed(seed)], tol)
+    return TrialResult(residuals=_residuals_of(columns, present, 0),
+                       passed=bool(_passed(columns, present, _bounds(row.family, tol))[0]))
 
 
-# trials whose child seeds and rngs are derived at once: one pass of the seed
-# hash per round, and a round's rngs (under 1 KiB each) bound the memory held
+# trials whose child seeds and rngs are derived, and whose residuals are
+# judged, at once: one pass of the seed hash and of the residual function
+# per round, and a round's rngs (under 1 KiB each) bound the memory held
 _ROUND = 512
 
 
@@ -322,31 +397,39 @@ def run_suite(spec: SuiteSpec) -> Report:
 
     Trial t runs at half_dims[t % len(half_dims)] with the t-th child seed of
     spec.seed, so the report is independent of execution order.  The child
-    seeds and their rngs are derived a round of _ROUND trials at a time.
+    seeds and their rngs are derived, and the trials judged, a round of
+    _ROUND trials at a time.  A report names each residual in the order of
+    its first appearance in a trial, and keeps the worst value of each (a
+    NaN, once one appears); a failing trial's residuals are recorded with
+    its seed.
     """
     t0 = time.perf_counter()
     row = _suite(spec.suite_id)
-    dims, tol, within = spec.half_dims, spec.tolerances, _checker(row.family, spec.tolerances)
+    dims, tol = spec.half_dims, spec.tolerances
+    bounds = _bounds(row.family, tol)
     passes = 0
     failures = []
     worst: dict = {}
     for start in range(0, spec.trials, _ROUND):
         block = _child_seeds(spec.seed, np.arange(start, min(start + _ROUND, spec.trials)))
-        seeds, rngs = block.tolist(), _rngs(block)
-        lanes = [slice((i - start) % len(dims), None, len(dims)) for i in range(len(dims))]
-        judged = [_judgements(row, n, seeds[lane], rngs[lane], tol)
-                  for n, lane in zip(dims, lanes)]
-        for t, seed in enumerate(seeds, start):
-            residuals = next(judged[t % len(dims)])
-            if within(residuals):
-                passes += 1
-            else:
-                failures.append({"seed": seed, "halfDim": dims[t % len(dims)],
-                                 "residuals": residuals})
-            for k, v in residuals.items():
-                prev = worst.setdefault(k, 0.0)
-                if not v <= prev and prev == prev:  # NaN wins, and stays
-                    worst[k] = v
+        seeds = block.tolist()
+        columns, present = _round(row, dims, start, seeds, _rngs(block), tol)
+        passed = _passed(columns, present, bounds)
+        passes += int(np.count_nonzero(passed))
+        for t in np.flatnonzero(~passed).tolist():
+            failures.append({"seed": seeds[t], "halfDim": dims[(start + t) % len(dims)],
+                             "residuals": _residuals_of(columns, present, t)})
+        found = []
+        for position, (name, column) in enumerate(columns.items()):
+            mask = present.get(name)
+            values = column if mask is None else column[mask]
+            if len(values):
+                first = 0 if mask is None else int(mask.argmax())
+                found.append((first, position, name, float(values.max())))  # max keeps a NaN
+        for _, _, name, v in sorted(found):  # in order of first appearance
+            prev = worst.setdefault(name, 0.0)
+            if not v <= prev and prev == prev:  # NaN wins, and stays
+                worst[name] = v
     elapsed = time.perf_counter() - t0
     return Report(
         tool=f"sympdet {__version__}",

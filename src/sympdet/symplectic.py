@@ -10,15 +10,19 @@ This module turns those facts into checkable numerical certificates, with all
 determinants evaluated by LAPACK's LU through numpy (:mod:`sympdet.linalg`).
 
 The membership residual, the certificate, the phase formula and the block
-reduction each have one core that judges a stack at once, one matrix product
-or LAPACK call per step; the public functions are its stack of one.  numpy
-treats each matrix of a stack as it would alone, and each norm is summed as
-it is alone, so a matrix gets the same bits in any stack.  A core returns,
-for each matrix, the error its public function raises or what that function
-is made of: the certificate and block-reduction cores give residuals and
-determinants, from which certify_symplectic and conj_block_reduction build
-their Certificate and ReductionProbe; the property suites read the
-residuals alone and judge them once.
+reduction each have one core that measures a stack at once, one matrix
+product or LAPACK call per step, and returns a dict of columns, each with
+one entry per matrix on its last axis (determinants as (3, k) determinant
+columns), so that the measurements of many stacks place into one round.
+numpy treats each matrix of a stack as it would alone, and each norm is
+summed as it is alone, so a matrix gets the same bits in any stack.  Each
+``RESIDUAL_BOUNDS`` family has one residual function, which judges
+measurements all at once: one column per residual name, in the family's
+order, and a presence mask for each residual some matrices never reach (a
+member the membership gate rejected, a pair whose C was not reduced).  The
+property suites run it once per round of trials; a public function runs it
+on the one entry of its matrix, as Python floats, and builds its LogDet,
+Certificate or ReductionProbe from that entry.
 
 Everything here is a pure function over immutable values; certificates are
 built locally and returned by value, so concurrent use needs no locking.
@@ -28,12 +32,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 from enum import Enum
 
 import numpy as np
 
-from .linalg import LogDet, _diagonals, _frobeniuses, _log_dets, _square
+from .linalg import (
+    LogDet,
+    _abs_squared,
+    _any,
+    _det_columns,
+    _diagonals,
+    _frobeniuses,
+    _hypot,
+    _log_det_at,
+    _map,
+    _products,
+    _rel_diffs,
+    _square,
+    _values,
+    _where,
+)
 
 __all__ = ["BlockPair", "Certificate", "DEFAULT_TOLERANCES", "GroupKind", "IdentityCheck",
            "MembershipError", "ReductionProbe", "ToleranceConfig", "certify_symplectic",
@@ -143,20 +161,17 @@ def within_bounds(family: str, residuals: dict,
                   tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     """True when each residual is <= its bound in RESIDUAL_BOUNDS[family]
     (so a NaN residual never passes)."""
-    return _checker(family, tol)(residuals)
+    bounds = _bounds(family, tol)
+    for k, v in residuals.items():  # a loop: all() over a generator costs twice as much
+        if not v <= bounds[k]:
+            return False
+    return True
 
 
-def _checker(family: str, tol: ToleranceConfig) -> Callable[[dict], bool]:
-    """within_bounds for the family and tol, each bound resolved once, for many trials."""
-    bounds = {k: getattr(tol, b) if isinstance(b, str) else b
-              for k, b in RESIDUAL_BOUNDS[family].items()}
-
-    def within(residuals: dict) -> bool:
-        for k, v in residuals.items():  # a loop: all() over a generator costs twice as much
-            if not v <= bounds[k]:
-                return False
-        return True
-    return within
+def _bounds(family: str, tol: ToleranceConfig) -> dict:
+    """Each residual name of the family mapped to its bound under tol."""
+    return {k: getattr(tol, b) if isinstance(b, str) else b
+            for k, b in RESIDUAL_BOUNDS[family].items()}
 
 
 def half_dim(a) -> int:
@@ -210,12 +225,12 @@ def membership_residual(a, group: GroupKind) -> float:
     if group is GroupKind.REAL_SYMPLECTIC and np.iscomplexobj(a):
         raise ValueError("real symplectic membership needs a real matrix")
     half_dim(a)
-    return _membership_residuals(a[None], group)[0]
+    return float(_membership_residuals(a[None], group)[0])
 
 
-def _membership_residuals(a: np.ndarray, group: GroupKind) -> list[float]:
-    """membership_residual of each matrix of a (k, 2N, 2N) stack: one stacked
-    GEMM, then each matrix's norms from one stacked dot."""
+def _membership_residuals(a: np.ndarray, group: GroupKind) -> np.ndarray:
+    """membership_residual of each matrix of a (k, 2N, 2N) stack, as a
+    column: one stacked GEMM, then each matrix's norms from one stacked dot."""
     k, m, _ = a.shape
     n = m // 2
     adjoint = np.conjugate if group is GroupKind.CONJUGATE_SYMPLECTIC else np.positive
@@ -229,8 +244,8 @@ def _membership_residuals(a: np.ndarray, group: GroupKind) -> list[float]:
     r[:, n:2 * n * n:m + 1] -= 1.0  # entries (i, N + i), where J is +1
     r[:, 2 * n * n::m + 1] += 1.0   # entries (N + i, i), where J is -1
     scales = [f ** 2 for f in _frobeniuses(a)]
-    return [math.inf if s == 0.0 else f / math.sqrt(m) / s
-            for s, f in zip(scales, _frobeniuses(p))]
+    return np.array([math.inf if s == 0.0 else f / math.sqrt(m) / s
+                     for s, f in zip(scales, _frobeniuses(p))], np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +314,94 @@ def unitary_split_det(p: BlockPair) -> tuple[LogDet, LogDet]:
     if p.group is GroupKind.COMPLEX_SYMPLECTIC:
         raise ValueError("the unitary split applies to unconjugated pairs only")
     d_plus, d_minus = _split_dets(p.c[None], p.d[None])
-    return d_plus[0], d_minus[0]
+    return _log_det_at(d_plus, 0), _log_det_at(d_minus, 0)
 
 
-def _split_dets(c: np.ndarray, d: np.ndarray) -> tuple[list[LogDet], list[LogDet]]:
-    """unitary_split_det of each pair of a (k, N, N) stack of C and of D."""
-    jd = 1j * d
-    return _log_dets(c + jd), _log_dets(c - jd)
+def _split_dets(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The determinant columns of C + iD and of C - iD for each pair of a
+    (k, N, N) stack of C and of D, from one slogdet call."""
+    k = len(c)
+    split = np.empty((2, *c.shape), np.complex128)
+    jd = np.multiply(1j, d, out=split[1])
+    np.add(c, jd, out=split[0])
+    np.subtract(c, jd, out=split[1])  # in place of iD, which it no longer needs
+    dets = _det_columns(split.reshape(2 * k, *c.shape[1:]))
+    return dets[:, :k], dets[:, k:]
+
+
+# ---------------------------------------------------------------------------
+# Columns of the stacked cores
+# ---------------------------------------------------------------------------
+
+def _placed(dets: np.ndarray | None, kept: np.ndarray) -> np.ndarray:
+    """Determinant columns with an entry for each entry of the mask kept:
+    dets (of the kept matrices, in order) where it holds, and the
+    determinant 1 elsewhere (a matrix a gate held back from its LU gets a
+    finite stand-in, which presence masks hide)."""
+    if dets is not None and dets.shape[1] == len(kept):
+        return dets
+    out = np.zeros((3, len(kept)))
+    out[1] = 1.0
+    if dets is not None:
+        out[:, kept] = dets
+    return out
+
+
+def _gated(a: np.ndarray, res_mem: np.ndarray, tol: ToleranceConfig) -> tuple:
+    """The membership gate of a core: whether it admits each matrix of the
+    stack a, whose residuals are res_mem, and the stack of those it admits."""
+    kept = res_mem <= tol.membership  # NaN must not pass
+    return kept, (a if np.count_nonzero(kept) == len(a) else a[kept])
+
+
+def _entries(measured: dict, i: int) -> dict:
+    """Entry i of each column a core measured, as Python scalars (a
+    determinant as a triple): one matrix, for its public function."""
+    return {name: column.T[i].tolist() for name, column in measured.items()}
+
+
+def _admitted(entry: dict, what: str, tol: ToleranceConfig) -> None:
+    """Raise the MembershipError of the membership gate if it rejected the
+    matrix of the entry."""
+    if not entry["kept"]:
+        raise MembershipError(f"not {what}: scaled residual {entry['membership']:.3e} "
+                              f"exceeds {tol.membership:.3e}")
+
+
+def _sign_slacks(dets, tol: ToleranceConfig) -> tuple:
+    """sign_slacks of each determinant, as (imag, real)."""
+    lm, re, im = dets
+    allowance = tol.nonneg_abs * _map(math.exp, _where(-lm > 700.0, 700.0, -lm))
+    imag, real = abs(im) - allowance, -re - allowance
+    nan, zero = (imag != imag) | (real != real), lm == -math.inf
+    imag, real = _where(imag > 0.0, imag, 0.0), _where(real > 0.0, real, 0.0)  # max(0.0, x)
+    if not _any(nan | zero):
+        return imag, real
+    # NaN in either makes both NaN, and a zero determinant has no slack
+    return tuple(_where(zero, 0.0, _where(nan, math.nan, x)) for x in (imag, real))
+
+
+def sign_slacks(dd: LogDet, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[float, float]:
+    """(imag, real) violations of det >= 0, each max(0, violation).
+
+    The violations are measured on the unit phase: |Im det| and -Re det must
+    each stay under tol.nonneg * |det| + tol.nonneg_abs.  A NaN magnitude or
+    phase makes both slacks NaN, so neither they nor their max pass a bound.
+    A zero determinant has no violation.
+    """
+    imag, real = _sign_slacks(dd._entry(), tol)
+    return float(imag), float(real)
+
+
+def _max(x, y):
+    """max(x, y) of each pair of entries, as Python takes it."""
+    return _where(y > x, y, x)
+
+
+def _off_one(dets):
+    """|det - 1| of each determinant, as abs(LogDet.value - 1.0)."""
+    vr, vi = _values(dets)
+    return _hypot(vr - 1.0, vi - 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -344,65 +440,69 @@ def conj_block_reduction(c, d, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Red
     d = _square(d).astype(np.complex128, copy=False)
     if c.shape != d.shape:
         raise ValueError(f"dimension mismatch: {c.shape[0]} vs {d.shape[0]}")
-    return ReductionProbe(*_reductions(c[None], d[None], tol)[0])
+    measured, e = _reductions(c[None], d[None], tol)
+    block_det = _log_det_at(measured["block"], 0)
+    if not measured["reduced"][0]:
+        return ReductionProbe(None, block_det, None)
+    residuals, present = _lemma_residuals(_entries(measured, 0), tol)
+    return ReductionProbe(e[0], block_det, _log_det_at(measured["pair"], 0),
+                          {name: residuals[name] for name in present})
 
 
 def _reductions(c: np.ndarray, d: np.ndarray, tol: ToleranceConfig,
-                gated: bool = False) -> list[tuple]:
-    """The fields of conj_block_reduction's probe, (e, block_det, pair_det,
-    residuals), for each pair of (k, N, N) complex128 stacks C and D, one
-    LAPACK call or matrix product per step for the whole stack.  A pair is
-    reduced only if LAPACK finds C nonsingular (a slogdet sign of 0 is the
-    zero pivot on which inv and solve raise for the whole stack) and, if
-    ``gated``, ||C||_F ||C^-1||_F is within tol.condition_gate; any other
-    pair's fields hold its block determinant alone."""
-    k, n, _ = c.shape
-    block = _log_dets(_embedded(BlockPair(c, d, GroupKind.COMPLEX_SYMPLECTIC)))
-    out = [(None, b, None, {}) for b in block]
+                gated: bool = False) -> tuple[dict, np.ndarray | None]:
+    """What conj_block_reduction measures of each pair of (k, N, N) complex128
+    stacks C and D, one LAPACK call or matrix product per step for the whole
+    stack, and E = C^-1 D of the reduced pairs.  The columns: ``block`` (the
+    block determinants), ``reduced``, ``det_c`` and ``norm_c`` of every
+    pair, and ``det_cc``, ``embed``, ``pair`` and ``norms`` (||E||_F,
+    ||D||_F, ||C E - D||_F) of the reduced ones.  A pair is reduced only if
+    LAPACK finds C nonsingular (a slogdet sign of 0 is the zero pivot on
+    which inv and solve raise for the whole stack) and, if ``gated``,
+    ||C||_F ||C^-1||_F is within tol.condition_gate."""
+    n = c.shape[-1]
+    block = _det_columns(_embedded(BlockPair(c, d, GroupKind.COMPLEX_SYMPLECTIC)))
     slogdet_c = np.linalg.slogdet(c)
-    det_c = _log_dets(c, slogdet_c)
-    norm_c = _frobeniuses(c)
-    keep = np.flatnonzero(slogdet_c[0])
-    if gated and len(keep):
-        cond = zip(keep, _frobeniuses(np.linalg.inv(c[keep])))
-        keep = [i for i, f in cond if norm_c[i] * f <= tol.condition_gate]
-    if not len(keep):
-        return out
-    if len(keep) < k:
-        c, d = c[keep], d[keep]
-    e = np.linalg.solve(c, d)
-    ee = e.conj() @ e
-    _diagonals(ee)[:] += 1.0  # + I, in the fresh product
-    pair = _log_dets(ee)
-    eye = np.broadcast_to(np.eye(n, dtype=np.complex128), e.shape)
-    embed = _log_dets(_embedded(BlockPair(eye, e, GroupKind.COMPLEX_SYMPLECTIC)))
-    det_cc = _log_dets(c.conj())
-    norms = zip(_frobeniuses(e), _frobeniuses(d), _frobeniuses(c @ e - d))
-    for j, (i, ej, (fe, fd, fr)) in enumerate(zip(keep, e, norms)):
-        rhs = det_c[i] * det_cc[j] * embed[j]
-        out[i] = (ej, block[i], pair[j], {
-            "solve": fr / (norm_c[i] * fe + fd + 1e-300),
-            "reduction": block[i].rel_diff(rhs),
-            "commuting": embed[j].rel_diff(pair[j]),
-            "eeNonneg": max(sign_slacks(pair[j], tol)),
-        })
-    return out
+    measured = {"block": block, "det_c": _det_columns(c, slogdet_c),
+                "norm_c": np.array(_frobeniuses(c))}
+    reduced = slogdet_c[0] != 0
+    if gated and reduced.any():
+        cond = measured["norm_c"][reduced] * np.array(_frobeniuses(np.linalg.inv(c[reduced])))
+        reduced[reduced] = cond <= tol.condition_gate
+    measured["reduced"] = reduced
+    e = None
+    dets = dict.fromkeys(("det_cc", "embed", "pair", "norms"))
+    if reduced.any():
+        if not reduced.all():
+            c, d = c[reduced], d[reduced]
+        e = np.linalg.solve(c, d)
+        ee = e.conj() @ e
+        _diagonals(ee)[:] += 1.0  # + I, in the fresh product
+        dets["pair"] = _det_columns(ee)
+        eye = np.broadcast_to(np.eye(n, dtype=np.complex128), e.shape)
+        dets["embed"] = _det_columns(_embedded(BlockPair(eye, e, GroupKind.COMPLEX_SYMPLECTIC)))
+        dets["det_cc"] = _det_columns(c.conj())
+        dets["norms"] = np.array([_frobeniuses(e), _frobeniuses(d), _frobeniuses(c @ e - d)])
+    measured.update((name, _placed(v, reduced)) for name, v in dets.items())
+    return measured, e
 
 
-def sign_slacks(dd: LogDet, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[float, float]:
-    """(imag, real) violations of det >= 0, each max(0, violation).
-
-    The violations are measured on the unit phase: |Im det| and -Re det must
-    each stay under tol.nonneg * |det| + tol.nonneg_abs.  A NaN magnitude or
-    phase makes both slacks NaN, so neither they nor their max pass a bound.
-    """
-    if dd.log_magnitude == -math.inf:
-        return 0.0, 0.0
-    allowance = tol.nonneg_abs * math.exp(min(-dd.log_magnitude, 700.0))
-    im, re = abs(dd.phase.imag) - allowance, -dd.phase.real - allowance
-    if math.isnan(im) or math.isnan(re):  # max(0.0, nan) would be 0.0
-        return math.nan, math.nan
-    return max(0.0, im), max(0.0, re)
+def _lemma_residuals(m: dict, tol: ToleranceConfig) -> tuple[dict, dict]:
+    """The lemma family's residuals: each block determinant's sign slacks,
+    and the reduction's residuals (conj_block_reduction's) of the reduced
+    pairs."""
+    imag, real = _sign_slacks(m["block"], tol)
+    fe, fd, fr = m["norms"]
+    columns = {
+        "imagSlack": imag,
+        "realSlack": real,
+        "solve": fr / (m["norm_c"] * fe + fd + 1e-300),
+        "reduction": _rel_diffs(m["block"],
+                                _products(_products(m["det_c"], m["det_cc"]), m["embed"])),
+        "commuting": _rel_diffs(m["embed"], m["pair"]),
+        "eeNonneg": _max(*_sign_slacks(m["pair"], tol)),
+    }
+    return columns, dict.fromkeys(("solve", "reduction", "commuting", "eeNonneg"), m["reduced"])
 
 
 # ---------------------------------------------------------------------------
@@ -474,23 +574,6 @@ def _fmt_logdet(dd: LogDet) -> str:
     return f"exp({dd.log_magnitude:.9g})*({dd.phase.real:.9g}{dd.phase.imag:+.9g}j)"
 
 
-def _one(result):
-    """A core's result for a stack of one: raised if it is an error."""
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
-def _gate(a: np.ndarray, res_mem: list[float], tol: ToleranceConfig, group_name: str):
-    """A core's membership gate: (results, kept indices, kept matrices), the
-    results holding a MembershipError for each rejected matrix."""
-    out: list = [None if r <= tol.membership else MembershipError(  # NaN must not pass
-        f"not {group_name}: scaled residual {r:.3e} exceeds {tol.membership:.3e}")
-        for r in res_mem]
-    keep = [i for i, x in enumerate(out) if x is None]
-    return out, keep, (a if len(keep) == len(a) else a[keep])
-
-
 def certify_symplectic(a, group: GroupKind = GroupKind.REAL_SYMPLECTIC,
                        tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Certificate:
     """Certify det(A) = 1 for a real or complex symplectic matrix.
@@ -515,51 +598,69 @@ def certify_symplectic(a, group: GroupKind = GroupKind.REAL_SYMPLECTIC,
         raise ValueError(f"{group.value} certification needs a "
                          f"{'R' if group is GroupKind.REAL_SYMPLECTIC else 'C'}-kind matrix")
     half_dim(a)
-    residuals, (det_a, lhs, aux, split) = _one(
-        _certificates(a[None], _membership_residuals(a[None], group), group, tol)[0])
+    measured = _certificates(a[None], _membership_residuals(a[None], group), group, tol)
+    entry = _entries(measured, 0)
+    _admitted(entry, "symplectic", tol)
+    residuals = _certificate_residuals(entry, tol)[0]  # an entry's residuals are floats
+    det_a, lhs, aux, *split = (LogDet(lm, complex(re, im))
+                               for lm, re, im in list(entry.values())[2:])  # the determinants
     return Certificate(group=group, det_a=det_a, lhs_det=lhs, auxiliary_det=aux,
                        residuals=residuals,
                        verdict="pass" if within_bounds("certificate", residuals, tol) else "fail",
-                       split_dets=split, tolerances=tol)
+                       split_dets=tuple(split) or None, tolerances=tol)
 
 
-def _certificates(a: np.ndarray, res_mem: list[float], group: GroupKind,
-                  tol: ToleranceConfig) -> list[tuple | MembershipError]:
-    """What certify_symplectic judges of each matrix of a (k, 2N, 2N) stack
+def _certificates(a: np.ndarray, res_mem: np.ndarray, group: GroupKind,
+                  tol: ToleranceConfig) -> dict:
+    """What certify_symplectic measures of each matrix of a (k, 2N, 2N) stack
     of the group's dtype, given their membership residuals (for a caller
-    that reports them too): its residuals and its determinants (det_a,
-    lhs_det, auxiliary_det, split_dets), or the MembershipError it raises."""
-    out, keep, a = _gate(a, res_mem, tol, "symplectic")
-    if not keep:
-        return out
+    that reports them too): ``membership``, ``kept`` (whether the membership
+    gate admitted it) and the determinant columns det_a, lhs (of A^T A + I,
+    or A^* A + I), aux (of the embedded block pair) and, for the real group,
+    d_plus and d_minus (of the unitary split).  No LU is run for a rejected
+    matrix."""
+    kept, a = _gated(a, res_mem, tol)
     real = group is GroupKind.REAL_SYMPLECTIC
-    det_a = _log_dets(a)
-    gram = (a if real else a.conj()).swapaxes(1, 2) @ a  # A^T A (A^* A)
-    _diagonals(gram)[:] += 1.0  # + I, in the fresh product
-    lhs = _log_dets(gram)
-    pair = _pair(a, group)
-    # The embeddings take the place of the Gram matrices, which are no longer
-    # read: one stack fewer at once, and none allocated anew.
-    aux = _log_dets(_embedded(pair, gram))
-    del gram  # freed before the unitary split allocates
-    splits = zip(*_split_dets(pair.c, pair.d)) if real else [None] * len(keep)
-    for i, d, lh, ax, split in zip(keep, det_a, lhs, aux, splits):
-        val = d.value
-        residuals = {
-            "membership": res_mem[i],
-            "detPhaseSign": min(abs(val - 1.0), abs(val + 1.0)),
-            "gramPositive": max(0.0, -lh.log_magnitude),
-            "gramReal": abs(lh.phase - 1.0),
-            "factorIdentity": lh.rel_diff((d if real else d.conjugated()) * ax),
-            "blockNonneg": max(sign_slacks(ax, tol)),
-        }
+    dets = dict.fromkeys(("det_a", "lhs", "aux", "d_plus", "d_minus")[:5 if real else 3])
+    if len(a):
+        dets["det_a"] = _det_columns(a)
+        gram = (a if real else a.conj()).swapaxes(1, 2) @ a  # A^T A (A^* A)
+        _diagonals(gram)[:] += 1.0  # + I, in the fresh product
+        dets["lhs"] = _det_columns(gram)
+        pair = _pair(a, group)
+        # The embeddings take the place of the Gram matrices, which are no
+        # longer read: one stack fewer at once, and none allocated anew.
+        dets["aux"] = _det_columns(_embedded(pair, gram))
+        del gram  # freed before the unitary split allocates
         if real:
-            d_plus, d_minus = split
-            residuals["splitIdentity"] = lh.rel_diff(d * d_plus.abs_squared())
-            residuals["splitConjugate"] = d_minus.rel_diff(d_plus.conjugated())
-        residuals["detOne"] = abs(val - 1.0)
-        out[i] = (residuals, (d, lh, ax, split))
-    return out
+            dets["d_plus"], dets["d_minus"] = _split_dets(pair.c, pair.d)
+    return {"membership": res_mem, "kept": kept,
+            **{name: _placed(v, kept) for name, v in dets.items()}}
+
+
+def _certificate_residuals(m: dict, tol: ToleranceConfig) -> tuple[dict, dict]:
+    """The certificate family's residuals; a member the gate rejected
+    reaches only its membership residual."""
+    det_a, lhs, aux = m["det_a"], m["lhs"], m["aux"]
+    real = "d_plus" in m
+    vr, vi = _values(det_a)
+    det_one, det_minus_one = _hypot(vr - 1.0, vi - 0.0), _hypot(vr + 1.0, vi + 0.0)
+    lm, re, im = lhs
+    adjoint = det_a if real else (det_a[0], det_a[1], -det_a[2])  # det(A^T), det(A^*)
+    columns = {
+        "membership": m["membership"],
+        "detPhaseSign": _where(det_minus_one < det_one, det_minus_one, det_one),  # min()
+        "gramPositive": _where(-lm > 0.0, -lm, 0.0),  # max(0.0, -lm)
+        "gramReal": _hypot(re - 1.0, im - 0.0),
+        "factorIdentity": _rel_diffs(lhs, _products(adjoint, aux)),
+        "blockNonneg": _max(*_sign_slacks(aux, tol)),
+    }
+    if real:
+        d_plus, d_minus = m["d_plus"], m["d_minus"]
+        columns["splitIdentity"] = _rel_diffs(lhs, _products(det_a, _abs_squared(d_plus)))
+        columns["splitConjugate"] = _rel_diffs(d_minus, (d_plus[0], d_plus[1], -d_plus[2]))
+    columns["detOne"] = det_one
+    return columns, dict.fromkeys(list(columns)[1:], m["kept"])
 
 
 def conj_symplectic_det(a, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> complex:
@@ -580,25 +681,46 @@ def conj_symplectic_det(a, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> complex
     """
     a = _square(a)
     res_mem = membership_residual(a, GroupKind.CONJUGATE_SYMPLECTIC)
-    return _one(_conj_phases(a[None], [res_mem], tol)[0])
+    return _formula_phase(_entries(_conj_phases(a[None], np.array([res_mem]), tol), 0), tol)
 
 
-def _conj_phases(a: np.ndarray, res_mem: list[float], tol: ToleranceConfig
-                 ) -> list[complex | MembershipError]:
-    """conj_symplectic_det of each matrix of a (k, 2N, 2N) stack, given their
-    conjugate membership residuals (for a caller that reports them too and
-    must not compute them twice): the phase, or the error it raises."""
-    out, keep, a = _gate(a, res_mem, tol, "conjugate symplectic")
-    if not keep:  # no determinant for a rejected stack
-        return out
-    log_bound = (a.shape[1] // 2) * math.log(4.0)
-    pair = _pair(a, GroupKind.CONJUGATE_SYMPLECTIC)
-    for i, d_plus, d_minus in zip(keep, *_split_dets(pair.c, pair.d)):
-        q = d_plus * d_minus
-        # relative, as unitary members meet 4^N only up to rounding; the
-        # clamp keeps expm1 from overflowing far above the bound; NaN fails
-        shortfall = -math.expm1(min(q.log_magnitude - log_bound, 0.0))
-        out[i] = q.phase if shortfall <= tol.det_one else MembershipError(
+def _conj_phases(a: np.ndarray, res_mem: np.ndarray, tol: ToleranceConfig) -> dict:
+    """What conj_symplectic_det measures of each matrix of a (k, 2N, 2N)
+    stack, given their conjugate membership residuals (for a caller that
+    reports them too and must not compute them twice): ``membership``,
+    ``kept`` (whether the gate admitted it), ``log_bound`` (log 4^N) and the
+    determinant columns d_plus and d_minus of its unitary split.  No LU is
+    run for a rejected matrix."""
+    kept, admitted = _gated(a, res_mem, tol)
+    split = [None, None]
+    if len(admitted):
+        pair = _pair(admitted, GroupKind.CONJUGATE_SYMPLECTIC)
+        split = _split_dets(pair.c, pair.d)
+    d_plus, d_minus = (_placed(v, kept) for v in split)
+    return {"membership": res_mem, "kept": kept, "d_plus": d_plus, "d_minus": d_minus,
+            "log_bound": np.full(len(a), (a.shape[1] // 2) * math.log(4.0))}
+
+
+def _formula_phases(m: dict, tol: ToleranceConfig) -> tuple:
+    """The formula's phase of each matrix _conj_phases measured, as its real
+    and imaginary parts, whether the formula gives it (it refuses a matrix
+    the gate rejected, or whose formula matrix's |det| falls short of 4^N by
+    more than tol.det_one), and that relative shortfall."""
+    lm, re, im = _products(m["d_plus"], m["d_minus"])
+    # relative, as unitary members meet 4^N only up to rounding; the clamp
+    # keeps expm1 from overflowing far above the bound; NaN fails
+    gap = lm - m["log_bound"]
+    shortfall = -_map(math.expm1, _where(0.0 < gap, 0.0, gap))
+    return re, im, m["kept"] & (shortfall <= tol.det_one), shortfall
+
+
+def _formula_phase(entry: dict, tol: ToleranceConfig) -> complex:
+    """conj_symplectic_det's phase of a matrix from the entry _conj_phases
+    measured of it, or the MembershipError it raises."""
+    _admitted(entry, "conjugate symplectic", tol)
+    re, im, given, shortfall = _formula_phases(entry, tol)
+    if not given:
+        raise MembershipError(
             f"not conjugate symplectic: formula |det| falls short of 4^N by "
             f"{shortfall:.3e}, over {tol.det_one:.3e}")
-    return out
+    return complex(re, im)

@@ -15,6 +15,14 @@ none shares the library's vectorized seed derivation.  Three helpers the
 tests share come first: a fresh square copy of a matrix, a Gaussian matrix,
 and the Frobenius norm of one matrix as a Python float (the bitwise
 reference for the library's stacked norms).
+
+The last section is the scalar determinant arithmetic the library judged
+with before its determinants became columns: a frozen ``ScalarLogDet`` per
+matrix, its products and relative differences in Python's complex
+arithmetic, and every suite's trial judged one determinant at a time.  It
+is the bitwise reference for the column functions and the per-round
+residual functions, which must give each trial the same residual names, in
+the same order, with the same bits.
 """
 
 import math
@@ -22,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sympdet.generators import GenerationError, GeneratorConfig
-from sympdet.linalg import LogDet, _square, log_det
-from sympdet.symplectic import (DEFAULT_TOLERANCES, GroupKind, membership_residual,
-                                sign_slacks, symplectic_form)
+from sympdet.generators import GenerationError, GeneratorConfig, generate
+from sympdet.linalg import LogDet, _square
+from sympdet.symplectic import (DEFAULT_TOLERANCES, GroupKind, MembershipError,
+                                membership_residual, symplectic_form)
 
 
 def as_square(a) -> np.ndarray:
@@ -366,17 +374,17 @@ def loop_reduction_residuals(c, d, tol=DEFAULT_TOLERANCES):
     except np.linalg.LinAlgError:
         return {}
     n = c.shape[0]
-    block = log_det(block_embed_pair(c, d, conjugated=True))
+    block = scalar_log_det(block_embed_pair(c, d, conjugated=True))
     ee = e.conj() @ e
     ee[np.diag_indices(n)] += 1.0
-    pair = log_det(ee)
-    embed = log_det(block_embed_pair(np.eye(n, dtype=np.complex128), e, conjugated=True))
-    rhs = log_det(c) * log_det(c.conj()) * embed
+    pair = scalar_log_det(ee)
+    embed = scalar_log_det(block_embed_pair(np.eye(n, dtype=np.complex128), e, conjugated=True))
+    rhs = scalar_log_det(c) * scalar_log_det(c.conj()) * embed
     return {
         "solve": frobenius(c @ e - d) / (frobenius(c) * frobenius(e) + frobenius(d) + 1e-300),
         "reduction": block.rel_diff(rhs),
         "commuting": embed.rel_diff(pair),
-        "eeNonneg": max(sign_slacks(pair, tol)),
+        "eeNonneg": max(scalar_sign_slacks(pair, tol)),
     }
 
 
@@ -387,7 +395,8 @@ def loop_lemma_trial(c, d, tol=DEFAULT_TOLERANCES):
         well_conditioned = frobenius(c) * frobenius(np.linalg.inv(c)) <= tol.condition_gate
     except np.linalg.LinAlgError:
         well_conditioned = False
-    im_slack, re_slack = sign_slacks(log_det(block_embed_pair(c, d, conjugated=True)), tol)
+    im_slack, re_slack = scalar_sign_slacks(scalar_log_det(block_embed_pair(c, d, conjugated=True)),
+                                            tol)
     return {"imagSlack": im_slack, "realSlack": re_slack,
             **(loop_reduction_residuals(c, d, tol) if well_conditioned else {})}
 
@@ -413,7 +422,7 @@ def loop_generator_sanity_trial(n, seed, tol=DEFAULT_TOLERANCES):
         "factorResidual": worst_factor,
         "productResidual": membership_residual(a, target),
     }
-    dd = log_det(a)
+    dd = scalar_log_det(a)
     if target is GroupKind.CONJUGATE_SYMPLECTIC:
         residuals["detUnitModulus"] = abs(math.expm1(dd.log_magnitude))
     else:
@@ -422,3 +431,179 @@ def loop_generator_sanity_trial(n, seed, tol=DEFAULT_TOLERANCES):
     same = b.dtype == a.dtype and b.shape == a.shape and b.tobytes() == a.tobytes()
     residuals["determinism"] = 0.0 if same else 1.0
     return residuals
+
+
+# ---------------------------------------------------------------------------
+# Scalar determinant arithmetic, one determinant at a time: the bitwise
+# reference for the column functions of sympdet.linalg and
+# sympdet.symplectic and for the suites' per-round residual functions.  This
+# is the judging the library ran before its determinants became columns.
+# ---------------------------------------------------------------------------
+
+_LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
+
+
+@dataclass(frozen=True)
+class ScalarLogDet:
+    """det = exp(log_magnitude) * phase, in Python's float and complex
+    arithmetic."""
+
+    log_magnitude: float
+    phase: complex
+
+    @property
+    def value(self) -> complex:
+        if self.log_magnitude == -math.inf:
+            return 0j
+        if self.log_magnitude > _LOG_FLOAT_MAX:
+            return complex(*(math.copysign(math.inf, x) if x else 0.0
+                             for x in (self.phase.real, self.phase.imag)))
+        return self.phase * math.exp(self.log_magnitude)
+
+    def __mul__(self, other):
+        if self.log_magnitude == -math.inf or other.log_magnitude == -math.inf:
+            return ScalarLogDet(-math.inf, 1 + 0j)
+        p = self.phase * other.phase
+        p /= abs(p)
+        return ScalarLogDet(self.log_magnitude + other.log_magnitude, p)
+
+    def conjugated(self):
+        return ScalarLogDet(self.log_magnitude, self.phase.conjugate())
+
+    def abs_squared(self):
+        if self.log_magnitude == -math.inf:
+            return ScalarLogDet(-math.inf, 1 + 0j)
+        return ScalarLogDet(2.0 * self.log_magnitude, 1 + 0j)
+
+    def rel_diff(self, other) -> float:
+        if self.log_magnitude == -math.inf and other.log_magnitude == -math.inf:
+            return 0.0
+        if self.log_magnitude == -math.inf or other.log_magnitude == -math.inf:
+            return math.inf
+        dl = self.log_magnitude - other.log_magnitude
+        if dl > 700.0:
+            return math.inf
+        return abs(math.exp(dl) * self.phase * other.phase.conjugate() - 1.0)
+
+
+def scalar_log_det(a) -> ScalarLogDet:
+    """The determinant of one matrix from numpy's slogdet of it alone:
+    (-inf, 1) if singular, (nan, nan + nanj) for a NaN or Inf entry."""
+    a = _square(a)
+    sign, la = np.linalg.slogdet(a)
+    sign, la = complex(sign), float(la)
+    if (sign == 0 or not math.isfinite(la)) and not np.isfinite(a).all():
+        return ScalarLogDet(math.nan, complex(math.nan, math.nan))
+    if sign == 0:
+        return ScalarLogDet(-math.inf, 1 + 0j)
+    return ScalarLogDet(la, sign / abs(sign))
+
+
+def scalar_sign_slacks(dd, tol=DEFAULT_TOLERANCES):
+    if dd.log_magnitude == -math.inf:
+        return 0.0, 0.0
+    allowance = tol.nonneg_abs * math.exp(min(-dd.log_magnitude, 700.0))
+    im, re = abs(dd.phase.imag) - allowance, -dd.phase.real - allowance
+    if math.isnan(im) or math.isnan(re):
+        return math.nan, math.nan
+    return max(0.0, im), max(0.0, re)
+
+
+def scalar_phase_angle(p, q) -> float:
+    r = complex(p) * complex(q).conjugate()
+    return abs(math.atan2(r.imag, r.real))
+
+
+def _scalar_split(c, d):
+    """(det(C + iD), det(C - iD))."""
+    jd = 1j * d
+    return scalar_log_det(c + jd), scalar_log_det(c - jd)
+
+
+def _blocks(a, group):
+    """C and D of a 2N x 2N matrix under the group's convention."""
+    n = a.shape[0] // 2
+    a11, a12, a21, a22 = a[:n, :n], a[:n, n:], a[n:, :n], a[n:, n:]
+    if group is GroupKind.COMPLEX_SYMPLECTIC:
+        return a11 + a22.conj(), a12 - a21.conj()
+    return a11 + a22, a12 - a21
+
+
+def scalar_certificate_residuals(a, group, tol=DEFAULT_TOLERANCES):
+    """certify_symplectic's residuals of one member, or its membership
+    residual alone if the gate rejects it."""
+    res_mem = membership_residual(a, group)
+    if not res_mem <= tol.membership:
+        return {"membership": res_mem}
+    real = group is GroupKind.REAL_SYMPLECTIC
+    d = scalar_log_det(a)
+    gram = (a if real else a.conj()).T @ a
+    gram[np.diag_indices(len(a))] += 1.0
+    lh = scalar_log_det(gram)
+    c, dd = _blocks(a, group)
+    ax = scalar_log_det(block_embed_pair(c, dd, conjugated=not real))
+    val = d.value
+    residuals = {
+        "membership": res_mem,
+        "detPhaseSign": min(abs(val - 1.0), abs(val + 1.0)),
+        "gramPositive": max(0.0, -lh.log_magnitude),
+        "gramReal": abs(lh.phase - 1.0),
+        "factorIdentity": lh.rel_diff((d if real else d.conjugated()) * ax),
+        "blockNonneg": max(scalar_sign_slacks(ax, tol)),
+    }
+    if real:
+        d_plus, d_minus = _scalar_split(c, dd)
+        residuals["splitIdentity"] = lh.rel_diff(d * d_plus.abs_squared())
+        residuals["splitConjugate"] = d_minus.rel_diff(d_plus.conjugated())
+    residuals["detOne"] = abs(val - 1.0)
+    return residuals
+
+
+def scalar_conj_phase(a, res_mem, tol=DEFAULT_TOLERANCES):
+    """conj_symplectic_det's phase of one matrix, given its membership
+    residual, or a MembershipError where it raises one."""
+    if not res_mem <= tol.membership:
+        return MembershipError("rejected by the membership gate")
+    d_plus, d_minus = _scalar_split(*_blocks(a, GroupKind.CONJUGATE_SYMPLECTIC))
+    q = d_plus * d_minus
+    log_bound = (a.shape[0] // 2) * math.log(4.0)
+    shortfall = -math.expm1(min(q.log_magnitude - log_bound, 0.0))
+    return q.phase if shortfall <= tol.det_one else MembershipError(f"short by {shortfall}")
+
+
+def scalar_trial(suite_id, n, seed, tol=DEFAULT_TOLERANCES):
+    """The residuals of one trial of a suite at half-dim n, drawn alone and
+    judged with the scalar arithmetic."""
+    if suite_id == "form-identities":
+        j = symplectic_form(n)
+        eye = np.eye(2 * n)
+        return {"formSquare": frobenius(j @ j + eye), "formSkew": frobenius(j.T + j),
+                "formInverse": frobenius(j.T @ j - eye),
+                "detOne": abs(scalar_log_det(j).value - 1.0)}
+    if suite_id in ("real-theorem", "complex-theorem"):
+        group = GroupKind.COMPLEX_SYMPLECTIC if "complex" in suite_id else GroupKind.REAL_SYMPLECTIC
+        a = generate(GeneratorConfig(half_dim=n, target=group, seed=seed), tol=tol)
+        return scalar_certificate_residuals(a, group, tol)
+    if suite_id == "lemma":
+        c, d, _ = loop_lemma_inputs(n, seed)
+        return loop_lemma_trial(c, d, tol)
+    if suite_id == "ineq-real":
+        c, d = loop_rng(seed).standard_normal((2, n, n))
+        dd = scalar_log_det(block_embed_pair(c, d))
+        d_plus, d_minus = _scalar_split(c, d)
+        im_slack, re_slack = scalar_sign_slacks(dd, tol)
+        return {"imagSlack": im_slack, "realSlack": re_slack,
+                "splitAgreement": dd.rel_diff(d_plus.abs_squared()),
+                "splitConjugate": d_minus.rel_diff(d_plus.conjugated())}
+    if suite_id == "conj-formula":
+        target = GroupKind.CONJUGATE_SYMPLECTIC
+        a = generate(GeneratorConfig(half_dim=n, target=target, seed=seed), tol=tol)
+        res_mem = membership_residual(a, target)
+        phase, oracle = scalar_conj_phase(a, res_mem, tol), scalar_log_det(a)
+        return {"membership": res_mem,
+                "detModulusOne": abs(math.expm1(oracle.log_magnitude)),
+                "phaseAgreement": (math.inf if isinstance(phase, Exception)
+                                   else scalar_phase_angle(phase, oracle.phase))}
+    if suite_id == "generator-sanity":
+        return loop_generator_sanity_trial(n, seed, tol)
+    raise ValueError(f"unknown suite {suite_id!r}")

@@ -267,6 +267,15 @@ def _items_bits(residuals):
     return list(_bits(residuals).items())  # in order: reports keep the residuals' order
 
 
+def _judged(suite_id, n, seeds, tol=DEFAULT_TOLERANCES):
+    """Each trial's residuals, in order, as a suite judges them: its judge
+    measures the trials at half-dim n as stacks, and its family's residual
+    function judges them as one round."""
+    columns, present = suites._round(_SUITES[suite_id], (n,), 0, seeds,
+                                     [sd.rng_from_seed(s) for s in seeds], tol)
+    return [suites._residuals_of(columns, present, t) for t in range(len(seeds))]
+
+
 def test_lemma_judge_matches_the_loop():
     # the stacked draw, condition gate and reduction give each trial the bits
     # (and the residual names, in order) it gets when drawn and judged alone,
@@ -275,8 +284,7 @@ def test_lemma_judge_matches_the_loop():
     for n in range(1, 9):
         seeds = [sd.split_seed(13, 100 * n + t) for t in range(30)]
         c, d, modes = suites._lemma_inputs(n, [sd.rng_from_seed(s) for s in seeds])
-        judged = suites._judge_lemma(n, seeds, [sd.rng_from_seed(s) for s in seeds],
-                                     DEFAULT_TOLERANCES)
+        judged = _judged("lemma", n, seeds)
         for i, seed in enumerate(seeds):
             ci, di, mode = loop_lemma_inputs(n, seed)
             assert (modes[i], c[i].tobytes(), d[i].tobytes()) == (mode, ci.tobytes(),
@@ -295,12 +303,8 @@ def test_lemma_judge_isolates_singular_and_nan_blocks(monkeypatch):
     # whole stack) gets its sign slacks and no reduction, as alone; a NaN C
     # gets NaN slacks and fails; every other trial keeps its bits
     n, seeds = 4, [sd.split_seed(17, t) for t in range(8)]
-
-    def rngs():
-        return [sd.rng_from_seed(s) for s in seeds]
-
     draw = suites._lemma_inputs
-    clean = suites._judge_lemma(n, seeds, rngs(), DEFAULT_TOLERANCES)
+    clean = _judged("lemma", n, seeds)
 
     def inputs(n, rngs):
         c, d, modes = draw(n, rngs)
@@ -309,8 +313,8 @@ def test_lemma_judge_isolates_singular_and_nan_blocks(monkeypatch):
         return c, d, modes
 
     monkeypatch.setattr(suites, "_lemma_inputs", inputs)
-    judged = suites._judge_lemma(n, seeds, rngs(), DEFAULT_TOLERANCES)
-    c, d, _ = inputs(n, rngs())
+    judged = _judged("lemma", n, seeds)
+    c, d, _ = inputs(n, [sd.rng_from_seed(s) for s in seeds])
     assert _items_bits(judged[2]) == _items_bits(loop_lemma_trial(c[2], d[2]))
     assert set(judged[2]) == {"imagSlack", "realSlack"}
     assert symplectic.within_bounds("lemma", judged[2])
@@ -347,28 +351,30 @@ def test_suite_members_match_the_loop(monkeypatch, suite_id):
 
 @pytest.mark.parametrize("suite_id", ["real-theorem", "complex-theorem"])
 def test_theorem_trials_report_their_certificates_residuals(monkeypatch, suite_id):
-    # every trial of a default run: the residuals its stacked judge returns,
-    # with no Certificate built, are by repr those of certify_symplectic on
-    # the member it sampled
+    # every trial of a default run: the residuals its round's columns give
+    # it, with no Certificate built, are by repr those of certify_symplectic
+    # on the member it sampled
     group, row = SAMPLED_GROUPS[suite_id], _SUITES[suite_id]
-    stacks, judged = [], []
+    members, rounds = {}, []
 
-    def sample(*args, **kwargs):
-        stack, res_mem = generators._sample(*args, **kwargs)
-        stacks.append(np.array(stack))
+    def sample(config, *args, **kwargs):
+        stack, res_mem = generators._sample(config, *args, **kwargs)
+        members.setdefault(config.half_dim, []).extend(np.array(a) for a in stack)
         return stack, res_mem
 
-    def judge(*args):
-        judged.append(row.judge(*args))
-        return judged[-1]
+    def residuals(*args):
+        rounds.append(symplectic._certificate_residuals(*args))
+        return rounds[-1]
 
     monkeypatch.setattr(suites, "_sample", sample)
-    monkeypatch.setitem(_SUITES, suite_id, row._replace(judge=judge))
+    monkeypatch.setitem(suites._RESIDUALS, "certificate", residuals)
     report = run_suite(default_suite_spec(suite_id, seed=3))
-    assert report.all_passed and sum(map(len, judged)) == report.trials == 200
-    for stack, residuals in zip(stacks, judged, strict=True):
-        for a, r in zip(stack, residuals, strict=True):
-            assert repr(r) == repr(sd.certify_symplectic(a, group).residuals)
+    assert report.all_passed and len(rounds) == 1 and report.trials == 200
+    columns, present = rounds[0]
+    for t in range(report.trials):
+        a = members[row.half_dims[t % 5]][t // 5]
+        got = suites._residuals_of(columns, present, t)
+        assert repr(got) == repr(sd.certify_symplectic(a, group).residuals), t
 
 
 def test_suite_memory_does_not_grow_with_trials():
@@ -455,19 +461,18 @@ def test_trial_merge_is_by_index_not_by_execution_order():
 @pytest.mark.parametrize("nan_at", [0, 1, 2])
 def test_nan_residual_wins_worst_residuals(monkeypatch, nan_at):
     # max(0.0, nan) is 0.0, so a plain max merge would hide the NaN
-    row = _SUITES["ineq-real"]
-    calls = []
+    judge = suites._RESIDUALS["ineq-real"]
 
-    def patched(n, seeds, rngs, tol):
-        judged = row.judge(n, seeds, rngs, tol)
-        for seed, residuals in zip(seeds, judged):
-            residuals["splitAgreement"] = math.nan if len(calls) == nan_at else 1e-30
-            calls.append(seed)
-        return judged
+    def patched(measured, tol):
+        columns, present = judge(measured, tol)
+        columns["splitAgreement"] = np.full(len(columns["splitAgreement"]), 1e-30)
+        columns["splitAgreement"][nan_at] = math.nan
+        return columns, present
 
-    monkeypatch.setitem(_SUITES, "ineq-real", row._replace(judge=patched))
-    rep = run_suite(_small_spec("ineq-real", trials=3))
-    assert [f["seed"] for f in rep.failures] == [calls[nan_at]]
+    monkeypatch.setitem(suites._RESIDUALS, "ineq-real", patched)
+    spec = _small_spec("ineq-real", trials=3)
+    rep = run_suite(spec)
+    assert [f["seed"] for f in rep.failures] == [sd.split_seed(spec.seed, nan_at)]
     assert math.isnan(rep.worst_residuals["splitAgreement"])
     assert not rep.all_passed
 
@@ -496,7 +501,7 @@ def test_conj_formula_check_gates_before_any_determinant(monkeypatch, tmp_path, 
     slogdet = np.linalg.slogdet
 
     def counting(a):
-        factored.append(len(a))  # _log_dets passes stacks
+        factored.append(len(a))  # _det_columns passes stacks
         return slogdet(a)
 
     monkeypatch.setattr(np.linalg, "slogdet", counting)
@@ -571,7 +576,7 @@ def _count_cores(monkeypatch) -> dict:
         monkeypatch.setattr(module, "_membership_residuals",
                             counting("membership", module._membership_residuals))
     for module in (linalg, suites, symplectic):
-        monkeypatch.setattr(module, "_log_dets", counting("log_det", module._log_dets))
+        monkeypatch.setattr(module, "_det_columns", counting("log_det", module._det_columns))
     return calls
 
 
@@ -622,8 +627,7 @@ def test_generator_sanity_determinism_compares_bytes(monkeypatch):
     # in a stack, only the drifted member fails
     calls.clear()
     seeds = [sd.split_seed(11, t) for t in range(9)]
-    judged = suites._judge_generator_sanity(2, seeds, [sd.rng_from_seed(s) for s in seeds],
-                                            DEFAULT_TOLERANCES)
+    judged = _judged("generator-sanity", 2, seeds)
     assert sorted(r["determinism"] for r in judged) == [0.0] * 8 + [1.0]
 
 
@@ -633,8 +637,7 @@ def test_generator_sanity_judge_matches_the_loop():
     groups = set()
     for n in (1, 2, 3, 4, 6, 8):
         seeds = [sd.split_seed(19, 100 * n + t) for t in range(12)]
-        judged = suites._judge_generator_sanity(n, seeds, [sd.rng_from_seed(s) for s in seeds],
-                                                DEFAULT_TOLERANCES)
+        judged = _judged("generator-sanity", n, seeds)
         for seed, got in zip(seeds, judged):
             assert _items_bits(got) == _items_bits(loop_generator_sanity_trial(n, seed)), (n, seed)
             groups.add(int(loop_rng(seed).integers(0, 3)))
@@ -690,6 +693,15 @@ def test_cli_suite_failure_exit_code(capsys):
     rc = main(["suite", "real-theorem", "--trials", "2", "--n", "2",
                "--tol", "1e-22"])  # membership gate below machine precision
     assert rc == 1
+
+
+def test_cli_suite_out_of_memory_is_an_error(capsys):
+    # the lemma's first array at N = 10^8 (4 N^2 doubles, about 3e17 bytes)
+    # is beyond any address space, so it fails at once and allocates nothing
+    assert main(["suite", "lemma", "--n", "100000000", "--trials", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out of memory: ") and captured.err.count("\n") == 1
 
 
 def test_cli_rejects_unknown_suite():

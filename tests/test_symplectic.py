@@ -10,7 +10,9 @@ from numpy.testing import assert_allclose
 
 from sympdet.generators import GeneratorConfig, generate
 from sympdet.linalg import (
-    _log_dets,
+    LogDet,
+    _det_columns,
+    _log_det_at,
     log_det,
     rng_from_seed,
     split_seed,
@@ -23,8 +25,11 @@ from sympdet.symplectic import (
     GroupKind,
     MembershipError,
     ToleranceConfig,
+    _certificate_residuals,
     _certificates,
     _conj_phases,
+    _entries,
+    _formula_phase,
     _membership_residuals,
     _pair,
     certify_symplectic,
@@ -474,41 +479,50 @@ def test_certificate_rejects_non_finite_input(bad):
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0, inf - inf
 @pytest.mark.parametrize("group", list(GroupKind))
 def test_non_finite_members_are_isolated_in_a_stack(group):
-    # a member with a NaN or an Inf entry gets a NaN LogDet and fails the
-    # membership gate and the certificate (or the formula); every other
-    # member of its stack gets the bits it gets alone
+    # a member with a NaN or an Inf entry gets NaN determinant columns and
+    # fails the membership gate (no LU is run for it, and certify_symplectic
+    # or the formula raises); every other member of its stack gets the bits
+    # it gets alone, as a column entry and as the one entry of its own call
     members = [generate(GeneratorConfig(half_dim=3, target=group, seed=split_seed(89, t)))
                for t in range(5)]
     members[1][2, 4] = math.nan
     members[3][0, 0] = math.inf
     stack = np.stack(members)
-    dets = _log_dets(stack)
+    dets = _det_columns(stack)
     residuals = _membership_residuals(stack, group)
     if group is CONJ:
-        judged, alone = _conj_phases(stack, residuals, DEFAULT_TOLERANCES), conj_symplectic_det
+        measured, alone = _conj_phases(stack, residuals, DEFAULT_TOLERANCES), conj_symplectic_det
     else:
-        judged = _certificates(stack, residuals, group, DEFAULT_TOLERANCES)
+        measured = _certificates(stack, residuals, group, DEFAULT_TOLERANCES)
         alone = lambda a: certify_symplectic(a, group)  # noqa: E731
+        with np.errstate(all="ignore"):
+            columns = _certificate_residuals(measured, DEFAULT_TOLERANCES)[0]
     for i, a in enumerate(members):
+        entry = _entries(measured, i)
         if i in (1, 3):
-            assert math.isnan(dets[i].log_magnitude) and math.isnan(dets[i].phase.real), i
+            assert math.isnan(dets[0, i]) and math.isnan(dets[1, i]), i
             assert math.isnan(residuals[i]), i
-            assert isinstance(judged[i], MembershipError), i
+            assert entry["kept"] is False, i
             with pytest.raises(MembershipError):
                 alone(a)
             continue
-        assert repr(dets[i]) == repr(log_det(a)), i
-        assert repr(residuals[i]) == repr(membership_residual(a, group)), i
+        assert repr(_log_det_at(dets, i)) == repr(log_det(a)), i
+        assert repr(float(residuals[i])) == repr(membership_residual(a, group)), i
         ref = alone(a)
         if group is CONJ:
-            assert repr(judged[i]) == repr(ref), i
-        else:  # the certificate certify_symplectic builds from the core's result
-            checks, (det_a, lhs, aux, split) = judged[i]
-            cert = Certificate(group, det_a, lhs, aux, checks, ref.verdict, split,
-                               DEFAULT_TOLERANCES)
-            assert repr(checks) == repr(ref.residuals), i
-            assert cert.narrative == ref.narrative and ref.verdict == "pass", i
-            assert within_bounds("certificate", checks), i
+            assert repr(_formula_phase(entry, DEFAULT_TOLERANCES)) == repr(ref), i
+            continue
+        # the certificate certify_symplectic builds from its columns' entry
+        checks = _certificate_residuals(entry, DEFAULT_TOLERANCES)[0]
+        det_a, lhs, aux, *split = (LogDet(lm, complex(re, im)) for lm, re, im in
+                                   (entry[k] for k in ("det_a", "lhs", "aux", "d_plus", "d_minus")
+                                    if k in entry))
+        cert = Certificate(group, det_a, lhs, aux, checks, ref.verdict, tuple(split) or None,
+                           DEFAULT_TOLERANCES)
+        assert repr(checks) == repr(ref.residuals), i
+        assert repr({k: float(c[i]) for k, c in columns.items()}) == repr(ref.residuals), i
+        assert cert.narrative == ref.narrative and ref.verdict == "pass", i
+        assert within_bounds("certificate", checks), i
 
 
 def test_certificate_checks_follow_the_bound_table():

@@ -6,7 +6,12 @@ per artifact:
 - ``suite all --format json`` at each of ``SEEDS``: the bytes the command
   line prints, with the values of ``TIMING_KEYS`` masked.  Each seed runs
   twice in this process; the script exits non-zero if the two runs differ or
-  the command fails.
+  the command fails;
+- ``suite all --seed 0 --tol 1e-22 --trials 600 --format json``, whose
+  membership bound is below rounding: its exit status and bytes, with
+  failure records no default report has (gated-out theorem members, phases
+  the conj-formula suite refused), across a boundary of the rounds trials
+  are judged in;
 - the members ``generate`` samples: each group at half-dims that take many
   factors a chunk (1, 2, 5, 16) and one (33), seeds 0-4;
 - ``run_trial`` replays: every suite at the first three of its default
@@ -76,6 +81,9 @@ def suite_reports():
         if first != second:
             sys.exit(f"suite all --seed {seed}: a second run in one process differs")
         yield first, " ".join(argv)
+    argv = ["suite", "all", "--seed", "0", "--tol", "1e-22", "--trials", "600", "--format", "json"]
+    code, text = run(argv)
+    yield digest(f"exit {code}\n{text}"), " ".join(argv)
 
 
 def members():
