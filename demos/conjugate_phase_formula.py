@@ -9,7 +9,8 @@ alone: with C = A11 + A22 and D = A12 - A21,
     det(A) = phase of det(C^2 + D^2 - i(CD - DC)).
 
 The script sweeps scalar-phase matrices (where the answer is analytic) and
-random group members (where the LU determinant is the independent oracle).
+random group members (where the LU determinant is the independent oracle),
+then prints one member's certificate, which replays that comparison.
 """
 
 import math
@@ -40,6 +41,15 @@ for t in range(5):
     print(f"  seed {cfg.seed:>20d}: det = {formula.real:+.9f}{formula.imag:+.9f}j, "
           f"angular gap vs LU = {sd.phase_angle(formula, oracle.phase):.2e}, "
           f"| |det| - 1 | = {abs(math.expm1(oracle.log_magnitude)):.2e}")
+
+# one member's certificate: the formula's phase against LU's, and |det(A)| = 1
+cert = sd.certify_symplectic(a, sd.GroupKind.CONJUGATE_SYMPLECTIC)
+print(f"\ncertificate of the seed {cfg.seed} draw:")
+for chk in cert.narrative:
+    print(f"  [{'pass' if chk.passed else 'FAIL'}] {chk.label}")
+    print(f"         lhs = {chk.lhs}")
+    print(f"         rhs = {chk.rhs}   (residual {chk.residual:.3e})")
+print(f"  verdict: {cert.verdict}")
 
 # a real symplectic matrix is also conjugate symplectic; its phase is 1
 a = sd.generate(sd.GeneratorConfig(half_dim=4, seed=77))

@@ -2,14 +2,17 @@
 
 Subcommands:
   suite    run one or more property suites and report pass/fail
-  certify  certify a matrix file as (conjugate) symplectic with determinant detail
-  formula  evaluate the subblock determinant-phase formula for a matrix file
+  certify  certify a matrix file's determinant for a group: det = 1 for the
+           real and complex groups, the subblock phase formula against LU's
+           phase for the conjugate group
+  formula  certify a matrix file's subblock determinant-phase formula
 
-certify and formula share one path; formula is the conjugate mode reported
-under the suite name "formula".  Exit status is 0 only when every requested
-check passed; 1 on failed checks, non-membership, unreadable input, an
-unwritable --out, or a run that needs more memory than it can allocate
-(an ``error:`` line on stderr, as for the others); 2 on usage errors.
+certify and formula share one path, which prints the certificate's
+narrative; formula is the conjugate mode reported under the suite name
+"formula".  Exit status is 0 only when every requested check passed; 1 on
+failed checks, non-membership, unreadable input, an unwritable --out, or a
+run that needs more memory than it can allocate (an ``error:`` line on
+stderr, as for the others); 2 on usage errors.
 
 main builds its argument parser once per process, on first use, and reuses it
 for every later call.
@@ -26,7 +29,7 @@ from dataclasses import asdict, replace
 from ._version import __version__
 from .matio import read_matrix
 from .report import Report, emit_report
-from .suites import SUITE_IDS, conj_formula_check, default_suite_spec, run_suite
+from .suites import SUITE_IDS, default_suite_spec, run_suite
 from .symplectic import (
     DEFAULT_TOLERANCES,
     GroupKind,
@@ -140,27 +143,16 @@ def _cmd_suite(args) -> int:
 
 
 def _run_check(a, mode: GroupKind, tol) -> tuple[dict, bool, str]:
-    """(residuals, passed, human text) of the certificate, or for the
-    conjugate group of the phase formula; raises as those checks do."""
-    if mode is not GroupKind.CONJUGATE_SYMPLECTIC:
-        cert = certify_symplectic(a, mode, tol)
-        lines = [f"certificate: {cert.group.value} symplectic"]
-        for chk in cert.narrative:
-            mark = "pass" if chk.passed else "FAIL"
-            lines.append(f"  [{mark}] {chk.label}")
-            lines.append(f"         lhs={chk.lhs}  rhs={chk.rhs}  residual={chk.residual:.3e}")
-        lines.append(f"verdict: {cert.verdict}")
-        return cert.residuals, cert.verdict == "pass", "\n".join(lines)
-    result, formula_phase, oracle_phase = conj_formula_check(a, tol)
-    residuals = result.residuals
-    return residuals, result.passed, "\n".join([
-        "conjugate symplectic determinant phase",
-        f"  subblock formula: {formula_phase.real:.12f}{formula_phase.imag:+.12f}j",
-        f"  lu oracle:        {oracle_phase.real:.12f}{oracle_phase.imag:+.12f}j",
-        f"  angular gap:      {residuals['phaseAgreement']:.3e}",
-        f"  | |det| - 1 |:    {residuals['detModulusOne']:.3e}",
-        f"verdict: {'pass' if result.passed else 'fail'}",
-    ])
+    """(residuals, passed, human text) of the certificate of a for the
+    group mode; raises as certify_symplectic does."""
+    cert = certify_symplectic(a, mode, tol)
+    lines = [f"certificate: {cert.group.value} symplectic"]
+    for chk in cert.narrative:
+        mark = "pass" if chk.passed else "FAIL"
+        lines.append(f"  [{mark}] {chk.label}")
+        lines.append(f"         lhs={chk.lhs}  rhs={chk.rhs}  residual={chk.residual:.3e}")
+    lines.append(f"verdict: {cert.verdict}")
+    return cert.residuals, cert.verdict == "pass", "\n".join(lines)
 
 
 def _cmd_check(args) -> int:

@@ -54,11 +54,8 @@ from .linalg import (
     _frobeniuses,
     _index,
     _map,
-    _phase_angles,
     _rel_diffs,
     _rngs,
-    _square,
-    _where,
     rng_from_seed,
 )
 from .report import Report
@@ -70,10 +67,8 @@ from .symplectic import (
     _bounds,
     _certificate_residuals,
     _certificates,
+    _conj_formula_residuals,
     _conj_phases,
-    _entries,
-    _formula_phase,
-    _formula_phases,
     _lemma_residuals,
     _membership_residuals,
     _off_one,
@@ -81,13 +76,11 @@ from .symplectic import (
     _sign_slacks,
     _split_dets,
     embed_pair,
-    membership_residual,
     symplectic_form,
-    within_bounds,
 )
 
-__all__ = ["SUITE_IDS", "SuiteSpec", "TrialResult", "conj_formula_check", "default_suite_spec",
-           "run_suite", "run_trial"]
+__all__ = ["SUITE_IDS", "SuiteSpec", "TrialResult", "default_suite_spec", "run_suite",
+           "run_trial"]
 
 
 @dataclass(frozen=True)
@@ -208,40 +201,10 @@ def _ineq_real_residuals(m: dict, tol: ToleranceConfig) -> tuple[dict, dict]:
             "splitConjugate": _rel_diffs(m["d_minus"], (d_plus[0], d_plus[1], -d_plus[2]))}, {}
 
 
-def conj_formula_check(a, tol: ToleranceConfig = DEFAULT_TOLERANCES
-                       ) -> tuple[TrialResult, complex, complex]:
-    """The conj-formula suite's check on one matrix.
-
-    Returns the result (residuals membership, detModulusOne and
-    phaseAgreement, judged against ``RESIDUAL_BOUNDS["conj-formula"]``), the
-    subblock formula phase, and the log_det phase it was compared with.  Raises
-    MembershipError as conj_symplectic_det does, gating on the membership
-    residual it reports before any determinant.
-    """
-    a = _square(a)
-    res_mem = membership_residual(a, GroupKind.CONJUGATE_SYMPLECTIC)
-    entry = _entries(_conj_phases(a[None], np.array([res_mem]), tol), 0)
-    formula_phase = _formula_phase(entry, tol)
-    entry["oracle"] = _det_columns(a[None])[:, 0].tolist()
-    residuals = _conj_formula_residuals(entry, tol)[0]
-    return (TrialResult(residuals, within_bounds("conj-formula", residuals, tol)),
-            formula_phase, complex(*entry["oracle"][1:]))
-
-
 def _judge_conj_formula(n: int, seeds, rngs, tol: ToleranceConfig) -> dict:
     cfg = GeneratorConfig(half_dim=n, target=GroupKind.CONJUGATE_SYMPLECTIC)
     a, res_mem = _sample(cfg, rngs, tol=tol)
     return {**_conj_phases(a, res_mem, tol), "oracle": _det_columns(a)}
-
-
-def _conj_formula_residuals(m: dict, tol: ToleranceConfig) -> tuple[dict, dict]:
-    """The conj-formula residuals; a phase the formula refused to give (a
-    MembershipError) disagrees by inf."""
-    re, im, given, _ = _formula_phases(m, tol)
-    lm, *phase = m["oracle"]
-    return {"membership": m["membership"],
-            "detModulusOne": abs(_map(math.expm1, lm)),
-            "phaseAgreement": _where(given, _phase_angles((re, im), phase), math.inf)}, {}
 
 
 def _judge_generator_sanity(n: int, seeds, rngs, tol: ToleranceConfig) -> dict:

@@ -46,6 +46,7 @@ from .linalg import (
     _hypot,
     _log_det_at,
     _map,
+    _phase_angles,
     _products,
     _rel_diffs,
     _square,
@@ -520,7 +521,8 @@ class IdentityCheck:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Numerical transcript of the det = 1 argument for one matrix.
+    """Numerical transcript of the det = 1 argument for one matrix, or of the
+    subblock phase formula for a conjugate symplectic one.
 
     ``narrative`` lists every identity in the order checked, with both sides
     rendered and the residual that was compared against its bound; it is
@@ -530,34 +532,42 @@ class Certificate:
 
     group: GroupKind
     det_a: LogDet
-    lhs_det: LogDet        # det(A^T A + I) or det(A^* A + I)
-    auxiliary_det: LogDet  # det of the embedded block pair
+    lhs_det: LogDet | None  # det(A^T A + I) or det(A^* A + I); None for the conjugate group
+    auxiliary_det: LogDet  # det of the embedded block pair, det(C + iD) det(C - iD) if conjugate
     residuals: dict
     verdict: str
-    split_dets: tuple[LogDet, LogDet] | None  # (det(C + iD), det(C - iD)), real group only
+    split_dets: tuple[LogDet, LogDet] | None  # (det(C + iD), det(C - iD)), not complex group
     tolerances: ToleranceConfig
 
     @property
     def narrative(self) -> tuple[IdentityCheck, ...]:
-        real = self.group is GroupKind.REAL_SYMPLECTIC
-        gram = "det(A^T A + I)" if real else "det(A^* A + I)"
         det_a, lhs, aux, f = self.det_a, self.lhs_det, self.auxiliary_det, _fmt_logdet
-        adj_det = det_a if real else det_a.conjugated()  # det(A^T) or det(A^*)
-        rows = [("det(A) is +-1", f(det_a), "+-1", "detPhaseSign"),
-                (f"{gram} > 1", f(lhs), "> 1", "gramPositive", "gramReal"),
-                (f"{gram} = det(A^adj) * det(block pair embedding)",
-                 f(lhs), f(adj_det * aux), "factorIdentity"),
-                ("block pair determinant >= 0", f(aux), ">= 0", "blockNonneg")]
-        if self.split_dets is not None:
-            d_plus, d_minus = self.split_dets
-            rows += [("det(A^T A + I) = det(A) * |det(C + iD)|^2",
-                      f(lhs), f(det_a * d_plus.abs_squared()), "splitIdentity"),
-                     ("det(C - iD) = conj(det(C + iD))",
-                      f(d_minus), f(d_plus.conjugated()), "splitConjugate")]
-        rows.append(("det(A) = 1", f(det_a), "1", "detOne"))
+        if self.group is GroupKind.CONJUGATE_SYMPLECTIC:
+            family = "conj-formula"
+            rows = [("phase of det(C + iD) * det(C - iD) = phase of det(A)",
+                     f(LogDet(0.0, aux.phase)), f(LogDet(0.0, det_a.phase)), "phaseAgreement"),
+                    ("|det(A)| = 1", f(LogDet(det_a.log_magnitude, 1 + 0j)), "1",
+                     "detModulusOne")]
+        else:
+            family = "certificate"
+            real = self.group is GroupKind.REAL_SYMPLECTIC
+            gram = "det(A^T A + I)" if real else "det(A^* A + I)"
+            adj_det = det_a if real else det_a.conjugated()  # det(A^T) or det(A^*)
+            rows = [("det(A) is +-1", f(det_a), "+-1", "detPhaseSign"),
+                    (f"{gram} > 1", f(lhs), "> 1", "gramPositive", "gramReal"),
+                    (f"{gram} = det(A^adj) * det(block pair embedding)",
+                     f(lhs), f(adj_det * aux), "factorIdentity"),
+                    ("block pair determinant >= 0", f(aux), ">= 0", "blockNonneg")]
+            if self.split_dets is not None:
+                d_plus, d_minus = self.split_dets
+                rows += [("det(A^T A + I) = det(A) * |det(C + iD)|^2",
+                          f(lhs), f(det_a * d_plus.abs_squared()), "splitIdentity"),
+                         ("det(C - iD) = conj(det(C + iD))",
+                          f(d_minus), f(d_plus.conjugated()), "splitConjugate")]
+            rows.append(("det(A) = 1", f(det_a), "1", "detOne"))
         # each check shows its first residual and passes when all of its own do
         return tuple(IdentityCheck(label, lhs_text, rhs_text, self.residuals[names[0]],
-                                   within_bounds("certificate",
+                                   within_bounds(family,
                                                  {k: self.residuals[k] for k in names},
                                                  self.tolerances))
                      for label, lhs_text, rhs_text, *names in rows)
@@ -576,7 +586,8 @@ def _fmt_logdet(dd: LogDet) -> str:
 
 def certify_symplectic(a, group: GroupKind = GroupKind.REAL_SYMPLECTIC,
                        tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Certificate:
-    """Certify det(A) = 1 for a real or complex symplectic matrix.
+    """Certify det(A) = 1 for a real or complex symplectic matrix, or the
+    subblock phase formula for a conjugate symplectic one.
 
     Follows the Gram-matrix argument end to end: det(A) = +-1 from the form
     identity; det(A^T A + I) (resp. A^* A + I) exceeds one; that determinant
@@ -585,28 +596,41 @@ def certify_symplectic(a, group: GroupKind = GroupKind.REAL_SYMPLECTIC,
     recorded with its residual; the sign conclusion rests on the factorization
     identities, not on the positivity check alone.
 
+    For the conjugate group the certificate compares the phase of the block
+    pair's determinant det(C + iD) det(C - iD), conj_symplectic_det's, with
+    that of LU's det(A), and checks |det(A)| = 1; R-kind input is accepted.
+
     Each check passes when its residuals are within their bounds in
-    ``RESIDUAL_BOUNDS["certificate"]``; the verdict is "pass" when all are.
-    Raises MembershipError if A fails the group residual test (an all-zero A
-    included), ValueError if the group/dtype combination is invalid.
+    ``RESIDUAL_BOUNDS["certificate"]`` (``["conj-formula"]`` for the
+    conjugate group); the verdict is "pass" when all are.  Raises
+    MembershipError if A fails the group residual test (an all-zero A
+    included) or as conj_symplectic_det does, ValueError if the group/dtype
+    combination is invalid.
     """
     a = _square(a)
-    if group is GroupKind.CONJUGATE_SYMPLECTIC:
-        raise ValueError("certificates cover the determinant-one groups; "
-                         "use conj_symplectic_det for the conjugate group")
-    if a.dtype != group.dtype:
+    conjugate = group is GroupKind.CONJUGATE_SYMPLECTIC
+    if not conjugate and a.dtype != group.dtype:
         raise ValueError(f"{group.value} certification needs a "
                          f"{'R' if group is GroupKind.REAL_SYMPLECTIC else 'C'}-kind matrix")
     half_dim(a)
-    measured = _certificates(a[None], _membership_residuals(a[None], group), group, tol)
-    entry = _entries(measured, 0)
-    _admitted(entry, "symplectic", tol)
-    residuals = _certificate_residuals(entry, tol)[0]  # an entry's residuals are floats
-    det_a, lhs, aux, *split = (LogDet(lm, complex(re, im))
-                               for lm, re, im in list(entry.values())[2:])  # the determinants
+    res_mem = _membership_residuals(a[None], group)
+    family = "conj-formula" if conjugate else "certificate"
+    if conjugate:
+        entry = _entries(_conj_phases(a[None], res_mem, tol), 0)
+        formula = _formula_phase(entry, tol)  # gated and given before A's LU
+        entry["oracle"] = _det_columns(a[None])[:, 0].tolist()
+        residuals = _conj_formula_residuals(entry, tol, formula)[0]
+        dets = entry["oracle"], None, formula[0], entry["d_plus"], entry["d_minus"]
+    else:
+        entry = _entries(_certificates(a[None], res_mem, group, tol), 0)
+        _admitted(entry, "symplectic", tol)
+        residuals = _certificate_residuals(entry, tol)[0]  # an entry's residuals are floats
+        dets = list(entry.values())[2:]
+    det_a, lhs, aux, *split = (None if d is None else LogDet(d[0], complex(d[1], d[2]))
+                               for d in dets)
     return Certificate(group=group, det_a=det_a, lhs_det=lhs, auxiliary_det=aux,
                        residuals=residuals,
-                       verdict="pass" if within_bounds("certificate", residuals, tol) else "fail",
+                       verdict="pass" if within_bounds(family, residuals, tol) else "fail",
                        split_dets=tuple(split) or None, tolerances=tol)
 
 
@@ -681,7 +705,9 @@ def conj_symplectic_det(a, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> complex
     """
     a = _square(a)
     res_mem = membership_residual(a, GroupKind.CONJUGATE_SYMPLECTIC)
-    return _formula_phase(_entries(_conj_phases(a[None], np.array([res_mem]), tol), 0), tol)
+    entry = _entries(_conj_phases(a[None], np.array([res_mem]), tol), 0)
+    (_, re, im), _, _ = _formula_phase(entry, tol)
+    return complex(re, im)
 
 
 def _conj_phases(a: np.ndarray, res_mem: np.ndarray, tol: ToleranceConfig) -> dict:
@@ -702,25 +728,39 @@ def _conj_phases(a: np.ndarray, res_mem: np.ndarray, tol: ToleranceConfig) -> di
 
 
 def _formula_phases(m: dict, tol: ToleranceConfig) -> tuple:
-    """The formula's phase of each matrix _conj_phases measured, as its real
-    and imaginary parts, whether the formula gives it (it refuses a matrix
-    the gate rejected, or whose formula matrix's |det| falls short of 4^N by
+    """The formula matrix's determinant det(C + iD) det(C - iD) of each
+    matrix _conj_phases measured, as a determinant whose phase is the
+    formula's, whether the formula gives that phase (it refuses a matrix the
+    gate rejected, or whose formula matrix's |det| falls short of 4^N by
     more than tol.det_one), and that relative shortfall."""
-    lm, re, im = _products(m["d_plus"], m["d_minus"])
+    q = _products(m["d_plus"], m["d_minus"])
     # relative, as unitary members meet 4^N only up to rounding; the clamp
     # keeps expm1 from overflowing far above the bound; NaN fails
-    gap = lm - m["log_bound"]
+    gap = q[0] - m["log_bound"]
     shortfall = -_map(math.expm1, _where(0.0 < gap, 0.0, gap))
-    return re, im, m["kept"] & (shortfall <= tol.det_one), shortfall
+    return q, m["kept"] & (shortfall <= tol.det_one), shortfall
 
 
-def _formula_phase(entry: dict, tol: ToleranceConfig) -> complex:
-    """conj_symplectic_det's phase of a matrix from the entry _conj_phases
-    measured of it, or the MembershipError it raises."""
+def _formula_phase(entry: dict, tol: ToleranceConfig) -> tuple:
+    """_formula_phases of a matrix from the entry _conj_phases measured of
+    it, or the MembershipError conj_symplectic_det raises where the formula
+    gives no phase."""
     _admitted(entry, "conjugate symplectic", tol)
-    re, im, given, shortfall = _formula_phases(entry, tol)
-    if not given:
+    formula = _formula_phases(entry, tol)
+    if not formula[1]:
         raise MembershipError(
             f"not conjugate symplectic: formula |det| falls short of 4^N by "
-            f"{shortfall:.3e}, over {tol.det_one:.3e}")
-    return complex(re, im)
+            f"{formula[2]:.3e}, over {tol.det_one:.3e}")
+    return formula
+
+
+def _conj_formula_residuals(m: dict, tol: ToleranceConfig, formula: tuple | None = None
+                            ) -> tuple[dict, dict]:
+    """The conj-formula residuals, from the caller's _formula_phases if it has
+    them; a phase the formula refused to give (a MembershipError) disagrees
+    by inf."""
+    (_, re, im), given, _ = formula or _formula_phases(m, tol)
+    lm, *phase = m["oracle"]
+    return {"membership": m["membership"],
+            "detModulusOne": abs(_map(math.expm1, lm)),
+            "phaseAgreement": _where(given, _phase_angles((re, im), phase), math.inf)}, {}

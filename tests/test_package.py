@@ -29,8 +29,7 @@ PUBLIC_NAMES = [
     "membership_residual", "sign_slacks", "symplectic_form", "unitary_split_det",
     "GenerationError", "GeneratorConfig", "elementary_factor", "generate",
     "Report", "emit_report", "render_json", "render_text",
-    "SUITE_IDS", "SuiteSpec", "TrialResult", "conj_formula_check", "default_suite_spec",
-    "run_suite", "run_trial",
+    "SUITE_IDS", "SuiteSpec", "TrialResult", "default_suite_spec", "run_suite", "run_trial",
 ]
 
 

@@ -17,8 +17,8 @@ import sympdet as sd
 from sympdet import cli, generators, linalg, suites, symplectic
 from sympdet.cli import main
 from sympdet.report import Report, emit_report, render_json, render_text
-from sympdet.suites import (SUITE_IDS, SuiteSpec, _SUITES, conj_formula_check,
-                            default_suite_spec, run_suite, run_trial)
+from sympdet.suites import (SUITE_IDS, SuiteSpec, _SUITES, default_suite_spec, run_suite,
+                            run_trial)
 from sympdet.symplectic import (DEFAULT_TOLERANCES, RESIDUAL_BOUNDS, GroupKind,
                                 MembershipError, ToleranceConfig, conj_symplectic_det,
                                 membership_residual)
@@ -76,13 +76,12 @@ def test_every_report_residual_is_a_plain_float(suite_id):
 def test_certificate_and_formula_residuals_are_plain_floats(n):
     for group in GroupKind:
         a = sd.generate(sd.GeneratorConfig(half_dim=n, target=group, seed=n))
-        values = []
-        if group is not CONJ:
-            cert = sd.certify_symplectic(a, group)
-            values += [*cert.residuals.values(), *(c.residual for c in cert.narrative)]
-        if group is not GroupKind.COMPLEX_SYMPLECTIC:
-            values += conj_formula_check(a)[0].residuals.values()
-        assert values and all(type(v) is float for v in values), (group, values)
+        certs = [sd.certify_symplectic(a, group)]
+        if group is GroupKind.REAL_SYMPLECTIC:  # a real member is conjugate symplectic too
+            certs.append(sd.certify_symplectic(a, CONJ))
+        values = [v for cert in certs
+                  for v in (*cert.residuals.values(), *(c.residual for c in cert.narrative))]
+        assert all(type(v) is float for v in values), (group, values)
 
 
 def test_suite_defaults():
@@ -477,25 +476,45 @@ def test_nan_residual_wins_worst_residuals(monkeypatch, nan_at):
     assert not rep.all_passed
 
 
-def test_conj_formula_check_computes_membership_once(monkeypatch):
+def test_conjugate_certificate_computes_membership_once(monkeypatch):
     calls = []
+    membership_residuals = symplectic._membership_residuals
 
     def counting(a, group):
         calls.append(group)
-        return membership_residual(a, group)
+        return membership_residuals(a, group)
 
-    monkeypatch.setattr(suites, "membership_residual", counting)
-    monkeypatch.setattr(symplectic, "membership_residual", counting)
+    monkeypatch.setattr(symplectic, "_membership_residuals", counting)
     a = sd.generate(sd.GeneratorConfig(half_dim=3, target=CONJ, seed=5))
-    result, _, _ = conj_formula_check(a)
+    cert = sd.certify_symplectic(a, CONJ)
     assert calls == [CONJ]
-    assert list(result.residuals) == ["membership", "detModulusOne", "phaseAgreement"]
-    assert result.residuals["membership"] == membership_residual(a, CONJ)
-    assert result.passed
+    assert list(cert.residuals) == ["membership", "detModulusOne", "phaseAgreement"]
+    assert cert.residuals["membership"] == membership_residual(a, CONJ)
+    assert cert.verdict == "pass"
 
 
-def test_conj_formula_check_gates_before_any_determinant(monkeypatch, tmp_path, capsys):
-    # a rejected matrix pays for no LU, in conj_formula_check and in
+def test_conjugate_certificate_computes_the_formula_phase_once(monkeypatch, tmp_path):
+    # once per certify_symplectic call, per `sympdet formula` run and per
+    # conj_symplectic_det call
+    calls = []
+    formula_phases = symplectic._formula_phases
+
+    def counting(m, tol):
+        calls.append(m)
+        return formula_phases(m, tol)
+
+    monkeypatch.setattr(symplectic, "_formula_phases", counting)
+    a = sd.generate(sd.GeneratorConfig(half_dim=3, target=CONJ, seed=5))
+    path = _write(tmp_path, "c.txt", a)
+    for call in (lambda: sd.certify_symplectic(a, CONJ), lambda: main(["formula", path]),
+                 lambda: sd.conj_symplectic_det(a)):
+        calls.clear()
+        call()
+        assert len(calls) == 1
+
+
+def test_conjugate_certificate_gates_before_any_determinant(monkeypatch, tmp_path, capsys):
+    # a rejected matrix pays for no LU, in certify_symplectic and in
     # `sympdet formula`; a member still gets its three
     factored = []
     slogdet = np.linalg.slogdet
@@ -506,12 +525,12 @@ def test_conj_formula_check_gates_before_any_determinant(monkeypatch, tmp_path, 
 
     monkeypatch.setattr(np.linalg, "slogdet", counting)
     a = sd.generate(sd.GeneratorConfig(half_dim=4, target=CONJ, seed=5))
-    conj_formula_check(a)
+    sd.certify_symplectic(a, CONJ)
     assert sum(factored) == 3  # A, C + iD, C - iD
     factored.clear()
     a[0, 0] += 1e-3
     with pytest.raises(MembershipError, match="not conjugate symplectic"):
-        conj_formula_check(a)
+        sd.certify_symplectic(a, CONJ)
     path = tmp_path / "near.txt"
     sd.write_matrix(a, path)
     assert main(["formula", str(path)]) == 1
@@ -519,7 +538,7 @@ def test_conj_formula_check_gates_before_any_determinant(monkeypatch, tmp_path, 
     assert factored == []
 
 
-def test_conj_formula_check_raises_as_conj_symplectic_det():
+def test_conjugate_certificate_raises_as_conj_symplectic_det():
     # the third input passes a loosened gate, but its formula |det| is 0,
     # short of the 4^N every member reaches
     loose = ToleranceConfig(membership=1e9)
@@ -529,8 +548,26 @@ def test_conj_formula_check_raises_as_conj_symplectic_det():
         with pytest.raises(MembershipError, match=match) as direct:
             conj_symplectic_det(a, tol)
         with pytest.raises(MembershipError) as check:
-            conj_formula_check(a, tol)
+            sd.certify_symplectic(a, CONJ, tol)
         assert str(check.value) == str(direct.value)
+
+
+def test_conjugate_certificate_fails_a_non_member_only_lu_catches(tmp_path, capsys):
+    # A = diag(s, s, 2/s, 2/s) has A^T J A = 2J and det 4, yet its residual,
+    # scaled by ||A||_F^2, passes the membership gate, and its formula |det|
+    # (about s^4) is far above 4^N, so conj_symplectic_det gives it a phase.
+    # Only |det(A)| from LU shows that it is no member.  A gate that scales
+    # out the defect is still open; this pins what each path says until then.
+    s = 1e153
+    a = np.diag([s, s, 2 / s, 2 / s])
+    assert membership_residual(a, CONJ) == pytest.approx(5.0e-307, rel=1e-12)
+    assert conj_symplectic_det(a) == 1 + 0j
+    cert = sd.certify_symplectic(a, CONJ)
+    assert cert.verdict == "fail"
+    assert cert.residuals["detModulusOne"] == 3.000000000000015
+    assert [c.passed for c in cert.narrative] == [True, False]
+    assert main(["formula", _write(tmp_path, "item.txt", a)]) == 1
+    assert "verdict: fail" in capsys.readouterr().out
 
 
 def test_conj_formula_trial_records_inf_phase_on_rejection():
@@ -764,11 +801,12 @@ def test_cli_certify_conjugate_scalar_phase(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     expected = np.exp(2j * 2 * theta)   # e^{1.2 i}
-    m = re.search(r"subblock formula:\s*(\S+)j", out)
+    m = re.search(r"\] phase of det\(C \+ iD\) \* det\(C - iD\) = phase of det\(A\)\n"
+                  r"\s*lhs=(\S+)j  rhs=(\S+)j", out)
     assert m, out
-    got = complex(m.group(1) + "j")
-    assert abs(got - expected) <= 1e-9
-    assert "lu oracle" in out
+    for side in m.groups():  # the formula's phase, then LU's
+        assert abs(complex(side + "j") - expected) <= 1e-9
+    assert out.startswith("certificate: conjugate symplectic") and "verdict: pass" in out
 
 
 def test_cli_certify_json_report(tmp_path, capsys):
@@ -824,7 +862,9 @@ def test_cli_formula_matches_certify_conjugate(tmp_path, capsys):
     rc = main(["formula", path])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "angular gap" in out and "verdict: pass" in out
+    assert "|det(A)| = 1" in out and "verdict: pass" in out
+    assert main(["certify", path, "--mode", "conjugate"]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_cli_formula_rejects_non_member(tmp_path, capsys):

@@ -462,8 +462,10 @@ def test_certificate_rejects_non_members_and_bad_kinds():
         certify_symplectic(np.eye(4, dtype=np.complex128), GroupKind.REAL_SYMPLECTIC)
     with pytest.raises(ValueError, match="C-kind"):
         certify_symplectic(np.eye(4), GroupKind.COMPLEX_SYMPLECTIC)
-    with pytest.raises(ValueError, match="conj_symplectic_det"):
-        certify_symplectic(np.eye(4), GroupKind.CONJUGATE_SYMPLECTIC)
+    with pytest.raises(MembershipError, match="not conjugate symplectic"):
+        certify_symplectic(np.diag([2.0 + 0j, 2.0]), CONJ)
+    cert = certify_symplectic(np.eye(4), CONJ)  # R-kind input, whose phase is 1
+    assert cert.verdict == "pass" and cert.auxiliary_det.phase == 1 + 0j
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in (A^T J) A
@@ -510,7 +512,8 @@ def test_non_finite_members_are_isolated_in_a_stack(group):
         assert repr(float(residuals[i])) == repr(membership_residual(a, group)), i
         ref = alone(a)
         if group is CONJ:
-            assert repr(_formula_phase(entry, DEFAULT_TOLERANCES)) == repr(ref), i
+            (_, re, im), _, _ = _formula_phase(entry, DEFAULT_TOLERANCES)
+            assert repr(complex(re, im)) == repr(ref), i
             continue
         # the certificate certify_symplectic builds from its columns' entry
         checks = _certificate_residuals(entry, DEFAULT_TOLERANCES)[0]

@@ -8,7 +8,7 @@ per artifact:
   twice in this process; the script exits non-zero if the two runs differ or
   the command fails;
 - ``suite all --seed 0 --tol 1e-22 --trials 600 --format json``, whose
-  membership bound is below rounding: its exit status and bytes, with
+  membership bound is below rounding: its exit status and output, with
   failure records no default report has (gated-out theorem members, phases
   the conj-formula suite refused), across a boundary of the rounds trials
   are judged in;
@@ -17,17 +17,19 @@ per artifact:
 - ``run_trial`` replays: every suite at the first three of its default
   half-dims, seeds 0-2, each trial's residuals and verdict (as repr);
 - member files ``write_matrix`` writes, and the exit status, report and
-  messages of ``certify --mode real``, ``certify --mode complex`` and
-  ``formula`` on each, with the default tolerances and with ``--tol 1e-22``
-  (a membership bound below rounding).  The files are named by relative
-  paths in a temporary directory, so reports name the same file in every
-  tree;
+  messages of ``certify`` in each mode and of ``formula`` on each, with the
+  default tolerances and with ``--tol 1e-22`` (a membership bound below
+  rounding).  The files are named by relative paths in a temporary
+  directory, so reports name the same file in every tree;
 - the exit status, stdout and stderr of each ``demos/*.py`` of the checkout
   this script is in, run in a fresh process on the same tree, with the
   values of ``TIMING_KEYS`` masked (in JSON and in the text report form).
 
-Two trees keep every artifact when their outputs are equal, and a fresh run
-must give the same output again:
+A command run in this process gives two lines: its exit status and stdout,
+then its stderr (named ``... stderr``), so a diff shows whether a change
+moved a JSON report or only the human text beside it.  Two trees keep every
+artifact when their outputs are equal, and a fresh run must give the same
+output again:
 
     PYTHONPATH=src python tests/tree_digests.py > digests-new.txt
     PYTHONPATH=base/src python tests/tree_digests.py > digests-base.txt
@@ -63,27 +65,28 @@ def digest(text: str) -> str:
     return hashlib.sha256(TIMING.sub(r"\1\2: <timing>", text).encode()).hexdigest()
 
 
-def run(argv) -> tuple[int, str]:
-    """Exit status, and stdout then stderr, of one command run in this process."""
+def run(argv) -> tuple[int, list[tuple[str, str]]]:
+    """The exit status of one command run in this process, and its digest
+    lines: its exit status and stdout, then its stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return code, f"{out.getvalue()}--- stderr\n{err.getvalue()}"
+    name = " ".join(argv)
+    return code, [(digest(f"exit {code}\n{out.getvalue()}"), name),
+                  (digest(err.getvalue()), f"{name} stderr")]
 
 
 def suite_reports():
     for seed in SEEDS:
         argv = ["suite", "all", "--seed", seed, "--format", "json"]
-        runs = [run(argv) for _ in range(2)]
-        if any(code != 0 for code, _ in runs):
+        (code, first), (_, second) = (run(argv) for _ in range(2))
+        if code != 0:
             sys.exit(f"suite all --seed {seed} failed")
-        first, second = (digest(text) for _, text in runs)
         if first != second:
             sys.exit(f"suite all --seed {seed}: a second run in one process differs")
-        yield first, " ".join(argv)
-    argv = ["suite", "all", "--seed", "0", "--tol", "1e-22", "--trials", "600", "--format", "json"]
-    code, text = run(argv)
-    yield digest(f"exit {code}\n{text}"), " ".join(argv)
+        yield from first
+    yield from run(["suite", "all", "--seed", "0", "--tol", "1e-22", "--trials", "600",
+                    "--format", "json"])[1]
 
 
 def members():
@@ -110,12 +113,10 @@ def file_reports():
         sd.write_matrix(sd.generate(sd.GeneratorConfig(half_dim=n, target=group, seed=n)), path)
         with open(path, "rb") as f:
             yield hashlib.sha256(f.read()).hexdigest(), f"write_matrix {path}"
-        for command in (["certify", path, "--mode", "real"],
-                        ["certify", path, "--mode", "complex"], ["formula", path]):
+        for command in (*(["certify", path, "--mode", g.value] for g in sd.GroupKind),
+                        ["formula", path]):
             for strict in ([], ["--tol", "1e-22"]):
-                argv = [*command, "--format", "json", *strict]
-                code, text = run(argv)
-                yield digest(f"exit {code}\n{text}"), " ".join(argv)
+                yield from run([*command, "--format", "json", *strict])[1]
 
 
 def demos():
