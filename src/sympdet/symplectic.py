@@ -226,7 +226,8 @@ def membership_residual(a, group: GroupKind) -> float:
     if group is GroupKind.REAL_SYMPLECTIC and np.iscomplexobj(a):
         raise ValueError("real symplectic membership needs a real matrix")
     half_dim(a)
-    return float(_membership_residuals(a[None], group)[0])
+    with np.errstate(all="ignore"):  # entries near float's ends give inf or NaN, unwarned
+        return float(_membership_residuals(a[None], group)[0])
 
 
 def _membership_residuals(a: np.ndarray, group: GroupKind) -> np.ndarray:
@@ -613,19 +614,20 @@ def certify_symplectic(a, group: GroupKind = GroupKind.REAL_SYMPLECTIC,
         raise ValueError(f"{group.value} certification needs a "
                          f"{'R' if group is GroupKind.REAL_SYMPLECTIC else 'C'}-kind matrix")
     half_dim(a)
-    res_mem = _membership_residuals(a[None], group)
     family = "conj-formula" if conjugate else "certificate"
-    if conjugate:
-        entry = _entries(_conj_phases(a[None], res_mem, tol), 0)
-        formula = _formula_phase(entry, tol)  # gated and given before A's LU
-        entry["oracle"] = _det_columns(a[None])[:, 0].tolist()
-        residuals = _conj_formula_residuals(entry, tol, formula)[0]
-        dets = entry["oracle"], None, formula[0], entry["d_plus"], entry["d_minus"]
-    else:
-        entry = _entries(_certificates(a[None], res_mem, group, tol), 0)
-        _admitted(entry, "symplectic", tol)
-        residuals = _certificate_residuals(entry, tol)[0]  # an entry's residuals are floats
-        dets = list(entry.values())[2:]
+    with np.errstate(all="ignore"):  # entries near float's ends give inf or NaN, unwarned
+        res_mem = _membership_residuals(a[None], group)
+        if conjugate:
+            entry = _entries(_conj_phases(a[None], res_mem, tol), 0)
+            formula = _formula_phase(entry, tol)  # gated and given before A's LU
+            entry["oracle"] = _det_columns(a[None])[:, 0].tolist()
+            residuals = _conj_formula_residuals(entry, tol, formula)[0]
+            dets = entry["oracle"], None, formula[0], entry["d_plus"], entry["d_minus"]
+        else:
+            entry = _entries(_certificates(a[None], res_mem, group, tol), 0)
+            _admitted(entry, "symplectic", tol)
+            residuals = _certificate_residuals(entry, tol)[0]  # an entry's residuals are floats
+            dets = list(entry.values())[2:]
     det_a, lhs, aux, *split = (None if d is None else LogDet(d[0], complex(d[1], d[2]))
                                for d in dets)
     return Certificate(group=group, det_a=det_a, lhs_det=lhs, auxiliary_det=aux,
@@ -705,8 +707,9 @@ def conj_symplectic_det(a, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> complex
     """
     a = _square(a)
     res_mem = membership_residual(a, GroupKind.CONJUGATE_SYMPLECTIC)
-    entry = _entries(_conj_phases(a[None], np.array([res_mem]), tol), 0)
-    (_, re, im), _, _ = _formula_phase(entry, tol)
+    with np.errstate(all="ignore"):  # entries near float's ends give inf or NaN, unwarned
+        entry = _entries(_conj_phases(a[None], np.array([res_mem]), tol), 0)
+        (_, re, im), _, _ = _formula_phase(entry, tol)
     return complex(re, im)
 
 

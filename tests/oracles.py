@@ -258,6 +258,7 @@ def dense_membership_residual(a, group):
 
 _FACTOR_KINDS = ("shear_lower", "shear_upper", "diag_block", "form", "phase")
 _MAX_ATTEMPTS = 5
+BLOCK_STEPS_FROM = 64  # the half-dim from which a product step is a block update
 
 
 def _loop_gaussian(rng, n, dtype):
@@ -317,6 +318,24 @@ def loop_elementary_factor(name, config, rng):
     raise ValueError(f"unknown factor kind {name!r}")
 
 
+def loop_product_step(a, name, f):
+    """a @ f for a factor f of the named kind: the full product below
+    BLOCK_STEPS_FROM, else the update f's blocks make of a's column halves."""
+    n = len(a) // 2
+    if n < BLOCK_STEPS_FROM:
+        return a @ f
+    a1, a2 = a[:, :n], a[:, n:]
+    if name == "shear_lower":
+        return np.hstack([a1 + a2 @ f[n:, :n], a2])
+    if name == "shear_upper":
+        return np.hstack([a1, a2 + a1 @ f[:n, n:]])
+    if name == "diag_block":
+        return np.hstack([a1 @ f[:n, :n], a2 @ f[n:, n:]])
+    if name == "form":
+        return np.hstack([-a2, a1])
+    return a * f[0, 0]  # a phase
+
+
 def loop_generate(config, factors=None, tol=DEFAULT_TOLERANCES):
     rng = loop_rng(config.seed)
     allowed = list(_FACTOR_KINDS[:4])
@@ -332,7 +351,7 @@ def loop_generate(config, factors=None, tol=DEFAULT_TOLERANCES):
             seq = list(factors)
         a = np.eye(2 * config.half_dim, dtype=dtype)
         for name in seq:
-            a = a @ loop_elementary_factor(name, config, rng)
+            a = loop_product_step(a, name, loop_elementary_factor(name, config, rng))
         if membership_residual(a, config.target) <= tol.product_residual:
             return a
         if factors is not None:

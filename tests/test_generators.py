@@ -28,6 +28,7 @@ from sympdet.linalg import (
 )
 from sympdet.matio import format_matrix
 from sympdet.symplectic import (
+    DEFAULT_TOLERANCES,
     BlockPair,
     GroupKind,
     ToleranceConfig,
@@ -36,6 +37,7 @@ from sympdet.symplectic import (
     symplectic_form,
 )
 
+import oracles
 from oracles import (
     block_diag_block,
     block_embed_pair,
@@ -439,6 +441,91 @@ def test_members_that_retry_or_fail_match_the_loop(target):
 
 
 # ---------------------------------------------------------------------------
+# Block product steps: from N = 64 on, a step updates the column halves
+# ---------------------------------------------------------------------------
+
+BLOCK_DIMS = [64, 100]
+
+
+@pytest.mark.parametrize("target", ALL_TARGETS)
+def test_full_products_end_below_the_block_steps(monkeypatch, target):
+    # the loop's full products are generate's bits at N = 63; at N = 64 they
+    # round otherwise than generate's block steps, which use the same factors
+    monkeypatch.setattr(oracles, "BLOCK_STEPS_FROM", math.inf)
+    for n in (63, 64):
+        cfgs = [GeneratorConfig(half_dim=n, target=target, seed=split_seed(n, t))
+                for t in range(3)]
+        got, full = [generate(c) for c in cfgs], [loop_generate(c) for c in cfgs]
+        if n == 63:
+            for g, r in zip(got, full):
+                _assert_bitwise(g, r)
+        else:
+            assert not all(np.array_equal(g, r) for g, r in zip(got, full))
+            for g, r in zip(got, full):
+                assert_allclose(g, r, rtol=0, atol=1e-12 * np.abs(r).max())
+
+
+@pytest.mark.parametrize("n", BLOCK_DIMS)
+@pytest.mark.parametrize("name", FORCED)
+@pytest.mark.parametrize("target", ALL_TARGETS)
+def test_forced_block_steps_match_the_loop(target, name, n):
+    factors = FORCED[name]
+    if "phase" in factors and target is not GroupKind.CONJUGATE_SYMPLECTIC:
+        return  # refused on every path (test_forced_factor_lists_match_the_loop)
+    for t in range(2):
+        cfg = GeneratorConfig(half_dim=n, target=target, seed=split_seed(n, t))
+        got, ref = generate(cfg, factors), loop_generate(cfg, factors)
+        _assert_bitwise(got, ref)
+        assert membership_residual(got, target) <= DEFAULT_TOLERANCES.product_residual
+
+
+@pytest.mark.parametrize("target", ALL_TARGETS)
+def test_block_step_members_do_not_depend_on_their_stack(monkeypatch, target):
+    # a suite cuts 6 trials at N = 64 into stacks of 4 and 2 (1 MiB counted
+    # as complex128), whose members draw their kinds apart, so one step
+    # mixes kinds; each is generate's member for its seed
+    stacks = []
+
+    def capture(*args, **kwargs):
+        stack, res_mem = _sample(*args, **kwargs)
+        stacks.append(np.array(stack))
+        return stack, res_mem
+
+    monkeypatch.setattr(suites, "_sample", capture)
+    assert suites.run_suite(suites.default_suite_spec(
+        SAMPLING_SUITE[target], seed=64, trials=6, half_dims=(64,))).all_passed
+    assert [len(s) for s in stacks] == [4, 2]
+    base = GeneratorConfig(half_dim=64, target=target)
+    for t, got in enumerate(itertools.chain.from_iterable(stacks)):
+        ref = generate(dataclasses.replace(base, seed=split_seed(64, t)))
+        _assert_bitwise(got, ref)
+        assert membership_residual(got, target) <= DEFAULT_TOLERANCES.product_residual
+
+
+@pytest.mark.parametrize("target", ALL_TARGETS)
+def test_block_step_members_that_retry_match_generate(target):
+    # a product_residual near the median first-attempt residual at N = 64
+    # sends some members of the stack back for more attempts, as a smaller
+    # stack; seed by seed, each is generate's member, and the loop's
+    tol = ToleranceConfig(product_residual=2.6e-18)
+    base = GeneratorConfig(half_dim=64, target=target, num_factors=4)
+    refs = {}
+    for s in range(12):
+        try:
+            refs[s] = generate(dataclasses.replace(base, seed=s), tol=tol)
+        except GenerationError:
+            continue
+    passed = list(refs)
+    retried = [s for s in passed
+               if not np.array_equal(refs[s], generate(dataclasses.replace(base, seed=s)))]
+    assert retried and len(passed) > len(retried)
+    for s in retried[:2]:
+        _assert_bitwise(refs[s], loop_generate(dataclasses.replace(base, seed=s), tol=tol))
+    for s, got in zip(passed, _members(base, passed, tol=tol)):
+        _assert_bitwise(got, refs[s])
+
+
+# ---------------------------------------------------------------------------
 # Chunks of product steps: a member does not depend on how its steps are chunked
 # ---------------------------------------------------------------------------
 
@@ -540,10 +627,13 @@ def test_retries_and_failures_do_not_depend_on_the_chunks(monkeypatch, target, s
         _members(base, seeds, tol=tol)  # a stack that holds a failing member
 
 
-def test_generate_holds_no_more_than_one_product_step():
+@pytest.mark.parametrize("n", [50, *BLOCK_DIMS])
+@pytest.mark.parametrize("target", ALL_TARGETS)
+def test_generate_holds_no_more_than_one_product_step(target, n):
     # the product, the factor and their product: 3x the member's bytes, as
-    # the one-matrix loop holds; a stack copy more would give about 4x
-    cfg = GeneratorConfig(half_dim=50, target=GroupKind.COMPLEX_SYMPLECTIC, seed=3)
+    # the one-matrix loop holds (a block step holds a scratch half in place
+    # of the product); a stack copy more would give about 4x
+    cfg = GeneratorConfig(half_dim=n, target=target, seed=3)
     a = generate(cfg)
     tracemalloc.start()
     try:

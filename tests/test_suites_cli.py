@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -568,6 +569,28 @@ def test_conjugate_certificate_fails_a_non_member_only_lu_catches(tmp_path, caps
     assert [c.passed for c in cert.narrative] == [True, False]
     assert main(["formula", _write(tmp_path, "item.txt", a)]) == 1
     assert "verdict: fail" in capsys.readouterr().out
+
+
+def test_entries_near_float_ends_are_judged_without_warnings(tmp_path, capsys):
+    # A = diag(1e160, 1e160, 1e-160, 1e-160) is exactly real symplectic, but
+    # ||A||_F^2 and the Gram matrix A^T A overflow: the certificate fails on
+    # NaN residuals, and the formula still gives det(A) = 1, with no warning
+    # (which is an error under python -W error); the exit codes stay
+    a = np.diag([1e160, 1e160, 1e-160, 1e-160])
+    path = _write(tmp_path, "edge.txt", a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert membership_residual(a, GroupKind.REAL_SYMPLECTIC) == 0.0
+        cert = sd.certify_symplectic(a)
+        assert conj_symplectic_det(a) == 1 + 0j
+        assert sd.certify_symplectic(a, CONJ).verdict == "pass"
+        codes = [main(argv) for argv in (["certify", path], ["formula", path],
+                                         ["certify", path, "--mode", "conjugate"])]
+    assert cert.verdict == "fail"
+    assert all(math.isnan(cert.residuals[name])
+               for name in ("gramReal", "factorIdentity", "splitIdentity"))
+    assert codes == [1, 0, 0]
+    assert capsys.readouterr().err == ""
 
 
 def test_conj_formula_trial_records_inf_phase_on_rejection():

@@ -13,7 +13,8 @@ per artifact:
   the conj-formula suite refused), across a boundary of the rounds trials
   are judged in;
 - the members ``generate`` samples: each group at half-dims that take many
-  factors a chunk (1, 2, 5, 16) and one (33), seeds 0-4;
+  factors a chunk (1, 2, 5, 16) and one (33), and one whose product steps
+  are block updates (64), seeds 0-4;
 - ``run_trial`` replays: every suite at the first three of its default
   half-dims, seeds 0-2, each trial's residuals and verdict (as repr);
 - member files ``write_matrix`` writes, and the exit status, report and
@@ -90,7 +91,7 @@ def suite_reports():
 
 
 def members():
-    for group, n in itertools.product(sd.GroupKind, (1, 2, 5, 16, 33)):
+    for group, n in itertools.product(sd.GroupKind, (1, 2, 5, 16, 33, 64)):
         h = hashlib.sha256()
         for seed in range(5):
             h.update(sd.generate(sd.GeneratorConfig(half_dim=n, target=group, seed=seed)).tobytes())
