@@ -18,7 +18,8 @@ built in.  A stack's factors are built a chunk of product steps at a time,
 in one pass sorted by kind: one clamp, one inversion, one fill per kind
 (:func:`elementary_factor` is its stack of one).
 
-A product step below half-dim _BLOCK_STEPS_FROM (64) is a full 2N x 2N GEMM,
+A product step below half-dim 64 (symplectic._BLOCK_PATHS_FROM, from which
+the membership residual takes half the flops too) is a full 2N x 2N GEMM,
 with the bits of earlier versions.  From there on it is the block update the
 factor's kind makes of the member's column halves [A1, A2]: a shear adds
 A2 S to A1 (lower) or A1 S to A2 (upper), a block diagonal makes
@@ -43,6 +44,7 @@ from .symplectic import (
     DEFAULT_TOLERANCES,
     GroupKind,
     ToleranceConfig,
+    _BLOCK_PATHS_FROM,
     _forms,
     _membership_residuals,
 )
@@ -54,10 +56,6 @@ _LOWER, _UPPER, _DIAG, _FORM, _PHASE = range(len(FACTOR_KINDS))  # all before _F
 
 _MAX_ATTEMPTS = 5
 _STACK_BYTES = 1 << 20  # a suite stack of members; larger stacks save little more
-# From this half-dim on, every kind's block update beat the full product (by
-# 1.3x or more real, 1.6x complex; a stack of one, one BLAS thread); at N = 48
-# the real block diagonal's gained 1.1x.
-_BLOCK_STEPS_FROM = 64
 
 
 def _kind_count(group: GroupKind) -> int:
@@ -293,7 +291,7 @@ def _sample(config: GeneratorConfig, rngs: list, factors: list[str] | None = Non
     product steps at a time: every member draws the chunk's parameters from
     its own rng, _factors builds the chunk, and the stack of products is
     multiplied by each step's factors: as one stacked GEMM below half-dim
-    _BLOCK_STEPS_FROM, and from there on as _block_steps, in place, through
+    _BLOCK_PATHS_FROM, and from there on as _block_steps, in place, through
     one scratch half per attempt.  A chunk holds at most _STACK_BYTES
     of factors (one budget beside the stack's) and _STACK_BYTES // 16 of
     them per member (so a large member takes a step at a time), but one
@@ -317,7 +315,7 @@ def _sample(config: GeneratorConfig, rngs: list, factors: list[str] | None = Non
             codes = np.tile(forced, (len(live), 1))
         chunk = max(1, min(_STACK_BYTES // (len(live) * member), _STACK_BYTES // 16 // member))
         a = np.tile(np.eye(m, dtype=dtype), (len(live), 1, 1))
-        buf = (np.empty((m, config.half_dim), dtype) if config.half_dim >= _BLOCK_STEPS_FROM
+        buf = (np.empty((m, config.half_dim), dtype) if config.half_dim >= _BLOCK_PATHS_FROM
                else None)
         for t in range(0, codes.shape[1], chunk):
             f = _factors(config, live, codes[:, t:t + chunk])

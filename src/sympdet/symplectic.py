@@ -108,6 +108,16 @@ class ToleranceConfig:
 
 DEFAULT_TOLERANCES = ToleranceConfig()
 
+# The half-dim from which the membership residual and the sampler's product
+# steps (generators._block_steps) work on blocks, not on full 2N x 2N
+# products.  Here every block path beats its full product (a stack of one,
+# one BLAS thread): each product step kind by 1.3x or more real and 1.6x
+# complex, the residual by 1.3x real and 1.5x or more complex.  Below it the
+# full products keep the bits of earlier versions, so every recorded failure
+# seed there still replays, though the residual's blocks already gain from
+# N = 48 (real) and 32 (complex), and the real block diagonal 1.1x at 48.
+_BLOCK_PATHS_FROM = 64
+
 # Each check family's residual names, mapped to the ToleranceConfig field that
 # bounds them or to a fixed bound.  The real-theorem and complex-theorem
 # suites report certificate residuals.
@@ -210,17 +220,27 @@ def membership_residual(a, group: GroupKind) -> float:
     (membership, factor_residual, product_residual).  An all-zero matrix
     gives inf; a NaN or Inf entry gives nan, which fails every gate.
 
-    One GEMM, and J is never formed: multiplying by J on the right swaps the
-    two column blocks and negates one, A^# J = [-A^#[:, N:], A^#[:, :N]], so
-    that product is filled exactly without BLAS (conjugating, for A^*, as it
-    copies) and only (A^# J) A is multiplied.  Each entry of A^# J is a single
-    +-1 product, so the fill equals the dense product up to the sign of a
-    zero, which the norm squares away.  The fill goes into a fresh C-ordered
-    array, the layout a GEMM result has: BLAS picks its kernel by operand
-    layout, and an F-ordered left operand rounds some sums differently.  The
-    association (A^# J) A is kept for the same reason; A^# (J A) sums in
-    another order.  Subtracting J touches only its 2N nonzero entries, in
-    place, and ||J||_F = sqrt(2N) exactly.
+    Below half-dim N = 64 (_BLOCK_PATHS_FROM), one GEMM, and J is never
+    formed: multiplying by J on the right swaps the two column blocks and
+    negates one, A^# J = [-A^#[:, N:], A^#[:, :N]], so that product is filled
+    exactly without BLAS (conjugating, for A^*, as it copies) and only
+    (A^# J) A is multiplied.  Each entry of A^# J is a single +-1 product, so
+    the fill equals the dense product up to the sign of a zero, which the
+    norm squares away.  The fill goes into a fresh C-ordered array, the
+    layout a GEMM result has: BLAS picks its kernel by operand layout, and an
+    F-ordered left operand rounds some sums differently.  The association
+    (A^# J) A is kept for the same reason; A^# (J A) sums in another order.
+    Subtracting J touches only its 2N nonzero entries, in place.
+
+    From N = 64 on, half the flops: with A1 and A2 the row halves of A,
+    A^# J A = P - P^# for P = A1^# A2 = [[X, W], [V, Y]], one GEMM of inner
+    dimension N.  So A^# J A is skew (skew-Hermitian for A^*) for every A,
+    and with Z = W - V^#, ||A^# J A - J||_F^2 = ||X - X^#||_F^2 +
+    ||Y - Y^#||_F^2 + 2 ||Z - I||_F^2 exactly; math.hypot combines the three
+    norms without squaring them in float.  This rounds otherwise than the
+    full product, so a residual from N = 64 on is not bitwise the one earlier
+    versions gave; it agrees with it to within 2N eps in scaled units.
+    Either way ||J||_F = sqrt(2N) exactly.
     """
     a = _square(a)
     if group is GroupKind.REAL_SYMPLECTIC and np.iscomplexobj(a):
@@ -232,22 +252,38 @@ def membership_residual(a, group: GroupKind) -> float:
 
 def _membership_residuals(a: np.ndarray, group: GroupKind) -> np.ndarray:
     """membership_residual of each matrix of a (k, 2N, 2N) stack, as a
-    column: one stacked GEMM, then each matrix's norms from one stacked dot."""
+    column: one stacked GEMM (of A^# J and A below _BLOCK_PATHS_FROM, of the
+    row halves from there on), then each matrix's norms from stacked dots."""
     k, m, _ = a.shape
     n = m // 2
-    adjoint = np.conjugate if group is GroupKind.CONJUGATE_SYMPLECTIC else np.positive
-    adj_j = np.empty(a.shape, a.dtype)  # C order, as adj @ j would be
-    left, right = adj_j[:, :, :n], adj_j[:, :, n:]
-    adjoint(a[:, n:, :].swapaxes(1, 2), out=left)  # A^#[:, N:], conjugated as it is copied
-    np.negative(left, out=left)
-    adjoint(a[:, :n, :].swapaxes(1, 2), out=right)  # A^#[:, :N]
-    p = adj_j @ a
-    r = p.reshape(k, m * m)  # a view: the GEMM result is C-ordered
-    r[:, n:2 * n * n:m + 1] -= 1.0  # entries (i, N + i), where J is +1
-    r[:, 2 * n * n::m + 1] += 1.0   # entries (N + i, i), where J is -1
+    conjugate = group is GroupKind.CONJUGATE_SYMPLECTIC
+    adjoint = np.conjugate if conjugate else np.positive
+    if n < _BLOCK_PATHS_FROM:
+        adj_j = np.empty(a.shape, a.dtype)  # C order, as adj @ j would be
+        left, right = adj_j[:, :, :n], adj_j[:, :, n:]
+        adjoint(a[:, n:, :].swapaxes(1, 2), out=left)  # A^#[:, N:], conjugated as it is copied
+        np.negative(left, out=left)
+        adjoint(a[:, :n, :].swapaxes(1, 2), out=right)  # A^#[:, :N]
+        p = adj_j @ a
+        r = p.reshape(k, m * m)  # a view: the GEMM result is C-ordered
+        r[:, n:2 * n * n:m + 1] -= 1.0  # entries (i, N + i), where J is +1
+        r[:, 2 * n * n::m + 1] += 1.0   # entries (N + i, i), where J is -1
+        defects = _frobeniuses(p)
+    else:
+        top = a[:, :n, :]
+        p = (top.conj() if conjugate else top).swapaxes(1, 2) @ a[:, n:, :]
+        x, w, v, y = p[:, :n, :n], p[:, :n, n:], p[:, n:, :n], p[:, n:, n:]
+        t = np.empty((k, n, n), a.dtype)
+        norms = []
+        for block, mirror in ((x, x), (y, y), (w, v)):  # X - X^#, Y - Y^#, W - V^#
+            np.subtract(block, adjoint(mirror.swapaxes(1, 2), out=t), out=t)
+            if block is w:
+                _diagonals(t)[:] -= 1.0  # Z - I
+            norms.append(_frobeniuses(t))
+        defects = [math.hypot(fx, fy, fz, fz) for fx, fy, fz in zip(*norms)]
     scales = [f ** 2 for f in _frobeniuses(a)]
     return np.array([math.inf if s == 0.0 else f / math.sqrt(m) / s
-                     for s, f in zip(scales, _frobeniuses(p))], np.float64)
+                     for s, f in zip(scales, defects)], np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +712,7 @@ def _certificate_residuals(m: dict, tol: ToleranceConfig) -> tuple[dict, dict]:
     columns = {
         "membership": m["membership"],
         "detPhaseSign": _where(det_minus_one < det_one, det_minus_one, det_one),  # min()
-        "gramPositive": _where(-lm > 0.0, -lm, 0.0),  # max(0.0, -lm)
+        "gramPositive": _where(-lm <= 0.0, 0.0, -lm),  # max(0.0, -lm), but NaN wins
         "gramReal": _hypot(re - 1.0, im - 0.0),
         "factorIdentity": _rel_diffs(lhs, _products(adjoint, aux)),
         "blockNonneg": _max(*_sign_slacks(aux, tol)),

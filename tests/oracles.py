@@ -5,8 +5,9 @@ paths it checks: a pure-Python LU with partial pivoting (the reference for
 ``sympdet.log_det``, which runs LAPACK through numpy), a cofactor-expansion
 determinant, an inversion-counting permutation sign, ``np.block``
 assemblies of the structured 2N x 2N matrices (the bitwise reference for the
-library's in-place block fills), the two-GEMM membership residual (the
-bitwise reference for the library's one-GEMM form), group sampling one
+library's in-place block fills), the two-GEMM membership residual and
+the one-matrix block form of it (the bitwise references for the library's
+stacked residual on each side of its half-dim threshold), group sampling one
 matrix and one factor at a time (the bitwise reference for the generators'
 stacked sampling), and the lemma and generator-sanity suites' checks one
 trial at a time (the bitwise references for their stacked judges).  Every
@@ -231,10 +232,14 @@ def block_j_conjugate(a):
 
 
 # ---------------------------------------------------------------------------
-# Membership residual with J as a dense matrix: the bitwise reference for
-# membership_residual, which applies J as a signed column swap and subtracts
-# it in place
+# Membership residual with J as a dense matrix, and from its blocks: the
+# bitwise references for membership_residual, which below BLOCK_STEPS_FROM
+# applies J as a signed column swap and subtracts it in place, and from
+# there on takes the blocks of the whole stack at once
 # ---------------------------------------------------------------------------
+
+BLOCK_STEPS_FROM = 64  # the half-dim from which a product step and the residual use blocks
+
 
 def dense_membership_residual(a, group):
     """||A^# J A - J||_F / (||J||_F ||A||_F^2) with both products as GEMMs,
@@ -250,6 +255,24 @@ def dense_membership_residual(a, group):
     return float(np.linalg.norm(adj @ j @ a - j)) / float(np.linalg.norm(j)) / scale
 
 
+def block_membership_residual(a, group):
+    """The same residual from the row halves A1, A2 of A, as blocks of one
+    matrix: A^# J A = P - P^# for P = A1^# A2 = [[X, W], [V, Y]], so its
+    defect's squared norm is ||X - X^#||^2 + ||Y - Y^#||^2 + 2 ||W - V^# - I||^2
+    (the bitwise reference for membership_residual from BLOCK_STEPS_FROM on)."""
+    a = as_square(a)
+    n = a.shape[0] // 2
+    adj = (lambda x: x.conj().T) if group is GroupKind.CONJUGATE_SYMPLECTIC else np.transpose
+    p = adj(a[:n]) @ a[n:]
+    x, w, v, y = p[:n, :n], p[:n, n:], p[n:, :n], p[n:, n:]
+    fz = frobenius(w - adj(v) - np.eye(n))
+    scale = frobenius(a) ** 2
+    if scale == 0.0:
+        return math.inf
+    defect = math.hypot(frobenius(x - adj(x)), frobenius(y - adj(y)), fz, fz)
+    return defect / math.sqrt(2 * n) / scale
+
+
 # ---------------------------------------------------------------------------
 # Sampling one matrix at a time, one factor at a time: the bitwise reference
 # for the generators, which build every factor kind, and the products, as
@@ -258,7 +281,6 @@ def dense_membership_residual(a, group):
 
 _FACTOR_KINDS = ("shear_lower", "shear_upper", "diag_block", "form", "phase")
 _MAX_ATTEMPTS = 5
-BLOCK_STEPS_FROM = 64  # the half-dim from which a product step is a block update
 
 
 def _loop_gaussian(rng, n, dtype):

@@ -574,8 +574,9 @@ def test_conjugate_certificate_fails_a_non_member_only_lu_catches(tmp_path, caps
 def test_entries_near_float_ends_are_judged_without_warnings(tmp_path, capsys):
     # A = diag(1e160, 1e160, 1e-160, 1e-160) is exactly real symplectic, but
     # ||A||_F^2 and the Gram matrix A^T A overflow: the certificate fails on
-    # NaN residuals, and the formula still gives det(A) = 1, with no warning
-    # (which is an error under python -W error); the exit codes stay
+    # NaN residuals (gramPositive too, not max(0.0, nan) = 0.0), and the
+    # formula still gives det(A) = 1, with no warning (which is an error
+    # under python -W error); the exit codes stay
     a = np.diag([1e160, 1e160, 1e-160, 1e-160])
     path = _write(tmp_path, "edge.txt", a)
     with warnings.catch_warnings():
@@ -588,7 +589,7 @@ def test_entries_near_float_ends_are_judged_without_warnings(tmp_path, capsys):
                                          ["certify", path, "--mode", "conjugate"])]
     assert cert.verdict == "fail"
     assert all(math.isnan(cert.residuals[name])
-               for name in ("gramReal", "factorIdentity", "splitIdentity"))
+               for name in ("gramPositive", "gramReal", "factorIdentity", "splitIdentity"))
     assert codes == [1, 0, 0]
     assert capsys.readouterr().err == ""
 

@@ -2,6 +2,7 @@
 and the conjugate-symplectic determinant formula."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -48,7 +49,8 @@ REAL = GroupKind.REAL_SYMPLECTIC
 COMPLEX = GroupKind.COMPLEX_SYMPLECTIC
 CONJ = GroupKind.CONJUGATE_SYMPLECTIC
 
-from oracles import (block_j_conjugate, cofactor_det, dense_membership_residual, frobenius,
+from oracles import (BLOCK_STEPS_FROM, block_j_conjugate, block_membership_residual,
+                     cofactor_det, dense_membership_residual, frobenius,
                      loop_reduction_residuals, random_gaussian)
 
 
@@ -94,8 +96,8 @@ def test_residual_of_scaled_identity_hand_value():
 
 
 def test_residual_of_all_zero_matrix_is_inf():
-    for group in GroupKind:
-        assert membership_residual(np.zeros((4, 4), group.dtype), group) == math.inf
+    for group, m in itertools.product(GroupKind, (4, 2 * BLOCK_STEPS_FROM)):  # each side of it
+        assert membership_residual(np.zeros((m, m), group.dtype), group) == math.inf
 
 
 def test_conj_residual_scalar_phase_cancels():
@@ -124,26 +126,39 @@ def test_membership_dispatch():
 
 
 @pytest.mark.parametrize("group", list(GroupKind))
-@pytest.mark.parametrize("n", [*range(1, 9), 50, 100])
+@pytest.mark.parametrize("n", [*range(1, 9), 50, 63, 64, 100])
 def test_membership_residual_matches_dense_reference(group, n):
-    # J as a signed column swap, subtracted in place, gives the dense
-    # (A^# J) A - J bit for bit; the F-ordered and transposed inputs reach
-    # BLAS in another layout, and a layout-dependent kernel choice only showed
-    # at N >= 50
+    # Below BLOCK_STEPS_FROM, J as a signed column swap, subtracted in place,
+    # gives the dense (A^# J) A - J bit for bit; the F-ordered and transposed
+    # inputs reach BLAS in another layout, and a layout-dependent kernel
+    # choice only showed at N >= 50.  From there on the residual is the block
+    # form's bit for bit, and within 2N eps of the dense one, a bound set from
+    # the GEMM error bound (Higham ch. 3): each form's A^# J A is off by at
+    # most about gamma_2N ||A||_F^2 ~ N eps ||A||_F^2 in Frobenius norm, so
+    # the two defects differ by about 2N eps ||A||_F^2, and the scaled
+    # residual divides that by sqrt(2N) ||A||_F^2
     m = generate(GeneratorConfig(half_dim=n, target=group, seed=split_seed(61, n)))
     noise = random_gaussian(rng_from_seed(n), 2 * n, group.dtype)
     for base in (m, m + 1e-7 * noise, 3.0 * m):
         for a in (base, np.asfortranarray(base), base.T):
-            assert membership_residual(a, group) == dense_membership_residual(a, group)
+            got, dense = membership_residual(a, group), dense_membership_residual(a, group)
+            if n < BLOCK_STEPS_FROM:
+                assert got == dense
+            else:
+                assert got == block_membership_residual(a, group)
+                assert abs(got - dense) <= 2 * n * np.finfo(np.float64).eps
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in (A^T J) A
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("n", [1, 3, 64])
 def test_residual_of_non_finite_input_is_nan(n, bad):
+    # every entry below BLOCK_STEPS_FROM; from there on, one of each quadrant
+    entries = list(np.ndindex(2 * n, 2 * n)) if n < BLOCK_STEPS_FROM else [
+        (i, k) for i in (5, n + 5) for k in (7, n + 7)]
     for group in GroupKind:
         m = generate(GeneratorConfig(half_dim=n, target=group, seed=split_seed(67, n)))
-        for i, k in np.ndindex(m.shape):
+        for i, k in entries:
             a = m.copy()
             a[i, k] = bad
             assert math.isnan(membership_residual(a, group)), (group, i, k)
@@ -481,11 +496,16 @@ def test_certificate_rejects_non_finite_input(bad):
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0, inf - inf
 @pytest.mark.parametrize("group", list(GroupKind))
 def test_non_finite_members_are_isolated_in_a_stack(group):
+    for n in (3, BLOCK_STEPS_FROM):  # each side of it
+        _check_non_finite_members_are_isolated_in_a_stack(group, n)
+
+
+def _check_non_finite_members_are_isolated_in_a_stack(group, n):
     # a member with a NaN or an Inf entry gets NaN determinant columns and
     # fails the membership gate (no LU is run for it, and certify_symplectic
     # or the formula raises); every other member of its stack gets the bits
     # it gets alone, as a column entry and as the one entry of its own call
-    members = [generate(GeneratorConfig(half_dim=3, target=group, seed=split_seed(89, t)))
+    members = [generate(GeneratorConfig(half_dim=n, target=group, seed=split_seed(89, t)))
                for t in range(5)]
     members[1][2, 4] = math.nan
     members[3][0, 0] = math.inf
@@ -502,18 +522,18 @@ def test_non_finite_members_are_isolated_in_a_stack(group):
     for i, a in enumerate(members):
         entry = _entries(measured, i)
         if i in (1, 3):
-            assert math.isnan(dets[0, i]) and math.isnan(dets[1, i]), i
-            assert math.isnan(residuals[i]), i
-            assert entry["kept"] is False, i
+            assert math.isnan(dets[0, i]) and math.isnan(dets[1, i]), (n, i)
+            assert math.isnan(residuals[i]), (n, i)
+            assert entry["kept"] is False, (n, i)
             with pytest.raises(MembershipError):
                 alone(a)
             continue
-        assert repr(_log_det_at(dets, i)) == repr(log_det(a)), i
-        assert repr(float(residuals[i])) == repr(membership_residual(a, group)), i
+        assert repr(_log_det_at(dets, i)) == repr(log_det(a)), (n, i)
+        assert repr(float(residuals[i])) == repr(membership_residual(a, group)), (n, i)
         ref = alone(a)
         if group is CONJ:
             (_, re, im), _, _ = _formula_phase(entry, DEFAULT_TOLERANCES)
-            assert repr(complex(re, im)) == repr(ref), i
+            assert repr(complex(re, im)) == repr(ref), (n, i)
             continue
         # the certificate certify_symplectic builds from its columns' entry
         checks = _certificate_residuals(entry, DEFAULT_TOLERANCES)[0]
@@ -522,10 +542,29 @@ def test_non_finite_members_are_isolated_in_a_stack(group):
                                     if k in entry))
         cert = Certificate(group, det_a, lhs, aux, checks, ref.verdict, tuple(split) or None,
                            DEFAULT_TOLERANCES)
-        assert repr(checks) == repr(ref.residuals), i
-        assert repr({k: float(c[i]) for k, c in columns.items()}) == repr(ref.residuals), i
-        assert cert.narrative == ref.narrative and ref.verdict == "pass", i
-        assert within_bounds("certificate", checks), i
+        assert repr(checks) == repr(ref.residuals), (n, i)
+        assert repr({k: float(c[i]) for k, c in columns.items()}) == repr(ref.residuals), (n, i)
+        assert cert.narrative == ref.narrative and ref.verdict == "pass", (n, i)
+        assert within_bounds("certificate", checks), (n, i)
+
+
+def test_gram_positive_is_max_zero_of_minus_log_magnitude_and_nan_wins():
+    # each finite or infinite log-magnitude keeps the bits of max(0.0, -lm),
+    # signed zeros included, as an entry and as a column; a NaN one is NaN
+    lms = [-2.5, -1e-300, -0.0, 0.0, 3.0, -math.inf, math.inf, math.nan]
+    one = (0.0, 1.0, 0.0)
+    for lm in lms:
+        entry = {"membership": 0.0, "kept": True, "det_a": one, "lhs": (lm, 1.0, 0.0),
+                 "aux": one}
+        got = _certificate_residuals(entry, DEFAULT_TOLERANCES)[0]["gramPositive"]
+        assert repr(got) == repr(max(0.0, -lm) if lm == lm else math.nan), lm
+    columns = {"membership": np.zeros(len(lms)), "kept": np.ones(len(lms), bool),
+               "det_a": np.tile(np.array([one]).T, len(lms)),
+               "lhs": np.array([lms, [1.0] * len(lms), [0.0] * len(lms)]),
+               "aux": np.tile(np.array([one]).T, len(lms))}
+    got = _certificate_residuals(columns, DEFAULT_TOLERANCES)[0]["gramPositive"]
+    assert [repr(float(x)) for x in got] == [
+        repr(max(0.0, -lm) if lm == lm else math.nan) for lm in lms]
 
 
 def test_certificate_checks_follow_the_bound_table():

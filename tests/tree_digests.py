@@ -15,6 +15,10 @@ per artifact:
 - the members ``generate`` samples: each group at half-dims that take many
   factors a chunk (1, 2, 5, 16) and one (33), and one whose product steps
   are block updates (64), seeds 0-4;
+- ``membership_residual``, the ``certify_symplectic`` residuals and
+  ``conj_symplectic_det`` (its phase, or its error's message) of each
+  group's members at half-dims whose residual is taken from blocks (64 and
+  100), seeds 0-2, as repr;
 - ``run_trial`` replays: every suite at the first three of its default
   half-dims, seeds 0-2, each trial's residuals and verdict (as repr);
 - member files ``write_matrix`` writes, and the exit status, report and
@@ -98,6 +102,23 @@ def members():
         yield h.hexdigest(), f"generate {group.value} N={n} seeds 0-4"
 
 
+def block_residuals():
+    calls = {"membership_residual": sd.membership_residual,
+             "certify_symplectic residuals": lambda a, g: sd.certify_symplectic(a, g).residuals,
+             "conj_symplectic_det": lambda a, g: sd.conj_symplectic_det(a)}
+    for group, n in itertools.product(sd.GroupKind, (64, 100)):
+        members = [sd.generate(sd.GeneratorConfig(half_dim=n, target=group, seed=seed))
+                   for seed in range(3)]
+        for name, call in calls.items():
+            h = hashlib.sha256()
+            for a in members:
+                try:
+                    h.update(repr(call(a, group)).encode())
+                except sd.MembershipError as e:  # a complex member is not conjugate symplectic
+                    h.update(f"MembershipError: {e}".encode())
+            yield h.hexdigest(), f"{name} {group.value} N={n} seeds 0-2"
+
+
 def replays():
     for sid in sd.SUITE_IDS:
         h = hashlib.sha256()
@@ -134,8 +155,8 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            for line in itertools.chain(suite_reports(), members(), replays(), file_reports(),
-                                        demos()):
+            for line in itertools.chain(suite_reports(), members(), block_residuals(), replays(),
+                                        file_reports(), demos()):
                 print(*line)
         finally:
             os.chdir(home)
