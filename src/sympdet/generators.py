@@ -188,13 +188,15 @@ def _draws(config: GeneratorConfig, rngs, codes: np.ndarray,
                 elif k := sum(map(_FORM.__gt__, run)):
                     rng.standard_normal(out=w[lo:lo + k])
                     lo += k
+    w *= config.factor_scale
     if real:
-        g = w
-    else:  # w[:, 0] + 1j * w[:, 1]
-        g = 1j * w[:, 1]
-        g += w[:, 0]
-    g *= config.factor_scale
-    g /= math.sqrt(n)
+        w /= math.sqrt(n)
+        return w, thetas
+    # scaled as floats, the bits of (w[:, 0] + 1j * w[:, 1]) * factor_scale /
+    # sqrt(N): numpy divides a complex by a float as a product with its reciprocal
+    w *= 1.0 / math.sqrt(n)
+    g = 1j * w[:, 1]
+    g += w[:, 0]
     return g, thetas
 
 

@@ -63,7 +63,11 @@ def _frobeniuses(a: np.ndarray) -> list[float]:
     residuals with repr, which is ``np.float64(x)`` for a numpy scalar).
     norm takes a BLAS dot of the entries (real and imaginary parts apart) in
     memory order, ``ravel(order='K')``, as one contiguous vector;
-    ``np.vecdot`` takes the same dot of each matrix laid out that way."""
+    ``np.vecdot`` takes the same dot of each matrix laid out that way.  A
+    matrix of finite entries whose sum of squares overflows, where norm gives
+    inf, is summed again scaled by its largest entry, as LAPACK's ``dnrm2``
+    does (Anderson, "Algorithm 978: Safe Scaling in the Level 1 BLAS", ACM
+    TOMS 44(1), 2017), so its norm is finite wherever ||A||_F is."""
     if abs(a.strides[-2]) < abs(a.strides[-1]):  # column-major matrices sum by column
         a = a.swapaxes(-1, -2)
     x = np.ascontiguousarray(a).reshape(len(a), -1)
@@ -71,7 +75,15 @@ def _frobeniuses(a: np.ndarray) -> list[float]:
         sq = np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag)
     else:
         sq = np.vecdot(x, x)
-    return np.sqrt(sq).tolist()
+    norms = np.sqrt(sq).tolist()
+    if math.inf in norms:  # a sum overflowed: sum again scaled by max |a_ij|, as dnrm2 does
+        for i in [i for i, f in enumerate(norms) if f == math.inf]:
+            v = x[i].view(np.float64)  # real and imaginary parts apart
+            s = float(np.abs(v).max())
+            if s < math.inf:  # an Inf entry keeps its inf norm
+                u = v / s
+                norms[i] = s * math.sqrt(u @ u)
+    return norms
 
 
 def _diagonals(x: np.ndarray) -> np.ndarray:

@@ -19,7 +19,8 @@ trial from its own rng, and measures it through the stacked cores of
 (real-theorem, complex-theorem, conj-formula) sample their members (see
 :mod:`sympdet.generators`) and measure them with the sampler's membership
 residuals; ineq-real and lemma draw block pairs; generator-sanity gates the
-factors and samples the members of each group's trials as stacks;
+factors of each group's trials as a stack, and samples both copies of their
+members as one stack;
 form-identities reads no seed and checks each half-dim once.  Trials are
 judged a round at a time: ``_ROUND`` consecutive trials, every half-dim's
 stacks of them measured, their columns placed in trial order, and the
@@ -210,9 +211,12 @@ def _judge_conj_formula(n: int, seeds, rngs, tol: ToleranceConfig) -> dict:
 def _judge_generator_sanity(n: int, seeds, rngs, tol: ToleranceConfig) -> dict:
     """Each trial draws its group, then one factor of each kind, from its rng;
     its member is sampled twice, from fresh rngs seeded split_seed(seed, 1),
-    and must be the same bytes.  Each group's trials are measured as a stack."""
+    and must be the same bytes.  Each group's trials are measured as a stack,
+    and both copies of its members are sampled in one stack, the first
+    copies, then the second: a member does not depend on its stack, so the
+    two copies are two samplings of it at two places of that stack."""
     codes = np.array([int(rng.integers(0, 3)) for rng in rngs], int)
-    member_rngs = _rngs(np.tile(_child_seeds(seeds, 1), 2))  # the two samplings
+    member_rngs = _rngs(np.tile(_child_seeds(seeds, 1), 2))  # the two copies
     k = len(rngs)
     out = {"conjugate": codes == tuple(GroupKind).index(GroupKind.CONJUGATE_SYMPLECTIC),
            "factors": np.full((_kind_count(GroupKind.CONJUGATE_SYMPLECTIC), k), math.nan),
@@ -226,9 +230,10 @@ def _judge_generator_sanity(n: int, seeds, rngs, tol: ToleranceConfig) -> dict:
         factors = _factors(cfg, [rngs[i] for i in idx], kinds)
         out["factors"][:kinds.shape[1], idx] = np.reshape(
             _membership_residuals(factors.reshape(-1, 2 * n, 2 * n), group), kinds.shape).T
-        (a, res_a), (b, _) = (_sample(cfg, [member_rngs[i + j] for i in idx.tolist()], tol=tol)
-                              for j in (0, k))
-        out["product"][idx] = res_a
+        both, res = _sample(cfg, [member_rngs[i + j] for j in (0, k) for i in idx.tolist()],
+                            tol=tol)
+        a, b = both[:len(idx)], both[len(idx):]
+        out["product"][idx] = res[:len(idx)]
         out["det"][:, idx] = _det_columns(a)
         out["same"][idx] = [x.tobytes() == y.tobytes() for x, y in zip(a, b)]
     return out

@@ -118,6 +118,8 @@ DEFAULT_TOLERANCES = ToleranceConfig()
 # N = 48 (real) and 32 (complex), and the real block diagonal 1.1x at 48.
 _BLOCK_PATHS_FROM = 64
 
+_SQRT_MAX = math.sqrt(np.finfo(np.float64).max)  # the largest ||A||_F whose square is finite
+
 # Each check family's residual names, mapped to the ToleranceConfig field that
 # bounds them or to a fixed bound.  The real-theorem and complex-theorem
 # suites report certificate residuals.
@@ -253,7 +255,8 @@ def membership_residual(a, group: GroupKind) -> float:
 def _membership_residuals(a: np.ndarray, group: GroupKind) -> np.ndarray:
     """membership_residual of each matrix of a (k, 2N, 2N) stack, as a
     column: one stacked GEMM (of A^# J and A below _BLOCK_PATHS_FROM, of the
-    row halves from there on), then each matrix's norms from stacked dots."""
+    row halves from there on), then each matrix's norms from stacked dots.
+    The defect is divided by ||A||_F twice where ||A||_F^2 would overflow."""
     k, m, _ = a.shape
     n = m // 2
     conjugate = group is GroupKind.CONJUGATE_SYMPLECTIC
@@ -281,9 +284,9 @@ def _membership_residuals(a: np.ndarray, group: GroupKind) -> np.ndarray:
                 _diagonals(t)[:] -= 1.0  # Z - I
             norms.append(_frobeniuses(t))
         defects = [math.hypot(fx, fy, fz, fz) for fx, fy, fz in zip(*norms)]
-    scales = [f ** 2 for f in _frobeniuses(a)]
-    return np.array([math.inf if s == 0.0 else f / math.sqrt(m) / s
-                     for s, f in zip(scales, defects)], np.float64)
+    return np.array([math.inf if s == 0.0 else f / math.sqrt(m) / s ** 2 if s <= _SQRT_MAX
+                     else f / math.sqrt(m) / s / s  # ||A||_F^2 overflows, ||A||_F need not
+                     for s, f in zip(_frobeniuses(a), defects)], np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -602,11 +605,11 @@ class Certificate:
                          ("det(C - iD) = conj(det(C + iD))",
                           f(d_minus), f(d_plus.conjugated()), "splitConjugate")]
             rows.append(("det(A) = 1", f(det_a), "1", "detOne"))
-        # each check shows its first residual and passes when all of its own do
-        return tuple(IdentityCheck(label, lhs_text, rhs_text, self.residuals[names[0]],
-                                   within_bounds(family,
-                                                 {k: self.residuals[k] for k in names},
-                                                 self.tolerances))
+        # each check shows its first residual and passes when all of its own
+        # are within their bounds (a NaN residual never is)
+        bounds, res = _bounds(family, self.tolerances), self.residuals
+        return tuple(IdentityCheck(label, lhs_text, rhs_text, res[names[0]],
+                                   all(res[k] <= bounds[k] for k in names))
                      for label, lhs_text, rhs_text, *names in rows)
 
 
@@ -742,9 +745,10 @@ def conj_symplectic_det(a, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> complex
     so no member falls short; a unitary member meets the bound with equality.
     """
     a = _square(a)
-    res_mem = membership_residual(a, GroupKind.CONJUGATE_SYMPLECTIC)
+    half_dim(a)
     with np.errstate(all="ignore"):  # entries near float's ends give inf or NaN, unwarned
-        entry = _entries(_conj_phases(a[None], np.array([res_mem]), tol), 0)
+        res_mem = _membership_residuals(a[None], GroupKind.CONJUGATE_SYMPLECTIC)
+        entry = _entries(_conj_phases(a[None], res_mem, tol), 0)
         (_, re, im), _, _ = _formula_phase(entry, tol)
     return complex(re, im)
 

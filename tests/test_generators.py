@@ -165,6 +165,34 @@ def test_unknown_factor_name():
         elementary_factor("rotation", cfg, rng_from_seed(0))
 
 
+@pytest.mark.parametrize("target", [GroupKind.COMPLEX_SYMPLECTIC, GroupKind.CONJUGATE_SYMPLECTIC])
+@pytest.mark.parametrize("n", [1, 3, 8, 64])
+@pytest.mark.parametrize("scale", [1.0, 0.3, 100.0])
+def test_complex_draws_are_scaled_as_floats(target, n, scale):
+    # the blocks are scaled while still float64 draws, with the bits of
+    # scaling them as complex numbers: numpy divides a complex by a float as
+    # a product with the float's reciprocal
+    cfg = GeneratorConfig(half_dim=n, target=target, factor_scale=scale)
+    codes = np.array([[0, 4, 2, 3, 1, 4], [3, 3, 3, 3, 3, 3], [1, 1, 2, 0, 0, 2]])
+    if target is GroupKind.COMPLEX_SYMPLECTIC:
+        codes[codes == 4] = 0  # no phases
+    seeds = [split_seed(29, t) for t in range(len(codes))]
+    counts = np.bincount(codes.ravel(), minlength=len(generators.FACTOR_KINDS)).tolist()
+    g, _ = generators._draws(cfg, [rng_from_seed(s) for s in seeds], codes, counts)
+    w = []
+    for seed, row in zip(seeds, codes.tolist()):  # each run of kinds but phase, as one call
+        rng = rng_from_seed(seed)
+        for phase, run in itertools.groupby(row, (4).__eq__):
+            run = list(run)
+            if phase:
+                rng.uniform(-math.pi, math.pi, len(run))
+            else:
+                w.append(rng.standard_normal((sum(code < 3 for code in run), 2, n, n)))
+    w = np.concatenate(w)
+    assert len(w) == sum(counts[:3])
+    assert g.tobytes() == ((w[:, 0] + 1j * w[:, 1]) * scale / math.sqrt(n)).tobytes()
+
+
 def test_norm_clamp_scales_only_the_matrices_over_the_cap():
     # a matrix under the cap keeps its bits, signed zeros included (times
     # 1 + 0j would turn -0.0 - 1j into 0.0 - 1j); one over it is scaled as

@@ -383,6 +383,24 @@ def test_replay_seeds_are_pinned():
         GOLDEN_SEEDS[0, t][1] for t in (0, 1, 2, 1667)]
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["R", "C"])
+def test_norms_whose_squares_overflow_are_summed_scaled(dtype):
+    # a matrix whose sum of squares overflows is summed again, scaled by its
+    # largest entry; the other matrices of the stack keep np.linalg.norm's
+    # bits, and an Inf entry still gives inf
+    z = rng_from_seed(37).standard_normal((2, 4, 6, 6))
+    stack = (z[0] if dtype is np.float64 else z[0] + 1j * z[1]).copy()
+    stack[1] *= 1e160  # its squares alone overflow
+    stack[2, 3, 1] = math.inf
+    with np.errstate(over="ignore"):  # the plain sum of stack[1] overflows
+        got = _frobeniuses(stack)
+    s = float(np.abs(stack[1].view(np.float64)).max())
+    assert got[1] == pytest.approx(s * np.linalg.norm(stack[1] / s), rel=1e-14, abs=0.0)
+    assert 1e160 < got[1] < math.inf
+    assert [f.hex() for f in got[::2]] == [frobenius(m).hex() for m in stack[::2]]
+    assert got[2] == math.inf
+
+
 def test_phase_angle():
     assert phase_angle(1 + 0j, 1 + 0j) == 0.0
     assert phase_angle(np.exp(0.3j), np.exp(0.1j)) == pytest.approx(0.2, rel=1e-12)

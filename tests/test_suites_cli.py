@@ -668,28 +668,42 @@ def test_sampled_trials_compute_one_membership_residual_each(monkeypatch, suite_
     assert calls["membership"] == 1
 
 
-def test_generator_sanity_determinism_compares_bytes(monkeypatch):
-    # the second sampling drifts by one ulp in one entry of its first member
-    calls = []
+@pytest.mark.parametrize("copy", [0, 1])
+def test_generator_sanity_determinism_compares_bytes(monkeypatch, copy):
+    # one _sample call samples a group's members twice, the first copies then
+    # the second; one ulp of drift in one entry of one copy's member must fail
+    # that member's trial, and no other
+    seeds = [sd.split_seed(11, t) for t in range(9)]
+    clean = _judged("generator-sanity", 2, seeds)
+    assert [r["determinism"] for r in clean] == [0.0] * 9
+    calls, drift = [], {"call": 1, "member": 0}
 
-    def drifting(config, *args, **kwargs):
-        calls.append(config)
-        stack, res_mem = generators._sample(config, *args, **kwargs)
-        if len(calls) == 2:
-            stack.real[0, 0, 0] = np.nextafter(stack.real[0, 0, 0], math.inf)
+    def drifting(config, rngs, *args, **kwargs):
+        calls.append(len(rngs))
+        stack, res_mem = generators._sample(config, rngs, *args, **kwargs)
+        if len(calls) == drift["call"]:
+            x = stack.real[copy * len(stack) // 2 + drift["member"]]
+            x[0, 0] = np.nextafter(x[0, 0], math.inf)
         return stack, res_mem
 
-    assert run_trial("generator-sanity", 2, 11).residuals["determinism"] == 0.0
     monkeypatch.setattr(suites, "_sample", drifting)
     result = run_trial("generator-sanity", 2, 11)
-    assert len(calls) == 2
+    assert calls == [2]  # both copies in one call
     assert result.residuals["determinism"] == 1.0
     assert not result.passed
-    # in a stack, only the drifted member fails
+    # in a 9-trial stack, drift the second member of the second group sampled
+    # (groups are sampled in GroupKind order)
+    codes = [int(loop_rng(s).integers(0, 3)) for s in seeds]
+    group = sorted(set(codes))[1]
+    trials = [t for t, code in enumerate(codes) if code == group]
+    assert len(set(codes)) == 3 and len(trials) > 2
     calls.clear()
-    seeds = [sd.split_seed(11, t) for t in range(9)]
+    drift.update(call=2, member=1)
     judged = _judged("generator-sanity", 2, seeds)
-    assert sorted(r["determinism"] for r in judged) == [0.0] * 8 + [1.0]
+    assert calls[1] == 2 * len(trials)
+    assert judged[trials[1]] == {**clean[trials[1]], "determinism": 1.0}
+    assert [r for t, r in enumerate(judged) if t != trials[1]] == [
+        r for t, r in enumerate(clean) if t != trials[1]]
 
 
 def test_generator_sanity_judge_matches_the_loop():

@@ -4,6 +4,7 @@ and the conjugate-symplectic determinant formula."""
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,27 @@ def test_membership_dispatch():
     with pytest.raises(ValueError, match="real"):
         membership_residual(j.astype(complex), REAL)
     assert not membership_residual(np.diag([3.0, 3.0]), REAL) <= tol
+
+
+@pytest.mark.parametrize("n", [2, BLOCK_STEPS_FROM])
+def test_membership_scale_past_float_range(n):
+    # A = diag(s I, 2/s I) has A^T J A = 2J, a defect of ||J||_F = sqrt(2N),
+    # so its residual is 1/||A||_F^2 = 1/(N s^2): at s = 1e155 that square
+    # overflows, and the defect, once divided by inf (which read 0.0), is
+    # divided by ||A||_F twice, with no warning; the residual still passes
+    # the membership gate, as the defect is tiny once scaled
+    for s in (1e155, 1e160):
+        a = np.diag([s] * n + [2 / s] * n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [membership_residual(a.astype(g.dtype), g) for g in GroupKind]
+        want = 1 / s / s / n  # subnormal: within a few rounding errors and one subnormal ulp
+        assert all(abs(r - want) <= 1e-14 * want + math.ulp(0.0) for r in got), (s, got)
+        assert got[0] <= DEFAULT_TOLERANCES.membership
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert membership_residual(np.diag([1e155, 1e155, 2e-155, 2e-155]), REAL) == (
+            pytest.approx(5.0e-311, rel=1e-12, abs=0.0))
 
 
 @pytest.mark.parametrize("group", list(GroupKind))

@@ -12,6 +12,8 @@ per artifact:
   failure records no default report has (gated-out theorem members, phases
   the conj-formula suite refused), across a boundary of the rounds trials
   are judged in;
+- the generator-sanity report at seeds 0 and 7 with ``det_one`` -1, in
+  which every trial is a failure record with all its residuals;
 - the members ``generate`` samples: each group at half-dims that take many
   factors a chunk (1, 2, 5, 16) and one (33), and one whose product steps
   are block updates (64), seeds 0-4;
@@ -92,6 +94,12 @@ def suite_reports():
         yield from first
     yield from run(["suite", "all", "--seed", "0", "--tol", "1e-22", "--trials", "600",
                     "--format", "json"])[1]
+    # every trial fails det_one = -1, so the report records each trial's
+    # residuals, determinism included, not only the worst of each
+    tol = sd.ToleranceConfig(det_one=-1.0)
+    for seed in (0, 7):
+        report = sd.run_suite(sd.default_suite_spec("generator-sanity", seed, tolerances=tol))
+        yield digest(sd.render_json(report)), f"generator-sanity --seed {seed} det_one=-1.0 json"
 
 
 def members():
