@@ -12,11 +12,12 @@ sampled distribution is deliberately simple, not uniform over the group.
 Members are sampled as stacks: :func:`generate` is the stack of one, and the
 property suites sample each stack of trials they cut (by _STACK_BYTES) whole.
 Each member still draws from its own rng exactly what it would draw alone,
-and numpy's stacked arithmetic does to each matrix what it does to that
-matrix alone, so every member is bitwise independent of the stack it was
-built in.  A stack's factors are built a chunk of product steps at a time,
-in one pass sorted by kind: one clamp, one inversion, one fill per kind
-(:func:`elementary_factor` is its stack of one).
+one member and one run of its factor kinds at a time, and numpy's stacked
+arithmetic does to each matrix what it does to that matrix alone, so every
+member is bitwise independent of the stack it was built in.  A stack's
+factors are built a chunk of product steps at a time, in one pass sorted by
+kind: one clamp, one inversion, one fill per kind (:func:`elementary_factor`
+is its stack of one).
 
 A product step below half-dim 64 (symplectic._BLOCK_PATHS_FROM, from which
 the membership residual takes half the flops too) is a full 2N x 2N GEMM,
@@ -167,27 +168,21 @@ def _draws(config: GeneratorConfig, rngs, codes: np.ndarray,
     than phase is one standard_normal call, an N x N block (complex but for
     the real group: real then imaginary parts) for each but the forms, and
     a run of phases is one uniform call, an angle each (the doubles of as
-    many scalar calls).  In a chunk without phases, which is every chunk of
-    the real and complex groups, a member is one run, and numpy counts the
-    blocks of all of them at once.  Returns the blocks, times factor_scale
-    / sqrt(N), and the angles, both in (member, step) order."""
+    many scalar calls).  A member without phases, as every member of the
+    real and complex groups is, is one run.  Returns the blocks, times
+    factor_scale / sqrt(N), and the angles, both in (member, step) order."""
     n = config.half_dim
     real = config.target is GroupKind.REAL_SYMPLECTIC
     blocks = sum(counts[:_FORM])
     w = np.empty((blocks, n, n) if real else (blocks, 2, n, n))
     thetas, lo = [], 0
-    if not counts[_PHASE]:
-        for rng, hi in zip(rngs, (codes < _FORM).sum(1).cumsum().tolist()):
-            rng.standard_normal(out=w[lo:hi])  # draws nothing for a member of forms alone
-            lo = hi
-    else:
-        for rng, row in zip(rngs, codes.tolist()):
-            for phase, run in itertools.groupby(row, _PHASE.__eq__):
-                if phase:
-                    thetas += rng.uniform(-math.pi, math.pi, len(list(run))).tolist()
-                elif k := sum(map(_FORM.__gt__, run)):
-                    rng.standard_normal(out=w[lo:lo + k])
-                    lo += k
+    for rng, row in zip(rngs, codes.tolist()):
+        for phase, run in itertools.groupby(row, _PHASE.__eq__):
+            if phase:
+                thetas += rng.uniform(-math.pi, math.pi, len(list(run))).tolist()
+            elif k := sum(map(_FORM.__gt__, run)):
+                rng.standard_normal(out=w[lo:lo + k])
+                lo += k
     w *= config.factor_scale
     if real:
         w /= math.sqrt(n)

@@ -71,10 +71,11 @@ def _frobeniuses(a: np.ndarray) -> list[float]:
     if abs(a.strides[-2]) < abs(a.strides[-1]):  # column-major matrices sum by column
         a = a.swapaxes(-1, -2)
     x = np.ascontiguousarray(a).reshape(len(a), -1)
-    if np.iscomplexobj(x):
-        sq = np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag)
-    else:
-        sq = np.vecdot(x, x)
+    with np.errstate(over="ignore"):  # an overflowed sum is summed again below
+        if np.iscomplexobj(x):
+            sq = np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag)
+        else:
+            sq = np.vecdot(x, x)
     norms = np.sqrt(sq).tolist()
     if math.inf in norms:  # a sum overflowed: sum again scaled by max |a_ij|, as dnrm2 does
         for i in [i for i, f in enumerate(norms) if f == math.inf]:
@@ -155,7 +156,9 @@ def log_det(a) -> LogDet:
     (nan, nan + nanj), where LAPACK would call a NaN pivot zero or an Inf
     one an infinite magnitude with a sign.
     """
-    return _log_det_at(_det_columns(_square(a)[None]), 0)
+    a = _square(a)
+    with np.errstate(all="ignore"):  # a NaN or Inf entry gives NaN, unwarned
+        return _log_det_at(_det_columns(a[None]), 0)
 
 
 def _log_det_at(dets, i: int) -> LogDet:

@@ -1,38 +1,13 @@
 """Property suites tying the structure checks together.
 
-A suite is one row of the suite table ``_SUITES``: its judge, its default
-trial count and half-dims, and the family of the bound table
-:data:`~sympdet.symplectic.RESIDUAL_BOUNDS` that judges the trials'
-residuals.  Adding a suite means adding that row and, if the family is new,
-its ``RESIDUAL_BOUNDS`` entry.  Each suite maps a trial index to a
-deterministic child seed and an rng seeded with it (both derived for a round
-of trials at once), runs one independent check, judges its residuals, and
-aggregates pass counts, worst residuals, and reproducible failure records
-into a :class:`~sympdet.report.Report`.  Trials touch no shared state, so
-they can be executed in any order or in parallel; results are merged by
-trial index and do not depend on scheduling.
-
-Every judge is called alike, on the seeds and rngs of a stack of trials at
-one half-dim (1 MiB of complex128 matrices), draws what it checks, each
-trial from its own rng, and measures it through the stacked cores of
-:mod:`sympdet.symplectic`, returning columns.  The sampling suites
-(real-theorem, complex-theorem, conj-formula) sample their members (see
-:mod:`sympdet.generators`) and measure them with the sampler's membership
-residuals; ineq-real and lemma draw block pairs; generator-sanity gates the
-factors of each group's trials as a stack, and samples both copies of their
-members as one stack;
-form-identities reads no seed and checks each half-dim once.  Trials are
-judged a round at a time: ``_ROUND`` consecutive trials, every half-dim's
-stacks of them measured, their columns placed in trial order, and the
-residual function of the suite's family run once over the round.
-:func:`run_suite` then compares each residual column with its bound once,
-takes each residual's worst value with one NaN-propagating max (names in
-order of first appearance), and builds a residual dict only for a failing
-trial.  Every matrix gets the bits it gets alone, and the column arithmetic
-those of Python's scalar arithmetic, so :func:`run_trial`, a round of one,
-replays any trial.  One stack is held at a time, with the seeds, rngs and
-columns of one round: a suite's memory grows with its trials up to a
-round, then stays flat.
+Each suite is a row of the suite table ``_SUITES`` (see :class:`_Suite`);
+README's command line section describes the table, the stacks a judge
+measures and the rounds whose residuals are judged at once.  A trial maps
+its index to a deterministic child seed and an rng seeded with it, and
+touches no shared state, so results are merged by trial index and do not
+depend on scheduling.  Every matrix gets the bits it gets alone, and the
+column arithmetic those of Python's scalar arithmetic, so :func:`run_trial`,
+a round of one, replays any trial.
 """
 
 from __future__ import annotations
@@ -76,6 +51,7 @@ from .symplectic import (
     _reductions,
     _sign_slacks,
     _split_dets,
+    _within,
     embed_pair,
     symplectic_form,
 )
@@ -254,44 +230,40 @@ def _generator_sanity_residuals(m: dict, tol: ToleranceConfig) -> tuple[dict, di
 
 
 class _Suite(NamedTuple):
-    """One property suite: its judge, default trial count and half-dims, and
-    the RESIDUAL_BOUNDS family that judges the trials' residuals.  A judge is
-    called as ``judge(n, seeds, rngs, tol)`` on a stack of trials at half-dim
-    n, each trial drawing from its rng (which is rng_from_seed of its seed),
-    and returns their measurement columns, in order."""
+    """One property suite: its judge, default trial count and half-dims, the
+    RESIDUAL_BOUNDS family that judges the trials' residuals, and that
+    family's residual function.  A judge is called as
+    ``judge(n, seeds, rngs, tol)`` on a stack of trials at half-dim n, each
+    trial drawing from its rng (which is rng_from_seed of its seed), and
+    returns their measurement columns, in order.  The residual function
+    takes a round's columns and returns one column per residual name, in
+    the family's order, and the presence mask of each residual some trials
+    never reach."""
 
     judge: Callable[..., dict]
     trials: int
     half_dims: tuple[int, ...]
     family: str
+    residuals: Callable[..., tuple[dict, dict]]
 
 
 _SUITES = {
-    "form-identities": _Suite(_judge_form_identities, 8, tuple(range(1, 9)), "form-identities"),
+    "form-identities": _Suite(_judge_form_identities, 8, tuple(range(1, 9)), "form-identities",
+                              _form_identities_residuals),
     "real-theorem": _Suite(partial(_judge_theorem, GroupKind.REAL_SYMPLECTIC), 200,
-                           (1, 2, 4, 8, 10), "certificate"),
+                           (1, 2, 4, 8, 10), "certificate", _certificate_residuals),
     "complex-theorem": _Suite(partial(_judge_theorem, GroupKind.COMPLEX_SYMPLECTIC), 200,
-                              (1, 2, 4, 8, 10), "certificate"),
-    "lemma": _Suite(_judge_lemma, 500, tuple(range(1, 9)), "lemma"),
-    "ineq-real": _Suite(_judge_ineq_real, 500, tuple(range(1, 9)), "ineq-real"),
-    "conj-formula": _Suite(_judge_conj_formula, 200, tuple(range(1, 17)), "conj-formula"),
+                              (1, 2, 4, 8, 10), "certificate", _certificate_residuals),
+    "lemma": _Suite(_judge_lemma, 500, tuple(range(1, 9)), "lemma", _lemma_residuals),
+    "ineq-real": _Suite(_judge_ineq_real, 500, tuple(range(1, 9)), "ineq-real",
+                        _ineq_real_residuals),
+    "conj-formula": _Suite(_judge_conj_formula, 200, tuple(range(1, 17)), "conj-formula",
+                           _conj_formula_residuals),
     "generator-sanity": _Suite(_judge_generator_sanity, 60, (1, 2, 3, 4, 6, 8),
-                               "generator-sanity"),
+                               "generator-sanity", _generator_sanity_residuals),
 }
 
 SUITE_IDS = tuple(_SUITES)
-
-# The residual function of each RESIDUAL_BOUNDS family: from the measurement
-# columns of a round, one column per residual name in the family's order,
-# and the presence mask of each residual some trials never reach.
-_RESIDUALS = {
-    "form-identities": _form_identities_residuals,
-    "certificate": _certificate_residuals,
-    "lemma": _lemma_residuals,
-    "ineq-real": _ineq_real_residuals,
-    "conj-formula": _conj_formula_residuals,
-    "generator-sanity": _generator_sanity_residuals,
-}
 
 
 def _suite(suite_id: str) -> _Suite:
@@ -321,19 +293,7 @@ def _round(row: _Suite, dims: tuple, start: int, seeds: list, rngs: list,
     measured = {key: np.concatenate([m[key] for m in stacks], axis=-1)[..., order]
                 for key in stacks[0]}
     with np.errstate(all="ignore"):  # NaN and inf entries take Python's values, unwarned
-        return _RESIDUALS[row.family](measured, tol)
-
-
-def _passed(columns: dict, present: dict, bounds: dict) -> np.ndarray:
-    """Whether each trial's residuals are all within their bounds (a NaN
-    residual never is): one comparison per residual name."""
-    ok = np.ones(len(next(iter(columns.values()))), bool)
-    for name, column in columns.items():
-        within = column <= bounds[name]
-        if name in present:
-            within |= ~present[name]
-        ok &= within
-    return ok
+        return row.residuals(measured, tol)
 
 
 def _residuals_of(columns: dict, present: dict, t: int) -> dict:
@@ -351,7 +311,7 @@ def run_trial(suite_id: str, n_half: int, seed: int,
         raise ValueError("half_dim must be >= 1")
     columns, present = _round(row, (n_half,), 0, [seed], [rng_from_seed(seed)], tol)
     return TrialResult(residuals=_residuals_of(columns, present, 0),
-                       passed=bool(_passed(columns, present, _bounds(row.family, tol))[0]))
+                       passed=bool(_within(columns, _bounds(row.family, tol), present)[0]))
 
 
 # trials whose child seeds and rngs are derived, and whose residuals are
@@ -382,7 +342,7 @@ def run_suite(spec: SuiteSpec) -> Report:
         block = _child_seeds(spec.seed, np.arange(start, min(start + _ROUND, spec.trials)))
         seeds = block.tolist()
         columns, present = _round(row, dims, start, seeds, _rngs(block), tol)
-        passed = _passed(columns, present, bounds)
+        passed = _within(columns, bounds, present)
         passes += int(np.count_nonzero(passed))
         for t in np.flatnonzero(~passed).tolist():
             failures.append({"seed": seeds[t], "halfDim": dims[(start + t) % len(dims)],

@@ -1,31 +1,15 @@
 """Symplectic structure: the standard skew form, the membership residual, the
-residual bound table, block machinery, determinant certificates, and the
-conjugate-symplectic determinant formula.
+residual bound table and its judge, block machinery, determinant
+certificates, and the conjugate-symplectic determinant formula.
 
-A 2N x 2N matrix A is symplectic when A^T J A = J for the standard form
-J = [[0, I], [-I, 0]], and conjugate symplectic when A^* J A = J.  Symplectic
-matrices (real or complex) have determinant exactly one; conjugate symplectic
-matrices have |det| = 1 with the phase determined by the four N x N subblocks.
-This module turns those facts into checkable numerical certificates, with all
-determinants evaluated by LAPACK's LU through numpy (:mod:`sympdet.linalg`).
-
-The membership residual, the certificate, the phase formula and the block
-reduction each have one core that measures a stack at once, one matrix
-product or LAPACK call per step, and returns a dict of columns, each with
-one entry per matrix on its last axis (determinants as (3, k) determinant
-columns), so that the measurements of many stacks place into one round.
-numpy treats each matrix of a stack as it would alone, and each norm is
-summed as it is alone, so a matrix gets the same bits in any stack.  Each
-``RESIDUAL_BOUNDS`` family has one residual function, which judges
-measurements all at once: one column per residual name, in the family's
-order, and a presence mask for each residual some matrices never reach (a
-member the membership gate rejected, a pair whose C was not reduced).  The
-property suites run it once per round of trials; a public function runs it
-on the one entry of its matrix, as Python floats, and builds its LogDet,
-Certificate or ReductionProbe from that entry.
-
-Everything here is a pure function over immutable values; certificates are
-built locally and returned by value, so concurrent use needs no locking.
+Each check has one core that measures a stack of matrices at once and
+returns a dict of columns, one entry per matrix on the last axis (a
+determinant as three rows, see :mod:`sympdet.linalg`); each norm is summed
+as it is alone, so a matrix gets the same bits in any stack.  A public
+function runs its family's residual function and the judge on the one entry
+of its matrix, as Python floats, as the suites run them on a round's
+columns.  Everything here is a pure function over immutable values, so
+concurrent use needs no locking.
 """
 
 from __future__ import annotations
@@ -174,11 +158,21 @@ def within_bounds(family: str, residuals: dict,
                   tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     """True when each residual is <= its bound in RESIDUAL_BOUNDS[family]
     (so a NaN residual never passes)."""
-    bounds = _bounds(family, tol)
-    for k, v in residuals.items():  # a loop: all() over a generator costs twice as much
-        if not v <= bounds[k]:
-            return False
-    return True
+    return _within(residuals, _bounds(family, tol))
+
+
+def _within(residuals: dict, bounds: dict, present: dict | None = None):
+    """Whether residuals are all within their bounds: a bool for one entry
+    of Python floats, a bool column for a round's columns (with the presence
+    mask of each column some trials never reach).  A NaN residual never is;
+    a residual not reached, absent or masked off, passes."""
+    ok = True
+    for name, r in residuals.items():  # a loop: all() over a generator costs twice as much
+        within = r <= bounds[name]
+        if present and name in present:
+            within = within | ~present[name]
+        ok = ok & within
+    return ok
 
 
 def _bounds(family: str, tol: ToleranceConfig) -> dict:
@@ -354,7 +348,8 @@ def unitary_split_det(p: BlockPair) -> tuple[LogDet, LogDet]:
     """
     if p.group is GroupKind.COMPLEX_SYMPLECTIC:
         raise ValueError("the unitary split applies to unconjugated pairs only")
-    d_plus, d_minus = _split_dets(p.c[None], p.d[None])
+    with np.errstate(all="ignore"):  # a NaN or Inf entry gives NaN, unwarned
+        d_plus, d_minus = _split_dets(p.c[None], p.d[None])
     return _log_det_at(d_plus, 0), _log_det_at(d_minus, 0)
 
 
@@ -481,11 +476,12 @@ def conj_block_reduction(c, d, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Red
     d = _square(d).astype(np.complex128, copy=False)
     if c.shape != d.shape:
         raise ValueError(f"dimension mismatch: {c.shape[0]} vs {d.shape[0]}")
-    measured, e = _reductions(c[None], d[None], tol)
-    block_det = _log_det_at(measured["block"], 0)
-    if not measured["reduced"][0]:
-        return ReductionProbe(None, block_det, None)
-    residuals, present = _lemma_residuals(_entries(measured, 0), tol)
+    with np.errstate(all="ignore"):  # entries near float's ends give inf or NaN, unwarned
+        measured, e = _reductions(c[None], d[None], tol)
+        block_det = _log_det_at(measured["block"], 0)
+        if not measured["reduced"][0]:
+            return ReductionProbe(None, block_det, None)
+        residuals, present = _lemma_residuals(_entries(measured, 0), tol)
     return ReductionProbe(e[0], block_det, _log_det_at(measured["pair"], 0),
                           {name: residuals[name] for name in present})
 
@@ -605,11 +601,10 @@ class Certificate:
                          ("det(C - iD) = conj(det(C + iD))",
                           f(d_minus), f(d_plus.conjugated()), "splitConjugate")]
             rows.append(("det(A) = 1", f(det_a), "1", "detOne"))
-        # each check shows its first residual and passes when all of its own
-        # are within their bounds (a NaN residual never is)
+        # each check shows its first residual and passes when the judge passes all of its own
         bounds, res = _bounds(family, self.tolerances), self.residuals
         return tuple(IdentityCheck(label, lhs_text, rhs_text, res[names[0]],
-                                   all(res[k] <= bounds[k] for k in names))
+                                   _within({k: res[k] for k in names if k in res}, bounds))
                      for label, lhs_text, rhs_text, *names in rows)
 
 

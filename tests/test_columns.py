@@ -183,7 +183,7 @@ def test_ineq_real_zero_determinant_matches_the_scalar_reference():
     measured = suites._judge_ineq_real(n, [0, 1, 2], [_Filling(w) for w in draws],
                                        DEFAULT_TOLERANCES)
     with np.errstate(all="ignore"):
-        columns, present = suites._RESIDUALS["ineq-real"](measured, DEFAULT_TOLERANCES)
+        columns, present = _SUITES["ineq-real"].residuals(measured, DEFAULT_TOLERANCES)
     for i, (c, d) in enumerate(draws):
         dd = scalar_log_det(block_embed_pair(c, d))
         d_plus, d_minus = scalar_log_det(c + 1j * d), scalar_log_det(c - 1j * d)

@@ -46,10 +46,19 @@ def test_every_suite_passes_small(suite_id):
 
 @pytest.mark.parametrize("suite_id", SUITE_IDS)
 def test_every_trial_residual_has_a_table_bound(suite_id):
+    # on a round of one trial, the row's residual function gives a column for
+    # each of its family's names, in the family's order
     row = _SUITES[suite_id]
     bounds = RESIDUAL_BOUNDS[row.family]
+    names = list(bounds)
+    if suite_id == "complex-theorem":  # the unitary split is the real group's alone
+        names = [k for k in names if k not in ("splitIdentity", "splitConjugate")]
     for n in row.half_dims:
-        result = run_trial(suite_id, n, sd.split_seed(3, n))
+        seed = sd.split_seed(3, n)
+        columns, _ = suites._round(row, (n,), 0, [seed], [sd.rng_from_seed(seed)],
+                                   DEFAULT_TOLERANCES)
+        assert list(columns) == names, (suite_id, n)
+        result = run_trial(suite_id, n, seed)
         assert set(result.residuals) <= set(bounds), (suite_id, n)
         assert result.passed
 
@@ -367,7 +376,7 @@ def test_theorem_trials_report_their_certificates_residuals(monkeypatch, suite_i
         return rounds[-1]
 
     monkeypatch.setattr(suites, "_sample", sample)
-    monkeypatch.setitem(suites._RESIDUALS, "certificate", residuals)
+    monkeypatch.setitem(_SUITES, suite_id, row._replace(residuals=residuals))
     report = run_suite(default_suite_spec(suite_id, seed=3))
     assert report.all_passed and len(rounds) == 1 and report.trials == 200
     columns, present = rounds[0]
@@ -461,20 +470,47 @@ def test_trial_merge_is_by_index_not_by_execution_order():
 @pytest.mark.parametrize("nan_at", [0, 1, 2])
 def test_nan_residual_wins_worst_residuals(monkeypatch, nan_at):
     # max(0.0, nan) is 0.0, so a plain max merge would hide the NaN
-    judge = suites._RESIDUALS["ineq-real"]
+    row = _SUITES["ineq-real"]
 
     def patched(measured, tol):
-        columns, present = judge(measured, tol)
+        columns, present = row.residuals(measured, tol)
         columns["splitAgreement"] = np.full(len(columns["splitAgreement"]), 1e-30)
         columns["splitAgreement"][nan_at] = math.nan
         return columns, present
 
-    monkeypatch.setitem(suites._RESIDUALS, "ineq-real", patched)
+    monkeypatch.setitem(_SUITES, "ineq-real", row._replace(residuals=patched))
     spec = _small_spec("ineq-real", trials=3)
     rep = run_suite(spec)
     assert [f["seed"] for f in rep.failures] == [sd.split_seed(spec.seed, nan_at)]
     assert math.isnan(rep.worst_residuals["splitAgreement"])
     assert not rep.all_passed
+
+
+@pytest.mark.parametrize("reached", [True, False])
+def test_one_judge_fails_nan_and_passes_unreached(monkeypatch, reached):
+    # a NaN residual fails and one never reached passes, alike for one entry
+    # (within_bounds, a certificate's narrative row) and for a round (run_trial)
+    res = {"gramPositive": 0.0, "gramReal": math.nan}
+    if not reached:
+        del res["gramReal"]
+    assert symplectic.within_bounds("certificate", res) is not reached
+    cert = sd.certify_symplectic(sd.generate(sd.GeneratorConfig(half_dim=2, seed=1)))
+    residuals = {k: v for k, v in cert.residuals.items() if k != "gramReal"}
+    if reached:
+        residuals["gramReal"] = math.nan
+    gram = dataclasses.replace(cert, residuals=residuals).narrative[1]
+    assert gram.label == "det(A^T A + I) > 1" and gram.passed is not reached
+    row = _SUITES["ineq-real"]
+
+    def patched(measured, tol):
+        columns, present = row.residuals(measured, tol)
+        columns["splitAgreement"] = np.full(len(columns["splitAgreement"]), math.nan)
+        return columns, {"splitAgreement": np.full(len(columns["splitAgreement"]), reached)}
+
+    monkeypatch.setitem(_SUITES, "ineq-real", row._replace(residuals=patched))
+    result = run_trial("ineq-real", 2, 7)
+    assert result.passed is not reached
+    assert ("splitAgreement" in result.residuals) is reached
 
 
 def test_conjugate_certificate_computes_membership_once(monkeypatch):
@@ -592,6 +628,42 @@ def test_entries_near_float_ends_are_judged_without_warnings(tmp_path, capsys):
                for name in ("gramPositive", "gramReal", "factorIdentity", "splitIdentity"))
     assert codes == [1, 0, 0]
     assert capsys.readouterr().err == ""
+
+
+def _nan_log_det(d):
+    return math.isnan(d.log_magnitude) and math.isnan(d.phase.real)
+
+
+# public calls on entries that are NaN, Inf or near float's ends, each with
+# what it returns: a NaN determinant where LAPACK meets NaN or Inf, and a
+# plain sum of squares that overflows (summed again scaled) in a member's
+# and a factor's clamp
+_EDGE_CALLS = {
+    "log_det": (lambda: sd.log_det(np.array([[math.nan, 0.0], [0.0, 1.0]])), _nan_log_det),
+    "unitary_split_det": (
+        lambda: sd.unitary_split_det(sd.BlockPair(np.array([[math.inf]]), np.array([[1.0]]),
+                                                  GroupKind.REAL_SYMPLECTIC)),
+        lambda dets: all(map(_nan_log_det, dets))),
+    "conj_block_reduction": (
+        lambda: sd.conj_block_reduction(np.array([[1e-200]]), np.array([[1e200]])),
+        lambda p: p.block_det.log_magnitude == 400 * math.log(10) and _nan_log_det(p.pair_det)
+        and all(map(math.isnan, p.residuals.values()))),
+    "generate": (lambda: sd.generate(sd.GeneratorConfig(half_dim=3, factor_scale=1e154, seed=1)),
+                 lambda a: membership_residual(a, GroupKind.REAL_SYMPLECTIC) <= 1e-9),
+    "elementary_factor": (
+        lambda: generators.elementary_factor("shear_lower",
+                                             sd.GeneratorConfig(half_dim=2, factor_scale=1e300),
+                                             sd.rng_from_seed(0)),
+        lambda f: np.isfinite(f).all() and (f[2:, :2] == f[2:, :2].T).all()),
+}
+
+
+@pytest.mark.parametrize("name", _EDGE_CALLS)
+def test_public_calls_at_float_edges_leave_no_warning(name):
+    call, holds = _EDGE_CALLS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert holds(call())
 
 
 def test_conj_formula_trial_records_inf_phase_on_rejection():

@@ -15,12 +15,12 @@ per artifact:
 - the generator-sanity report at seeds 0 and 7 with ``det_one`` -1, in
   which every trial is a failure record with all its residuals;
 - the members ``generate`` samples: each group at half-dims that take many
-  factors a chunk (1, 2, 5, 16) and one (33), and one whose product steps
-  are block updates (64), seeds 0-4;
+  factors a chunk (1, 2, 5, 16) and one (33), and whose product steps are
+  block updates (64, and 65, an odd one), seeds 0-4;
 - ``membership_residual``, the ``certify_symplectic`` residuals and
   ``conj_symplectic_det`` (its phase, or its error's message) of each
-  group's members at half-dims whose residual is taken from blocks (64 and
-  100), seeds 0-2, as repr;
+  group's members at half-dims whose residual is taken from blocks (64, 65
+  and 100), seeds 0-2, as repr;
 - ``run_trial`` replays: every suite at the first three of its default
   half-dims, seeds 0-2, each trial's residuals and verdict (as repr);
 - member files ``write_matrix`` writes, and the exit status, report and
@@ -103,7 +103,7 @@ def suite_reports():
 
 
 def members():
-    for group, n in itertools.product(sd.GroupKind, (1, 2, 5, 16, 33, 64)):
+    for group, n in itertools.product(sd.GroupKind, (1, 2, 5, 16, 33, 64, 65)):
         h = hashlib.sha256()
         for seed in range(5):
             h.update(sd.generate(sd.GeneratorConfig(half_dim=n, target=group, seed=seed)).tobytes())
@@ -114,7 +114,7 @@ def block_residuals():
     calls = {"membership_residual": sd.membership_residual,
              "certify_symplectic residuals": lambda a, g: sd.certify_symplectic(a, g).residuals,
              "conj_symplectic_det": lambda a, g: sd.conj_symplectic_det(a)}
-    for group, n in itertools.product(sd.GroupKind, (64, 100)):
+    for group, n in itertools.product(sd.GroupKind, (64, 65, 100)):
         members = [sd.generate(sd.GeneratorConfig(half_dim=n, target=group, seed=seed))
                    for seed in range(3)]
         for name, call in calls.items():
