@@ -15,9 +15,10 @@ Each member still draws from its own rng exactly what it would draw alone,
 one member and one run of its factor kinds at a time, and numpy's stacked
 arithmetic does to each matrix what it does to that matrix alone, so every
 member is bitwise independent of the stack it was built in.  A stack's
-factors are built a chunk of product steps at a time, in one pass sorted by
-kind: one clamp, one inversion, one fill per kind (:func:`elementary_factor`
-is its stack of one).
+factor parameters are built a chunk of product steps at a time, in one pass
+sorted by kind: one clamp and one inversion (:func:`_parameters`), then,
+below half-dim 64, one fill per kind (:func:`elementary_factor` is its
+stack of one).
 
 A product step below half-dim 64 (symplectic._BLOCK_PATHS_FROM, from which
 the membership residual takes half the flops too) is a full 2N x 2N GEMM,
@@ -27,9 +28,10 @@ A2 S to A1 (lower) or A1 S to A2 (upper), a block diagonal makes
 [A1 P, A2 P^{-T}] (P^{-*}), the form [-A2, A1], and a phase multiplies by
 exp(i theta).  That takes a quarter (a shear) or half (a block diagonal) of
 the product's flops, or none, and rounds differently, so a member from
-N = 64 on is not bitwise the one earlier versions gave.  The rule depends on
-N alone, so a member's bits still do not depend on its stack, chunks or
-retries.
+N = 64 on is not bitwise the one earlier versions gave.  Each block comes
+from the parameters, with the values and C-ordered layout a fill gives it,
+and no 2N x 2N factor is built.  The rule depends on N alone, so a member's
+bits still do not depend on its stack, chunks or retries.
 """
 
 from __future__ import annotations
@@ -143,11 +145,11 @@ def _fill_shears(out: np.ndarray, slots, s: np.ndarray, lower: bool) -> np.ndarr
     return out
 
 
-def _fill_diag_blocks(out: np.ndarray, slots, p: np.ndarray, pinv, conjugate: bool) -> np.ndarray:
-    """[[P, 0], [0, P^{-T}]] (P^{-*} if conjugate), given P^{-1} as pinv (conjugated in place)."""
+def _fill_diag_blocks(out: np.ndarray, slots, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """[[P, 0], [0, Q]], given Q = P^{-T} (P^{-*} for the conjugate group)."""
     n = p.shape[-1]
     out[slots, :n, :n] = p
-    out[slots, n:, n:] = (np.conjugate(pinv, out=pinv) if conjugate else pinv).swapaxes(-1, -2)
+    out[slots, n:, n:] = q
     return out
 
 
@@ -195,11 +197,14 @@ def _draws(config: GeneratorConfig, rngs, codes: np.ndarray,
     return g, thetas
 
 
-def _factors(config: GeneratorConfig, rngs, codes: np.ndarray) -> np.ndarray:
-    """The (k, steps, 2N, 2N) stack of the factors of kinds codes[i] (a row of
+def _parameters(config: GeneratorConfig, rngs, codes: np.ndarray) -> tuple:
+    """The parameters of the factors of kinds codes[i] (a row of
     FACTOR_KINDS indices) drawn from rngs[i], clamped as elementary_factor
-    describes.  A stable sort makes each kind's slots, and its blocks, one
-    segment in (member, step) order, which its fill writes."""
+    describes: the count of each kind, the flat (member, step) slots sorted
+    by kind, the blocks (the shears' symmetrized S, then the block
+    diagonals' P) and the block diagonals' P^{-T} (P^{-*}), C-ordered, both
+    in slot order, and the phases' angles.  A stable sort makes each kind's
+    slots, and its blocks, one segment in (member, step) order."""
     n, cap = config.half_dim, config.condition_cap
     conjugate = config.target is GroupKind.CONJUGATE_SYMPLECTIC
     counts = np.bincount(codes.ravel(), minlength=len(FACTOR_KINDS)).tolist()
@@ -207,16 +212,27 @@ def _factors(config: GeneratorConfig, rngs, codes: np.ndarray) -> np.ndarray:
     if sum(map(bool, counts[:_FORM])) > 1:  # blocks of several kinds: sort them as the slots
         g = g[np.argsort(codes[codes < _FORM], kind="stable")]
     order = np.argsort(codes, axis=None, kind="stable")
-    shears, p = counts[0] + counts[1], g[counts[0] + counts[1]:]
+    shears, p, q = counts[0] + counts[1], g[counts[0] + counts[1]:], None
     if shears:
         _symmetrized(g[:shears], conjugate, out=g[:shears])
     if len(g):  # one clamp over all the blocks, each at its kind's cap
         caps = np.full(len(g), 1.0 - 1.0 / math.sqrt(cap))
         caps[:shears] = (cap - 1.0) / math.sqrt(cap)
         _norm_clamped(g, caps)
-    if len(p):  # P = I + G (invertible: ||G||_F < 1), inverted before f is allocated
+    if len(p):  # P = I + G (invertible: ||G||_F < 1)
         p += np.eye(n, dtype=p.dtype)
-        pinv = np.linalg.inv(p)  # so its temporaries are not freed above f
+        q = np.ascontiguousarray(np.linalg.inv(p).swapaxes(-1, -2))
+        if conjugate:
+            np.conjugate(q, out=q)
+    return counts, order, g, q, thetas
+
+
+def _factors(config: GeneratorConfig, rngs, codes: np.ndarray) -> np.ndarray:
+    """The (k, steps, 2N, 2N) stack of the factors of kinds codes[i] drawn
+    from rngs[i]: each kind's fill writes its segment of _parameters."""
+    n = config.half_dim
+    # the parameters first, so their temporaries are not freed above f
+    counts, order, g, q, thetas = _parameters(config, rngs, codes)
     f = np.zeros(codes.shape + (2 * n, 2 * n), config.target.dtype)
     out, end = f.reshape(-1, 2 * n, 2 * n), 0
     for name, count in zip(FACTOR_KINDS, counts):
@@ -226,12 +242,31 @@ def _factors(config: GeneratorConfig, rngs, codes: np.ndarray) -> np.ndarray:
         if name in ("shear_lower", "shear_upper"):
             _fill_shears(out, order[seg], g[seg], name == "shear_lower")
         elif name == "diag_block":
-            _fill_diag_blocks(out, order[seg], p, pinv, conjugate)
+            _fill_diag_blocks(out, order[seg], g[seg], q)
         elif name == "form":
             _forms(out, order[seg])
         else:
             _fill_phases(out, order[seg], thetas)
     return f
+
+
+def _step_operands(counts, order, g, q, thetas) -> list:
+    """What _block_steps takes of each factor of a _parameters result, in
+    flat (member, step) order: a shear's S, a block diagonal's (P, P^{-T})
+    (P^{-*}), None for a form and exp(i theta) for a phase.  Each has the
+    values of its block in the factor _factors fills, and each block is
+    row-major there and here (not a transposed view), so a step rounds as
+    a step by that factor's blocks does."""
+    shears = counts[0] + counts[1]
+    ops = [None] * len(order)
+    # a phase's diagonal, exp(i theta) times 1 + 0j, is exp(i theta) bit for
+    # bit, as neither part of exp(i theta) is ever -0.0
+    by_kind = itertools.chain(g[:shears], zip(g[shears:], () if q is None else q),
+                              itertools.repeat(None, counts[_FORM]),
+                              (complex(math.cos(t), math.sin(t)) for t in thetas))
+    for slot, op in zip(order.tolist(), by_kind):
+        ops[slot] = op
+    return ops
 
 
 def elementary_factor(name: str, config: GeneratorConfig,
@@ -245,18 +280,19 @@ def elementary_factor(name: str, config: GeneratorConfig,
     return _factors(config, [rng], _kind_codes([name], config.target)[None])[0, 0]
 
 
-def _block_steps(a: np.ndarray, f: np.ndarray, codes: np.ndarray, buf: np.ndarray) -> None:
+def _block_steps(a: np.ndarray, codes: np.ndarray, ops, buf: np.ndarray) -> None:
     """a @ f, into a, for a (k, 2N, 2N) stack of products and one factor of
-    each, of kinds codes (FACTOR_KINDS indices): each member takes the update
-    its factor's blocks make of its column halves [x1, x2], through buf, a
-    2N x N scratch matrix.  Every result goes into buf and is copied into its
-    half: a ufunc writing into a column half, which shares its rows with the
-    other half, would first copy its inputs to a fresh temporary."""
+    each, of kinds codes (FACTOR_KINDS indices) and operands ops (as
+    _step_operands gives them): each member takes the update its factor's
+    blocks make of its column halves [x1, x2], through buf, a 2N x N scratch
+    matrix.  Every result goes into buf and is copied into its half: a ufunc
+    writing into a column half, which shares its rows with the other half,
+    would first copy its inputs to a fresh temporary."""
     n = buf.shape[1]
-    for x, fx, code in zip(a, f, codes.tolist()):
+    for x, code, op in zip(a, codes.tolist(), ops):
         x1, x2 = x[:, :n], x[:, n:]
         if code == _PHASE:
-            x *= fx[0, 0]
+            x *= op
         elif code == _FORM:  # [-x2, x1]
             np.negative(x2, out=buf)
             # x shifted n entries on: each x1 row lands on its x2 row (and each
@@ -267,12 +303,12 @@ def _block_steps(a: np.ndarray, f: np.ndarray, codes: np.ndarray, buf: np.ndarra
             flat[k:] = flat[:-k]
             np.copyto(x1, buf)
         elif code == _DIAG:  # [x1 P, x2 P^{-T}]
-            for half, block in ((x1, fx[:n, :n]), (x2, fx[n:, n:])):
+            for half, block in zip((x1, x2), op):
                 np.matmul(half, block, out=buf)
                 np.copyto(half, buf)
         else:  # lower: x1 + x2 S; upper: x2 + x1 S
-            src, dst, s = (x2, x1, fx[n:, :n]) if code == _LOWER else (x1, x2, fx[:n, n:])
-            np.matmul(src, s, out=buf)
+            src, dst = (x2, x1) if code == _LOWER else (x1, x2)
+            np.matmul(src, op, out=buf)
             np.add(buf, dst, out=buf)
             np.copyto(dst, buf)
 
@@ -286,17 +322,17 @@ def _sample(config: GeneratorConfig, rngs: list, factors: list[str] | None = Non
 
     Each member draws its factor kinds, then the stack is built a chunk of
     product steps at a time: every member draws the chunk's parameters from
-    its own rng, _factors builds the chunk, and the stack of products is
-    multiplied by each step's factors: as one stacked GEMM below half-dim
-    _BLOCK_PATHS_FROM, and from there on as _block_steps, in place, through
-    one scratch half per attempt.  A chunk holds at most _STACK_BYTES
-    of factors (one budget beside the stack's) and _STACK_BYTES // 16 of
-    them per member (so a large member takes a step at a time), but one
-    step at least.  Members that fail the membership test are drawn again,
-    as a smaller stack, and copied back into their place.  Each member, and
-    its residual, is bitwise what generate and membership_residual give it,
-    whatever its stack and chunks.  Raises GenerationError if the attempts
-    of any member all fail.
+    its own rng, and the stack of products is multiplied by each step's
+    factors: below half-dim _BLOCK_PATHS_FROM as one stacked GEMM by the
+    factors _factors fills, and from there on as _block_steps, in place,
+    from the blocks of _parameters, through one scratch half per attempt.
+    A chunk holds at most _STACK_BYTES of factors (one budget beside the
+    stack's) and _STACK_BYTES // 16 of them per member (so a large member
+    takes a step at a time), but one step at least.  Members that fail the
+    membership test are drawn again, as a smaller stack, and copied back
+    into their place.  Each member, and its residual, is bitwise what
+    generate and membership_residual give it, whatever its stack and
+    chunks.  Raises GenerationError if the attempts of any member all fail.
     """
     forced = None if factors is None else _kind_codes(factors, config.target)
     kinds = _kind_count(config.target)
@@ -311,17 +347,23 @@ def _sample(config: GeneratorConfig, rngs: list, factors: list[str] | None = Non
         else:
             codes = np.tile(forced, (len(live), 1))
         chunk = max(1, min(_STACK_BYTES // (len(live) * member), _STACK_BYTES // 16 // member))
-        a = np.tile(np.eye(m, dtype=dtype), (len(live), 1, 1))
+        a = np.zeros((len(live), m, m), dtype)  # the identities, without a tiled copy
+        _diagonals(a)[:] = 1
         buf = (np.empty((m, config.half_dim), dtype) if config.half_dim >= _BLOCK_PATHS_FROM
                else None)
         for t in range(0, codes.shape[1], chunk):
-            f = _factors(config, live, codes[:, t:t + chunk])
-            for step in range(f.shape[1]):
-                if buf is None:
+            part = codes[:, t:t + chunk]
+            steps = part.shape[1]
+            if buf is None:
+                f = _factors(config, live, part)
+                for step in range(steps):
                     a = a @ f[:, step]  # full products, with the bits of earlier versions
-                else:
-                    _block_steps(a, f[:, step], codes[:, t + step], buf)
-            del f  # so the next chunk is built without this one
+                del f  # so the next chunk is built without this one
+            else:  # no factor is filled: each step takes its blocks
+                ops = _step_operands(*_parameters(config, live, part))
+                for step in range(steps):
+                    _block_steps(a, part[:, step], ops[step::steps], buf)
+                del ops
         del buf  # and the residuals without the scratch half
         if out is None:
             out = a

@@ -74,8 +74,9 @@ def _shear_upper(s, target=REAL):
 
 def _diag_block(p, target=REAL):
     """[[P, 0], [0, P^{-T}]] (P^{-*} for the conjugate group)."""
-    return _one(_fill_diag_blocks, len(p), p.dtype, p, np.linalg.inv(p),
-                target is GroupKind.CONJUGATE_SYMPLECTIC)
+    q = np.linalg.inv(p).T
+    return _one(_fill_diag_blocks, len(p), p.dtype, p,
+                q.conj() if target is GroupKind.CONJUGATE_SYMPLECTIC else q)
 
 
 def _phase_factor(theta, n_half):
@@ -531,6 +532,18 @@ def test_block_step_members_do_not_depend_on_their_stack(monkeypatch, target):
 
 
 @pytest.mark.parametrize("target", ALL_TARGETS)
+def test_block_step_members_do_not_depend_on_the_chunks(monkeypatch, target):
+    # from N = 64 on the per-member bound chunks one step at a time; a budget
+    # that lets a chunk take every step gives each member its bits still
+    base = GeneratorConfig(half_dim=64, target=target, num_factors=6)
+    seeds = [split_seed(64, t) for t in range(3)]
+    refs = [generate(dataclasses.replace(base, seed=s)) for s in seeds]
+    monkeypatch.setattr(generators, "_STACK_BYTES", 1 << 40)
+    for got, ref in zip(_members(base, seeds), refs):
+        _assert_bitwise(got, ref)
+
+
+@pytest.mark.parametrize("target", ALL_TARGETS)
 def test_block_step_members_that_retry_match_generate(target):
     # a product_residual near the median first-attempt residual at N = 64
     # sends some members of the stack back for more attempts, as a smaller
@@ -655,13 +668,8 @@ def test_retries_and_failures_do_not_depend_on_the_chunks(monkeypatch, target, s
         _members(base, seeds, tol=tol)  # a stack that holds a failing member
 
 
-@pytest.mark.parametrize("n", [50, *BLOCK_DIMS])
-@pytest.mark.parametrize("target", ALL_TARGETS)
-def test_generate_holds_no_more_than_one_product_step(target, n):
-    # the product, the factor and their product: 3x the member's bytes, as
-    # the one-matrix loop holds (a block step holds a scratch half in place
-    # of the product); a stack copy more would give about 4x
-    cfg = GeneratorConfig(half_dim=n, target=target, seed=3)
+def _generate_peak(cfg):
+    """generate(cfg)'s tracemalloc peak, in multiples of the member's bytes."""
     a = generate(cfg)
     tracemalloc.start()
     try:
@@ -670,4 +678,21 @@ def test_generate_holds_no_more_than_one_product_step(target, n):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak / a.nbytes < 3.5
+    return peak / a.nbytes
+
+
+@pytest.mark.parametrize("n", [50, *BLOCK_DIMS])
+@pytest.mark.parametrize("target", ALL_TARGETS)
+def test_generate_holds_no_more_than_one_product_step(target, n):
+    # the product, the factor and their product: 3x the member's bytes, as
+    # the one-matrix loop holds (a block step holds a scratch half in place
+    # of the product); a stack copy more would give about 4x
+    assert _generate_peak(GeneratorConfig(half_dim=n, target=target, seed=3)) < 3.5
+
+
+@pytest.mark.parametrize("n", BLOCK_DIMS)
+@pytest.mark.parametrize("target", ALL_TARGETS)
+def test_block_steps_fill_no_factor(target, n):
+    # a block step takes its factor's blocks, so no 2N x 2N factor is held
+    # beside the member and the scratch half (a filled one reads 3.0x)
+    assert _generate_peak(GeneratorConfig(half_dim=n, target=target, seed=3)) < 2.9
